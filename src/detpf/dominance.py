@@ -11,6 +11,22 @@ matrix coefficients, so the generic rank is at least the sampled rank, and
 full rank of the differential makes the pfaffian map dominant.  cd > 0 from
 a sample proves nothing by itself; non-dominance is only ever concluded
 from the unconditional dimension count moduli < linear system.
+
+From characteristic p to characteristic 0: lift the sampled matrix to
+integer entries in [0, p).  Its pfaffians, and the coefficient matrix of the
+forms X_k * P_ij, then have integer entries whose reductions mod p are what
+this module computes (interpolation recovers the unique form through the
+sampled values, which is the reduction of the integer one).  A minor that is
+nonzero mod p is a nonzero integer, so the rank over Q is at least the rank
+over GF(p): full rank mod p gives full rank of the differential at an
+integer point in characteristic 0, and cd = 0 holds over C.  The converse
+fails, since a rank can drop mod p.
+
+Invariant for shortcuts: any change to the route from sample to rank (a
+faster kernel, a different way to build the span, a random compression)
+may only lower a rank, never raise it.  A lowered rank can only turn cd = 0
+into cd > 0, which proves nothing; a raised rank could certify a map that is
+not dominant.
 """
 
 from __future__ import annotations

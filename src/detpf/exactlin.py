@@ -1,10 +1,33 @@
 """Exact dense linear algebra over GF(p).
 
-Matrices hold int64 residues in [0, p).  For any modulus below 2**31 a
-product of two residues stays below 2**62, so a single row operation never
-overflows int64; long accumulations (matmul) are chunked.  Pivoting always
-selects the first nonzero entry in row order — GF(p) has no magnitude, and a
-deterministic pivot rule makes every certificate byte-reproducible.
+Matrices hold int64 residues in [0, p) for an odd prime p < 2**31, so a
+product of two residues stays below 2**62 and a single row operation never
+overflows int64.
+
+Elimination (`_forward_eliminate`, `_back_substitute`) is blocked in the
+manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).  A
+panel of PANEL columns is factored by rank-1 row operations; the update of
+the rest of the matrix is then one matrix product, computed in float64 BLAS
+in strips of STRIP rows and added to the int64 matrix without reduction.
+Two bounds make this exact:
+
+* a float64 product of k residues pairs is exact while k*(p-1)**2 < 2**53
+  (every partial sum is an integer that float64 represents), which with
+  k = PANEL holds for p up to 16777213;
+* an entry that receives one unreduced update per pivot stays inside int64
+  while npivots*(p-1)**2 + p < 2**63; entries are reduced mod p only when
+  they become part of the next panel, and once at the end.
+
+When either bound fails (p close to 2**31), or the matrix is no wider than
+one panel, elimination runs the rank-1 loop alone, reducing after every
+column.  `_matmul` shares the same bound: float64 BLAS when it holds, int64
+products over chunks of the inner dimension otherwise.
+
+Pivoting always selects the first nonzero entry in row order -- GF(p) has no
+magnitude.  The rule depends only on residues, and both paths compute every
+residue exactly, so they make the same row swaps and write the same echelon
+form, pivots and sign, byte for byte; every certificate is therefore
+reproducible from (prime, seed) whichever path ran.
 """
 
 from __future__ import annotations
@@ -14,6 +37,12 @@ import numpy as np
 DEFAULT_PRIME = 31991
 
 MAX_MODULUS = 1 << 31
+
+PANEL = 32  # columns factored by the rank-1 loop before one trailing product
+STRIP = 256  # rows per float64 trailing product, bounding its temporaries
+
+FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
+INT64_LIMIT = 1 << 63
 
 
 class LinAlgError(ArithmeticError):
@@ -79,9 +108,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def normalize(self, a: int) -> int:
-        return a % self.p
-
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
 
@@ -90,9 +116,6 @@ class PrimeField:
 
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
-
-    def neg(self, a: int) -> int:
-        return -a % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p
@@ -204,33 +227,54 @@ class ScalarMatrix:
             and not self.a.diagonal().any()
         )
 
-    def is_symmetric(self) -> bool:
-        return bool(np.array_equal(self.a, self.a.T))
+
+def _max_terms(p: int, limit: int, start: int = 0) -> int:
+    """Largest k with start + k*(p-1)**2 < limit: how many products of two
+    residues can be summed onto a value below `start` and stay below `limit`."""
+    return (limit - 1 - start) // ((p - 1) * (p - 1))
+
+
+def _blocked_is_exact(p: int, npivots: int) -> bool:
+    """Both bounds of the blocked elimination hold (see the module docstring)."""
+    return PANEL <= _max_terms(p, FLOAT_EXACT) and npivots <= _max_terms(p, INT64_LIMIT, p)
+
+
+def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b through float64 BLAS, as int64.
+
+    Exact for nonnegative integer inputs when a.shape[-1]*(max a)*(max b)
+    < 2**53; callers check this with `_max_terms`.
+    """
+    return (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    # chunk the inner dimension so accumulated dot products stay inside int64
+    """Product of two residue arrays, reduced mod p; exact for any p < 2**31."""
     k = a.shape[1]
-    step = max(1, (1 << 62) // ((p - 1) * (p - 1) + 1))
-    if k <= step:
-        return (a @ b) % p
+    if k <= _max_terms(p, FLOAT_EXACT):
+        return _exact_product(a, b) % p
+    # chunk the inner dimension so accumulated dot products stay inside int64
+    step = max(1, _max_terms(p, INT64_LIMIT, p))
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for s in range(0, k, step):
         out = (out + a[:, s : s + step] @ b[s : s + step]) % p
     return out
 
 
-def _forward_eliminate(m: np.ndarray, p: int, ncols: int):
-    """In-place forward elimination on the first `ncols` columns.
+def _eliminate_panel(m, p, row, c0, c1, hi, keep_multipliers):
+    """Rank-1 forward elimination of columns [c0, c1), from `row` down.
 
-    Pivot rows are normalized to 1.  Returns (pivot_columns, sign) where sign
-    tracks row swaps (for determinants computed elsewhere it is unused).
+    Row swaps move whole rows; scaling and row updates touch columns up to
+    `hi`.  With keep_multipliers, the entry below each pivot keeps the
+    multiplier of its row update (as LAPACK stores L) instead of becoming 0.
+    Returns (pivot_columns, pivot_inverses, sign).
     """
     nrows = m.shape[0]
     pivots: list[int] = []
+    inverses: list[int] = []
     sign = 1
-    row = 0
-    for col in range(ncols):
+    skip = 1 if keep_multipliers else 0
+    for col in range(c0, c1):
         if row == nrows:
             break
         nz = np.nonzero(m[row:, col])[0]
@@ -241,22 +285,105 @@ def _forward_eliminate(m: np.ndarray, p: int, ncols: int):
             m[[row, r]] = m[[r, row]]
             sign = -sign
         inv = pow(int(m[row, col]), p - 2, p)
-        m[row, col:] = m[row, col:] * inv % p
-        below = m[row + 1 :, col:]
-        f = below[:, 0]
+        m[row, col:hi] = m[row, col:hi] * inv % p
+        below = m[row + 1 :, col + skip : hi]
+        f = m[row + 1 :, col]
         if f.any():
-            below[...] = (below - np.outer(f, m[row, col:])) % p
+            below[...] = (below - np.outer(f, m[row, col + skip : hi])) % p
         pivots.append(col)
+        inverses.append(inv)
         row += 1
+    return pivots, inverses, sign
+
+
+def _finish_pivot_rows(a: np.ndarray, lower: np.ndarray, inverses, p: int) -> np.ndarray:
+    """Write in place what the rank-1 loop leaves in the pivot rows' columns
+    right of their panel: row j = (a_j - sum_{i<j} lower[j, i] * row_i) * inverses[j].
+
+    `a` holds those columns, unreduced; `lower` holds the panel's multipliers
+    below its diagonal.  Returns the finished rows as float64.
+    """
+    np.remainder(a, p, out=a)
+    u = np.empty(a.shape, dtype=np.float64)
+    for j, inv in enumerate(inverses):
+        if j:
+            a[j] -= _exact_product(lower[j, :j], u[:j])
+        a[j] = a[j] % p * inv % p
+        u[j] = a[j]
+    return u
+
+
+def _trailing_update(t: np.ndarray, multipliers: np.ndarray, u: np.ndarray, p: int) -> None:
+    """t -= multipliers @ u, as t += (-multipliers mod p) @ u, left unreduced."""
+    neg = (-multipliers) % p
+    for s in range(0, t.shape[0], STRIP):
+        t[s : s + STRIP] += _exact_product(neg[s : s + STRIP], u)
+
+
+def _forward_eliminate(m: np.ndarray, p: int, ncols: int):
+    """In-place forward elimination on the first `ncols` columns.
+
+    Pivot rows are normalized to 1 and entries below pivots are 0; columns
+    past `ncols` (right-hand sides) follow the row operations.  Returns
+    (pivot_columns, sign) where sign tracks row swaps.
+    """
+    width = m.shape[1]
+    if ncols <= PANEL or not _blocked_is_exact(p, ncols):
+        pivots, _, sign = _eliminate_panel(m, p, 0, 0, ncols, width, False)
+        return pivots, sign
+    nrows = m.shape[0]
+    pivots = []
+    sign = 1
+    row = 0
+    for c0 in range(0, ncols, PANEL):
+        c1 = min(c0 + PANEL, ncols)
+        panel = m[row:, c0:c1]
+        np.remainder(panel, p, out=panel)
+        found, inverses, s = _eliminate_panel(m, p, row, c0, c1, c1, True)
+        sign *= s
+        if found:
+            top = row + len(found)
+            lower = m[row:, found]
+            for j, col in enumerate(found):
+                m[row + j + 1 :, col] = 0
+            u = _finish_pivot_rows(m[row:top, c1:], lower, inverses, p)
+            _trailing_update(m[top:, c1:], lower[len(found) :], u, p)
+            pivots += found
+            row = top
+        if row == nrows:
+            break
+    rest = m[row:, c1:]
+    np.remainder(rest, p, out=rest)
     return pivots, sign
 
-def _back_substitute(m: np.ndarray, p: int, pivots: list[int]) -> None:
-    """Clear entries above the pivots (m already forward-eliminated)."""
-    for row in range(len(pivots) - 1, 0, -1):
+
+def _clear_above(m: np.ndarray, p: int, pivots: list[int], b0: int, b1: int) -> None:
+    """Rank-1 back-substitution within pivot rows [b0, b1)."""
+    for row in range(b1 - 1, b0, -1):
         col = pivots[row]
-        f = m[:row, col]
+        f = m[b0:row, col]
         if f.any():
-            m[:row, col:] = (m[:row, col:] - np.outer(f, m[row, col:])) % p
+            m[b0:row, col:] = (m[b0:row, col:] - np.outer(f, m[row, col:])) % p
+
+
+def _back_substitute(m: np.ndarray, p: int, pivots: list[int]) -> None:
+    """Clear entries above the pivots (m already forward-eliminated).
+
+    Blocks of PANEL pivot rows are finished bottom-up; each finished block
+    is subtracted from the rows above it in one trailing product.
+    """
+    r = len(pivots)
+    if r <= PANEL or not _blocked_is_exact(p, r):
+        _clear_above(m, p, pivots, 0, r)
+        return
+    for b1 in range(r, 0, -PANEL):
+        b0 = max(0, b1 - PANEL)
+        block = m[b0:b1, pivots[b0] :]
+        np.remainder(block, p, out=block)
+        _clear_above(m, p, pivots, b0, b1)
+        if b0:
+            u = block.astype(np.float64)
+            _trailing_update(m[:b0, pivots[b0] :], m[:b0, pivots[b0:b1]], u, p)
 
 
 def rank(A: ScalarMatrix) -> int:
@@ -319,11 +446,6 @@ def solve_many(A: ScalarMatrix, B: ScalarMatrix) -> ScalarMatrix:
         raise Inconsistent("right-hand side not in the column span")
     _back_substitute(m, p, pivots)
     return ScalarMatrix(A.field, m[:n, n:])
-
-
-def solve_vector(A: ScalarMatrix, b: np.ndarray) -> np.ndarray:
-    B = ScalarMatrix(A.field, np.asarray(b, dtype=np.int64).reshape(-1, 1))
-    return solve_many(A, B).a[:, 0]
 
 
 def determinant(A: ScalarMatrix) -> int:

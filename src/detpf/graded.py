@@ -208,10 +208,6 @@ class SmoothnessCertificate:
     full_dim: int | None
     witness: tuple[int, ...] | None = None
 
-    @property
-    def is_smooth(self) -> bool:
-        return self.verdict == "smooth"
-
 
 def _witness_candidates(field: PrimeField, nvars: int, span: int = 2):
     """Small deterministic candidate set for the optional singular-point search."""

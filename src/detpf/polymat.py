@@ -481,11 +481,6 @@ def _require_skew(M: GradedMatrix) -> None:
 # ---- numeric kernels -----------------------------------------------------------
 
 
-def evaluate_matrix(M: GradedMatrix, point: Sequence[int]) -> ScalarMatrix:
-    """Entrywise evaluation of a graded matrix at a point."""
-    return M.evaluate(point)
-
-
 def pfaffian_numeric(A: ScalarMatrix) -> int:
     """pf(A) for a numeric skew matrix; see module docstring for the convention."""
     return exactlin.pfaffian_skew(A)

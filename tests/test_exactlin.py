@@ -1,6 +1,10 @@
+from math import isqrt
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from detpf import exactlin
 from detpf.exactlin import (
     DEFAULT_PRIME,
     Inconsistent,
@@ -189,3 +193,204 @@ def test_elimination_deterministic():
     r2, k2 = rank(A), kernel_basis(A)
     assert r1 == r2
     assert all(np.array_equal(a, b) for a, b in zip(k1, k2))
+
+
+# ---- blocked kernel against a plain-integer reference ------------------------
+
+
+def _largest_float_path_prime() -> int:
+    p = isqrt((2**53 - 1) // exactlin.PANEL) + 1
+    while not exactlin._is_prime(p):
+        p -= 1
+    return p
+
+
+FLOAT_PRIME = _largest_float_path_prime()
+PRIMES = (3, 31991, FLOAT_PRIME, 2**31 - 1)
+WIDTHS = (1, 5, exactlin.PANEL - 1, exactlin.PANEL, exactlin.PANEL + 1, 2 * exactlin.PANEL + 3)
+
+
+def _row_op(a, f, b, p):
+    return [(x - f * y) % p for x, y in zip(a, b)]
+
+
+def reference_eliminate(rows, p, ncols):
+    """Gauss-Jordan on lists of Python ints, with the kernel's pivot rule (the
+    first nonzero entry in row order).  Returns (echelon, reduced, pivots, sign)."""
+    m = [[x % p for x in r] for r in rows]
+    pivots, sign, row = [], 1, 0
+    for col in range(ncols):
+        if row == len(m):
+            break
+        r = next((i for i in range(row, len(m)) if m[i][col]), None)
+        if r is None:
+            continue
+        if r != row:
+            m[row], m[r] = m[r], m[row]
+            sign = -sign
+        inv = pow(m[row][col], p - 2, p)
+        m[row] = [x * inv % p for x in m[row]]
+        for i in range(row + 1, len(m)):
+            if m[i][col]:
+                m[i] = _row_op(m[i], m[i][col], m[row], p)
+        pivots.append(col)
+        row += 1
+    echelon = [r[:] for r in m]
+    for k in range(len(pivots) - 1, 0, -1):
+        for i in range(k):
+            if m[i][pivots[k]]:
+                m[i] = _row_op(m[i], m[i][pivots[k]], m[k], p)
+    return echelon, m, pivots, sign
+
+
+def _as_int64(rows, shape):
+    return np.array(rows, dtype=np.int64).reshape(shape)
+
+
+def structured(p, ncols, nrows, rhs, rank_cap, lead, zero_share, seed):
+    """(p, ncols, matrix) whose first ncols columns have rank at most rank_cap.
+
+    Rows are combinations of rank_cap random basis rows whose first `lead`
+    columns and a random share of the others are zero, so whole panels can
+    lack a pivot; the `rhs` columns past ncols are independent and random.
+    """
+    rng = np.random.default_rng(seed)
+    basis = rng.integers(0, p, (rank_cap, ncols), dtype=np.int64).astype(object)
+    basis[:, :lead] = 0
+    basis[:, rng.random(ncols) < zero_share] = 0
+    coef = rng.integers(0, p, (nrows, rank_cap), dtype=np.int64).astype(object)
+    coef[rng.random(nrows) < 0.2] = 0
+    a = coef.dot(basis) % p if rank_cap else np.zeros((nrows, ncols), dtype=object)
+    b = rng.integers(0, p, (nrows, rhs), dtype=np.int64)
+    return p, ncols, np.hstack([a.astype(np.int64), b])
+
+
+@st.composite
+def structured_matrices(draw):
+    ncols = draw(st.sampled_from(WIDTHS))
+    nrows = draw(st.sampled_from((2, ncols, ncols + 12)))
+    top = min(nrows, ncols)
+    return structured(
+        p=draw(st.sampled_from(PRIMES)),
+        ncols=ncols,
+        nrows=nrows,
+        rhs=draw(st.sampled_from((0, 1, 3))),
+        rank_cap=draw(st.sampled_from((top, top, top // 2, 0))),
+        lead=draw(st.sampled_from((0, 0, 1, exactlin.PANEL, ncols))),
+        zero_share=draw(st.sampled_from((0.0, 0.3, 0.9))),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+WIDE = 2 * exactlin.PANEL + 3
+# cases a small example budget might miss: every one spans three panels
+EXAMPLES = (
+    structured(31991, WIDE, WIDE + 12, 3, WIDE, 0, 0.0, 1),  # tall, full column rank
+    structured(FLOAT_PRIME, WIDE, WIDE, 1, WIDE - 7, 0, 0.3, 2),  # pivots skip columns
+    structured(3, WIDE, 40, 2, 40, exactlin.PANEL, 0.0, 3),  # first panel has no pivot
+    structured(2**31 - 1, WIDE, WIDE, 3, WIDE, 0, 0.0, 4),  # rank-1 fallback
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_matrices(), st.sampled_from((exactlin.STRIP, 5)))
+@example(EXAMPLES[0], 5)
+@example(EXAMPLES[1], exactlin.STRIP)
+@example(EXAMPLES[2], 5)
+@example(EXAMPLES[3], exactlin.STRIP)
+def test_kernel_matches_reference_byte_for_byte(case, strip):
+    p, ncols, a = case
+    echelon, reduced, ref_pivots, ref_sign = reference_eliminate(a.tolist(), p, ncols)
+    m = a.copy()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactlin, "STRIP", strip)
+        pivots, sign = exactlin._forward_eliminate(m, p, ncols)
+        assert (pivots, sign) == (ref_pivots, ref_sign)
+        assert m.dtype == np.int64
+        assert m.tobytes() == _as_int64(echelon, a.shape).tobytes()
+        exactlin._back_substitute(m, p, pivots)
+    assert m.tobytes() == _as_int64(reduced, a.shape).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(structured_matrices())
+@example(EXAMPLES[0])
+@example(EXAMPLES[1])
+@example(EXAMPLES[2])
+def test_public_api_matches_reference(case):
+    p, ncols, a = case
+    field = PrimeField(p)
+    A = ScalarMatrix(field, a[:, :ncols])
+    _, reduced, pivots, _ = reference_eliminate(A.a.tolist(), p, ncols)
+    assert rank(A) == len(pivots)
+    free = [c for c in range(ncols) if c not in pivots]
+    want = []
+    for c in free:
+        v = [0] * ncols
+        v[c] = 1
+        for row, col in enumerate(pivots):
+            v[col] = -reduced[row][c] % p
+        want.append(v)
+    assert [v.tolist() for v in kernel_basis(A)] == want
+
+    B = ScalarMatrix(field, a[:, ncols:] if a.shape[1] > ncols else a[:, :1])
+    echelon, reduced, pivots, _ = reference_eliminate(np.hstack([A.a, B.a]).tolist(), p, ncols)
+    if len(pivots) < ncols:
+        with pytest.raises(RankDeficient):
+            solve_many(A, B)
+    elif any(x for r in echelon[ncols:] for x in r[ncols:]):
+        with pytest.raises(Inconsistent):
+            solve_many(A, B)
+    else:
+        assert solve_many(A, B).a.tolist() == [r[ncols:] for r in reduced[:ncols]]
+
+    S = ScalarMatrix(field, a[: min(a.shape[0], ncols), : min(a.shape[0], ncols)])
+    n = S.rows
+    _, reduced, pivots, _ = reference_eliminate(
+        np.hstack([S.a, np.eye(n, dtype=np.int64)]).tolist(), p, n
+    )
+    if len(pivots) < n:
+        with pytest.raises(Singular):
+            invert(S)
+    else:
+        assert invert(S).a.tolist() == [r[n:] for r in reduced]
+
+
+def _matmul_reference(a, b, p):
+    return [
+        [sum(int(x) * int(y) for x, y in zip(row, col)) % p for col in b.T] for row in a
+    ]
+
+
+@pytest.mark.parametrize(
+    "p, ncols, blocked",
+    [
+        (31991, exactlin.PANEL, False),
+        (31991, exactlin.PANEL + 1, True),
+        (FLOAT_PRIME, exactlin.PANEL + 1, True),
+        (16777259, exactlin.PANEL + 1, False),  # the next prime fails the float bound
+        (2**31 - 1, 2 * exactlin.PANEL + 3, False),
+    ],
+)
+def test_path_choice_depends_on_width_and_prime(monkeypatch, p, ncols, blocked):
+    calls = []
+    update = exactlin._trailing_update
+    monkeypatch.setattr(
+        exactlin, "_trailing_update", lambda *args: calls.append(1) or update(*args)
+    )
+    a = np.random.default_rng(ncols).integers(0, p, (ncols, ncols), dtype=np.int64)
+    inv = invert(ScalarMatrix(PrimeField(p), a))
+    assert bool(calls) == blocked
+    assert _matmul_reference(a, inv.a, p) == np.eye(ncols, dtype=np.int64).tolist()
+
+
+@pytest.mark.parametrize("p", PRIMES + (67108859,))
+@pytest.mark.parametrize("k", (1, 2, 5, 40))
+def test_matmul_exact_on_both_paths(p, k):
+    # float64 for k <= 32 at FLOAT_PRIME and k <= 2 at 67108859; int64 chunks
+    # beyond that, and always at 2**31 - 1
+    rng = np.random.default_rng(k)
+    a = rng.integers(0, p, (3, k), dtype=np.int64)
+    b = rng.integers(0, p, (k, 4), dtype=np.int64)
+    F_p = PrimeField(p)
+    assert (ScalarMatrix(F_p, a) @ ScalarMatrix(F_p, b)).a.tolist() == _matmul_reference(a, b, p)
