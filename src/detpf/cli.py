@@ -67,7 +67,8 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         "--max-interpolation-points",
         type=int,
         default=None,
-        help="hard cap on interpolation sample points",
+        help="cap on the points a certificate samples, singular ones included "
+        "(never below C(d+r, r))",
     )
 
 

@@ -1,10 +1,27 @@
 """Dominance certificates for the pfaffian map, plus the closed-form counts.
 
-One certificate run: sample a random skew 2d x 2d matrix of linear forms in
-r+1 variables, compute all C(2d, 2) submaximal pfaffians by
-evaluation-interpolation, assemble the coefficient vectors of the forms
-X_k * P_ij in the degree-d monomial basis, and measure the codimension
-cd = C(d+r, r) - rank of that span.
+One certificate run: sample a random skew 2d x 2d matrix M of linear forms
+in r+1 variables and measure the codimension cd = C(d+r, r) - rank of the
+span of the forms X_k P_ij in the degree-d forms S_d, where P_ij is the
+pfaffian of M with rows and columns i, j deleted.  That span is the image of
+the tangent map of the pfaffian map at M (Beauville, "Determinantal
+hypersurfaces", Michigan Math. J. 48, 2000, section 7).
+
+The rank is read off by evaluation, without computing any P_ij.  Sample
+N = C(d+r, r) points x at which M(x) is invertible, invert all N matrices in
+one batch (`exactlin.invert_many`), and give each point the row
+x (x) triu(M(x)^-1) of length (r+1) C(2d, 2).  The rank of this N-row matrix
+E is the certificate's rank.  Since (M^-1)_ij = (-1)^(i+j) P_ij(x) / pf(M(x))
+for i < j, the matrix factors as
+
+    E = D V C S,
+
+with D the invertible diagonal of the 1/pf(M(x)), V the N x C(d+r, r)
+degree-d Vandermonde matrix of the points, C the transposed span matrix
+(column (k, i, j) holds the coefficients of X_k P_ij) and S the diagonal of
+the signs (-1)^(i+j).  Hence rank E <= rank C for any points, with equality
+when V is invertible.  `span_rank_by_interpolation` computes rank C itself,
+by interpolating every P_ij; tests hold the two routes against each other.
 
 cd = 0 at a single sample is rigorous: rank is lower-semicontinuous in the
 matrix coefficients, so the generic rank is at least the sampled rank, and
@@ -13,20 +30,20 @@ a sample proves nothing by itself; non-dominance is only ever concluded
 from the unconditional dimension count moduli < linear system.
 
 From characteristic p to characteristic 0: lift the sampled matrix to
-integer entries in [0, p).  Its pfaffians, and the coefficient matrix of the
-forms X_k * P_ij, then have integer entries whose reductions mod p are what
-this module computes (interpolation recovers the unique form through the
-sampled values, which is the reduction of the integer one).  A minor that is
-nonzero mod p is a nonzero integer, so the rank over Q is at least the rank
-over GF(p): full rank mod p gives full rank of the differential at an
-integer point in characteristic 0, and cd = 0 holds over C.  The converse
-fails, since a rank can drop mod p.
+integer entries in [0, p).  The coefficient matrix C of the forms X_k P_ij
+then has integer entries, and its reduction mod p is the span matrix over
+GF(p), whose rank bounds rank E from above.  A minor that is nonzero mod p
+is a nonzero integer, so the rank over Q is at least the rank over GF(p):
+full rank of E mod p gives full rank of the differential at an integer
+point in characteristic 0, and cd = 0 holds over C.  The converse fails,
+since a rank can drop mod p.
 
 Invariant for shortcuts: any change to the route from sample to rank (a
 faster kernel, a different way to build the span, a random compression)
 may only lower a rank, never raise it.  A lowered rank can only turn cd = 0
 into cd > 0, which proves nothing; a raised rank could certify a map that is
-not dominant.
+not dominant.  Evaluation is such a shortcut: fewer rows (a capped point
+budget) or points on which V drops rank can only lower rank E.
 """
 
 from __future__ import annotations
@@ -39,8 +56,8 @@ import numpy as np
 from . import __version__, exactlin
 from .exactlin import PrimeField, ScalarMatrix
 from .constructions import random_linear_skew
-from .mpoly import monomial_basis, monomial_count
-from .polymat import LinearSkewMatrix, submaximal_pfaffians
+from .mpoly import monomial_basis, monomial_count, sample_points
+from .polymat import DegeneratePencil, LinearSkewMatrix, submaximal_pfaffians
 from .rng import FieldRng, derive_seed
 
 DOMINANT = "Dominant"
@@ -182,11 +199,55 @@ class DominanceCertificate:
 def _span_rank(
     L: LinearSkewMatrix, d: int, seed: int, max_points: int | None = None
 ) -> tuple[int, int, int]:
-    """(rank of span{X_k P_ij}, target dim, sample points used)."""
+    """(rank of the evaluation matrix, target dim, sample points drawn).
+
+    Rows are x (x) triu(M(x)^-1) at N = C(d+r, r) points where M(x) is
+    invertible; singular points are dropped and replaced.  `max_points`
+    caps the points drawn, singular ones included, and is never below N;
+    when the cap leaves fewer than N rows the rank can only be lower.
+    """
+    field = L.field
+    nvars = L.nvars
+    target = monomial_count(nvars, d)
+    cap = None if max_points is None else max(target, max_points)
+    upper = np.triu_indices(L.size, 1)
+    points = np.empty((0, nvars), dtype=np.int64)
+    entries = np.empty((0, len(upper[0])), dtype=np.int64)
+    drawn = singular = 0
+    # the point stream submaximal_pfaffians draws from for the same seed
+    stream = derive_seed(seed, "subpf")
+    while len(points) < target and (cap is None or drawn < cap):
+        count = target - len(points)
+        if cap is not None:
+            count = min(count, cap - drawn)
+        fresh = sample_points(field, nvars, stream, drawn, count)
+        drawn += count
+        inverses, ok = exactlin.invert_many(L.evaluate_batch(fresh), field.p)
+        singular += count - int(ok.sum())
+        if drawn >= 16 and 2 * singular > drawn:
+            raise DegeneratePencil(
+                f"M(x) was singular at {singular} of {drawn} sample points"
+            )
+        points = np.vstack([points, fresh[ok]])
+        entries = np.vstack([entries, inverses[ok][:, upper[0], upper[1]]])
+    rows = (points[:, :, None] * entries[:, None, :]).reshape(len(points), -1)
+    return exactlin.rank(ScalarMatrix(field, rows)), target, drawn
+
+
+def span_rank_by_interpolation(
+    L: LinearSkewMatrix, d: int, seed: int
+) -> tuple[int, int, int]:
+    """(rank of span{X_k P_ij}, target dim, sample points used), the slow way.
+
+    Interpolates every submaximal pfaffian P_ij, then takes the rank of the
+    coefficient vectors of the forms X_k P_ij in the degree-d monomial basis.
+    This is the span matrix C of the module docstring itself; tests use it
+    as the reference for the evaluation rank of `_span_rank`.
+    """
     field = L.field
     r_plus_1 = L.nvars
     stats: dict = {}
-    pfaffs = submaximal_pfaffians(L, seed=seed, stats=stats, max_points=max_points)
+    pfaffs = submaximal_pfaffians(L, seed=seed, stats=stats)
     basis_lo = monomial_basis(r_plus_1, d - 1)
     basis_hi = monomial_basis(r_plus_1, d)
     target = len(basis_hi)
@@ -204,7 +265,7 @@ def _span_rank(
         for k in range(r_plus_1):
             rows[t * r_plus_1 + k, shift_maps[k]] = vec
     rank = exactlin.rank(ScalarMatrix(field, rows))
-    return rank, target, stats.get("points_used", len(basis_lo))
+    return rank, target, stats["points_used"]
 
 
 def pfaffian_codim(

@@ -23,6 +23,11 @@ one panel, elimination runs the rank-1 loop alone, reducing after every
 column.  `_matmul` shares the same bound: float64 BLAS when it holds, int64
 products over chunks of the inner dimension otherwise.
 
+`invert_many` inverts a whole stack of small matrices by one batched
+Gauss-Jordan, with the same delayed reduction: the pivot column and pivot
+row are reduced at each step, the other rows only when n*(p-1)**2 + p
+reaches 2**63.
+
 Pivoting always selects the first nonzero entry in row order -- GF(p) has no
 magnitude.  The rule depends only on residues, and both paths compute every
 residue exactly, so they make the same row swaps and write the same echelon
@@ -424,6 +429,68 @@ def invert(A: ScalarMatrix) -> ScalarMatrix:
         raise Singular(f"matrix of rank {len(pivots)} < {n}")
     _back_substitute(m, p, pivots)
     return ScalarMatrix(A.field, m[:, n:])
+
+
+def _inverse_residues(x: np.ndarray, p: int) -> np.ndarray:
+    """x**(p-2) mod p elementwise: the inverse of each nonzero residue, 0 for 0."""
+    out = np.ones_like(x)
+    base = x.copy()
+    e = p - 2
+    while e:
+        if e & 1:
+            out = out * base % p
+        base = base * base % p
+        e >>= 1
+    return out
+
+
+def invert_many(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of n x n matrices by one batched Gauss-Jordan.
+
+    Returns (inverses, invertible) for a (count, n, n) stack: where
+    invertible[t], inverses[t] is byte-equal to `invert` of stack[t];
+    singular members come back as zero matrices and leave the others
+    untouched.  Each member pivots on the first nonzero entry of the column
+    in row order, as `invert` does.  At each step only the pivot column and
+    the pivot row are reduced; every other row takes an unreduced
+    += (-f mod p) * pivot_row update.  An entry takes at most n such
+    updates, so this is exact while n*(p-1)**2 + p < 2**63; when that fails
+    (p close to 2**31) the stack is reduced after every step.
+    """
+    a = np.mod(np.asarray(stack, dtype=np.int64), p)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    count, n, _ = a.shape
+    m = np.zeros((count, n, 2 * n), dtype=np.int64)
+    m[:, :, :n] = a
+    m[:, :, n:] = np.eye(n, dtype=np.int64)
+    invertible = np.ones(count, dtype=bool)
+    delayed = n <= _max_terms(p, INT64_LIMIT, p)
+    for col in range(n):
+        column = m[:, :, col]
+        np.remainder(column, p, out=column)
+        nonzero = column[:, col:] != 0
+        invertible &= nonzero.any(axis=1)
+        # a singular member keeps row `col` as its (zero) pivot and stops changing
+        r = col + nonzero.argmax(axis=1)
+        swap = np.nonzero(r != col)[0]
+        if swap.size:
+            rows = m[swap, col]
+            m[swap, col] = m[swap, r[swap]]
+            m[swap, r[swap]] = rows
+        pivot = m[:, col, col:]
+        np.remainder(pivot, p, out=pivot)
+        pivot *= _inverse_residues(pivot[:, 0], p)[:, None]
+        np.remainder(pivot, p, out=pivot)
+        f = (-m[:, :, col]) % p
+        f[:, col] = 0
+        rest = m[:, :, col + 1 :]
+        rest += f[:, :, None] * pivot[:, None, 1:]
+        if not delayed:
+            np.remainder(rest, p, out=rest)
+    inverses = m[:, :, n:] % p
+    inverses[~invertible] = 0
+    return inverses, invertible
 
 
 def solve_many(A: ScalarMatrix, B: ScalarMatrix) -> ScalarMatrix:

@@ -580,7 +580,6 @@ def submaximal_pfaffians(
     seed: int = 0,
     max_degenerate_ratio: float = 0.5,
     stats: dict | None = None,
-    max_points: int | None = None,
 ) -> dict[tuple[int, int], HomogeneousForm]:
     """All C(2d, 2) pfaffians of M with row/column pairs deleted, degree d-1.
 
@@ -620,7 +619,7 @@ def submaximal_pfaffians(
 
     coeffs = _interpolate_filtered(
         values_fn, L.nvars, d - 1, field, derive_seed(seed, "subpf"),
-        len(pairs), degenerate, max_degenerate_ratio, max_points,
+        len(pairs), degenerate, max_degenerate_ratio,
     )
     if stats is not None:
         stats["points_used"] = degenerate["seen"]
@@ -641,7 +640,6 @@ def _interpolate_filtered(
     n_outputs: int,
     degenerate: dict,
     max_degenerate_ratio: float,
-    max_points: int | None = None,
 ) -> np.ndarray:
     """interpolate_many, but rows whose first value is poisoned (-1 marker in
     every column) are dropped and replaced by fresh sample points."""
@@ -656,9 +654,6 @@ def _interpolate_filtered(
     consumed = 0
     target = max(ncols, int(_math.ceil(ncols * 1.1)))
     cap = max(target, 4 * ncols)
-    if max_points is not None:
-        cap = max(ncols, min(cap, max_points))
-        target = min(target, cap)
     while True:
         need = target - points.shape[0]
         if need > 0:

@@ -1,6 +1,10 @@
+from math import comb
+
 import pytest
 
+from detpf.constructions import random_linear_skew
 from detpf.dominance import (
+    _span_rank,
     DOMINANT,
     NOT_DOMINANT_BY_COUNT,
     DominanceCertificate,
@@ -14,7 +18,11 @@ from detpf.dominance import (
     moduli_dimension,
     pfaffian_codim,
     plane_genus,
+    span_rank_by_interpolation,
 )
+from detpf.exactlin import PrimeField
+from detpf.polymat import DegeneratePencil, LinearSkewMatrix
+from detpf.rng import FieldRng, derive_seed
 
 
 def test_moduli_dimension():
@@ -143,3 +151,84 @@ def test_bad_arguments():
         pfaffian_codim(3, 1)
     with pytest.raises(ValueError):
         moduli_dimension(1, 3)
+
+
+# ---- evaluation rank against the interpolated span ---------------------------
+
+
+def sampled_matrix(r, d, prime, seed):
+    """The matrix pfaffian_codim samples at its first attempt."""
+    rng = FieldRng(seed, "dominance", r, d, 1)
+    return random_linear_skew(PrimeField(prime), r + 1, 2 * d, rng)
+
+
+CROSS_ROUTE = [
+    (r, d, prime)
+    for prime in (31991, 2**31 - 1)
+    for (r, d) in ((2, 3), (2, 6), (3, 3), (3, 6), (4, 4), (4, 6), (5, 3), (5, 4))
+]
+
+
+@pytest.mark.parametrize("r, d, prime", CROSS_ROUTE)
+def test_evaluation_rank_matches_interpolated_span(r, d, prime):
+    seed = 3
+    L = sampled_matrix(r, d, prime, seed)
+    stream = derive_seed(seed, "interp", r, d, 1)
+    rank, target, drawn = _span_rank(L, d, stream)
+    span, span_target, _ = span_rank_by_interpolation(L, d, stream)
+    assert target == span_target == comb(d + r, r)
+    assert drawn == target  # no singular point at these primes and seeds
+    assert rank == span
+    cert = pfaffian_codim(r, d, prime=prime, seed=seed)
+    assert (cert.rank_achieved, cert.codim) == (rank, target - span)
+
+
+def test_evaluation_rank_never_exceeds_span_at_a_small_prime():
+    # at p = 7 singular points and rank-deficient point sets are common, so
+    # this grid sees both the top-up and a rank that drops below the span
+    topped_up = dropped = 0
+    for seed in range(4):
+        for r, d in ((2, 3), (3, 3), (5, 3)):
+            L = sampled_matrix(r, d, 7, seed)
+            rank, target, drawn = _span_rank(L, d, seed)
+            span, _, _ = span_rank_by_interpolation(L, d, seed)
+            assert rank <= span <= target
+            assert drawn >= target
+            topped_up += drawn > target
+            dropped += rank < span
+    assert topped_up and dropped
+
+
+def test_degenerate_pencil_raises_on_the_evaluation_route():
+    # every M_k kills e_0, so M(x) is singular at every point
+    coeff = sampled_matrix(3, 4, 31991, 0).coeff.copy()
+    coeff[:, 0, :] = 0
+    coeff[:, :, 0] = 0
+    L = LinearSkewMatrix(PrimeField(31991), 4, coeff)
+    with pytest.raises(DegeneratePencil):
+        _span_rank(L, 4, 0)
+    with pytest.raises(DegeneratePencil):
+        _span_rank(L, 4, 0, max_points=10**6)
+
+
+def test_sample_points_used_counts_points_drawn():
+    cert = pfaffian_codim(3, 4, seed=1)
+    assert cert.sample_points_used == comb(4 + 3, 3)
+    # the cap is never below C(d+r, r)
+    capped = pfaffian_codim(3, 4, seed=1, max_points=5)
+    assert capped.sample_points_used == comb(4 + 3, 3)
+    assert capped.codim == 0
+
+
+# ---- the same cd at two primes ------------------------------------------------
+
+CROSS_PRIME = (
+    [(3, d) for d in range(3, 9)] + [(4, d) for d in range(3, 7)] + [(5, 3)]
+)
+
+
+@pytest.mark.parametrize("r, d", CROSS_PRIME)
+def test_codim_agrees_across_primes(r, d):
+    ok_a, a = is_dominant(r, d, prime=31991, seed=0)
+    ok_b, b = is_dominant(r, d, prime=16777213, seed=0)
+    assert (ok_a, a.codim, a.verdict) == (ok_b, b.codim, b.verdict)

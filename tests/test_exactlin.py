@@ -394,3 +394,174 @@ def test_matmul_exact_on_both_paths(p, k):
     b = rng.integers(0, p, (k, 4), dtype=np.int64)
     F_p = PrimeField(p)
     assert (ScalarMatrix(F_p, a) @ ScalarMatrix(F_p, b)).a.tolist() == _matmul_reference(a, b, p)
+
+
+# ---- batched inverse ------------------------------------------------------------
+
+
+def _largest_delayed_prime(n: int) -> int:
+    """Largest prime p at which invert_many leaves an n x n stack unreduced."""
+    p = isqrt((exactlin.INT64_LIMIT - 1) // n)
+    while not (exactlin._is_prime(p) and n <= exactlin._max_terms(p, exactlin.INT64_LIMIT, p)):
+        p -= 1
+    return p
+
+
+INVERT_SIZES = (1, 2, 5, 30, 32, 33)
+# 2**31 - 1 takes the reduce-every-step path for every n > 1; the other
+# prime sits on the delayed-reduction bound for n = 33
+INVERT_PRIMES = (3, 31991, _largest_delayed_prime(33), 2**31 - 1)
+
+
+def stacked(p, n, kinds, seed):
+    """(count, n, n) stack, one member per entry of `kinds`:
+    "random", "swap" (column 0 zero in the top rows, forcing row swaps),
+    "dependent" (last row a combination of the others) or "zero"."""
+    rng = np.random.default_rng(seed)
+    out = rng.integers(0, p, (len(kinds), n, n), dtype=np.int64)
+    for t, kind in enumerate(kinds):
+        if kind == "swap":
+            out[t, : max(1, n - 1), 0] = 0
+        elif kind == "dependent":
+            c = rng.integers(0, p, n - 1).astype(object)
+            out[t, -1] = (c.dot(out[t, :-1].astype(object)) % p).astype(np.int64)
+        elif kind == "zero":
+            out[t] = 0
+    return out
+
+
+@st.composite
+def stacks(draw):
+    p = draw(st.sampled_from(INVERT_PRIMES))
+    n = draw(st.sampled_from(INVERT_SIZES))
+    kinds = draw(
+        st.lists(st.sampled_from(("random", "swap", "dependent", "zero")), min_size=1, max_size=5)
+    )
+    return p, stacked(p, n, kinds, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(stacks())
+@example((2**31 - 1, stacked(2**31 - 1, 33, ["swap", "dependent", "random"], 1)))
+@example((31991, stacked(31991, 32, ["random", "zero", "swap", "dependent"], 2)))
+@example((3, stacked(3, 30, ["random"] * 5, 3)))
+def test_invert_many_matches_invert_and_reference(case):
+    p, stack = case
+    field = PrimeField(p)
+    n = stack.shape[1]
+    inverses, invertible = exactlin.invert_many(stack, p)
+    assert inverses.dtype == np.int64 and inverses.shape == stack.shape
+    eye = np.eye(n, dtype=np.int64)
+    for t, a in enumerate(stack):
+        _, reduced, pivots, _ = reference_eliminate(np.hstack([a, eye]).tolist(), p, n)
+        if len(pivots) < n:
+            assert not invertible[t]
+            assert not inverses[t].any()
+            with pytest.raises(Singular):
+                invert(ScalarMatrix(field, a))
+        else:
+            assert invertible[t]
+            assert inverses[t].tolist() == [r[n:] for r in reduced]
+            assert inverses[t].tobytes() == invert(ScalarMatrix(field, a)).a.tobytes()
+
+
+def test_invert_many_members_do_not_interact():
+    p = 31991
+    stack = stacked(p, 30, ["random", "zero", "swap", "dependent", "random"], 5)
+    inverses, invertible = exactlin.invert_many(stack, p)
+    assert invertible.tolist() == [True, False, True, False, True]
+    for t in range(len(stack)):
+        alone, ok = exactlin.invert_many(stack[t : t + 1], p)
+        assert ok[0] == invertible[t]
+        assert alone[0].tobytes() == inverses[t].tobytes()
+
+
+def test_invert_many_edge_shapes():
+    inverses, invertible = exactlin.invert_many(np.zeros((0, 4, 4), dtype=np.int64), P)
+    assert inverses.shape == (0, 4, 4) and invertible.shape == (0,)
+    inverses, invertible = exactlin.invert_many([[[P + 2]], [[0]]], P)
+    assert inverses[:, 0, 0].tolist() == [F.inv(2), 0]
+    assert invertible.tolist() == [True, False]
+    with pytest.raises(ValueError):
+        exactlin.invert_many(np.zeros((2, 3, 4), dtype=np.int64), P)
+
+
+# ---- scalar determinant and pfaffian against plain-int expansions ------------
+
+
+def reference_det(a, p):
+    """Cofactor expansion along the first row, in Python ints."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** j * a[0][j] * reference_det([row[:j] + row[j + 1 :] for row in a[1:]], p)
+        for j in range(len(a))
+        if a[0][j]
+    ) % p
+
+
+def reference_pf(a, p):
+    """First-row expansion pf(A) = sum_{j>0} (-1)^(j+1) a_0j pf(A without 0, j)."""
+    if not a:
+        return 1
+    keep = lambda j: [k for k in range(1, len(a)) if k != j]
+    return sum(
+        (-1) ** (j + 1) * a[0][j] * reference_pf([[a[r][c] for c in keep(j)] for r in keep(j)], p)
+        for j in range(1, len(a))
+        if a[0][j]
+    ) % p
+
+
+def sparse_square(p, n, zero_share, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(0, p, (n, n), dtype=np.int64)
+    a[rng.random((n, n)) < zero_share] = 0
+    return a
+
+
+def sparse_skew(p, n, zero_share, seed):
+    u = np.triu(sparse_square(p, n, zero_share, seed), 1)
+    return (u - u.T) % p
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(PRIMES),
+    st.integers(0, 6),
+    st.sampled_from((0.0, 0.4, 0.8)),
+    st.integers(0, 2**32 - 1),
+)
+def test_det_matches_cofactor_expansion(p, n, zero_share, seed):
+    a = sparse_square(p, n, zero_share, seed)
+    want = reference_det(a.tolist(), p)
+    assert exactlin._det_array(a, p) == want
+    if n:
+        assert determinant(ScalarMatrix(PrimeField(p), a)) == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(PRIMES),
+    st.sampled_from((0, 2, 4, 6)),
+    st.sampled_from((0.0, 0.4, 0.8)),
+    st.integers(0, 2**32 - 1),
+)
+def test_pfaffian_matches_expansion(p, n, zero_share, seed):
+    a = sparse_skew(p, n, zero_share, seed)
+    want = reference_pf(a.tolist(), p)
+    assert exactlin._pfaffian_array(a, p) == want
+    if n:
+        assert pfaffian_skew(ScalarMatrix(PrimeField(p), a)) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(PRIMES),
+    st.sampled_from((2, 4, 6, 8, 10, 12)),
+    st.sampled_from((0.0, 0.5, 0.9)),
+    st.integers(0, 2**32 - 1),
+)
+def test_pfaffian_squares_to_determinant_at_every_prime(p, n, zero_share, seed):
+    a = sparse_skew(p, n, zero_share, seed)
+    pf = exactlin._pfaffian_array(a, p)
+    assert pf * pf % p == exactlin._det_array(a, p)
