@@ -56,8 +56,8 @@ import numpy as np
 from . import __version__, exactlin
 from .exactlin import PrimeField, ScalarMatrix
 from .constructions import random_linear_skew
-from .mpoly import monomial_basis, monomial_count, sample_points
-from .polymat import DegeneratePencil, LinearSkewMatrix, submaximal_pfaffians
+from .mpoly import check_degenerate, monomial_basis, monomial_count, sample_points
+from .polymat import LinearSkewMatrix, submaximal_pfaffians
 from .rng import FieldRng, derive_seed
 
 DOMINANT = "Dominant"
@@ -224,10 +224,7 @@ def _span_rank(
         drawn += count
         inverses, ok = exactlin.invert_many(L.evaluate_batch(fresh), field.p)
         singular += count - int(ok.sum())
-        if drawn >= 16 and 2 * singular > drawn:
-            raise DegeneratePencil(
-                f"M(x) was singular at {singular} of {drawn} sample points"
-            )
+        check_degenerate(drawn, singular)
         points = np.vstack([points, fresh[ok]])
         entries = np.vstack([entries, inverses[ok][:, upper[0], upper[1]]])
     rows = (points[:, :, None] * entries[:, None, :]).reshape(len(points), -1)

@@ -38,6 +38,10 @@ class RankNotReached(RuntimeError):
     """Random sampling never spanned the monomial space."""
 
 
+class DegeneratePencil(RuntimeError):
+    """The black box could not be evaluated at too many sample points."""
+
+
 def monomial_count(nvars: int, degree: int) -> int:
     """Dimension of the space of degree-d forms in `nvars` variables."""
     if nvars < 1:
@@ -468,21 +472,33 @@ def vandermonde(points: np.ndarray, basis: MonomialBasis, p: int) -> np.ndarray:
     return V
 
 
+def check_degenerate(drawn: int, dropped: int) -> None:
+    """Raise DegeneratePencil if over half of 16 or more drawn points were dropped."""
+    if drawn >= 16 and 2 * dropped > drawn:
+        raise DegeneratePencil(f"unusable at {dropped} of {drawn} sample points")
+
+
 def interpolate_many(
-    values_fn: Callable[[np.ndarray], np.ndarray],
+    values_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     nvars: int,
     degree: int,
     field: PrimeField,
     seed: int,
     n_outputs: int,
-    oversample: float = 0.1,
-    growth_cap: float = 4.0,
+    stats: dict | None = None,
 ) -> np.ndarray:
     """Recover coefficient vectors of homogeneous forms from a batched black box.
 
-    `values_fn(points)` returns an (npoints, n_outputs) array of exact values.
-    One elimination of the shared evaluation matrix serves every output
-    column.  Returns an (n_monomials, n_outputs) coefficient array.
+    `values_fn(points)` returns `(values, usable)`: an (npoints, n_outputs)
+    array of exact values and a bool mask of the points it could evaluate.
+    Points outside the mask are dropped and replaced by the next points of
+    the same stream, which is indexed by the number of points drawn so far;
+    `check_degenerate` stops a black box that drops too many.  The loop
+    keeps ceil(1.1 N) usable points for the N monomials, doubling up to 4 N
+    while the evaluation matrix is rank deficient.  One elimination of that
+    matrix serves every output column.  Returns an (n_monomials, n_outputs)
+    coefficient array; `stats`, when given, gets `points_used` (points
+    drawn) and `points_degenerate` (points dropped).
     """
     from .exactlin import _back_substitute, _forward_eliminate
 
@@ -491,16 +507,26 @@ def interpolate_many(
     p = field.p
     points = np.empty((0, nvars), dtype=np.int64)
     values = np.empty((0, n_outputs), dtype=np.int64)
-    target = max(ncols, int(math.ceil(ncols * (1.0 + oversample))))
-    cap = max(target, int(math.ceil(ncols * growth_cap)))
+    drawn = 0
+    target = max(ncols, math.ceil(ncols * 1.1))
+    cap = max(target, 4 * ncols)
     while True:
-        fresh = sample_points(field, nvars, seed, points.shape[0], target - points.shape[0])
-        if fresh.shape[0]:
-            vals = np.asarray(values_fn(fresh), dtype=np.int64) % p
-            if vals.shape != (fresh.shape[0], n_outputs):
-                raise ValueError(f"black box returned shape {vals.shape}")
-            points = np.vstack([points, fresh])
-            values = np.vstack([values, vals])
+        while len(points) < target:
+            fresh = sample_points(field, nvars, seed, drawn, target - len(points))
+            drawn += len(fresh)
+            vals, usable = values_fn(fresh)
+            vals = np.asarray(vals, dtype=np.int64) % p
+            usable = np.asarray(usable, dtype=bool)
+            if vals.shape != (len(fresh), n_outputs) or usable.shape != (len(fresh),):
+                raise ValueError(
+                    f"black box returned shapes {vals.shape} and {usable.shape}"
+                )
+            points = np.vstack([points, fresh[usable]])
+            values = np.vstack([values, vals[usable]])
+            dropped = drawn - len(points)
+            if stats is not None:
+                stats.update(points_used=drawn, points_degenerate=dropped)
+            check_degenerate(drawn, dropped)
         V = vandermonde(points, basis, p)
         m = np.hstack([V, values])
         pivots, _ = _forward_eliminate(m, p, ncols)
@@ -526,19 +552,13 @@ def interpolate_homogeneous(
     degree: int,
     field: PrimeField,
     seed: int,
-    oversample: float = 0.1,
-    growth_cap: float = 4.0,
 ) -> HomogeneousForm:
     """Recover the unique degree-d form whose evaluations the black box returns."""
 
-    def values_fn(points: np.ndarray) -> np.ndarray:
-        return np.array(
-            [[int(black_box(tuple(int(x) for x in pt)))] for pt in points],
-            dtype=np.int64,
-        )
+    def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = [[int(black_box(tuple(int(x) for x in pt)))] for pt in points]
+        return np.array(values, dtype=np.int64), np.ones(len(points), dtype=bool)
 
-    coeffs = interpolate_many(
-        values_fn, nvars, degree, field, seed, 1, oversample, growth_cap
-    )
+    coeffs = interpolate_many(values_fn, nvars, degree, field, seed, 1)
     basis = monomial_basis(nvars, degree)
     return HomogeneousForm.from_coefficient_vector(field, basis, coeffs[:, 0])

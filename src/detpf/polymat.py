@@ -12,30 +12,27 @@ Sign conventions, fixed once and frozen by the test suite:
   pf(A) = sum_{j>1} (-1)^j a_{1j} pf(A_{1,j deleted})   (1-based j).
 * For invertible skew A of even size and 1-based i < j,
   pf(A with rows/cols i,j deleted) = (-1)^{i+j} pf(A) (A^{-1})_{ij}.
-  This is the inverse identity used to get all submaximal pfaffians from a
-  single matrix inversion per sample point; the (-1)^{i+j}/transpose choice
-  was derived against the deletion oracle, not copied from a reference.
+  This is the inverse identity used to get all submaximal pfaffians from
+  one batched inverse per round of sample points; the (-1)^{i+j}/transpose
+  choice was derived against the deletion oracle, not copied from a
+  reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Callable, Sequence
 
 import hashlib
 
 import numpy as np
 
-from . import exactlin
+from . import exactlin, mpoly
 from .exactlin import PrimeField, ScalarMatrix, Singular
-from .mpoly import (
-    HomogeneousForm,
-    RankNotReached,
-    interpolate_many,
-    monomial_basis,
-    sample_points,
-)
+from .mpoly import HomogeneousForm, RankNotReached, interpolate_many, monomial_basis
+# not called here; kept because perfbench/spans.py patches this binding
+from .mpoly import sample_points  # noqa: F401
 from .rng import FieldRng, derive_seed
 
 GENERAL = "general"
@@ -48,6 +45,7 @@ EXPANSION_CUTOFF_PF = 8
 
 
 OddSize = exactlin.OddSize
+DegeneratePencil = mpoly.DegeneratePencil
 
 
 class SizeMismatch(ValueError):
@@ -56,10 +54,6 @@ class SizeMismatch(ValueError):
 
 class InterpolationFailure(RuntimeError):
     pass
-
-
-class DegeneratePencil(RuntimeError):
-    """The skew matrix is singular at too many sample points."""
 
 
 class MatrixParseError(ValueError):
@@ -502,24 +496,8 @@ def determinant(
     degree = M.determinant_degree
     if degree < 0:
         return HomogeneousForm.zero(M.field, M.nvars, 0)
-    p = M.field.p
-
-    def values_fn(points: np.ndarray) -> np.ndarray:
-        mats = M.evaluate_batch(points)
-        return np.array(
-            [[exactlin._det_array(mats[t], p)] for t in range(points.shape[0])],
-            dtype=np.int64,
-        )
-
-    try:
-        coeffs = interpolate_many(
-            values_fn, M.nvars, degree, M.field, derive_seed(seed, "det"), 1
-        )
-    except RankNotReached as exc:
-        raise InterpolationFailure(str(exc)) from exc
-    return HomogeneousForm.from_coefficient_vector(
-        M.field, monomial_basis(M.nvars, degree), coeffs[:, 0]
-    )
+    seed = derive_seed(seed, "det")
+    return _interpolate_scalar(M, degree, exactlin._det_array, seed)
 
 
 def pfaffian(
@@ -532,19 +510,22 @@ def pfaffian(
     if M.nrows <= cutoff:
         return pfaffian_expansion(M)
     degree = M.determinant_degree // 2
+    seed = derive_seed(seed, "pf")
+    return _interpolate_scalar(M, degree, exactlin._pfaffian_array, seed)
+
+
+def _interpolate_scalar(
+    M: GradedMatrix, degree: int, kernel: Callable[[np.ndarray, int], int], seed: int
+) -> HomogeneousForm:
+    """The degree-`degree` form x -> kernel(M(x), p), by interpolation."""
     p = M.field.p
 
-    def values_fn(points: np.ndarray) -> np.ndarray:
-        mats = M.evaluate_batch(points)
-        return np.array(
-            [[exactlin._pfaffian_array(mats[t], p)] for t in range(points.shape[0])],
-            dtype=np.int64,
-        )
+    def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        values = [[kernel(a, p)] for a in M.evaluate_batch(points)]
+        return np.array(values, dtype=np.int64), np.ones(len(points), dtype=bool)
 
     try:
-        coeffs = interpolate_many(
-            values_fn, M.nvars, degree, M.field, derive_seed(seed, "pf"), 1
-        )
+        coeffs = interpolate_many(values_fn, M.nvars, degree, M.field, seed, 1)
     except RankNotReached as exc:
         raise InterpolationFailure(str(exc)) from exc
     return HomogeneousForm.from_coefficient_vector(
@@ -578,15 +559,16 @@ def submaximal_pfaffians_by_deletion(M: GradedMatrix) -> dict[tuple[int, int], H
 def submaximal_pfaffians(
     L: LinearSkewMatrix,
     seed: int = 0,
-    max_degenerate_ratio: float = 0.5,
     stats: dict | None = None,
 ) -> dict[tuple[int, int], HomogeneousForm]:
     """All C(2d, 2) pfaffians of M with row/column pairs deleted, degree d-1.
 
-    One matrix inversion per sample point yields every value at once through
-    the inverse identity P_ij(x) = (-1)^(i+j) pf(M(x)) (M(x)^{-1})_{ij}; the
-    shared evaluation matrix is then solved against all C(2d, 2) right-hand
-    sides.  Points where pf(M(x)) = 0 are discarded and resampled.
+    One batched inverse per round of sample points (`exactlin.invert_many`)
+    yields every value at once through the inverse identity
+    P_ij(x) = (-1)^(i+j) pf(M(x)) (M(x)^{-1})_{ij}; the shared evaluation
+    matrix is then solved against all C(2d, 2) right-hand sides.  Points
+    where M(x) is singular (for skew M, where pf(M(x)) = 0) are dropped and
+    replaced; `stats` gets the counts of `interpolate_many`.
     """
     n = L.size
     if n % 2 != 0:
@@ -596,98 +578,23 @@ def submaximal_pfaffians(
     d = n // 2
     field = L.field
     p = field.p
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    pair_sign = np.array([1 if (i + j) % 2 == 0 else p - 1 for i, j in pairs], dtype=np.int64)
-    degenerate = {"seen": 0, "bad": 0}
+    upper = np.triu_indices(n, 1)
+    pair_sign = np.where((upper[0] + upper[1]) % 2 == 0, 1, p - 1)
 
-    def values_fn(points: np.ndarray) -> np.ndarray:
+    def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mats = L.evaluate_batch(points)
-        out = np.zeros((points.shape[0], len(pairs)), dtype=np.int64)
-        for t in range(points.shape[0]):
-            a = mats[t]
-            pf = exactlin._pfaffian_array(a, p)
-            degenerate["seen"] += 1
-            if pf == 0:
-                # leave a poisoned row; the caller-side filter below resamples
-                degenerate["bad"] += 1
-                out[t, :] = -1
-                continue
-            inv = exactlin.invert(ScalarMatrix(field, a)).a
-            vals = np.array([inv[i, j] for i, j in pairs], dtype=np.int64)
-            out[t] = vals * pair_sign % p * pf % p
-        return out
+        inverses, usable = exactlin.invert_many(mats, p)
+        pf = [exactlin._pfaffian_array(a, p) if ok else 0 for a, ok in zip(mats, usable)]
+        pf = np.array(pf, dtype=np.int64)[:, None]
+        return inverses[:, upper[0], upper[1]] * pair_sign % p * pf % p, usable
 
-    coeffs = _interpolate_filtered(
-        values_fn, L.nvars, d - 1, field, derive_seed(seed, "subpf"),
-        len(pairs), degenerate, max_degenerate_ratio,
-    )
-    if stats is not None:
-        stats["points_used"] = degenerate["seen"]
-        stats["points_degenerate"] = degenerate["bad"]
+    seed = derive_seed(seed, "subpf")
+    coeffs = interpolate_many(values_fn, L.nvars, d - 1, field, seed, len(pair_sign), stats)
     basis = monomial_basis(L.nvars, d - 1)
     return {
-        pair: HomogeneousForm.from_coefficient_vector(field, basis, coeffs[:, t])
-        for t, pair in enumerate(pairs)
+        (int(i), int(j)): HomogeneousForm.from_coefficient_vector(field, basis, column)
+        for i, j, column in zip(*upper, coeffs.T)
     }
-
-
-def _interpolate_filtered(
-    values_fn,
-    nvars: int,
-    degree: int,
-    field: PrimeField,
-    seed: int,
-    n_outputs: int,
-    degenerate: dict,
-    max_degenerate_ratio: float,
-) -> np.ndarray:
-    """interpolate_many, but rows whose first value is poisoned (-1 marker in
-    every column) are dropped and replaced by fresh sample points."""
-    from .exactlin import _back_substitute, _forward_eliminate
-    import math as _math
-
-    basis = monomial_basis(nvars, degree)
-    ncols = len(basis)
-    p = field.p
-    points = np.empty((0, nvars), dtype=np.int64)
-    values = np.empty((0, n_outputs), dtype=np.int64)
-    consumed = 0
-    target = max(ncols, int(_math.ceil(ncols * 1.1)))
-    cap = max(target, 4 * ncols)
-    while True:
-        need = target - points.shape[0]
-        if need > 0:
-            fresh = sample_points(field, nvars, seed, consumed, need)
-            consumed += need
-            vals = np.asarray(values_fn(fresh), dtype=np.int64)
-            good = ~np.all(vals == -1, axis=1)
-            points = np.vstack([points, fresh[good]])
-            values = np.vstack([values, np.mod(vals[good], p)])
-            if degenerate["seen"] >= 16 and degenerate["bad"] > max_degenerate_ratio * degenerate["seen"]:
-                raise DegeneratePencil(
-                    f"pfaffian vanished at {degenerate['bad']} of "
-                    f"{degenerate['seen']} sample points"
-                )
-            if points.shape[0] < target:
-                continue
-        from .mpoly import vandermonde
-
-        V = vandermonde(points, basis, p)
-        m = np.hstack([V, values])
-        pivots, _ = _forward_eliminate(m, p, ncols)
-        if len(pivots) == ncols:
-            if m[ncols:, ncols:].any():
-                raise exactlin.Inconsistent(
-                    "inconsistent samples; black box is not a degree-"
-                    f"{degree} form family"
-                )
-            _back_substitute(m, p, pivots)
-            return m[:ncols, ncols:].copy()
-        if target >= cap:
-            raise RankNotReached(
-                f"evaluation matrix stuck at rank {len(pivots)} < {ncols}"
-            )
-        target = min(cap, target * 2)
 
 
 # ---- structural operations -----------------------------------------------------

@@ -4,15 +4,19 @@ import pytest
 from detpf.exactlin import DEFAULT_PRIME, PrimeField
 from detpf.mpoly import (
     BasisMismatch,
+    DegeneratePencil,
     DegreeMismatch,
     HomogeneousForm,
     NonUniformImageDegrees,
     RankNotReached,
+    check_degenerate,
     interpolate_homogeneous,
+    interpolate_many,
     monomial_basis,
     monomial_count,
     parse_form,
     parse_forms,
+    sample_points,
 )
 from detpf.rng import FieldRng
 
@@ -125,6 +129,10 @@ def test_coefficient_vector_roundtrip():
 def test_interpolation_trivial_cases():
     zero = interpolate_homogeneous(lambda pt: 0, 3, 4, F, seed=1)
     assert zero.is_zero()
+    # p - 1 = -1 is a legal value, not a marker for an unusable point
+    for field in (F, PrimeField(7)):
+        minus_one = interpolate_homogeneous(lambda pt: -1, 3, 0, field, seed=1)
+        assert minus_one == HomogeneousForm.constant(field, 3, field.p - 1)
     x0d = HomogeneousForm.monomial(F, (6, 0, 0))
     got = interpolate_homogeneous(lambda pt: x0d.evaluate(pt), 3, 6, F, seed=2)
     assert got == x0d
@@ -135,6 +143,54 @@ def test_interpolation_dense_roundtrip():
     f = HomogeneousForm.random(F, 4, 14, FieldRng(8))
     got = interpolate_homogeneous(lambda pt: f.evaluate(pt), 4, 14, F, seed=3)
     assert got == f
+
+
+@pytest.mark.parametrize("modulus", [3, 7])
+def test_interpolation_drops_unusable_points(modulus):
+    # the black box refuses every point with X0 = 0 mod `modulus` and returns
+    # junk there; those points are replaced by the next ones of the stream
+    f = HomogeneousForm.random(F, 3, 5, FieldRng(12))
+    seen = []
+
+    def values_fn(points):
+        seen.append(points)
+        usable = points[:, 0] % modulus != 0
+        values = np.where(usable, f.evaluate_many(points), P - 1)
+        return values[:, None], usable
+
+    stats = {}
+    coeffs = interpolate_many(values_fn, 3, 5, F, 13, 1, stats)
+    basis = monomial_basis(3, 5)
+    assert HomogeneousForm.from_coefficient_vector(F, basis, coeffs[:, 0]) == f
+    drawn = np.vstack(seen)
+    assert np.array_equal(drawn, sample_points(F, 3, 13, 0, len(drawn)))
+    dropped = int(np.count_nonzero(drawn[:, 0] % modulus == 0))
+    assert stats == {"points_used": len(drawn), "points_degenerate": dropped}
+    assert dropped > 0 and len(drawn) - dropped == 24  # ceil(1.1 * 21) kept
+
+
+def test_interpolation_stops_when_most_points_are_unusable():
+    def values_fn(points):
+        nothing = np.zeros(len(points), dtype=bool)
+        return np.zeros((len(points), 1), dtype=np.int64), nothing
+
+    stats = {}
+    with pytest.raises(DegeneratePencil):
+        interpolate_many(values_fn, 3, 2, F, 0, 1, stats)
+    # batches of ceil(1.1 * 6) = 7 points; the rule applies from 16 drawn
+    assert stats == {"points_used": 21, "points_degenerate": 21}
+
+
+@pytest.mark.parametrize(
+    "drawn, dropped, raises",
+    [(16, 8, False), (16, 9, True), (15, 15, False), (0, 0, False), (100, 51, True)],
+)
+def test_check_degenerate_boundary(drawn, dropped, raises):
+    if raises:
+        with pytest.raises(DegeneratePencil, match=f"{dropped} of {drawn}"):
+            check_degenerate(drawn, dropped)
+    else:
+        check_degenerate(drawn, dropped)
 
 
 def test_interpolation_rank_not_reached_on_tiny_field():

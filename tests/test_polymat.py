@@ -3,7 +3,7 @@ import pytest
 
 from detpf.exactlin import DEFAULT_PRIME, PrimeField, ScalarMatrix, Singular
 from detpf.exactlin import determinant as numeric_det
-from detpf.mpoly import HomogeneousForm
+from detpf.mpoly import HomogeneousForm, monomial_count, sample_points
 from detpf.polymat import (
     SKEW,
     DegeneratePencil,
@@ -27,7 +27,7 @@ from detpf.constructions import (
     linear_symmetric_shape,
     random_graded_matrix,
 )
-from detpf.rng import FieldRng
+from detpf.rng import FieldRng, derive_seed
 
 F = PrimeField(DEFAULT_PRIME)
 P = DEFAULT_PRIME
@@ -170,6 +170,28 @@ def test_submaximal_inverse_identity_matches_deletion():
             got = submaximal_pfaffians(L, seed=rep)
             want = submaximal_pfaffians_by_deletion(L.to_graded())
             assert got == want
+
+
+@pytest.mark.parametrize("size", [4, 6])
+def test_submaximal_drops_singular_points_at_small_prime(size):
+    # over GF(7) M(x) is often singular; those points are dropped and
+    # replaced from the same stream, and the forms still match the
+    # deletion oracle
+    F7 = PrimeField(7)
+    kept_target = -(-11 * monomial_count(4, size // 2 - 1) // 10)  # ceil(1.1 N)
+    total_dropped = 0
+    for seed in range(10):
+        L = LinearSkewMatrix.random(F7, 4, size, FieldRng("skew7", seed))
+        stats = {}
+        got = submaximal_pfaffians(L, seed=seed, stats=stats)
+        assert got == submaximal_pfaffians_by_deletion(L.to_graded())
+        drawn = sample_points(F7, 4, derive_seed(seed, "subpf"), 0, stats["points_used"])
+        singular = [numeric_det(L.evaluate(pt)) == 0 for pt in drawn]
+        assert stats["points_degenerate"] == sum(singular)
+        assert stats["points_used"] == kept_target + sum(singular)
+        assert not singular[-1]
+        total_dropped += sum(singular)
+    assert total_dropped > 0
 
 
 def test_submaximal_laplace_recombination():
