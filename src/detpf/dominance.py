@@ -305,7 +305,7 @@ def pfaffian_codim(
         sample_points_used=points,
         elapsed_seconds=elapsed,
         verdict=verdict,
-        matrix_hash=L.to_graded().content_hash(),
+        matrix_hash=L.content_hash(),
     )
 
 

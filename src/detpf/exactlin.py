@@ -28,6 +28,12 @@ Gauss-Jordan, with the same delayed reduction: the pivot column and pivot
 row are reduced at each step, the other rows only when n*(p-1)**2 + p
 reaches 2**63.
 
+`_det_array` takes the determinants of a whole (count, n, n) stack by one
+batched elimination without normalization, reducing after every step; a
+member without a pivot in some column has determinant 0 and leaves the
+others untouched.  Callers that need the determinant of M(x) at many points
+(interpolation, maximal minors) make one call per batch of points.
+
 Pivoting always selects the first nonzero entry in row order -- GF(p) has no
 magnitude.  The rule depends only on residues, and both paths compute every
 residue exactly, so they make the same row swaps and write the same echelon
@@ -522,26 +528,38 @@ def determinant(A: ScalarMatrix) -> int:
     return _det_array(A.a, A.field.p)
 
 
-def _det_array(a: np.ndarray, p: int) -> int:
-    a = np.mod(np.asarray(a, dtype=np.int64), p).copy()
-    n = a.shape[0]
-    det = 1
+def _det_array(a, p: int):
+    """Determinant of an (n, n) array as an int, or of every member of a
+    (count, n, n) stack as a (count,) int64 array, by one batched elimination.
+
+    Each member pivots on the first nonzero entry of the column in row
+    order, a swap negating its determinant; a member with no pivot in some
+    column is singular, and its determinant is 0.  Rows below the pivot are
+    reduced mod p after every step.
+    """
+    a = np.mod(np.asarray(a, dtype=np.int64), p)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    count, n = a.shape[:2]
+    det = np.ones(count, dtype=np.int64)
     for col in range(n):
-        nz = np.nonzero(a[col:, col])[0]
-        if nz.size == 0:
-            return 0
-        r = col + int(nz[0])
-        if r != col:
-            a[[col, r]] = a[[r, col]]
-            det = -det
-        piv = int(a[col, col])
-        det = det * piv % p
+        nonzero = a[:, col:, col] != 0
+        # a member without a pivot keeps row `col`, whose zero pivot zeroes det
+        r = col + nonzero.argmax(axis=1)
+        swap = np.nonzero(r != col)[0]
+        if swap.size:
+            rows = a[swap, col]
+            a[swap, col] = a[swap, r[swap]]
+            a[swap, r[swap]] = rows
+            det[swap] = p - det[swap]
+        pivot = a[:, col, col]
+        det = det * pivot % p
         if col + 1 < n:
-            inv = pow(piv, p - 2, p)
-            f = a[col + 1 :, col] * inv % p
-            if f.any():
-                a[col + 1 :, col:] = (a[col + 1 :, col:] - np.outer(f, a[col, col:])) % p
-    return det % p
+            f = a[:, col + 1 :, col] * _inverse_residues(pivot, p)[:, None] % p
+            below = a[:, col + 1 :, col:]
+            below[...] = (below - f[:, :, None] * a[:, col, None, col:]) % p
+    return int(det[0]) if single else det
 
 
 def pfaffian_skew(A: ScalarMatrix) -> int:

@@ -4,6 +4,19 @@ Hilbert functions, ideal degree pieces, the smoothness certificate, the
 infinitesimal stabilizer dimension, arithmetically-Gorenstein point-set
 checks and minors-ideal membership are all raw rank computations on
 coefficient matrices of graded pieces; no Groebner machinery anywhere.
+
+The pieces are built by scatter: multiplying the degree-j monomials by a
+monomial X^e sends them to a fixed set of rows, cached per (nvars, j, e),
+and each term of a form writes its coefficient into those rows at once.
+
+`det_in_minor_ideal` gets all d maximal minors of the rows below the first
+from one interpolation (`polymat.maximal_minors`), whose black box takes
+the determinants of the d column-deleted (d-1) x (d-1) stacks of M(x) in
+one batched elimination.  Interpolating a form of degree D needs D <= p
+(no nonzero form of degree at most p vanishes on all of GF(p)^n), so the
+minors need p >= d - 1, and the determinant of M, interpolated above the
+expansion cutoff, p >= d, that is p > d - 1; otherwise `polymat`'s
+`InterpolationFailure` is raised.
 """
 
 from __future__ import annotations
@@ -23,7 +36,7 @@ from .mpoly import (
     multiplication_matrix,
     vandermonde,
 )
-from .polymat import GradedMatrix, LinearSkewMatrix, determinant
+from .polymat import GradedMatrix, LinearSkewMatrix, determinant, maximal_minors
 from .rng import FieldRng
 
 
@@ -355,24 +368,12 @@ def det_in_minor_ideal(M: GradedMatrix, seed: int = 0) -> bool:
     with its first row deleted?"""
     if not M.is_square():
         raise ValueError("expected a square matrix")
-    d = M.nrows
     for row in M.entries:
         for f in row:
             if not f.is_zero() and f.degree != 1:
                 raise ValueError("expected a linear matrix")
-    keep_rows = list(range(1, d))
-    minors = []
-    for skip_col in range(d):
-        cols = [c for c in range(d) if c != skip_col]
-        sub = GradedMatrix(
-            M.field,
-            M.nvars,
-            tuple(M.row_twists[r] for r in keep_rows),
-            tuple(M.col_twists[c] for c in cols),
-            tuple(tuple(M.entries[r][c] for c in cols) for r in keep_rows),
-        )
-        minors.append(determinant(sub, seed=seed))
-    return form_in_ideal_piece(minors, determinant(M, seed=seed))
+    below = GradedMatrix(M.field, M.nvars, M.row_twists[1:], M.col_twists, M.entries[1:])
+    return form_in_ideal_piece(maximal_minors(below, seed=seed), determinant(M, seed=seed))
 
 
 def form_in_ideal_piece(gens: Sequence[HomogeneousForm], F: HomogeneousForm) -> bool:

@@ -434,12 +434,26 @@ def multiplication_matrix(
         )
     p = g.field.p
     out = np.zeros((len(to_basis), len(from_basis)), dtype=np.int64)
-    for col, m in enumerate(from_basis.exponents):
-        for e, c in g.coeffs.items():
-            target = tuple(a + b for a, b in zip(m, e))
-            row = to_basis.index(target)
-            out[row, col] = (out[row, col] + c) % p
+    columns = np.arange(len(from_basis))
+    # distinct exponents of g send each column to distinct rows: no sums
+    for e, c in g.coeffs.items():
+        out[_shifted_rows(g.nvars, from_basis.degree, e), columns] = c % p
     return out
+
+
+@lru_cache(maxsize=4096)
+def _shifted_rows(nvars: int, degree: int, exponent: tuple[int, ...]) -> np.ndarray:
+    """Index of m * X^exponent in its basis, for each degree-`degree` monomial m."""
+    target = monomial_basis(nvars, degree + sum(exponent))
+    rows = np.array(
+        [
+            target.index(tuple(a + b for a, b in zip(m, exponent)))
+            for m in monomial_basis(nvars, degree).exponents
+        ],
+        dtype=np.intp,
+    )
+    rows.flags.writeable = False  # shared through the cache
+    return rows
 
 
 # ---- black-box interpolation -------------------------------------------------

@@ -188,15 +188,26 @@ class GradedMatrix:
         return ScalarMatrix(self.field, vals)
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """(npoints, nrows, ncols) array of entry values."""
-        npts = points.shape[0]
-        out = np.zeros((npts, self.nrows, self.ncols), dtype=np.int64)
-        for i in range(self.nrows):
-            for j in range(self.ncols):
-                f = self.entries[i][j]
-                if not f.is_zero():
-                    out[:, i, j] = f.evaluate_many(points)
-        return out
+        """(npoints, nrows, ncols) array of entry values.
+
+        The nonzero entries of each degree share one Vandermonde matrix of
+        the points, multiplied by their stacked coefficient vectors.
+        """
+        p = self.field.p
+        flat = [f for row in self.entries for f in row]
+        by_degree: dict[int, list[int]] = {}
+        for slot, f in enumerate(flat):
+            if not f.is_zero():
+                by_degree.setdefault(f.degree, []).append(slot)
+        out = np.zeros((points.shape[0], len(flat)), dtype=np.int64)
+        for degree, slots in by_degree.items():
+            basis = monomial_basis(self.nvars, degree)
+            coeffs = np.zeros((len(basis), len(slots)), dtype=np.int64)
+            for col, slot in enumerate(slots):
+                for e, c in flat[slot].coeffs.items():
+                    coeffs[basis.index(e), col] = c
+            out[:, slots] = exactlin._matmul(mpoly.vandermonde(points, basis, p), coeffs, p)
+        return out.reshape(points.shape[0], self.nrows, self.ncols)
 
     # ---- text format ------------------------------------------------------
 
@@ -366,6 +377,25 @@ class LinearSkewMatrix:
             SKEW,
         )
 
+    def content_hash(self) -> str:
+        """`to_graded().content_hash()`, with the text written straight from
+        the coefficients: the term of X_k in entry (i, j) is M_k[i, j], and
+        terms follow the canonical order of the linear monomials."""
+        n = self.size
+        basis = monomial_basis(self.nvars, 1)
+        linear = [(e.index(1), " ".join(map(str, e))) for e in basis.exponents]
+        lines = [
+            f"gradedmatrix p={self.field.p} nvars={self.nvars} symmetry={SKEW}",
+            "rows " + " ".join(["0"] * n),
+            "cols " + " ".join(["-1"] * n),
+        ]
+        for i, row in enumerate(self.coeff.transpose(1, 2, 0).tolist()):
+            for j, cs in enumerate(row):
+                terms = [f"{cs[k]}  {exponent}" for k, exponent in linear if cs[k]]
+                lines.append(f"entry {i} {j} nterms={len(terms)}")
+                lines += terms
+        return hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
+
     @classmethod
     def from_graded(cls, M: GradedMatrix) -> "LinearSkewMatrix":
         if M.symmetry != SKEW:
@@ -488,7 +518,12 @@ def determinant(
     seed: int = 0,
     cutoff: int = EXPANSION_CUTOFF_DET,
 ) -> HomogeneousForm:
-    """Exact determinant form; expansion below `cutoff`, interpolation above."""
+    """Exact determinant form; expansion below `cutoff`, interpolation above.
+
+    The interpolating route needs deg det <= p: no nonzero form of degree at
+    most p vanishes at every point of GF(p)^n, while X0^p X1 - X0 X1^p, of
+    degree p + 1, does.
+    """
     if not M.is_square():
         raise SizeMismatch("determinant of a non-square matrix")
     if M.nrows <= cutoff:
@@ -496,8 +531,10 @@ def determinant(
     degree = M.determinant_degree
     if degree < 0:
         return HomogeneousForm.zero(M.field, M.nvars, 0)
+    p = M.field.p
     seed = derive_seed(seed, "det")
-    return _interpolate_scalar(M, degree, exactlin._det_array, seed)
+    (det,) = _interpolate_forms(M, degree, lambda a: exactlin._det_array(a, p)[:, None], 1, seed)
+    return det
 
 
 def pfaffian(
@@ -510,27 +547,71 @@ def pfaffian(
     if M.nrows <= cutoff:
         return pfaffian_expansion(M)
     degree = M.determinant_degree // 2
-    seed = derive_seed(seed, "pf")
-    return _interpolate_scalar(M, degree, exactlin._pfaffian_array, seed)
-
-
-def _interpolate_scalar(
-    M: GradedMatrix, degree: int, kernel: Callable[[np.ndarray, int], int], seed: int
-) -> HomogeneousForm:
-    """The degree-`degree` form x -> kernel(M(x), p), by interpolation."""
     p = M.field.p
 
+    def values(stack: np.ndarray) -> np.ndarray:
+        return np.array([[exactlin._pfaffian_array(a, p)] for a in stack], dtype=np.int64)
+
+    (pf,) = _interpolate_forms(M, degree, values, 1, derive_seed(seed, "pf"))
+    return pf
+
+
+def maximal_minors(M: GradedMatrix, seed: int = 0) -> list[HomogeneousForm]:
+    """The minors of a k x (k+1) matrix, the one deleting column j at index j.
+
+    Minors of one degree come from one interpolation, whose black box takes
+    the determinants of all k x k column-deleted stacks in one batched
+    elimination; like `determinant` above its cutoff, this needs every
+    minor's degree to be at most p.  A minor of negative degree is zero.
+    """
+    k = M.nrows
+    if M.ncols != k + 1:
+        raise SizeMismatch(f"expected a k x (k+1) matrix, got {k}x{M.ncols}")
+    p = M.field.p
+    base = sum(M.row_twists) - sum(M.col_twists)
+    by_degree: dict[int, list[int]] = {}
+    for j, e in enumerate(M.col_twists):
+        by_degree.setdefault(base + e, []).append(j)
+    minors = [HomogeneousForm.zero(M.field, M.nvars, 0)] * (k + 1)
+    for degree, skipped in by_degree.items():
+        if degree < 0:
+            continue
+
+        def values(stack: np.ndarray, skipped=skipped) -> np.ndarray:
+            subs = np.stack([np.delete(stack, j, axis=2) for j in skipped], axis=1)
+            dets = exactlin._det_array(subs.reshape(len(stack) * len(skipped), k, k), p)
+            return dets.reshape(len(stack), len(skipped))
+
+        forms = _interpolate_forms(
+            M, degree, values, len(skipped), derive_seed(seed, "minors", degree)
+        )
+        for j, form in zip(skipped, forms):
+            minors[j] = form
+    return minors
+
+
+def _interpolate_forms(
+    M: GradedMatrix,
+    degree: int,
+    values: Callable[[np.ndarray], np.ndarray],
+    n_outputs: int,
+    seed: int,
+) -> list[HomogeneousForm]:
+    """The degree-`degree` forms x -> values(M(x))[t], by one interpolation.
+
+    `values` maps a (count, nrows, ncols) stack of M(x) to a (count,
+    n_outputs) array.
+    """
+
     def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = [[kernel(a, p)] for a in M.evaluate_batch(points)]
-        return np.array(values, dtype=np.int64), np.ones(len(points), dtype=bool)
+        return values(M.evaluate_batch(points)), np.ones(len(points), dtype=bool)
 
     try:
-        coeffs = interpolate_many(values_fn, M.nvars, degree, M.field, seed, 1)
+        coeffs = interpolate_many(values_fn, M.nvars, degree, M.field, seed, n_outputs)
     except RankNotReached as exc:
         raise InterpolationFailure(str(exc)) from exc
-    return HomogeneousForm.from_coefficient_vector(
-        M.field, monomial_basis(M.nvars, degree), coeffs[:, 0]
-    )
+    basis = monomial_basis(M.nvars, degree)
+    return [HomogeneousForm.from_coefficient_vector(M.field, basis, c) for c in coeffs.T]
 
 
 # ---- submaximal pfaffians ---------------------------------------------------------

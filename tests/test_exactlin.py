@@ -565,3 +565,76 @@ def test_pfaffian_squares_to_determinant_at_every_prime(p, n, zero_share, seed):
     a = sparse_skew(p, n, zero_share, seed)
     pf = exactlin._pfaffian_array(a, p)
     assert pf * pf % p == exactlin._det_array(a, p)
+
+
+# ---- stacked determinant against a plain-int elimination ---------------------
+
+
+def reference_det_by_elimination(a, p):
+    """Gaussian elimination on lists of Python ints; det = sign * pivot product."""
+    m = [[x % p for x in r] for r in a]
+    det = 1
+    for col in range(len(m)):
+        r = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if r is None:
+            return 0
+        if r != col:
+            m[col], m[r] = m[r], m[col]
+            det = -det
+        det = det * m[col][col] % p
+        inv = pow(m[col][col], p - 2, p)
+        for i in range(col + 1, len(m)):
+            if m[i][col]:
+                m[i] = _row_op(m[i], m[i][col] * inv % p, m[col], p)
+    return det % p
+
+
+DET_SIZES = (1, 2, 5, 14, 33)
+DET_PRIMES = (3, 31991, 2**31 - 1)
+
+
+@st.composite
+def det_stacks(draw):
+    p = draw(st.sampled_from(DET_PRIMES))
+    n = draw(st.sampled_from(DET_SIZES))
+    kinds = draw(
+        st.lists(st.sampled_from(("random", "swap", "dependent", "zero")), min_size=1, max_size=5)
+    )
+    return p, stacked(p, n, kinds, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(det_stacks())
+@example((3, stacked(3, 5, ["swap", "random", "dependent", "zero", "swap"], 1)))
+@example((31991, stacked(31991, 33, ["random", "swap", "dependent"], 2)))
+@example((2**31 - 1, stacked(2**31 - 1, 14, ["swap", "random", "zero"], 3)))
+def test_stacked_det_matches_reference(case):
+    p, stack = case
+    n = stack.shape[1]
+    got = exactlin._det_array(stack, p)
+    assert got.dtype == np.int64 and got.shape == (len(stack),)
+    for t, a in enumerate(stack):
+        want = reference_det_by_elimination(a.tolist(), p)
+        assert int(got[t]) == want
+        # the single-matrix form returns the same value as an int
+        single = exactlin._det_array(a, p)
+        assert type(single) is int and single == want
+        if n <= 5:
+            assert want == reference_det(a.tolist(), p)
+
+
+def test_stacked_det_kinds_and_edge_shapes():
+    p = 31991
+    stack = stacked(p, 14, ["random", "zero", "swap", "dependent", "random"], 7)
+    dets = exactlin._det_array(stack, p)
+    assert dets[1] == 0 and dets[3] == 0
+    assert all(dets[[0, 2, 4]])
+    # unreduced and negative entries are taken mod p first
+    assert np.array_equal(exactlin._det_array(stack - p, p), dets)
+    assert np.array_equal(exactlin._det_array(stack + 5 * p, p), dets)
+    # a swap negates: exchanging two rows of every member
+    swapped = stack[:, [1, 0] + list(range(2, 14))]
+    assert np.array_equal(exactlin._det_array(swapped, p), (-dets) % p)
+    assert exactlin._det_array(np.zeros((0, 3, 3), dtype=np.int64), p).shape == (0,)
+    assert exactlin._det_array(np.zeros((4, 0, 0), dtype=np.int64), p).tolist() == [1] * 4
+    assert exactlin._det_array(np.zeros((0, 0), dtype=np.int64), p) == 1

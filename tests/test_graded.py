@@ -212,3 +212,16 @@ def test_det_in_minor_ideal():
         minors.append(determinant(sub))
     random_form = HomogeneousForm.random(F, 4, 4, FieldRng("mi3"))
     assert not form_in_ideal_piece(minors, random_form)
+
+
+@pytest.mark.parametrize("d", [4, 7])
+def test_det_in_minor_ideal_when_det_vanishes(d):
+    M = random_graded_matrix(F, 4, linear_square_shape(d), FieldRng("mi0", d))
+    from detpf.polymat import GradedMatrix, determinant
+
+    # first row repeated: det M = 0 while the minors of the other rows are not
+    repeated = GradedMatrix(F, 4, M.row_twists, M.col_twists, (M.entries[1],) + M.entries[1:])
+    assert determinant(repeated).is_zero()
+    assert det_in_minor_ideal(repeated) is True
+    zero = GradedMatrix(F, 4, M.row_twists, M.col_twists, [[None] * d] * d)
+    assert det_in_minor_ideal(zero) is True

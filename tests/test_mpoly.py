@@ -14,6 +14,7 @@ from detpf.mpoly import (
     interpolate_many,
     monomial_basis,
     monomial_count,
+    multiplication_matrix,
     parse_form,
     parse_forms,
     sample_points,
@@ -92,6 +93,39 @@ def test_evaluate_many_matches_pointwise():
     vals = f.evaluate_many(pts)
     for i in range(25):
         assert vals[i] == f.evaluate(pts[i])
+
+
+def multiplication_matrix_by_dict(g, from_basis, to_basis):
+    """The per-(monomial, term) loop that `multiplication_matrix` replaced."""
+    p = g.field.p
+    out = np.zeros((len(to_basis), len(from_basis)), dtype=np.int64)
+    for col, m in enumerate(from_basis.exponents):
+        for e, c in g.coeffs.items():
+            row = to_basis.index(tuple(a + b for a, b in zip(m, e)))
+            out[row, col] = (out[row, col] + c) % p
+    return out
+
+
+@pytest.mark.parametrize("modulus", [7, 31991, 2**31 - 1])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 5])
+def test_multiplication_matrix_matches_dict_loop(modulus, nvars):
+    field = PrimeField(modulus)
+    rng = FieldRng("mulmat", modulus, nvars)
+    for g_degree in range(4):
+        for from_degree in range(5):
+            dense = HomogeneousForm.random(field, nvars, g_degree, rng.fork(g_degree, from_degree))
+            # every other term dropped, so g has gaps and is not symmetric in the variables
+            sparse = HomogeneousForm(
+                field, nvars, g_degree, dict(list(dense.coeffs.items())[::2])
+            )
+            for g in (dense, sparse, HomogeneousForm.zero(field, nvars, g_degree)):
+                src = monomial_basis(nvars, from_degree)
+                dst = monomial_basis(nvars, from_degree + g_degree)
+                got = multiplication_matrix(g, src, dst)
+                want = multiplication_matrix_by_dict(g, src, dst)
+                assert got.dtype == np.int64 and got.tobytes() == want.tobytes()
+    with pytest.raises(BasisMismatch):
+        multiplication_matrix(dense, monomial_basis(nvars, 1), monomial_basis(nvars, 1))
 
 
 def test_substitute():

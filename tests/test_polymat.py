@@ -8,12 +8,14 @@ from detpf.polymat import (
     SKEW,
     DegeneratePencil,
     GradedMatrix,
+    InterpolationFailure,
     LinearSkewMatrix,
     OddSize,
     congruence_transform,
     determinant,
     determinant_expansion,
     is_minimal,
+    maximal_minors,
     parse_graded_matrix,
     pfaffian,
     pfaffian_expansion,
@@ -298,3 +300,107 @@ def test_linear_skew_graded_roundtrip():
     batch = L.evaluate_batch(pts)
     for t in range(2):
         assert np.array_equal(batch[t], L.evaluate(pts[t]).a)
+
+
+@pytest.mark.parametrize("modulus", [7, 31991, 2**31 - 1])
+@pytest.mark.parametrize(
+    "size,nvars", [(4, 3), (5, 4), (12, 5), (17, 6), (32, 3), (32, 6)]
+)
+def test_linear_skew_content_hash_matches_graded_text(modulus, size, nvars):
+    field = PrimeField(modulus)
+    L = LinearSkewMatrix.random(field, nvars, size, FieldRng("hash", modulus, size, nvars))
+    assert L.content_hash() == L.to_graded().content_hash()
+    # zero coefficient matrices leave entries with fewer terms than variables
+    coeff = L.coeff.copy()
+    coeff[1:nvars:2] = 0
+    sparse = LinearSkewMatrix(field, nvars, coeff)
+    assert sparse.content_hash() == sparse.to_graded().content_hash()
+    assert sparse.content_hash() != L.content_hash()
+
+
+def mixed_matrix(field, nvars, seed):
+    """Row twists (2, 1, 0), column twists (0, -1, 1, -2): entry degrees 0..4,
+    two positions forced to zero by a negative gap, others zeroed at random."""
+    rows, cols = (2, 1, 0), (0, -1, 1, -2)
+    rng = FieldRng("mixed", seed)
+    entries = [
+        [
+            HomogeneousForm.random(field, nvars, d - e, rng.fork(i, j))
+            if d >= e and rng.below(4)
+            else None
+            for j, e in enumerate(cols)
+        ]
+        for i, d in enumerate(rows)
+    ]
+    return GradedMatrix(field, nvars, rows, cols, entries)
+
+
+@pytest.mark.parametrize("modulus", [7, 31991, 2**31 - 1])
+@pytest.mark.parametrize("nvars", [1, 2, 4])
+def test_evaluate_batch_matches_pointwise(modulus, nvars):
+    field = PrimeField(modulus)
+    for seed in range(4):
+        M = mixed_matrix(field, nvars, seed)
+        pts = sample_points(field, nvars, seed, 0, 9)
+        pts[0] = 0
+        pts[1] += modulus  # unreduced coordinates are taken mod p
+        batch = M.evaluate_batch(pts)
+        assert batch.dtype == np.int64 and batch.shape == (9, 3, 4)
+        for t in range(9):
+            assert batch[t].tobytes() == M.evaluate(pts[t]).a.tobytes()
+    zero = GradedMatrix(field, nvars, (0, 0), (-1, -1), [[None, None], [None, None]])
+    assert not zero.evaluate_batch(pts).any()
+    assert M.evaluate_batch(pts[:0]).shape == (0, 3, 4)
+
+
+def column_deleted(M, j):
+    keep = [c for c in range(M.ncols) if c != j]
+    return GradedMatrix(
+        M.field,
+        M.nvars,
+        M.row_twists,
+        tuple(M.col_twists[c] for c in keep),
+        tuple(tuple(row[c] for c in keep) for row in M.entries),
+    )
+
+
+@pytest.mark.parametrize("modulus", [7, 31991])
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_maximal_minors_match_expansion(modulus, d):
+    field = PrimeField(modulus)
+    for rep in range(2):
+        M = random_graded_matrix(field, 4, linear_square_shape(d), FieldRng("minors", d, rep))
+        below = GradedMatrix(field, 4, M.row_twists[1:], M.col_twists, M.entries[1:])
+        minors = maximal_minors(below, seed=rep)
+        assert len(minors) == d
+        for j, minor in enumerate(minors):
+            assert minor == determinant_expansion(column_deleted(below, j))
+            assert minor.degree == d - 1 and not minor.is_zero()
+
+
+def test_maximal_minors_of_mixed_degrees():
+    f = [form(k, 40 + k) for k in range(4)]
+    # deleting column 2 (twist -1) lowers the minor's degree by one
+    M = GradedMatrix(F, 3, (1, 1), (0, 0, -1), [[f[1], None, f[2]], [f[1], f[1], f[2]]])
+    minors = maximal_minors(M, seed=3)
+    assert [m.degree for m in minors] == [3, 3, 2]
+    for j, minor in enumerate(minors):
+        assert minor == determinant_expansion(column_deleted(M, j))
+    # a minor of negative degree is zero
+    N = GradedMatrix(F, 3, (0,), (5, 0), [[None, f[0]]])
+    assert maximal_minors(N) == [f[0], HomogeneousForm.zero(F, 3, 0)]
+    with pytest.raises(ValueError):
+        maximal_minors(GradedMatrix(F, 3, (0,), (0,), [[f[0]]]))
+
+
+def test_maximal_minors_need_degree_at_most_p():
+    F3 = PrimeField(3)
+    for d in (4, 5):
+        M = random_graded_matrix(F3, 4, linear_square_shape(d), FieldRng("minors3", d))
+        below = GradedMatrix(F3, 4, M.row_twists[1:], M.col_twists, M.entries[1:])
+        if d - 1 <= 3:
+            minors = maximal_minors(below, seed=d)
+            assert minors == [determinant_expansion(column_deleted(below, j)) for j in range(d)]
+        else:
+            with pytest.raises(InterpolationFailure):
+                maximal_minors(below, seed=d)
