@@ -25,7 +25,6 @@ class RunConfig:
     seed: int = 0
     retries: int = 3
     max_certificate_degree: int = 40
-    max_interpolation_points: int | None = None
     workers: int = 1
     output: str | None = None
     fmt: str = "json"
@@ -63,13 +62,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
         default=40,
         help="largest graded piece degree certificates may compute",
     )
-    sub.add_argument(
-        "--max-interpolation-points",
-        type=int,
-        default=None,
-        help="cap on the points a certificate samples, singular ones included "
-        "(never below C(d+r, r))",
-    )
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
@@ -86,7 +78,6 @@ def _config(args: argparse.Namespace) -> RunConfig:
         seed=args.seed,
         retries=args.retries,
         max_certificate_degree=getattr(args, "work_limit_degree", 40),
-        max_interpolation_points=getattr(args, "max_interpolation_points", None),
         workers=workers,
         output=args.output,
         fmt=args.fmt,
@@ -159,7 +150,6 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
         prime=cfg.prime,
         seed=cfg.seed,
         retries=cfg.retries,
-        max_points=cfg.max_interpolation_points,
     )
     _emit(
         cfg,
@@ -181,7 +171,6 @@ def _cmd_dominance_sweep(args: argparse.Namespace) -> int:
         retries=cfg.retries,
         min_degree=args.min_degree,
         workers=cfg.workers,
-        max_points=cfg.max_interpolation_points,
     )
     doc = [c.to_dict() for c in certs]
     csv_lines = [dominance.DominanceCertificate.csv_header()] + [c.csv_row() for c in certs]
@@ -196,7 +185,6 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
         prime=cfg.prime,
         seed=cfg.seed,
         retries=cfg.retries,
-        max_points=cfg.max_interpolation_points,
     )
     doc = {
         "ambient": args.ambient,

@@ -42,8 +42,8 @@ Invariant for shortcuts: any change to the route from sample to rank (a
 faster kernel, a different way to build the span, a random compression)
 may only lower a rank, never raise it.  A lowered rank can only turn cd = 0
 into cd > 0, which proves nothing; a raised rank could certify a map that is
-not dominant.  Evaluation is such a shortcut: fewer rows (a capped point
-budget) or points on which V drops rank can only lower rank E.
+not dominant.  Evaluation is such a shortcut: points on which V drops
+rank can only lower rank E.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 from . import __version__, exactlin
 from .exactlin import PrimeField, ScalarMatrix
 from .constructions import random_linear_skew
-from .mpoly import check_degenerate, monomial_basis, monomial_count, sample_points
+from .mpoly import monomial_basis, monomial_count, sample_usable
 from .polymat import LinearSkewMatrix, submaximal_pfaffians
 from .rng import FieldRng, derive_seed
 
@@ -196,37 +196,26 @@ class DominanceCertificate:
         return "r,d,prime,seed,cd,rank,target,verdict,elapsed_ms"
 
 
-def _span_rank(
-    L: LinearSkewMatrix, d: int, seed: int, max_points: int | None = None
-) -> tuple[int, int, int]:
+def _span_rank(L: LinearSkewMatrix, d: int, seed: int) -> tuple[int, int, int]:
     """(rank of the evaluation matrix, target dim, sample points drawn).
 
-    Rows are x (x) triu(M(x)^-1) at N = C(d+r, r) points where M(x) is
-    invertible; singular points are dropped and replaced.  `max_points`
-    caps the points drawn, singular ones included, and is never below N;
-    when the cap leaves fewer than N rows the rank can only be lower.
+    Rows are x (x) triu(M(x)^-1) at the first N = C(d+r, r) points of the
+    stream where M(x) is invertible; singular points are dropped and
+    replaced by `mpoly.sample_usable`.
     """
     field = L.field
-    nvars = L.nvars
-    target = monomial_count(nvars, d)
-    cap = None if max_points is None else max(target, max_points)
+    target = monomial_count(L.nvars, d)
     upper = np.triu_indices(L.size, 1)
-    points = np.empty((0, nvars), dtype=np.int64)
-    entries = np.empty((0, len(upper[0])), dtype=np.int64)
-    drawn = singular = 0
+
+    def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        inverses, invertible = exactlin.invert_many(L.evaluate_batch(points), field.p)
+        return inverses[:, upper[0], upper[1]], invertible
+
     # the point stream submaximal_pfaffians draws from for the same seed
     stream = derive_seed(seed, "subpf")
-    while len(points) < target and (cap is None or drawn < cap):
-        count = target - len(points)
-        if cap is not None:
-            count = min(count, cap - drawn)
-        fresh = sample_points(field, nvars, stream, drawn, count)
-        drawn += count
-        inverses, ok = exactlin.invert_many(L.evaluate_batch(fresh), field.p)
-        singular += count - int(ok.sum())
-        check_degenerate(drawn, singular)
-        points = np.vstack([points, fresh[ok]])
-        entries = np.vstack([entries, inverses[ok][:, upper[0], upper[1]]])
+    points, entries, drawn = sample_usable(
+        values_fn, field, L.nvars, stream, target, len(upper[0])
+    )
     rows = (points[:, :, None] * entries[:, None, :]).reshape(len(points), -1)
     return exactlin.rank(ScalarMatrix(field, rows)), target, drawn
 
@@ -271,7 +260,6 @@ def pfaffian_codim(
     prime: int = exactlin.DEFAULT_PRIME,
     seed: int = 0,
     attempt: int = 1,
-    max_points: int | None = None,
 ) -> DominanceCertificate:
     """One sampled certificate for the (r, d) pfaffian dominance question."""
     if r not in (2, 3, 4, 5):
@@ -282,9 +270,7 @@ def pfaffian_codim(
     t0 = time.perf_counter()
     rng = FieldRng(seed, "dominance", r, d, attempt)
     L = random_linear_skew(field, r + 1, 2 * d, rng)
-    rank, target, points = _span_rank(
-        L, d, derive_seed(seed, "interp", r, d, attempt), max_points=max_points
-    )
+    rank, target, points = _span_rank(L, d, derive_seed(seed, "interp", r, d, attempt))
     codim = target - rank
     elapsed = time.perf_counter() - t0
     if codim == 0:
@@ -315,7 +301,6 @@ def is_dominant(
     prime: int = exactlin.DEFAULT_PRIME,
     seed: int = 0,
     retries: int = 3,
-    max_points: int | None = None,
 ) -> tuple[bool, DominanceCertificate]:
     """True on the first sample with cd = 0; counting obstruction short-circuits.
 
@@ -326,9 +311,7 @@ def is_dominant(
     budget = 1 if by_count else max(1, retries)
     best: DominanceCertificate | None = None
     for attempt in range(1, budget + 1):
-        cert = pfaffian_codim(
-            r, d, prime=prime, seed=seed, attempt=attempt, max_points=max_points
-        )
+        cert = pfaffian_codim(r, d, prime=prime, seed=seed, attempt=attempt)
         if cert.codim == 0 and not by_count:
             return True, cert
         if best is None or cert.codim < best.codim:
@@ -344,15 +327,12 @@ def lower_bound_for_dominant_degree(
     retries: int = 3,
     start: int = 3,
     max_degree: int = 64,
-    max_points: int | None = None,
 ) -> tuple[int, list[DominanceCertificate]]:
     """Largest d (scanning upward from `start`) for which the map is dominant."""
     trail: list[DominanceCertificate] = []
     d = start
     while d <= max_degree:
-        ok, cert = is_dominant(
-            r, d, prime=prime, seed=seed, retries=retries, max_points=max_points
-        )
+        ok, cert = is_dominant(r, d, prime=prime, seed=seed, retries=retries)
         trail.append(cert)
         if not ok:
             return d - 1, trail
@@ -368,15 +348,12 @@ def dominance_sweep(
     retries: int = 3,
     min_degree: int = 3,
     workers: int = 1,
-    max_points: int | None = None,
 ) -> list[DominanceCertificate]:
     """Certificates for d = min_degree..max_degree, ordered by degree."""
     degrees = list(range(min_degree, max_degree + 1))
 
     def run(d: int) -> DominanceCertificate:
-        return is_dominant(
-            r, d, prime=prime, seed=seed, retries=retries, max_points=max_points
-        )[1]
+        return is_dominant(r, d, prime=prime, seed=seed, retries=retries)[1]
 
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor

@@ -31,7 +31,8 @@ reaches 2**63.
 `_det_array` takes the determinants of a whole (count, n, n) stack by one
 batched elimination without normalization, reducing after every step; a
 member without a pivot in some column has determinant 0 and leaves the
-others untouched.  Callers that need the determinant of M(x) at many points
+others untouched.  `_pfaffian_array` does the same for the pfaffians of a
+stack of skew matrices.  Callers that need det or pf of M(x) at many points
 (interpolation, maximal minors) make one call per batch of points.
 
 Pivoting always selects the first nonzero entry in row order -- GF(p) has no
@@ -437,6 +438,13 @@ def invert(A: ScalarMatrix) -> ScalarMatrix:
     return ScalarMatrix(A.field, m[:, n:])
 
 
+def _swap_rows(a: np.ndarray, members: np.ndarray, i: int, r: np.ndarray) -> None:
+    """In each listed member of the stack `a`, exchange row i with row r[member]."""
+    rows = a[members, i]
+    a[members, i] = a[members, r[members]]
+    a[members, r[members]] = rows
+
+
 def _inverse_residues(x: np.ndarray, p: int) -> np.ndarray:
     """x**(p-2) mod p elementwise: the inverse of each nonzero residue, 0 for 0."""
     out = np.ones_like(x)
@@ -481,9 +489,7 @@ def invert_many(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
         r = col + nonzero.argmax(axis=1)
         swap = np.nonzero(r != col)[0]
         if swap.size:
-            rows = m[swap, col]
-            m[swap, col] = m[swap, r[swap]]
-            m[swap, r[swap]] = rows
+            _swap_rows(m, swap, col, r)
         pivot = m[:, col, col:]
         np.remainder(pivot, p, out=pivot)
         pivot *= _inverse_residues(pivot[:, 0], p)[:, None]
@@ -549,9 +555,7 @@ def _det_array(a, p: int):
         r = col + nonzero.argmax(axis=1)
         swap = np.nonzero(r != col)[0]
         if swap.size:
-            rows = a[swap, col]
-            a[swap, col] = a[swap, r[swap]]
-            a[swap, r[swap]] = rows
+            _swap_rows(a, swap, col, r)
             det[swap] = p - det[swap]
         pivot = a[:, col, col]
         det = det * pivot % p
@@ -578,30 +582,36 @@ def pfaffian_skew(A: ScalarMatrix) -> int:
     return _pfaffian_array(A.a, A.field.p)
 
 
-def _pfaffian_array(a: np.ndarray, p: int) -> int:
-    a = a.copy()
-    n = a.shape[0]
-    if n == 0:
-        return 1
-    result = 1
+def _pfaffian_array(a, p: int):
+    """Pfaffian of an (n, n) skew array as an int, or of every member of a
+    (count, n, n) stack as a (count,) int64 array, by one batched elimination.
+
+    Step k swaps into row and column k+1 the first row below k with a
+    nonzero entry in column k (a swap negates pf), multiplies pf by
+    a[k, k+1], and clears columns k, k+1 of the lower rows by a congruence
+    E A tE, which changes only the trailing block.  A member without such a
+    row has pfaffian 0.  Entries are reduced mod p after every step.
+    """
+    a = np.mod(np.asarray(a, dtype=np.int64), p)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    count, n = a.shape[:2]
+    pf = np.ones(count, dtype=np.int64)
     for k in range(0, n - 1, 2):
-        nz = np.nonzero(a[k + 1 :, k])[0]
-        if nz.size == 0:
-            return 0
-        r = k + 1 + int(nz[0])
-        if r != k + 1:
-            a[[k + 1, r]] = a[[r, k + 1]]
-            a[:, [k + 1, r]] = a[:, [r, k + 1]]
-            result = -result
-        result = result * int(a[k, k + 1]) % p
+        nonzero = a[:, k + 1 :, k] != 0
+        # a member without a pivot keeps row k+1, so a[k, k+1] = -a[k+1, k] = 0 zeroes pf
+        r = k + 1 + nonzero.argmax(axis=1)
+        swap = np.nonzero(r != k + 1)[0]
+        if swap.size:
+            _swap_rows(a, swap, k + 1, r)
+            _swap_rows(a.transpose(0, 2, 1), swap, k + 1, r)  # and the columns
+            pf[swap] = p - pf[swap]
+        pf = pf * a[:, k, k + 1] % p
         if k + 2 < n:
-            inv_lo = pow(int(a[k + 1, k]), p - 2, p)
-            inv_hi = pow(int(a[k, k + 1]), p - 2, p)
-            f = a[k + 2 :, k] * inv_lo % p
-            g = a[k + 2 :, k + 1] * inv_hi % p
-            # congruence E A tE: row updates, then the matching column updates
-            a[k + 2 :, :] = (a[k + 2 :, :] - np.outer(f, a[k + 1, :])) % p
-            a[k + 2 :, :] = (a[k + 2 :, :] - np.outer(g, a[k, :])) % p
-            a[:, k + 2 :] = (a[:, k + 2 :] - np.outer(a[:, k + 1], f)) % p
-            a[:, k + 2 :] = (a[:, k + 2 :] - np.outer(a[:, k], g)) % p
-    return result % p
+            f = a[:, k + 2 :, k] * _inverse_residues(a[:, k + 1, k], p)[:, None] % p
+            g = a[:, k + 2 :, k + 1] * _inverse_residues(a[:, k, k + 1], p)[:, None] % p
+            trailing = a[:, k + 2 :, k + 2 :]
+            trailing[...] = (trailing - f[:, :, None] * a[:, k + 1, None, k + 2 :]) % p
+            trailing[...] = (trailing - g[:, :, None] * a[:, k, None, k + 2 :]) % p
+    return int(pf[0]) if single else pf

@@ -107,8 +107,8 @@ def parse_point_set(text: str, field: PrimeField | None = None) -> PointSet:
         if not line or line.startswith("#"):
             continue
         if line.startswith("points "):
-            fields = dict(part.split("=", 1) for part in line.split()[1:])
             try:
+                fields = dict(part.split("=", 1) for part in line.split()[1:])
                 p = int(fields["p"])
                 nvars = int(fields["nvars"])
             except (KeyError, ValueError) as exc:

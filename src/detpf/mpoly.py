@@ -388,8 +388,8 @@ def parse_forms(text: str, field: PrimeField | None = None) -> list[HomogeneousF
             continue
         if line.startswith("form "):
             flush(line_no)
-            fields = dict(part.split("=", 1) for part in line.split()[1:])
             try:
+                fields = dict(part.split("=", 1) for part in line.split()[1:])
                 nvars = int(fields["nvars"])
                 degree = int(fields["degree"])
                 p = int(fields["p"])
@@ -492,6 +492,47 @@ def check_degenerate(drawn: int, dropped: int) -> None:
         raise DegeneratePencil(f"unusable at {dropped} of {drawn} sample points")
 
 
+def sample_usable(
+    values_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    field: PrimeField,
+    nvars: int,
+    seed: int,
+    target: int,
+    n_outputs: int,
+    kept: tuple[np.ndarray, np.ndarray, int] | None = None,
+    stats: dict | None = None,
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """The first `target` usable points of the stream, their values, and
+    the number of points drawn; `kept`, an earlier result, is extended.
+
+    `values_fn(points)` returns `(values, usable)`: an (npoints, n_outputs)
+    array of exact values and a bool mask of the points it could evaluate.
+    Each batch draws the next points of the stream, as many as are still
+    missing, so nothing is drawn past the `target`-th usable point.
+    `check_degenerate` stops a black box that drops too many; `stats`, when
+    given, gets `points_used` (drawn) and `points_degenerate` (dropped).
+    """
+    p = field.p
+    if kept is None:
+        kept = (np.empty((0, nvars), np.int64), np.empty((0, n_outputs), np.int64), 0)
+    points, values, drawn = kept
+    while len(points) < target:
+        fresh = sample_points(field, nvars, seed, drawn, target - len(points))
+        drawn += len(fresh)
+        vals, usable = values_fn(fresh)
+        vals = np.asarray(vals, dtype=np.int64) % p
+        usable = np.asarray(usable, dtype=bool)
+        if vals.shape != (len(fresh), n_outputs) or usable.shape != (len(fresh),):
+            raise ValueError(f"black box returned shapes {vals.shape} and {usable.shape}")
+        points = np.vstack([points, fresh[usable]])
+        values = np.vstack([values, vals[usable]])
+        dropped = drawn - len(points)
+        if stats is not None:
+            stats.update(points_used=drawn, points_degenerate=dropped)
+        check_degenerate(drawn, dropped)
+    return points, values, drawn
+
+
 def interpolate_many(
     values_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     nvars: int,
@@ -503,44 +544,23 @@ def interpolate_many(
 ) -> np.ndarray:
     """Recover coefficient vectors of homogeneous forms from a batched black box.
 
-    `values_fn(points)` returns `(values, usable)`: an (npoints, n_outputs)
-    array of exact values and a bool mask of the points it could evaluate.
-    Points outside the mask are dropped and replaced by the next points of
-    the same stream, which is indexed by the number of points drawn so far;
-    `check_degenerate` stops a black box that drops too many.  The loop
-    keeps ceil(1.1 N) usable points for the N monomials, doubling up to 4 N
-    while the evaluation matrix is rank deficient.  One elimination of that
+    `values_fn` is the black box of `sample_usable`, which keeps
+    ceil(1.1 N) usable points for the N monomials, doubling up to 4 N while
+    the evaluation matrix is rank deficient.  One elimination of that
     matrix serves every output column.  Returns an (n_monomials, n_outputs)
-    coefficient array; `stats`, when given, gets `points_used` (points
-    drawn) and `points_degenerate` (points dropped).
+    coefficient array; `stats` is filled by `sample_usable`.
     """
     from .exactlin import _back_substitute, _forward_eliminate
 
     basis = monomial_basis(nvars, degree)
     ncols = len(basis)
     p = field.p
-    points = np.empty((0, nvars), dtype=np.int64)
-    values = np.empty((0, n_outputs), dtype=np.int64)
-    drawn = 0
+    kept = None
     target = max(ncols, math.ceil(ncols * 1.1))
     cap = max(target, 4 * ncols)
     while True:
-        while len(points) < target:
-            fresh = sample_points(field, nvars, seed, drawn, target - len(points))
-            drawn += len(fresh)
-            vals, usable = values_fn(fresh)
-            vals = np.asarray(vals, dtype=np.int64) % p
-            usable = np.asarray(usable, dtype=bool)
-            if vals.shape != (len(fresh), n_outputs) or usable.shape != (len(fresh),):
-                raise ValueError(
-                    f"black box returned shapes {vals.shape} and {usable.shape}"
-                )
-            points = np.vstack([points, fresh[usable]])
-            values = np.vstack([values, vals[usable]])
-            dropped = drawn - len(points)
-            if stats is not None:
-                stats.update(points_used=drawn, points_degenerate=dropped)
-            check_degenerate(drawn, dropped)
+        kept = sample_usable(values_fn, field, nvars, seed, target, n_outputs, kept, stats)
+        points, values, _ = kept
         V = vandermonde(points, basis, p)
         m = np.hstack([V, values])
         pivots, _ = _forward_eliminate(m, p, ncols)

@@ -45,7 +45,6 @@ EXPANSION_CUTOFF_PF = 8
 
 
 OddSize = exactlin.OddSize
-DegeneratePencil = mpoly.DegeneratePencil
 
 
 class SizeMismatch(ValueError):
@@ -252,8 +251,8 @@ def parse_graded_matrix(text: str, field: PrimeField | None = None) -> GradedMat
         if not line or line.startswith("#"):
             continue
         if line.startswith("gradedmatrix "):
-            fields = dict(part.split("=", 1) for part in line.split()[1:])
             try:
+                fields = dict(part.split("=", 1) for part in line.split()[1:])
                 p = int(fields["p"])
                 nvars = int(fields["nvars"])
                 symmetry = fields["symmetry"]
@@ -263,10 +262,12 @@ def parse_graded_matrix(text: str, field: PrimeField | None = None) -> GradedMat
             if f.p != p:
                 err(line_no, f"matrix modulus {p} != context {f.p}")
             header = {"field": f, "nvars": nvars, "symmetry": symmetry}
-        elif line.startswith("rows "):
-            rows = tuple(int(v) for v in line.split()[1:])
-        elif line.startswith("cols "):
-            cols = tuple(int(v) for v in line.split()[1:])
+        elif line.startswith(("rows ", "cols ")):
+            try:
+                twists = tuple(int(v) for v in line.split()[1:])
+            except ValueError as exc:
+                err(line_no, f"non-integer twist: {exc}")
+            rows, cols = (twists, cols) if line.startswith("rows ") else (rows, twists)
         elif line.startswith("entry "):
             if header is None or rows is None or cols is None:
                 err(line_no, "entry before header/twists")
@@ -276,6 +277,11 @@ def parse_graded_matrix(text: str, field: PrimeField | None = None) -> GradedMat
                 nterms = int(parts[3].split("=", 1)[1])
             except (IndexError, ValueError) as exc:
                 err(line_no, f"bad entry header: {exc}")
+            if not (0 <= r < len(rows) and 0 <= c < len(cols)):
+                err(line_no, f"entry ({r}, {c}) outside the {len(rows)}x{len(cols)} matrix")
+            if (r, c) in entries:
+                err(line_no, f"duplicate entry ({r}, {c})")
+            deg = max(rows[r] - cols[c], 0)
             coeffs = {}
             for _ in range(nterms):
                 if i >= n:
@@ -286,13 +292,13 @@ def parse_graded_matrix(text: str, field: PrimeField | None = None) -> GradedMat
                 if len(term) != header["nvars"] + 1:
                     err(term_no, f"expected coeff + {header['nvars']} exponents")
                 try:
-                    coeffs[tuple(int(v) for v in term[1:])] = int(term[0])
+                    exp = tuple(int(v) for v in term[1:])
+                    coeffs[exp] = int(term[0])
                 except ValueError as exc:
                     err(term_no, f"non-integer field: {exc}")
-            deg = rows[r] - cols[c]
-            entries[(r, c)] = HomogeneousForm(
-                header["field"], header["nvars"], max(deg, 0), coeffs
-            )
+                if any(v < 0 for v in exp) or sum(exp) != deg:
+                    err(term_no, f"exponent {exp} does not have degree {deg}")
+            entries[(r, c)] = HomogeneousForm(header["field"], header["nvars"], deg, coeffs)
         else:
             err(line_no, f"unrecognized line {line!r}")
     if header is None or rows is None or cols is None:
@@ -502,14 +508,6 @@ def _require_skew(M: GradedMatrix) -> None:
         raise OddSize(f"pfaffian needs even size, got {M.nrows}")
 
 
-# ---- numeric kernels -----------------------------------------------------------
-
-
-def pfaffian_numeric(A: ScalarMatrix) -> int:
-    """pf(A) for a numeric skew matrix; see module docstring for the convention."""
-    return exactlin.pfaffian_skew(A)
-
-
 # ---- interpolated determinant / pfaffian ----------------------------------------
 
 
@@ -548,11 +546,8 @@ def pfaffian(
         return pfaffian_expansion(M)
     degree = M.determinant_degree // 2
     p = M.field.p
-
-    def values(stack: np.ndarray) -> np.ndarray:
-        return np.array([[exactlin._pfaffian_array(a, p)] for a in stack], dtype=np.int64)
-
-    (pf,) = _interpolate_forms(M, degree, values, 1, derive_seed(seed, "pf"))
+    seed = derive_seed(seed, "pf")
+    (pf,) = _interpolate_forms(M, degree, lambda a: exactlin._pfaffian_array(a, p)[:, None], 1, seed)
     return pf
 
 
@@ -665,8 +660,7 @@ def submaximal_pfaffians(
     def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mats = L.evaluate_batch(points)
         inverses, usable = exactlin.invert_many(mats, p)
-        pf = [exactlin._pfaffian_array(a, p) if ok else 0 for a, ok in zip(mats, usable)]
-        pf = np.array(pf, dtype=np.int64)[:, None]
+        pf = exactlin._pfaffian_array(mats, p)[:, None]
         return inverses[:, upper[0], upper[1]] * pair_sign % p * pf % p, usable
 
     seed = derive_seed(seed, "subpf")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from detpf.cli import build_parser, main
 from detpf.exactlin import DEFAULT_PRIME, PrimeField
 from detpf.constructions import fermat_matrix
@@ -214,6 +216,40 @@ def test_input_errors_exit_2(tmp_path, capsys):
         capsys, "dominance", "--ambient", "3", "--degree", "3", "--prime", "31989"
     )
     assert code == 2
+    # entry indices out of range, a repeated entry, a term of the wrong degree
+    head = "gradedmatrix p=31991 nvars=3 symmetry=general\nrows 1\ncols 0\n"
+    term = "entry 0 0 nterms=1\n1  1 0 0\n"
+    for body, line in (
+        ("entry 5 0 nterms=0\n", 4),
+        ("entry -1 0 nterms=0\n", 4),
+        ("entry 0 -1 nterms=0\n", 4),
+        (term + term, 6),
+        ("entry 0 0 nterms=1\n1  1 1 0\n", 5),
+    ):
+        bad.write_text(head + body)
+        code, _, err = run(capsys, "verify", "--matrix", str(bad), "--form", str(bad), "--kind", "det")
+        assert code == 2
+        assert f"line {line}" in err
+    bad.write_text(head.replace("cols 0", "cols x"))
+    code, _, err = run(capsys, "hilbert", "--matrix", str(bad), "--degrees", "0..1")
+    assert code == 2 and "line 3" in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, text",
+    [
+        ("hilbert", "--matrix", "gradedmatrix p=31991 nvars symmetry=general\nrows 0\ncols 0\n"),
+        ("smooth", "--form", "form nvars=3 degree p=31991\n1  2 0 0\n"),
+        ("gorenstein", "--points", "points p=31991 nvars\n1 0 0\n"),
+    ],
+)
+def test_header_token_without_value_exits_2(tmp_path, capsys, command, flag, text):
+    path = tmp_path / "bad.txt"
+    path.write_text("# header token without '='\n" + text)
+    extra = ["--degrees", "0..1"] if command == "hilbert" else []
+    code, _, err = run(capsys, command, flag, str(path), *extra)
+    assert code == 2
+    assert "line 2" in err
 
 
 def test_env_prime_override(tmp_path, capsys, monkeypatch):

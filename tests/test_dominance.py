@@ -1,7 +1,9 @@
 from math import comb
 
+import numpy as np
 import pytest
 
+from detpf import exactlin
 from detpf.constructions import random_linear_skew
 from detpf.dominance import (
     _span_rank,
@@ -21,7 +23,8 @@ from detpf.dominance import (
     span_rank_by_interpolation,
 )
 from detpf.exactlin import PrimeField
-from detpf.polymat import DegeneratePencil, LinearSkewMatrix
+from detpf.mpoly import DegeneratePencil, sample_points
+from detpf.polymat import LinearSkewMatrix
 from detpf.rng import FieldRng, derive_seed
 
 
@@ -132,11 +135,6 @@ def test_lower_bound_alternate_prime_recorded():
     assert 3 <= threshold <= 16
 
 
-def test_max_points_cap_is_respected():
-    cert = pfaffian_codim(3, 4, seed=1, max_points=10**6)
-    assert cert.codim == 0
-
-
 def test_csv_row_shape():
     cert = pfaffian_codim(2, 3, seed=4)
     header = DominanceCertificate.csv_header()
@@ -199,6 +197,20 @@ def test_evaluation_rank_never_exceeds_span_at_a_small_prime():
     assert topped_up and dropped
 
 
+def test_span_rank_stops_at_the_nth_invertible_point_of_the_stream():
+    # replay the stream: the sampler draws exactly up to the N-th point where
+    # M(x) is invertible, however the singular points fall into its batches
+    field = PrimeField(7)
+    for seed in range(4):
+        for r, d in ((2, 3), (3, 3), (5, 3)):
+            L = sampled_matrix(r, d, 7, seed)
+            _, target, drawn = _span_rank(L, d, seed)
+            stream = sample_points(field, r + 1, derive_seed(seed, "subpf"), 0, 4 * target)
+            invertible = np.cumsum(exactlin._det_array(L.evaluate_batch(stream), 7) != 0)
+            assert invertible[-1] >= target
+            assert drawn == int(np.argmax(invertible == target)) + 1
+
+
 def test_degenerate_pencil_raises_on_the_evaluation_route():
     # every M_k kills e_0, so M(x) is singular at every point
     coeff = sampled_matrix(3, 4, 31991, 0).coeff.copy()
@@ -207,17 +219,12 @@ def test_degenerate_pencil_raises_on_the_evaluation_route():
     L = LinearSkewMatrix(PrimeField(31991), 4, coeff)
     with pytest.raises(DegeneratePencil):
         _span_rank(L, 4, 0)
-    with pytest.raises(DegeneratePencil):
-        _span_rank(L, 4, 0, max_points=10**6)
 
 
 def test_sample_points_used_counts_points_drawn():
     cert = pfaffian_codim(3, 4, seed=1)
     assert cert.sample_points_used == comb(4 + 3, 3)
-    # the cap is never below C(d+r, r)
-    capped = pfaffian_codim(3, 4, seed=1, max_points=5)
-    assert capped.sample_points_used == comb(4 + 3, 3)
-    assert capped.codim == 0
+    assert cert.codim == 0
 
 
 # ---- the same cd at two primes ------------------------------------------------

@@ -554,6 +554,52 @@ def test_pfaffian_matches_expansion(p, n, zero_share, seed):
         assert pfaffian_skew(ScalarMatrix(PrimeField(p), a)) == want
 
 
+def skew_stacked(p, n, kinds, seed):
+    """(count, n, n) skew stack, one member per entry of `kinds`, from the
+    strict lower part of a `stacked` member: "random", "swap" (column 0 zero
+    down to row n-2, forcing a swap at the first step), "zero", or
+    "singular" (C S tC with C of size n x (n-2) and S from `sparse_skew`)."""
+    base = stacked(p, n, ["random" if k == "singular" else k for k in kinds], seed)
+    lower = np.tril(base, -1)
+    out = (lower - lower.transpose(0, 2, 1)) % p
+    rng = np.random.default_rng(seed)
+    for t, kind in enumerate(kinds):
+        if kind == "singular":
+            c = rng.integers(0, p, (n, n - 2)).astype(object)
+            s = sparse_skew(p, n - 2, 0.0, int(rng.integers(2**32))).astype(object)
+            out[t] = (c.dot(s).dot(c.T) % p).astype(np.int64)
+    return out
+
+
+@st.composite
+def skew_stacks(draw):
+    n = draw(st.sampled_from((2, 4, 6, 8)))
+    kinds = draw(
+        st.lists(st.sampled_from(("random", "swap", "singular", "zero")), min_size=1, max_size=5)
+    )
+    return n, kinds, draw(st.integers(0, 2**32 - 1))
+
+
+@pytest.mark.parametrize("p", PRIMES)
+@settings(max_examples=25, deadline=None)
+@given(skew_stacks())
+@example((8, ["swap", "singular", "random", "zero", "swap"], 1))
+def test_stacked_pfaffian_matches_expansion(p, case):
+    stack = skew_stacked(p, *case)
+    got = exactlin._pfaffian_array(stack, p)
+    assert got.dtype == np.int64 and got.shape == (len(stack),)
+    for t, a in enumerate(stack):
+        want = reference_pf(a.tolist(), p)
+        assert int(got[t]) == want
+        single = exactlin._pfaffian_array(a, p)
+        assert type(single) is int and single == want
+    # members do not interact: any order or subset of the stack gives the same values
+    assert np.array_equal(exactlin._pfaffian_array(stack[::-1], p), got[::-1])
+    assert np.array_equal(exactlin._pfaffian_array(stack[1:], p), got[1:])
+    assert exactlin._pfaffian_array(stack[:0], p).shape == (0,)
+    assert exactlin._pfaffian_array(np.zeros((2, 0, 0), dtype=np.int64), p).tolist() == [1, 1]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from(PRIMES),

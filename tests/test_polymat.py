@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from detpf.exactlin import DEFAULT_PRIME, PrimeField, ScalarMatrix, Singular
+from detpf.exactlin import DEFAULT_PRIME, PrimeField, ScalarMatrix, Singular, pfaffian_skew
 from detpf.exactlin import determinant as numeric_det
-from detpf.mpoly import HomogeneousForm, monomial_count, sample_points
+from detpf.mpoly import DegeneratePencil, HomogeneousForm, monomial_count, sample_points
 from detpf.polymat import (
     SKEW,
-    DegeneratePencil,
     GradedMatrix,
     InterpolationFailure,
     LinearSkewMatrix,
@@ -19,7 +18,6 @@ from detpf.polymat import (
     parse_graded_matrix,
     pfaffian,
     pfaffian_expansion,
-    pfaffian_numeric,
     submaximal_pfaffians,
     submaximal_pfaffians_by_deletion,
     verify_representation,
@@ -113,11 +111,11 @@ def test_determinant_interpolation_matches_expansion():
 
 
 def test_pfaffian_numeric_convention_and_errors():
-    assert pfaffian_numeric(ScalarMatrix(F, [[0, 9], [-9, 0]])) == 9
+    assert pfaffian_skew(ScalarMatrix(F, [[0, 9], [-9, 0]])) == 9
     with pytest.raises(OddSize):
-        pfaffian_numeric(ScalarMatrix(F, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
+        pfaffian_skew(ScalarMatrix(F, [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]))
     with pytest.raises(ValueError):
-        pfaffian_numeric(ScalarMatrix(F, [[1, 0], [0, 1]]))
+        pfaffian_skew(ScalarMatrix(F, [[1, 0], [0, 1]]))
 
 
 def test_pfaffian_block_diagonal_product():
@@ -209,7 +207,7 @@ def test_submaximal_laplace_recombination():
         for j in range(1, 6):
             sign = 1 if (j + 1) % 2 == 0 else -1  # (-1)^(1-based column)
             acc = (acc + sign * int(A[0, j]) * pf_forms[(0, j)].evaluate(pt)) % P
-        assert acc == pfaffian_numeric(A)
+        assert acc == pfaffian_skew(A)
 
 
 def test_submaximal_degenerate_pencil():
