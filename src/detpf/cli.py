@@ -3,7 +3,8 @@
 Every subcommand renders a JSON document (the canonical output); text output
 is a flat rendering of the same dict, and sweep CSV rows carry the fixed
 column set r,d,prime,seed,cd,rank,target,verdict,elapsed_ms.  Exit codes:
-0 success, 1 verification/certification failure, 2 usage or input errors.
+0 success, 1 verification/certification failure, 2 usage or input errors;
+every malformed input file raises `mpoly.ParseError`, which exits 2.
 """
 
 from __future__ import annotations
@@ -388,12 +389,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.handler(args)
     except (
         InputError,
-        mpoly.FormParseError,
-        polymat.MatrixParseError,
-        graded.PointSetParseError,
+        mpoly.ParseError,
         constructions.DegreeInconsistency,
         constructions.UnsupportedAmbient,
-        graded.DuplicatePoint,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -56,13 +56,15 @@ import numpy as np
 from . import __version__, exactlin
 from .exactlin import PrimeField, ScalarMatrix
 from .constructions import random_linear_skew
-from .mpoly import monomial_basis, monomial_count, sample_usable
+from .mpoly import _shifted_rows, monomial_basis, monomial_count, sample_usable
 from .polymat import LinearSkewMatrix, submaximal_pfaffians
 from .rng import FieldRng, derive_seed
 
 DOMINANT = "Dominant"
 NOT_DOMINANT_EVIDENCE = "NotDominantEvidence"
 NOT_DOMINANT_BY_COUNT = "NotDominantByCount"
+
+MAX_SCAN_DEGREE = 64  # where `lower_bound_for_dominant_degree` gives up
 
 
 # ---- closed-form counts ------------------------------------------------------
@@ -235,21 +237,17 @@ def span_rank_by_interpolation(
     stats: dict = {}
     pfaffs = submaximal_pfaffians(L, seed=seed, stats=stats)
     basis_lo = monomial_basis(r_plus_1, d - 1)
-    basis_hi = monomial_basis(r_plus_1, d)
-    target = len(basis_hi)
-    # index maps: multiplication by X_k shifts exponents
-    shift_maps = []
-    for k in range(r_plus_1):
-        idx = np.empty(len(basis_lo), dtype=np.int64)
-        for t, e in enumerate(basis_lo.exponents):
-            e2 = tuple(v + 1 if j == k else v for j, v in enumerate(e))
-            idx[t] = basis_hi.index(e2)
-        shift_maps.append(idx)
+    target = monomial_count(r_plus_1, d)
+    # multiplication by X_k sends the degree-(d-1) monomials to these rows
+    shifts = [
+        _shifted_rows(r_plus_1, d - 1, tuple(int(j == k) for j in range(r_plus_1)))
+        for k in range(r_plus_1)
+    ]
     rows = np.zeros((r_plus_1 * len(pfaffs), target), dtype=np.int64)
     for t, (pair, form) in enumerate(sorted(pfaffs.items())):
         vec = form.coefficient_vector(basis_lo)
         for k in range(r_plus_1):
-            rows[t * r_plus_1 + k, shift_maps[k]] = vec
+            rows[t * r_plus_1 + k, shifts[k]] = vec
     rank = exactlin.rank(ScalarMatrix(field, rows))
     return rank, target, stats["points_used"]
 
@@ -325,19 +323,15 @@ def lower_bound_for_dominant_degree(
     prime: int = exactlin.DEFAULT_PRIME,
     seed: int = 0,
     retries: int = 3,
-    start: int = 3,
-    max_degree: int = 64,
 ) -> tuple[int, list[DominanceCertificate]]:
-    """Largest d (scanning upward from `start`) for which the map is dominant."""
+    """Largest d (scanning upward from 3) for which the map is dominant."""
     trail: list[DominanceCertificate] = []
-    d = start
-    while d <= max_degree:
+    for d in range(3, MAX_SCAN_DEGREE + 1):
         ok, cert = is_dominant(r, d, prime=prime, seed=seed, retries=retries)
         trail.append(cert)
         if not ok:
             return d - 1, trail
-        d += 1
-    raise RuntimeError(f"still dominant at degree {max_degree}; no upper threshold found")
+    raise RuntimeError(f"still dominant at degree {MAX_SCAN_DEGREE}; no upper threshold found")
 
 
 def dominance_sweep(

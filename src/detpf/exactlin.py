@@ -23,17 +23,17 @@ one panel, elimination runs the rank-1 loop alone, reducing after every
 column.  `_matmul` shares the same bound: float64 BLAS when it holds, int64
 products over chunks of the inner dimension otherwise.
 
-`invert_many` inverts a whole stack of small matrices by one batched
-Gauss-Jordan, with the same delayed reduction: the pivot column and pivot
-row are reduced at each step, the other rows only when n*(p-1)**2 + p
-reaches 2**63.
-
-`_det_array` takes the determinants of a whole (count, n, n) stack by one
-batched elimination without normalization, reducing after every step; a
-member without a pivot in some column has determinant 0 and leaves the
-others untouched.  `_pfaffian_array` does the same for the pfaffians of a
-stack of skew matrices.  Callers that need det or pf of M(x) at many points
-(interpolation, maximal minors) make one call per batch of points.
+Stacks of small matrices go through one batched loop, `_eliminate_stack`,
+with the same delayed reduction: the pivot column and pivot row are reduced
+at each step, the other rows only when n*(p-1)**2 + p reaches 2**63.
+`invert_many` runs it as Gauss-Jordan on the (count, n, 2n) stack [M | I];
+`_det_array` runs it clearing below the pivots only, and reads each
+member's determinant off its pivots.  A member without a pivot in some
+column is singular, has determinant 0 and leaves the others untouched.
+`_pfaffian_array`, a congruence elimination with two pivots per step, takes
+the pfaffians of a stack of skew matrices.  Callers that need det or pf of
+M(x) at many points (interpolation, maximal minors) make one call per batch
+of points.
 
 Pivoting always selects the first nonzero entry in row order -- GF(p) has no
 magnitude.  The rule depends only on residues, and both paths compute every
@@ -120,12 +120,6 @@ class PrimeField:
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
 
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
     def mul(self, a: int, b: int) -> int:
         return a * b % self.p
 
@@ -134,9 +128,6 @@ class PrimeField:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse in GF(p)")
         return pow(a, self.p - 2, self.p)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a % self.p, e, self.p)
 
     def sqrt(self, a: int):
         """Square root in GF(p) via Tonelli-Shanks, or None if a is not a square."""
@@ -428,14 +419,10 @@ def invert(A: ScalarMatrix) -> ScalarMatrix:
     """Inverse of a square matrix; raises Singular on rank deficiency."""
     if A.rows != A.cols:
         raise Singular(f"cannot invert a {A.rows}x{A.cols} matrix")
-    p = A.field.p
-    n = A.rows
-    m = np.hstack([A.a, np.eye(n, dtype=np.int64)])
-    pivots, _ = _forward_eliminate(m, p, n)
-    if len(pivots) < n:
-        raise Singular(f"matrix of rank {len(pivots)} < {n}")
-    _back_substitute(m, p, pivots)
-    return ScalarMatrix(A.field, m[:, n:])
+    try:
+        return solve_many(A, ScalarMatrix.identity(A.field, A.rows))
+    except RankDeficient as exc:
+        raise Singular(str(exc)) from exc
 
 
 def _swap_rows(a: np.ndarray, members: np.ndarray, i: int, r: np.ndarray) -> None:
@@ -458,18 +445,55 @@ def _inverse_residues(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _eliminate_stack(m: np.ndarray, p: int, n: int, jordan: bool) -> np.ndarray:
+    """Eliminate the first n columns of every member of a (count, n, width)
+    stack in place; return the determinant of each member's leading n x n block.
+
+    Each member pivots on the first nonzero entry of the column in row
+    order, a swap negating its determinant, and the pivot row is scaled to
+    1.  Rows below the pivot are cleared, and with `jordan` the rows above
+    it too.  A member with no pivot in some column is singular: its
+    determinant is 0 and its rows are left meaningless.  At each step only
+    the pivot column and the pivot row are reduced; every other row takes
+    an unreduced += (-f mod p) * pivot_row update.  An entry takes at most
+    n such updates, so this is exact while n*(p-1)**2 + p < 2**63; when
+    that fails (p close to 2**31) the stack is reduced after every step.
+    """
+    det = np.ones(m.shape[0], dtype=np.int64)
+    delayed = n <= _max_terms(p, INT64_LIMIT, p)
+    for col in range(n):
+        column = m[:, :, col]
+        np.remainder(column, p, out=column)
+        # a member without a pivot keeps row `col`; its zero pivot zeroes det
+        r = col + (column[:, col:] != 0).argmax(axis=1)
+        swap = np.nonzero(r != col)[0]
+        if swap.size:
+            _swap_rows(m, swap, col, r)
+            det[swap] = p - det[swap]
+        pivot = m[:, col, col:]
+        np.remainder(pivot, p, out=pivot)
+        det = det * pivot[:, 0] % p
+        pivot *= _inverse_residues(pivot[:, 0], p)[:, None]
+        np.remainder(pivot, p, out=pivot)
+        first = 0 if jordan else col + 1
+        f = (-m[:, first:, col]) % p
+        if jordan:
+            f[:, col] = 0
+        rest = m[:, first:, col + 1 :]
+        rest += f[:, :, None] * pivot[:, None, 1:]
+        if not delayed:
+            np.remainder(rest, p, out=rest)
+    return det
+
+
 def invert_many(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     """Inverses of a stack of n x n matrices by one batched Gauss-Jordan.
 
     Returns (inverses, invertible) for a (count, n, n) stack: where
     invertible[t], inverses[t] is byte-equal to `invert` of stack[t];
     singular members come back as zero matrices and leave the others
-    untouched.  Each member pivots on the first nonzero entry of the column
-    in row order, as `invert` does.  At each step only the pivot column and
-    the pivot row are reduced; every other row takes an unreduced
-    += (-f mod p) * pivot_row update.  An entry takes at most n such
-    updates, so this is exact while n*(p-1)**2 + p < 2**63; when that fails
-    (p close to 2**31) the stack is reduced after every step.
+    untouched.  Each member pivots as `invert` does, on the first nonzero
+    entry of the column in row order (`_eliminate_stack`).
     """
     a = np.mod(np.asarray(stack, dtype=np.int64), p)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
@@ -478,28 +502,7 @@ def invert_many(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     m = np.zeros((count, n, 2 * n), dtype=np.int64)
     m[:, :, :n] = a
     m[:, :, n:] = np.eye(n, dtype=np.int64)
-    invertible = np.ones(count, dtype=bool)
-    delayed = n <= _max_terms(p, INT64_LIMIT, p)
-    for col in range(n):
-        column = m[:, :, col]
-        np.remainder(column, p, out=column)
-        nonzero = column[:, col:] != 0
-        invertible &= nonzero.any(axis=1)
-        # a singular member keeps row `col` as its (zero) pivot and stops changing
-        r = col + nonzero.argmax(axis=1)
-        swap = np.nonzero(r != col)[0]
-        if swap.size:
-            _swap_rows(m, swap, col, r)
-        pivot = m[:, col, col:]
-        np.remainder(pivot, p, out=pivot)
-        pivot *= _inverse_residues(pivot[:, 0], p)[:, None]
-        np.remainder(pivot, p, out=pivot)
-        f = (-m[:, :, col]) % p
-        f[:, col] = 0
-        rest = m[:, :, col + 1 :]
-        rest += f[:, :, None] * pivot[:, None, 1:]
-        if not delayed:
-            np.remainder(rest, p, out=rest)
+    invertible = _eliminate_stack(m, p, n, jordan=True) != 0
     inverses = m[:, :, n:] % p
     inverses[~invertible] = 0
     return inverses, invertible
@@ -536,33 +539,13 @@ def determinant(A: ScalarMatrix) -> int:
 
 def _det_array(a, p: int):
     """Determinant of an (n, n) array as an int, or of every member of a
-    (count, n, n) stack as a (count,) int64 array, by one batched elimination.
-
-    Each member pivots on the first nonzero entry of the column in row
-    order, a swap negating its determinant; a member with no pivot in some
-    column is singular, and its determinant is 0.  Rows below the pivot are
-    reduced mod p after every step.
-    """
+    (count, n, n) stack as a (count,) int64 array, by one batched
+    elimination that clears below the pivots (`_eliminate_stack`)."""
     a = np.mod(np.asarray(a, dtype=np.int64), p)
     single = a.ndim == 2
     if single:
         a = a[None]
-    count, n = a.shape[:2]
-    det = np.ones(count, dtype=np.int64)
-    for col in range(n):
-        nonzero = a[:, col:, col] != 0
-        # a member without a pivot keeps row `col`, whose zero pivot zeroes det
-        r = col + nonzero.argmax(axis=1)
-        swap = np.nonzero(r != col)[0]
-        if swap.size:
-            _swap_rows(a, swap, col, r)
-            det[swap] = p - det[swap]
-        pivot = a[:, col, col]
-        det = det * pivot % p
-        if col + 1 < n:
-            f = a[:, col + 1 :, col] * _inverse_residues(pivot, p)[:, None] % p
-            below = a[:, col + 1 :, col:]
-            below[...] = (below - f[:, :, None] * a[:, col, None, col:]) % p
+    det = _eliminate_stack(a, p, a.shape[1], jordan=False)
     return int(det[0]) if single else det
 
 

@@ -31,9 +31,11 @@ from . import exactlin
 from .exactlin import PrimeField, ScalarMatrix
 from .mpoly import (
     HomogeneousForm,
+    ParseError,
     monomial_basis,
     monomial_count,
     multiplication_matrix,
+    read_header,
     vandermonde,
 )
 from .polymat import GradedMatrix, LinearSkewMatrix, determinant, maximal_minors
@@ -93,45 +95,32 @@ class PointSet:
         return "\n".join(lines) + "\n"
 
 
-class PointSetParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
-
-
 def parse_point_set(text: str, field: PrimeField | None = None) -> PointSet:
-    header = None
+    header = None  # (line_no, field, nvars)
     pts = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("points "):
-            try:
-                fields = dict(part.split("=", 1) for part in line.split()[1:])
-                p = int(fields["p"])
-                nvars = int(fields["nvars"])
-            except (KeyError, ValueError) as exc:
-                raise PointSetParseError(line_no, f"bad header: {exc}") from exc
-            f = field if field is not None else PrimeField(p)
-            if f.p != p:
-                raise PointSetParseError(line_no, f"modulus {p} != context {f.p}")
-            header = (f, nvars)
+            f, values = read_header(line_no, line, field, nvars=int)
+            header = (line_no, f, values["nvars"])
             continue
         if header is None:
-            raise PointSetParseError(line_no, "point before header")
+            raise ParseError(line_no, "point before header")
         try:
             pt = tuple(int(v) for v in line.split())
         except ValueError as exc:
-            raise PointSetParseError(line_no, f"non-integer coordinate: {exc}") from exc
-        if len(pt) != header[1]:
-            raise PointSetParseError(
-                line_no, f"expected {header[1]} coordinates, got {len(pt)}"
-            )
+            raise ParseError(line_no, f"non-integer coordinate: {exc}") from exc
+        if len(pt) != header[2]:
+            raise ParseError(line_no, f"expected {header[2]} coordinates, got {len(pt)}")
         pts.append(pt)
     if header is None:
-        raise PointSetParseError(0, "missing points header")
-    return PointSet(header[0], header[1], pts)
+        raise ParseError(0, "missing points header")
+    try:
+        return PointSet(header[1], header[2], pts)
+    except ValueError as exc:
+        raise ParseError(header[0], str(exc)) from exc
 
 
 def random_point_set(
@@ -156,6 +145,19 @@ def random_point_set(
 # ---- ideal and cokernel dimensions ----------------------------------------------
 
 
+def _ideal_piece_blocks(
+    gens: Sequence[HomogeneousForm], nvars: int, j: int
+) -> list[np.ndarray]:
+    """One multiplication block S_{j - deg g} -> S_j per nonzero generator g
+    of degree at most j; side by side they span the degree-j ideal piece."""
+    to_basis = monomial_basis(nvars, j)
+    return [
+        multiplication_matrix(g, monomial_basis(nvars, j - g.degree), to_basis)
+        for g in gens
+        if g.degree <= j and not g.is_zero()
+    ]
+
+
 def ideal_piece_dim(gens: Sequence[HomogeneousForm], j: int) -> int:
     """Dimension of the degree-j piece of the ideal generated by `gens`."""
     gens = [g for g in gens if not g.is_zero()]
@@ -166,17 +168,10 @@ def ideal_piece_dim(gens: Sequence[HomogeneousForm], j: int) -> int:
     for g in gens:
         if g.field != field or g.nvars != nvars:
             raise ValueError("generators disagree on ring")
-    to_basis = monomial_basis(nvars, j)
-    blocks = []
-    for g in gens:
-        if g.degree > j:
-            continue
-        from_basis = monomial_basis(nvars, j - g.degree)
-        blocks.append(multiplication_matrix(g, from_basis, to_basis))
+    blocks = _ideal_piece_blocks(gens, nvars, j)
     if not blocks:
         return 0
-    stacked = np.hstack(blocks)
-    return exactlin.rank(ScalarMatrix(field, stacked))
+    return exactlin.rank(ScalarMatrix(field, np.hstack(blocks)))
 
 
 def graded_piece_matrix(M: GradedMatrix, j: int) -> ScalarMatrix:
@@ -222,13 +217,17 @@ class SmoothnessCertificate:
     witness: tuple[int, ...] | None = None
 
 
-def _witness_candidates(field: PrimeField, nvars: int, span: int = 2):
-    """Small deterministic candidate set for the optional singular-point search."""
+WITNESS_SPAN = 2
+
+
+def _witness_candidates(field: PrimeField, nvars: int):
+    """Small deterministic candidate set for the optional singular-point search:
+    every point when p <= 31, else coordinates in {0, +-1, ..., +-WITNESS_SPAN}."""
     if field.p <= 31:
         coords = range(field.p)
     else:
         vals = [0]
-        for v in range(1, span + 1):
+        for v in range(1, WITNESS_SPAN + 1):
             vals.extend([v, field.p - v])
         coords = vals
     for pt in itertools.product(coords, repeat=nvars):
@@ -239,7 +238,6 @@ def _witness_candidates(field: PrimeField, nvars: int, span: int = 2):
 def smoothness_certificate(
     F: HomogeneousForm,
     max_certificate_degree: int = 40,
-    witness_span: int = 2,
 ) -> SmoothnessCertificate:
     """One-sided smoothness proof via the partials ideal.
 
@@ -268,7 +266,7 @@ def smoothness_certificate(
     achieved = ideal_piece_dim(partials, J)
     if achieved == full:
         return SmoothnessCertificate("smooth", J, achieved, full)
-    for pt in _witness_candidates(field, F.nvars, witness_span):
+    for pt in _witness_candidates(field, F.nvars):
         if all(g.evaluate(pt) == 0 for g in partials):
             return SmoothnessCertificate("singular", J, achieved, full, tuple(pt))
     return SmoothnessCertificate("unknown", J, achieved, full)
@@ -378,18 +376,11 @@ def det_in_minor_ideal(M: GradedMatrix, seed: int = 0) -> bool:
 
 def form_in_ideal_piece(gens: Sequence[HomogeneousForm], F: HomogeneousForm) -> bool:
     """Membership of F in the degree-(deg F) piece of the ideal (gens)."""
-    gens = [g for g in gens if not g.is_zero()]
-    field, nvars, j = F.field, F.nvars, F.degree
-    to_basis = monomial_basis(nvars, j)
-    blocks = []
-    for g in gens:
-        if g.degree > j:
-            continue
-        blocks.append(multiplication_matrix(g, monomial_basis(nvars, j - g.degree), to_basis))
+    blocks = _ideal_piece_blocks(gens, F.nvars, F.degree)
     if not blocks:
         return F.is_zero()
     span = np.hstack(blocks)
-    base_rank = exactlin.rank(ScalarMatrix(field, span))
-    vec = F.coefficient_vector(to_basis).reshape(-1, 1)
-    aug_rank = exactlin.rank(ScalarMatrix(field, np.hstack([span, vec])))
+    base_rank = exactlin.rank(ScalarMatrix(F.field, span))
+    vec = F.coefficient_vector(monomial_basis(F.nvars, F.degree)).reshape(-1, 1)
+    aug_rank = exactlin.rank(ScalarMatrix(F.field, np.hstack([span, vec])))
     return aug_rank == base_rank

@@ -4,6 +4,12 @@ Forms are sparse exponent maps with a canonical graded-lex monomial order:
 constructions produce very sparse forms, interpolation produces dense ones,
 and both fit the same representation.  Coefficients are plain int residues;
 the ambient field travels with the form.
+
+This module owns the grammar of the three text formats: forms here, graded
+matrices in `polymat` and point sets in `graded`.  Each file opens with a
+`tag p=... key=value ...` header (`read_header`); form and matrix terms are
+lines `coeff e_0 ... e_{n-1}` (`read_term`).  A malformed line, or a file
+the object's constructor rejects, raises `ParseError` naming a line.
 """
 
 from __future__ import annotations
@@ -354,68 +360,85 @@ def _power_row(x: int, degree: int, p: int) -> list[int]:
     return row
 
 
-class FormParseError(ValueError):
+# ---- text formats -------------------------------------------------------------
+
+
+class ParseError(ValueError):
+    """A malformed line of a form, graded-matrix or point-set file."""
+
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
         self.line_no = line_no
 
 
+def read_header(line_no: int, line: str, field: PrimeField | None, **kinds) -> tuple:
+    """(field, values) of a `tag p=... key=value ...` line; each keyword names a
+    required key and its converter.  A given `field` must match p."""
+    tag = line.split()[0]
+    try:
+        pairs = dict(part.split("=", 1) for part in line.split()[1:])
+        p = int(pairs["p"])
+        values = {key: kind(pairs[key]) for key, kind in kinds.items()}
+        f = field if field is not None else PrimeField(p)
+    except (KeyError, ValueError) as exc:
+        raise ParseError(line_no, f"bad {tag} header: {exc}") from exc
+    if f.p != p:
+        raise ParseError(line_no, f"{tag} modulus {p} != context {f.p}")
+    return f, values
+
+
+def read_term(line_no: int, line: str, nvars: int, degree: int) -> tuple[tuple, int]:
+    """(exponent, coeff) of a term line `coeff e_0 ... e_{n-1}` of degree `degree`."""
+    parts = line.split()
+    if len(parts) != nvars + 1:
+        raise ParseError(line_no, f"expected coeff + {nvars} exponents, got {len(parts)} fields")
+    try:
+        coeff, *exponent = (int(v) for v in parts)
+    except ValueError as exc:
+        raise ParseError(line_no, f"non-integer field: {exc}") from exc
+    exponent = tuple(exponent)
+    if any(e < 0 for e in exponent) or sum(exponent) != degree:
+        raise ParseError(line_no, f"exponent {exponent} does not have degree {degree}")
+    return exponent, coeff
+
+
 def parse_form(text: str, field: PrimeField | None = None) -> HomogeneousForm:
     forms = parse_forms(text, field)
     if len(forms) != 1:
-        raise ValueError(f"expected exactly one form, found {len(forms)}")
+        raise ParseError(len(text.splitlines()), f"expected exactly one form, found {len(forms)}")
     return forms[0]
 
 
 def parse_forms(text: str, field: PrimeField | None = None) -> list[HomogeneousForm]:
     """Parse one or more concatenated form blocks."""
     forms: list[HomogeneousForm] = []
-    header: dict | None = None
+    header: tuple | None = None  # (line_no, field, nvars, degree)
     coeffs: dict = {}
 
-    def flush(line_no: int):
-        nonlocal header, coeffs
+    def flush() -> None:
         if header is not None:
-            forms.append(
-                HomogeneousForm(header["field"], header["nvars"], header["degree"], coeffs)
-            )
-        header = None
-        coeffs = {}
+            try:
+                forms.append(HomogeneousForm(*header[1:], coeffs))
+            except ValueError as exc:
+                raise ParseError(header[0], str(exc)) from exc
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if line.startswith("form "):
-            flush(line_no)
-            try:
-                fields = dict(part.split("=", 1) for part in line.split()[1:])
-                nvars = int(fields["nvars"])
-                degree = int(fields["degree"])
-                p = int(fields["p"])
-            except (KeyError, ValueError) as exc:
-                raise FormParseError(line_no, f"bad form header: {exc}") from exc
-            f = field if field is not None else PrimeField(p)
-            if f.p != p:
-                raise FormParseError(line_no, f"form modulus {p} != context {f.p}")
-            header = {"field": f, "nvars": nvars, "degree": degree}
+            flush()
+            f, values = read_header(line_no, line, field, nvars=int, degree=int)
+            header = (line_no, f, values["nvars"], values["degree"])
+            coeffs = {}
             continue
         if header is None:
-            raise FormParseError(line_no, "term before any form header")
-        parts = line.split()
-        if len(parts) != header["nvars"] + 1:
-            raise FormParseError(
-                line_no, f"expected coeff + {header['nvars']} exponents, got {len(parts)} fields"
-            )
-        try:
-            coeff = int(parts[0])
-            exp = tuple(int(v) for v in parts[1:])
-        except ValueError as exc:
-            raise FormParseError(line_no, f"non-integer field: {exc}") from exc
+            raise ParseError(line_no, "term before any form header")
+        exp, coeff = read_term(line_no, line, header[2], header[3])
         if exp in coeffs:
-            raise FormParseError(line_no, f"duplicate exponent {exp}")
+            raise ParseError(line_no, f"duplicate exponent {exp}")
         coeffs[exp] = coeff
-    flush(-1)
+    flush()
     return forms
 
 

@@ -1,7 +1,9 @@
 """Graded polynomial matrices with exact determinants and pfaffians.
 
 A GradedMatrix carries row twists d_i and column twists e_j; entry (i, j) is
-homogeneous of degree d_i - e_j and forced to zero when that is negative.
+homogeneous of degree d_i - e_j and forced to zero when that is negative;
+`parse_graded_matrix` reads it through the grammar in `mpoly` and refuses a
+term in such an entry at the term's line.
 Determinants and pfaffians have two routes: a cofactor/expansion oracle at
 small size, and evaluation-interpolation at scale.  The oracle is kept
 independent so the fast route can be calibrated against it.
@@ -30,7 +32,15 @@ import numpy as np
 
 from . import exactlin, mpoly
 from .exactlin import PrimeField, ScalarMatrix, Singular
-from .mpoly import HomogeneousForm, RankNotReached, interpolate_many, monomial_basis
+from .mpoly import (
+    HomogeneousForm,
+    ParseError,
+    RankNotReached,
+    interpolate_many,
+    monomial_basis,
+    read_header,
+    read_term,
+)
 # not called here; kept because perfbench/spans.py patches this binding
 from .mpoly import sample_points  # noqa: F401
 from .rng import FieldRng, derive_seed
@@ -53,12 +63,6 @@ class SizeMismatch(ValueError):
 
 class InterpolationFailure(RuntimeError):
     pass
-
-
-class MatrixParseError(ValueError):
-    def __init__(self, line_no: int, message: str):
-        super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 class GradedMatrix:
@@ -235,80 +239,66 @@ class GradedMatrix:
 
 def parse_graded_matrix(text: str, field: PrimeField | None = None) -> GradedMatrix:
     lines = text.splitlines()
-    header = None
-    rows = cols = None
-    entries: dict[tuple[int, int], HomogeneousForm] = {}
+    header = rows = cols = None
+    terms: dict[tuple[int, int], dict] = {}
     i = 0
-    n = len(lines)
-
-    def err(line_no: int, msg: str):
-        raise MatrixParseError(line_no, msg)
-
-    while i < n:
+    while i < len(lines):
         line = lines[i].strip()
-        line_no = i + 1
-        i += 1
+        i += 1  # now the 1-based number of `line`
         if not line or line.startswith("#"):
             continue
         if line.startswith("gradedmatrix "):
-            try:
-                fields = dict(part.split("=", 1) for part in line.split()[1:])
-                p = int(fields["p"])
-                nvars = int(fields["nvars"])
-                symmetry = fields["symmetry"]
-            except (KeyError, ValueError) as exc:
-                err(line_no, f"bad matrix header: {exc}")
-            f = field if field is not None else PrimeField(p)
-            if f.p != p:
-                err(line_no, f"matrix modulus {p} != context {f.p}")
-            header = {"field": f, "nvars": nvars, "symmetry": symmetry}
+            f, header = read_header(i, line, field, nvars=int, symmetry=str)
+            header_no = i
+            if header["symmetry"] not in _SYMMETRIES:
+                raise ParseError(i, f"unknown symmetry tag {header['symmetry']!r}")
         elif line.startswith(("rows ", "cols ")):
             try:
                 twists = tuple(int(v) for v in line.split()[1:])
             except ValueError as exc:
-                err(line_no, f"non-integer twist: {exc}")
+                raise ParseError(i, f"non-integer twist: {exc}") from exc
             rows, cols = (twists, cols) if line.startswith("rows ") else (rows, twists)
         elif line.startswith("entry "):
             if header is None or rows is None or cols is None:
-                err(line_no, "entry before header/twists")
+                raise ParseError(i, "entry before header/twists")
             parts = line.split()
             try:
                 r, c = int(parts[1]), int(parts[2])
                 nterms = int(parts[3].split("=", 1)[1])
             except (IndexError, ValueError) as exc:
-                err(line_no, f"bad entry header: {exc}")
+                raise ParseError(i, f"bad entry header: {exc}") from exc
             if not (0 <= r < len(rows) and 0 <= c < len(cols)):
-                err(line_no, f"entry ({r}, {c}) outside the {len(rows)}x{len(cols)} matrix")
-            if (r, c) in entries:
-                err(line_no, f"duplicate entry ({r}, {c})")
-            deg = max(rows[r] - cols[c], 0)
-            coeffs = {}
+                raise ParseError(
+                    i, f"entry ({r}, {c}) outside the {len(rows)}x{len(cols)} matrix"
+                )
+            if (r, c) in terms:
+                raise ParseError(i, f"duplicate entry ({r}, {c})")
+            coeffs = terms[(r, c)] = {}
             for _ in range(nterms):
-                if i >= n:
-                    err(n, "unexpected end of file inside entry")
-                term = lines[i].strip().split()
-                term_no = i + 1
+                if i >= len(lines):
+                    raise ParseError(i, "unexpected end of file inside entry")
                 i += 1
-                if len(term) != header["nvars"] + 1:
-                    err(term_no, f"expected coeff + {header['nvars']} exponents")
-                try:
-                    exp = tuple(int(v) for v in term[1:])
-                    coeffs[exp] = int(term[0])
-                except ValueError as exc:
-                    err(term_no, f"non-integer field: {exc}")
-                if any(v < 0 for v in exp) or sum(exp) != deg:
-                    err(term_no, f"exponent {exp} does not have degree {deg}")
-            entries[(r, c)] = HomogeneousForm(header["field"], header["nvars"], deg, coeffs)
+                # a negative twist gap admits no term: the entry must vanish
+                exp, coeff = read_term(i, lines[i - 1], header["nvars"], rows[r] - cols[c])
+                coeffs[exp] = coeff
         else:
-            err(line_no, f"unrecognized line {line!r}")
+            raise ParseError(i, f"unrecognized line {line!r}")
     if header is None or rows is None or cols is None:
-        raise MatrixParseError(0, "missing matrix header or twist lines")
-    grid = [
-        [entries.get((i_, j_)) for j_ in range(len(cols))] for i_ in range(len(rows))
-    ]
-    return GradedMatrix(
-        header["field"], header["nvars"], rows, cols, grid, header["symmetry"]
-    )
+        raise ParseError(0, "missing matrix header or twist lines")
+    nvars = header["nvars"]
+    try:
+        grid = [
+            [
+                HomogeneousForm(f, nvars, max(d - e, 0), terms[(r, c)])
+                if (r, c) in terms
+                else None
+                for c, e in enumerate(cols)
+            ]
+            for r, d in enumerate(rows)
+        ]
+        return GradedMatrix(f, nvars, rows, cols, grid, header["symmetry"])
+    except ValueError as exc:
+        raise ParseError(header_no, str(exc)) from exc
 
 
 class LinearSkewMatrix:

@@ -252,6 +252,53 @@ def test_header_token_without_value_exits_2(tmp_path, capsys, command, flag, tex
     assert "line 2" in err
 
 
+@pytest.mark.parametrize(
+    "command, flag, text, needle",
+    [
+        # a term of the wrong degree
+        ("smooth", "--form", "form nvars=3 degree=2 p=31991\n1  1 0 0\n", "line 2"),
+        # two forms where one is expected
+        (
+            "smooth",
+            "--form",
+            "form nvars=3 degree=1 p=31991\n1  1 0 0\nform nvars=3 degree=1 p=31991\n1  0 1 0\n",
+            "found 2",
+        ),
+        # a skew matrix whose mirror entry (1, 0) is missing
+        (
+            "hilbert",
+            "--matrix",
+            "gradedmatrix p=31991 nvars=3 symmetry=skew\nrows 0 0\ncols -1 -1\n"
+            "entry 0 1 nterms=1\n5  1 0 0\n",
+            "(0,1)",
+        ),
+        # a nonzero term in an entry whose twist gap is -1
+        (
+            "hilbert",
+            "--matrix",
+            "gradedmatrix p=31991 nvars=3 symmetry=general\nrows 0\ncols 1\n"
+            "entry 0 0 nterms=1\n1  0 0 0\n",
+            "line 5",
+        ),
+        (
+            "hilbert",
+            "--matrix",
+            "gradedmatrix p=31991 nvars=3 symmetry=weird\nrows 0\ncols -1\n",
+            "line 1",
+        ),
+        ("gorenstein", "--points", "points p=31991 nvars=3\n1 0 0\n0 0 0\n", "zero vector"),
+    ],
+)
+def test_files_the_constructors_reject_exit_2(tmp_path, capsys, command, flag, text, needle):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    extra = ["--degrees", "0..1"] if command == "hilbert" else []
+    code, _, err = run(capsys, command, flag, str(path), *extra)
+    assert code == 2
+    assert "error: line" in err
+    assert needle in err
+
+
 def test_env_prime_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("DETPF_PRIME", "101")
     code, out, _ = run(capsys, "dominance", "--ambient", "2", "--degree", "3", "--seed", "1")

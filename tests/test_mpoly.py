@@ -8,6 +8,7 @@ from detpf.mpoly import (
     DegreeMismatch,
     HomogeneousForm,
     NonUniformImageDegrees,
+    ParseError,
     RankNotReached,
     check_degenerate,
     interpolate_homogeneous,
@@ -19,6 +20,8 @@ from detpf.mpoly import (
     parse_forms,
     sample_points,
 )
+from detpf.graded import parse_point_set
+from detpf.polymat import parse_graded_matrix
 from detpf.rng import FieldRng
 
 F = PrimeField(DEFAULT_PRIME)
@@ -233,6 +236,35 @@ def test_interpolation_rank_not_reached_on_tiny_field():
     F3 = PrimeField(3)
     with pytest.raises(RankNotReached):
         interpolate_homogeneous(lambda pt: 0, 2, 5, F3, seed=4)
+
+
+FORM_HEAD = "form nvars=3 degree=1 p=31991\n"
+MATRIX_HEAD = "gradedmatrix p=31991 nvars=3 symmetry=general\nrows 1\ncols 0\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text, line",
+    [
+        # bad header, bad term, bad body line for each reader
+        (parse_form, "form nvars=3 degree=x p=31991\n", 1),
+        (parse_form, FORM_HEAD + "1  1 1 0\n", 2),
+        (parse_form, FORM_HEAD + "1  1 0 0\nbogus\n", 3),
+        (parse_forms, "form nvars=3 degree=1\n", 1),
+        (parse_forms, FORM_HEAD + "1  1 0 x\n", 2),
+        (parse_forms, "1  1 0 0\n", 1),
+        (parse_graded_matrix, "gradedmatrix p=4 nvars=3 symmetry=general\n", 1),
+        (parse_graded_matrix, MATRIX_HEAD + "entry 0 0 nterms=1\n1  1 0\n", 5),
+        (parse_graded_matrix, MATRIX_HEAD + "columns 0\n", 4),
+        (parse_point_set, "points p=31991 nvars=three\n", 1),
+        (parse_point_set, "points p=31991 nvars=3\n1 0\n", 2),
+        (parse_point_set, "points p=31991 nvars=3\n1 0 x\n", 2),
+    ],
+)
+def test_every_reader_raises_one_parse_error(parse, text, line):
+    with pytest.raises(ParseError, match=f"^line {line}: ") as info:
+        parse(text)
+    assert isinstance(info.value, ValueError)
+    assert info.value.line_no == line
 
 
 def test_text_roundtrip_bit_exact():
