@@ -392,6 +392,8 @@ def main(argv: list[str] | None = None) -> int:
         mpoly.ParseError,
         constructions.DegreeInconsistency,
         constructions.UnsupportedAmbient,
+        graded.CharDividesDegree,
+        graded.TooManyVariables,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -44,6 +44,31 @@ may only lower a rank, never raise it.  A lowered rank can only turn cd = 0
 into cd > 0, which proves nothing; a raised rank could certify a map that is
 not dominant.  Evaluation is such a shortcut: points on which V drops
 rank can only lower rank E.
+
+The GL(2d) quotient is another.  It replaces the C(2d, 2) columns of E
+that carry x_0 by the single column x_0 sum_{i<j} (M_0)_ij (M(x)^-1)_ij,
+which is -x_0 dpf(M_0) / pf(M(x)), where dpf(N) = sum_{i<j} N_ij dpf/dm_ij
+at M(x) is the pfaffian's derivative in the direction N.  The new column is
+a combination of the old ones, so E' = E T for a fixed column map T and
+rank E' <= rank E for any sample: the invariant holds whatever M_0 is.
+Equality holds for any sample when pf(M_0) != 0 and p does not divide d:
+
+* pf(g M g^t) = det(g) pf(M) for g in GL(2d), applied to every M_k;
+  differentiating at g = 1 in the direction X gives
+  sum_k x_k dpf(X M_k + M_k X^t) = tr(X) pf;
+* Euler's relation for pf, homogeneous of degree d in the entries, gives
+  pf = (1/d) sum_k x_k dpf(M_k), which needs p not to divide d;
+* together, x_0 dpf(X M_0 + M_0 X^t) lies in
+  span{x_k P_ij : k >= 1} + <x_0 dpf(M_0)> for every X, and when M_0 is
+  invertible, X = N M_0^-1 / 2 makes X M_0 + M_0 X^t any skew N.
+
+So span{x_k P_ij} = span{x_k P_ij : k >= 1} + <x_0 dpf(M_0)>, a linear
+identity among the forms: the column span of C is unchanged, hence
+rank E' = rank E exactly.  `_quotient_is_exact` checks both conditions
+once per certificate and keeps the full E when either fails; a
+certificate's `quotient` field says which ran.  This is the quotient
+behind the moduli count (n+1) d (2d-1) - 4 d^2 of section 7, applied to the
+columns of E rather than to the dimension.
 """
 
 from __future__ import annotations
@@ -167,6 +192,8 @@ class DominanceCertificate:
     elapsed_seconds: float
     verdict: str
     matrix_hash: str
+    inverse_fallbacks: int | None
+    quotient: bool
     version: str = __version__
 
     def to_dict(self) -> dict:
@@ -183,6 +210,8 @@ class DominanceCertificate:
             "elapsed_seconds": self.elapsed_seconds,
             "verdict": self.verdict,
             "matrix_hash": self.matrix_hash,
+            "inverse_fallbacks": self.inverse_fallbacks,
+            "quotient": self.quotient,
             "version": self.version,
         }
 
@@ -198,19 +227,28 @@ class DominanceCertificate:
         return "r,d,prime,seed,cd,rank,target,verdict,elapsed_ms"
 
 
-def _span_rank(L: LinearSkewMatrix, d: int, seed: int) -> tuple[int, int, int]:
+def _span_rank(
+    L: LinearSkewMatrix, d: int, seed: int, stats: dict | None = None
+) -> tuple[int, int, int]:
     """(rank of the evaluation matrix, target dim, sample points drawn).
 
     Rows are x (x) triu(M(x)^-1) at the first N = C(d+r, r) points of the
     stream where M(x) is invertible; singular points are dropped and
-    replaced by `mpoly.sample_usable`.
+    replaced by `mpoly.sample_usable`.  When `_quotient_is_exact`, the x_0
+    block of C(2d, 2) columns is replaced by the single column
+    x_0 sum_{i<j} (M_0)_ij (M(x)^-1)_ij (module docstring).  `stats`, when
+    given, gets `quotient` (whether it was) and `inverse_fallbacks` (see
+    `exactlin.invert_many`; None when the Schur recursion did not run).
     """
     field = L.field
     target = monomial_count(L.nvars, d)
     upper = np.triu_indices(L.size, 1)
+    inverse_stats: dict = {}
 
     def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        inverses, invertible = exactlin.invert_many(L.evaluate_batch(points), field.p)
+        inverses, invertible = exactlin.invert_many(
+            L.evaluate_batch(points), field.p, inverse_stats
+        )
         return inverses[:, upper[0], upper[1]], invertible
 
     # the point stream submaximal_pfaffians draws from for the same seed
@@ -218,8 +256,22 @@ def _span_rank(L: LinearSkewMatrix, d: int, seed: int) -> tuple[int, int, int]:
     points, entries, drawn = sample_usable(
         values_fn, field, L.nvars, stream, target, len(upper[0])
     )
-    rows = (points[:, :, None] * entries[:, None, :]).reshape(len(points), -1)
+    quotient = _quotient_is_exact(L)
+    first = 1 if quotient else 0
+    rows = (points[:, first:, None] * entries[:, None, :]).reshape(len(points), -1)
+    if quotient:
+        m0 = L.coeff[0][upper][:, None]
+        rows = np.hstack([points[:, :1] * exactlin._matmul(entries, m0, field.p), rows])
+    if stats is not None:
+        stats.update(quotient=quotient, inverse_fallbacks=inverse_stats.get("fallbacks"))
     return exactlin.rank(ScalarMatrix(field, rows)), target, drawn
+
+
+def _quotient_is_exact(L: LinearSkewMatrix) -> bool:
+    """Collapsing the x_0 block keeps rank E: pf(M_0) != 0 and p does not
+    divide the degree of pf M (module docstring)."""
+    p = L.field.p
+    return (L.size // 2) % p != 0 and exactlin._pfaffian_array(L.coeff[0], p) != 0
 
 
 def span_rank_by_interpolation(
@@ -268,7 +320,8 @@ def pfaffian_codim(
     t0 = time.perf_counter()
     rng = FieldRng(seed, "dominance", r, d, attempt)
     L = random_linear_skew(field, r + 1, 2 * d, rng)
-    rank, target, points = _span_rank(L, d, derive_seed(seed, "interp", r, d, attempt))
+    route: dict = {}
+    rank, target, points = _span_rank(L, d, derive_seed(seed, "interp", r, d, attempt), route)
     codim = target - rank
     elapsed = time.perf_counter() - t0
     if codim == 0:
@@ -290,6 +343,8 @@ def pfaffian_codim(
         elapsed_seconds=elapsed,
         verdict=verdict,
         matrix_hash=L.content_hash(),
+        inverse_fallbacks=route["inverse_fallbacks"],
+        quotient=route["quotient"],
     )
 
 

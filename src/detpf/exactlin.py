@@ -26,14 +26,29 @@ products over chunks of the inner dimension otherwise.
 Stacks of small matrices go through one batched loop, `_eliminate_stack`,
 with the same delayed reduction: the pivot column and pivot row are reduced
 at each step, the other rows only when n*(p-1)**2 + p reaches 2**63.
-`invert_many` runs it as Gauss-Jordan on the (count, n, 2n) stack [M | I];
-`_det_array` runs it clearing below the pivots only, and reads each
-member's determinant off its pivots.  A member without a pivot in some
-column is singular, has determinant 0 and leaves the others untouched.
+`_gauss_jordan_many` runs it as Gauss-Jordan on the (count, n, 2n) stack
+[M | I]; `_det_array` runs it clearing below the pivots only, and reads
+each member's determinant off its pivots.  A member without a pivot in
+some column is singular, has determinant 0 and leaves the others untouched.
+
 `_pfaffian_array`, a congruence elimination with two pivots per step, takes
 the pfaffians of a stack of skew matrices.  Callers that need det or pf of
 M(x) at many points (interpolation, maximal minors) make one call per batch
 of points.
+
+`invert_many` inverts a stack by block recursion through the Schur
+complement (`_schur_inverse`, after Strassen, Numer. Math. 13, 1969):
+split each member as
+[[A, B], [C, D]] with A of even size h near n/2, invert A and
+S = D - C A^-1 B by the same recursion down to 4 x 4 blocks, which
+Gauss-Jordan takes, and assemble the inverse from six stacked float64
+products, each reduced mod p.  A leading block of a skew matrix is skew, as
+is its Schur complement, and h is even because a skew matrix of odd size
+is singular.  The products are exact while k*(p-1)**2 + 2p < 2**53 for
+k = max(h, n - h), up to p of about 2.3e7 at n = 32; above that, and for
+n <= 4, the whole stack goes through Gauss-Jordan.  Members with a
+singular A or S at some level are rerun through Gauss-Jordan.  The inverse
+is unique, so both routes give the same residues.
 
 Pivoting always selects the first nonzero entry in row order -- GF(p) has no
 magnitude.  The rule depends only on residues, and both paths compute every
@@ -52,6 +67,7 @@ MAX_MODULUS = 1 << 31
 
 PANEL = 32  # columns factored by the rank-1 loop before one trailing product
 STRIP = 256  # rows per float64 trailing product, bounding its temporaries
+SCHUR_BASE = 4  # largest members `_schur_inverse` hands to Gauss-Jordan
 
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 INT64_LIMIT = 1 << 63
@@ -445,6 +461,12 @@ def _inverse_residues(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+def _stack_is_delayed(p: int, n: int) -> bool:
+    """`_eliminate_stack` may leave n-column stacks unreduced between steps:
+    n*(p-1)**2 + p < 2**63."""
+    return n <= _max_terms(p, INT64_LIMIT, p)
+
+
 def _eliminate_stack(m: np.ndarray, p: int, n: int, jordan: bool) -> np.ndarray:
     """Eliminate the first n columns of every member of a (count, n, width)
     stack in place; return the determinant of each member's leading n x n block.
@@ -460,7 +482,7 @@ def _eliminate_stack(m: np.ndarray, p: int, n: int, jordan: bool) -> np.ndarray:
     that fails (p close to 2**31) the stack is reduced after every step.
     """
     det = np.ones(m.shape[0], dtype=np.int64)
-    delayed = n <= _max_terms(p, INT64_LIMIT, p)
+    delayed = _stack_is_delayed(p, n)
     for col in range(n):
         column = m[:, :, col]
         np.remainder(column, p, out=column)
@@ -486,18 +508,9 @@ def _eliminate_stack(m: np.ndarray, p: int, n: int, jordan: bool) -> np.ndarray:
     return det
 
 
-def invert_many(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a stack of n x n matrices by one batched Gauss-Jordan.
-
-    Returns (inverses, invertible) for a (count, n, n) stack: where
-    invertible[t], inverses[t] is byte-equal to `invert` of stack[t];
-    singular members come back as zero matrices and leave the others
-    untouched.  Each member pivots as `invert` does, on the first nonzero
-    entry of the column in row order (`_eliminate_stack`).
-    """
-    a = np.mod(np.asarray(stack, dtype=np.int64), p)
-    if a.ndim != 3 or a.shape[1] != a.shape[2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+def _gauss_jordan_many(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inverses, invertible) of a (count, n, n) stack of residues by one
+    batched Gauss-Jordan on [M | I]; singular members come back as zeros."""
     count, n, _ = a.shape
     m = np.zeros((count, n, 2 * n), dtype=np.int64)
     m[:, :, :n] = a
@@ -505,6 +518,99 @@ def invert_many(stack, p: int) -> tuple[np.ndarray, np.ndarray]:
     invertible = _eliminate_stack(m, p, n, jordan=True) != 0
     inverses = m[:, :, n:] % p
     inverses[~invertible] = 0
+    return inverses, invertible
+
+
+def _schur_split(n: int) -> int:
+    """Size h of the leading block: the even number nearest n/2.
+
+    A skew matrix of odd size is singular, so an odd leading block would
+    send every skew member back to Gauss-Jordan.
+    """
+    return 2 * ((n + 2) // 4)
+
+
+def _schur_is_exact(p: int, n: int) -> bool:
+    """The Schur recursion on n x n members is exact in float64 (see
+    `_schur_inverse`) and has a block to split off (n > SCHUR_BASE)."""
+    h = _schur_split(n)
+    return n > SCHUR_BASE and max(h, n - h) <= _max_terms(p, FLOAT_EXACT, 2 * p)
+
+
+def _reduce_float(c: np.ndarray, p: int) -> np.ndarray:
+    """c mod p for a float64 array of integers with |c| + 2p < 2**53.
+
+    The quotient c / p is correctly rounded, so its floor is the true
+    quotient or one more; one conditional add of p corrects the latter.
+    """
+    q = c / p
+    np.floor(q, out=q)
+    q *= p
+    r = c - q
+    np.add(r, p, out=r, where=r < 0)
+    return r
+
+
+def _schur_inverse(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(inverses, ok) of a (count, n, n) float64 stack of residues by block
+    recursion through the Schur complement (Strassen, Numer. Math. 13, 1969).
+
+    With M = [[A, B], [C, D]], X = A^-1 B, Y = C A^-1, S = D - C X and
+    Z = X S^-1, the inverse is [[A^-1 + Z Y, -Z], [-S^-1 Y, S^-1]].  A and
+    S are inverted by the same recursion, down to SCHUR_BASE rows, where
+    `_gauss_jordan_many` runs.  Every product is one stacked float64 matmul
+    of residues with inner dimension at most k = max(h, n - h), reduced mod
+    p; its entries, plus one residue, stay below k*(p-1)**2 + p, exact while
+    that plus p is below 2**53 (`_schur_is_exact`).  ok[t] is False when a
+    leading block or a Schur complement of member t is singular; its
+    inverse is then meaningless, though still made of residues.
+    """
+    count, n, _ = a.shape
+    if n <= SCHUR_BASE:
+        inverses, ok = _gauss_jordan_many(a.astype(np.int64), p)
+        return inverses.astype(np.float64), ok
+    h = _schur_split(n)
+    A, B, C, D = a[:, :h, :h], a[:, :h, h:], a[:, h:, :h], a[:, h:, h:]
+    a_inv, ok = _schur_inverse(A, p)
+    x = _reduce_float(a_inv @ B, p)
+    y = _reduce_float(C @ a_inv, p)
+    s_inv, ok_s = _schur_inverse(_reduce_float(D - C @ x, p), p)
+    z = _reduce_float(x @ s_inv, p)
+    out = np.empty_like(a)
+    out[:, :h, :h] = _reduce_float(a_inv + z @ y, p)
+    out[:, :h, h:] = _reduce_float(p - z, p)
+    out[:, h:, :h] = _reduce_float(p - _reduce_float(s_inv @ y, p), p)
+    out[:, h:, h:] = s_inv
+    return out, ok & ok_s
+
+
+def invert_many(stack, p: int, stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of n x n matrices.
+
+    Returns (inverses, invertible) for a (count, n, n) stack: where
+    invertible[t], inverses[t] is byte-equal to `invert` of stack[t];
+    singular members come back as zero matrices and leave the others
+    untouched.  The stack is inverted by the Schur recursion
+    (`_schur_inverse`) when it is exact at p, and the members it fails --
+    a singular leading block or Schur complement, or M itself singular --
+    are rerun through one batched Gauss-Jordan (`_gauss_jordan_many`), as
+    is the whole stack otherwise.  The inverse is unique, so the route
+    never shows in the result.  `stats`, when given, gets `fallbacks`
+    increased by the number of members rerun; it is left alone when the
+    recursion does not run.
+    """
+    a = np.mod(np.asarray(stack, dtype=np.int64), p)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
+    if not _schur_is_exact(p, a.shape[1]):
+        return _gauss_jordan_many(a, p)
+    inverses, invertible = _schur_inverse(a.astype(np.float64), p)
+    inverses = inverses.astype(np.int64)
+    rerun = np.nonzero(~invertible)[0]
+    if rerun.size:
+        inverses[rerun], invertible[rerun] = _gauss_jordan_many(a[rerun], p)
+    if stats is not None:
+        stats["fallbacks"] = stats.get("fallbacks", 0) + rerun.size
     return inverses, invertible
 
 

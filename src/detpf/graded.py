@@ -50,6 +50,10 @@ class CharDividesDegree(ValueError):
     """Euler's relation fails: the characteristic divides the degree."""
 
 
+class TooManyVariables(ValueError):
+    """The smoothness certificate supports at most 4 variables."""
+
+
 class DuplicatePoint(ValueError):
     pass
 
@@ -255,7 +259,9 @@ def smoothness_certificate(
             f"char {field.p} divides deg {d}; choose a different prime"
         )
     if F.nvars > 4:
-        raise ValueError("smoothness certificate supports at most 4 variables")
+        raise TooManyVariables(
+            f"smoothness certificate supports at most 4 variables, got {F.nvars}"
+        )
     if d < 2:
         return SmoothnessCertificate("smooth", 0, None, None)
     J = F.nvars * (d - 2) + 1

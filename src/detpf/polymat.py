@@ -264,9 +264,12 @@ def parse_graded_matrix(text: str, field: PrimeField | None = None) -> GradedMat
             parts = line.split()
             try:
                 r, c = int(parts[1]), int(parts[2])
-                nterms = int(parts[3].split("=", 1)[1])
+                key, count = parts[3].split("=", 1)
+                nterms = int(count)
             except (IndexError, ValueError) as exc:
                 raise ParseError(i, f"bad entry header: {exc}") from exc
+            if key != "nterms" or len(parts) != 4:
+                raise ParseError(i, f"bad entry header {line!r}: expected 'entry ROW COL nterms=K'")
             if not (0 <= r < len(rows) and 0 <= c < len(cols)):
                 raise ParseError(
                     i, f"entry ({r}, {c}) outside the {len(rows)}x{len(cols)} matrix"
@@ -280,6 +283,8 @@ def parse_graded_matrix(text: str, field: PrimeField | None = None) -> GradedMat
                 i += 1
                 # a negative twist gap admits no term: the entry must vanish
                 exp, coeff = read_term(i, lines[i - 1], header["nvars"], rows[r] - cols[c])
+                if exp in coeffs:
+                    raise ParseError(i, f"duplicate exponent {exp}")
                 coeffs[exp] = coeff
         else:
             raise ParseError(i, f"unrecognized line {line!r}")
@@ -345,11 +350,11 @@ class LinearSkewMatrix:
         return ScalarMatrix(self.field, acc)
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
+        """(npoints, size, size) stack of M(x): one product of the points
+        with the flattened M_k."""
         pts = np.mod(np.asarray(points, dtype=np.int64), self.field.p)
-        out = np.zeros((pts.shape[0], self.size, self.size), dtype=np.int64)
-        for k in range(self.nvars):
-            out = (out + pts[:, k, None, None] * self.coeff[k][None, :, :]) % self.field.p
-        return out
+        flat = self.coeff.reshape(self.nvars, -1)
+        return exactlin._matmul(pts, flat, self.field.p).reshape(-1, self.size, self.size)
 
     def to_graded(self) -> GradedMatrix:
         entries = []

@@ -204,6 +204,39 @@ def test_smooth_command(tmp_path, capsys):
     assert json.loads(out)["verdict"] == "smooth"
 
 
+@pytest.mark.parametrize(
+    "prime, text, needle",
+    [
+        # five variables: the certificate supports at most four
+        ("31991", "form nvars=5 degree=2 p=31991\n1  2 0 0 0 0\n", "at most 4 variables"),
+        # the Fermat cubic where the characteristic divides the degree
+        ("3", "form nvars=3 degree=3 p=3\n1  3 0 0\n1  0 3 0\n1  0 0 3\n", "char 3 divides"),
+    ],
+)
+def test_smooth_refuses_what_it_cannot_certify_with_exit_2(tmp_path, capsys, prime, text, needle):
+    path = tmp_path / "f.form"
+    path.write_text(text)
+    code, out, err = run(capsys, "smooth", "--form", str(path), "--prime", prime)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and needle in err
+
+
+@pytest.mark.parametrize(
+    "body, needle",
+    [
+        ("entry 0 0 bogus=1\n1  1 0 0\n", "line 4"),
+        ("entry 0 0 nterms=2\n1  1 0 0\n2  1 0 0\n", "line 6"),
+    ],
+)
+def test_matrix_entry_header_key_and_repeated_exponent_exit_2(tmp_path, capsys, body, needle):
+    path = tmp_path / "bad.gm"
+    path.write_text("gradedmatrix p=31991 nvars=3 symmetry=general\nrows 1\ncols 0\n" + body)
+    code, _, err = run(capsys, "hilbert", "--matrix", str(path), "--degrees", "0..1")
+    assert code == 2
+    assert f"error: {needle}" in err
+
+
 def test_input_errors_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.gm"
     bad.write_text("gradedmatrix p=31991 nvars=3 symmetry=general\nrows 0\ncols 0\nentry 0 0 nterms=zzz\n")

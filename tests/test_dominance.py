@@ -3,7 +3,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from detpf import exactlin
+from detpf import dominance, exactlin
 from detpf.constructions import random_linear_skew
 from detpf.dominance import (
     _span_rank,
@@ -167,18 +167,89 @@ CROSS_ROUTE = [
 ]
 
 
+def full_rank(monkeypatch, L, d, seed):
+    """The rank of E with every x_0 column kept."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dominance, "_quotient_is_exact", lambda L: False)
+        return _span_rank(L, d, seed)[0]
+
+
+def forced_quotient_rank(monkeypatch, L, d, seed):
+    """The rank of E with the x_0 block collapsed whether or not it may be."""
+    with monkeypatch.context() as patch:
+        patch.setattr(dominance, "_quotient_is_exact", lambda L: True)
+        return _span_rank(L, d, seed)[0]
+
+
 @pytest.mark.parametrize("r, d, prime", CROSS_ROUTE)
-def test_evaluation_rank_matches_interpolated_span(r, d, prime):
+def test_evaluation_rank_matches_interpolated_span(monkeypatch, r, d, prime):
     seed = 3
     L = sampled_matrix(r, d, prime, seed)
     stream = derive_seed(seed, "interp", r, d, 1)
-    rank, target, drawn = _span_rank(L, d, stream)
+    route = {}
+    rank, target, drawn = _span_rank(L, d, stream, route)
     span, span_target, _ = span_rank_by_interpolation(L, d, stream)
     assert target == span_target == comb(d + r, r)
     assert drawn == target  # no singular point at these primes and seeds
-    assert rank == span
+    assert route["quotient"]  # pf(M_0) != 0 and p does not divide d
+    assert rank == full_rank(monkeypatch, L, d, stream) == span
     cert = pfaffian_codim(r, d, prime=prime, seed=seed)
     assert (cert.rank_achieved, cert.codim) == (rank, target - span)
+
+
+def with_m0(L, m0):
+    coeff = L.coeff.copy()
+    coeff[0] = m0 % L.field.p
+    return LinearSkewMatrix(L.field, L.nvars, coeff)
+
+
+@pytest.mark.parametrize(
+    "r, d, prime", [(2, 3, 31991), (3, 4, 31991), (4, 4, 31991), (5, 3, 31991), (2, 6, 2**31 - 1)]
+)
+def test_singular_m0_keeps_the_full_matrix(monkeypatch, r, d, prime):
+    L = sampled_matrix(r, d, prime, 1)
+    zero_row = L.coeff[0].copy()
+    zero_row[0, :] = zero_row[:, 0] = 0
+    e = np.eye(2 * d, dtype=np.int64)
+    rank_two = np.outer(e[0], e[1]) - np.outer(e[1], e[0])
+    for m0 in (zero_row, rank_two):
+        M = with_m0(L, m0)
+        route = {}
+        rank, _, _ = _span_rank(M, d, 1, route)
+        assert not route["quotient"]
+        assert rank == full_rank(monkeypatch, M, d, 1) == span_rank_by_interpolation(M, d, 1)[0]
+        # the collapsed column would not span the x_0 block here
+        assert forced_quotient_rank(monkeypatch, M, d, 1) < rank
+
+
+@pytest.mark.parametrize(
+    "r, d, prime, seed", [(2, 3, 3, 0), (2, 6, 3, 0), (2, 5, 5, 0), (3, 5, 5, 0)]
+)
+def test_p_dividing_d_keeps_the_full_matrix(monkeypatch, r, d, prime, seed):
+    L = sampled_matrix(r, d, prime, seed)
+    stream = derive_seed(seed, "interp", r, d, 1)
+    assert exactlin._pfaffian_array(L.coeff[0], prime) != 0
+    route = {}
+    rank, target, _ = _span_rank(L, d, stream, route)
+    assert not route["quotient"]
+    assert rank == full_rank(monkeypatch, L, d, stream)
+    # Euler's relation fails, and with it the quotient: here it loses a rank
+    assert forced_quotient_rank(monkeypatch, L, d, stream) == rank - 1
+    if d - 1 < prime:  # the P_ij interpolate
+        assert rank <= span_rank_by_interpolation(L, d, stream)[0] == target
+
+
+def test_certificate_records_the_route():
+    cert = pfaffian_codim(3, 6, seed=3)
+    doc = cert.to_dict()
+    assert (doc["quotient"], doc["inverse_fallbacks"]) == (True, 0)
+    # above the float64 bound only Gauss-Jordan runs
+    assert pfaffian_codim(3, 6, prime=2**31 - 1, seed=3).to_dict()["inverse_fallbacks"] is None
+    # 3 divides the degree
+    assert pfaffian_codim(2, 3, prime=3, seed=0).quotient is False
+    # 2d = 4 rows is Gauss-Jordan's base size: no recursion
+    assert pfaffian_codim(3, 2, seed=3).inverse_fallbacks is None
+    assert DominanceCertificate.csv_header().count(",") == len(cert.csv_row().split(",")) - 1
 
 
 def test_evaluation_rank_never_exceeds_span_at_a_small_prime():

@@ -399,26 +399,42 @@ def test_matmul_exact_on_both_paths(p, k):
 # ---- batched inverse ------------------------------------------------------------
 
 
-def _largest_delayed_prime(n: int) -> int:
-    """Largest prime p at which invert_many leaves an n x n stack unreduced."""
-    p = isqrt((exactlin.INT64_LIMIT - 1) // n)
-    while not (exactlin._is_prime(p) and n <= exactlin._max_terms(p, exactlin.INT64_LIMIT, p)):
-        p -= 1
-    return p
+def _primes_around(m: int) -> tuple[int, int]:
+    """The largest prime <= m and the smallest prime > m."""
+    lo, hi = m, m + 1
+    while not exactlin._is_prime(lo):
+        lo -= 1
+    while not exactlin._is_prime(hi):
+        hi += 1
+    return lo, hi
 
 
-INVERT_SIZES = (1, 2, 5, 30, 32, 33)
-# 2**31 - 1 takes the reduce-every-step path for every n > 1; the other
-# prime sits on the delayed-reduction bound for n = 33
-INVERT_PRIMES = (3, 31991, _largest_delayed_prime(33), 2**31 - 1)
+def _delayed_boundary(n: int) -> tuple[int, int]:
+    """The primes either side of n*(p-1)**2 + p < 2**63, the bound under
+    which `_eliminate_stack` leaves an n-column stack unreduced."""
+    m = isqrt((exactlin.INT64_LIMIT - 1) // n) + 2
+    while n * (m - 1) ** 2 + m >= exactlin.INT64_LIMIT:
+        m -= 1
+    return _primes_around(m)
+
+
+INVERT_SIZES = (1, 2, 4, 5, 6, 30, 32, 33)
+# the Schur recursion runs for n > 4 at the first four primes; 2**31 - 1
+# takes Gauss-Jordan, reducing every step for every n > 1; the other prime
+# sits on the delayed-reduction bound for n = 33
+INVERT_PRIMES = (3, 7, 31991, 16777213, _delayed_boundary(33)[0], 2**31 - 1)
+INVERT_KINDS = ("random", "swap", "dependent", "zero", "lead2", "leadh", "skew")
 
 
 def stacked(p, n, kinds, seed):
     """(count, n, n) stack, one member per entry of `kinds`:
     "random", "swap" (column 0 zero in the top rows, forcing row swaps),
-    "dependent" (last row a combination of the others) or "zero"."""
+    "dependent" (last row a combination of the others), "zero", "lead2"
+    (leading 2 x 2 block zero), "leadh" (the Schur recursion's leading
+    h x h block singular, the rest random) or "skew"."""
     rng = np.random.default_rng(seed)
     out = rng.integers(0, p, (len(kinds), n, n), dtype=np.int64)
+    h = exactlin._schur_split(n)
     for t, kind in enumerate(kinds):
         if kind == "swap":
             out[t, : max(1, n - 1), 0] = 0
@@ -427,6 +443,14 @@ def stacked(p, n, kinds, seed):
             out[t, -1] = (c.dot(out[t, :-1].astype(object)) % p).astype(np.int64)
         elif kind == "zero":
             out[t] = 0
+        elif kind == "lead2":
+            out[t, :2, :2] = 0
+        elif kind == "leadh" and 1 < h < n:
+            c = rng.integers(0, p, h - 1).astype(object)
+            out[t, h - 1, :h] = (c.dot(out[t, : h - 1, :h].astype(object)) % p).astype(np.int64)
+        elif kind == "skew":
+            upper = np.triu(out[t], 1)
+            out[t] = (upper - upper.T) % p
     return out
 
 
@@ -434,23 +458,27 @@ def stacked(p, n, kinds, seed):
 def stacks(draw):
     p = draw(st.sampled_from(INVERT_PRIMES))
     n = draw(st.sampled_from(INVERT_SIZES))
-    kinds = draw(
-        st.lists(st.sampled_from(("random", "swap", "dependent", "zero")), min_size=1, max_size=5)
-    )
+    kinds = draw(st.lists(st.sampled_from(INVERT_KINDS), min_size=1, max_size=5))
     return p, stacked(p, n, kinds, draw(st.integers(0, 2**32 - 1)))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(stacks())
 @example((2**31 - 1, stacked(2**31 - 1, 33, ["swap", "dependent", "random"], 1)))
 @example((31991, stacked(31991, 32, ["random", "zero", "swap", "dependent"], 2)))
 @example((3, stacked(3, 30, ["random"] * 5, 3)))
+@example((7, stacked(7, 30, ["lead2", "leadh", "skew", "random"], 4)))
+@example((16777213, stacked(16777213, 32, ["lead2", "leadh", "skew", "swap"], 5)))
+@example((31991, stacked(31991, 33, ["leadh", "lead2", "skew"], 6)))
 def test_invert_many_matches_invert_and_reference(case):
     p, stack = case
     field = PrimeField(p)
     n = stack.shape[1]
     inverses, invertible = exactlin.invert_many(stack, p)
     assert inverses.dtype == np.int64 and inverses.shape == stack.shape
+    jordan, jordan_ok = exactlin._gauss_jordan_many(stack % p, p)
+    assert inverses.tobytes() == jordan.tobytes()
+    assert invertible.tolist() == jordan_ok.tolist()
     eye = np.eye(n, dtype=np.int64)
     for t, a in enumerate(stack):
         _, reduced, pivots, _ = reference_eliminate(np.hstack([a, eye]).tolist(), p, n)
@@ -463,6 +491,170 @@ def test_invert_many_matches_invert_and_reference(case):
             assert invertible[t]
             assert inverses[t].tolist() == [r[n:] for r in reduced]
             assert inverses[t].tobytes() == invert(ScalarMatrix(field, a)).a.tobytes()
+
+
+def test_singular_leading_blocks_fall_back_to_gauss_jordan():
+    p = 31991
+    kinds = ["lead2", "random", "leadh", "skew", "zero"]
+    stack = stacked(p, 30, kinds, 8)
+    stats = {}
+    inverses, invertible = exactlin.invert_many(stack, p, stats)
+    # M stays invertible when only a leading block is singular; the 16 x 16
+    # block of "leadh" sends its member back, while the zero 2 x 2 block of
+    # "lead2" sits inside a 4 x 4 base block, which Gauss-Jordan pivots around,
+    # and the leading blocks of a skew member have even size
+    assert invertible.tolist() == [True, True, True, True, False]
+    assert stats == {"fallbacks": 2}
+    for t in (0, 2, 3):
+        assert _matmul_reference(stack[t], inverses[t], p) == np.eye(30, dtype=np.int64).tolist()
+    exactlin.invert_many(stack[2:], p, stats)
+    assert stats == {"fallbacks": 4}  # accumulated over calls
+    untouched = {}
+    exactlin.invert_many(stack, 2**31 - 1, untouched)
+    assert untouched == {}  # no recursion ran, so nothing fell back
+
+
+@pytest.mark.parametrize(
+    "p, n, schur",
+    [(31991, 30, True), (31991, 32, True), (31991, 4, False), (2**31 - 1, 32, False)],
+)
+def test_invert_many_route_by_size_and_prime(monkeypatch, p, n, schur):
+    calls = {"schur": 0, "jordan": []}
+    recurse, jordan = exactlin._schur_inverse, exactlin._gauss_jordan_many
+
+    def counted_schur(a, q):
+        calls["schur"] += 1
+        return recurse(a, q)
+
+    def counted_jordan(a, q):
+        calls["jordan"].append(a.shape[1])
+        return jordan(a, q)
+
+    monkeypatch.setattr(exactlin, "_schur_inverse", counted_schur)
+    monkeypatch.setattr(exactlin, "_gauss_jordan_many", counted_jordan)
+    stack = stacked(p, n, ["random"] * 6, n)
+    inverses, invertible = exactlin.invert_many(stack, p)
+    assert invertible.all()
+    if schur:
+        assert calls["schur"] > 1  # the top call and its recursion
+        assert max(calls["jordan"]) <= exactlin.SCHUR_BASE  # only the base blocks
+    else:
+        assert calls == {"schur": 0, "jordan": [n]}
+    for t in range(len(stack)):
+        assert _matmul_reference(stack[t], inverses[t], p) == np.eye(n, dtype=np.int64).tolist()
+
+
+# ---- worst-case entries at the exactness bounds -------------------------------
+
+
+def _schur_boundary(n: int) -> tuple[int, int]:
+    """The primes either side of k*(p-1)**2 + 2p < 2**53, k = max(h, n - h),
+    the bound under which invert_many runs the Schur recursion on n x n."""
+    h = exactlin._schur_split(n)
+    k = max(h, n - h)
+    m = isqrt((exactlin.FLOAT_EXACT - 1) // k) + 2
+    while k * (m - 1) ** 2 + 2 * m >= exactlin.FLOAT_EXACT:
+        m -= 1
+    return _primes_around(m)
+
+
+@pytest.mark.parametrize("n", (2, 5, 6, 30, 32, 33))
+def test_bound_predicates_switch_at_the_documented_primes(n):
+    lo, hi = _delayed_boundary(n)
+    assert exactlin._stack_is_delayed(lo, n) and not exactlin._stack_is_delayed(hi, n)
+    lo, hi = _schur_boundary(n)
+    assert exactlin._schur_is_exact(lo, n) == (n > exactlin.SCHUR_BASE)
+    assert not exactlin._schur_is_exact(hi, n)
+
+
+def delayed_worst_case(n, p):
+    """M = L U with L unit lower triangular of ones and U unit upper
+    triangular with -1 above the diagonal.
+
+    Each elimination step pivots on 1 in place, every row below takes the
+    multiplier f = p - 1 and the pivot row holds p - 1 right of the pivot,
+    so every unreduced update adds exactly (p-1)**2: the last row takes
+    n - 1 of them, the most `_eliminate_stack` lets any entry take.
+    """
+    lower = np.tril(np.ones((n, n), dtype=object))
+    upper = np.triu(np.full((n, n), -1, dtype=object), 1) + np.eye(n, dtype=object)
+    return lower, upper, (lower.dot(upper) % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("n", (2, 5, 33))
+@pytest.mark.parametrize("side", (0, 1))
+def test_delayed_reduction_bound_with_worst_case_entries(n, side):
+    # on the bound's last prime the stack stays unreduced; on the next
+    # prime it is reduced after every step
+    p = _delayed_boundary(n)[side]
+    assert not exactlin._schur_is_exact(p, n)  # Gauss-Jordan runs
+    lower, upper, a = delayed_worst_case(n, p)
+    echelon, reduced, pivots, sign = reference_eliminate(a.tolist(), p, n)
+    # the elimination the family is built for: no swap, U as the echelon form
+    assert (pivots, sign) == (list(range(n)), 1)
+    assert echelon == (upper % p).tolist()
+    assert exactlin._det_array(np.stack([a, a]), p).tolist() == [1, 1]
+    inverses, invertible = exactlin.invert_many(a[None], p)
+    eye = np.eye(n, dtype=np.int64)
+    _, reduced, _, _ = reference_eliminate(np.hstack([a, eye]).tolist(), p, n)
+    assert invertible.tolist() == [True]
+    assert inverses[0].tolist() == [r[n:] for r in reduced]
+
+
+def schur_worst_case(n, p):
+    """[[I, -2J], [-2J, 4h J + I]] with J all ones and h the leading size.
+
+    A = I and S = D - C A^-1 B = I, while C A^-1 B sums h products
+    (p-2)**2 and A^-1 + (A^-1 B S^-1)(C A^-1) sums n - h of them plus 1.
+    The products are odd, so a float64 partial sum past 2**53 would round.
+    """
+    h = exactlin._schur_split(n)
+    a = np.full((n, n), p - 2, dtype=np.int64)
+    a[:h, :h] = np.eye(h, dtype=np.int64)
+    a[h:, h:] = 4 * h + np.eye(n - h, dtype=np.int64)
+    return a
+
+
+@pytest.mark.parametrize("n", (5, 6, 30, 32, 33))
+def test_schur_bound_with_worst_case_entries(monkeypatch, n):
+    p, beyond = _schur_boundary(n)
+    h = exactlin._schur_split(n)
+    k = max(h, n - h)
+    seen = []
+    reduce_float = exactlin._reduce_float
+    monkeypatch.setattr(
+        exactlin,
+        "_reduce_float",
+        lambda c, q: seen.append(float(np.abs(c).max(initial=0))) or reduce_float(c, q),
+    )
+    a = schur_worst_case(n, p)
+    stats = {}
+    inverses, invertible = exactlin.invert_many(a[None], p, stats)
+    assert stats == {"fallbacks": 0}
+    # the products come within 2k(p-1) of the bound; when h > n - h, C A^-1 B
+    # does, and its reduction sees D - C A^-1 B, less by 4h + 1
+    assert max(seen) > k * (p - 2) ** 2 - p
+    eye = np.eye(n, dtype=np.int64)
+    _, reduced, pivots, _ = reference_eliminate(np.hstack([a, eye]).tolist(), p, n)
+    assert invertible.tolist() == [len(pivots) == n] == [True]
+    assert inverses[0].tolist() == [r[n:] for r in reduced]
+    # one prime further, Gauss-Jordan takes the same family
+    a = schur_worst_case(n, beyond)
+    stats = {}
+    inverses, _ = exactlin.invert_many(a[None], beyond, stats)
+    assert stats == {}
+    assert _matmul_reference(a, inverses[0], beyond) == eye.tolist()
+
+
+@pytest.mark.parametrize("p", PRIMES + (16777213, 67108859))
+def test_reduce_float_at_the_edges(p):
+    limit = exactlin.FLOAT_EXACT - 2 * p
+    values = np.array(
+        [0, 1, p - 1, p, p + 1, -1, -p, -p - 1, limit - 1, -(limit - 1), limit - p, 7 * p + 3],
+        dtype=np.int64,
+    )
+    got = exactlin._reduce_float(values.astype(np.float64), p)
+    assert got.tolist() == [int(v) % p for v in values]
 
 
 def test_invert_many_members_do_not_interact():
