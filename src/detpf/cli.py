@@ -2,9 +2,11 @@
 
 Every subcommand renders a JSON document (the canonical output); text output
 is a flat rendering of the same dict, and sweep CSV rows carry the fixed
-column set r,d,prime,seed,cd,rank,target,verdict,elapsed_ms.  Exit codes:
-0 success, 1 verification/certification failure, 2 usage or input errors;
-every malformed input file raises `mpoly.ParseError`, which exits 2.
+column set r,d,prime,seed,cd,rank,target,verdict,elapsed_ms.  Each subcommand
+declares only the options its handler reads, so argparse refuses the rest.
+Exit codes: 0 success, 1 verification/certification failure, 2 usage or
+input errors; every malformed input file raises `mpoly.ParseError`, which
+exits 2.
 """
 
 from __future__ import annotations
@@ -13,25 +15,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import __version__, constructions, dominance, graded, mpoly, polymat
 from .exactlin import DEFAULT_PRIME, PrimeField
 from .rng import FieldRng
-
-
-@dataclass
-class RunConfig:
-    prime: int = DEFAULT_PRIME
-    seed: int = 0
-    retries: int = 3
-    max_certificate_degree: int = 40
-    workers: int = 1
-    output: str | None = None
-    fmt: str = "json"
-
-    def field(self) -> PrimeField:
-        return PrimeField(self.prime)
 
 
 class InputError(ValueError):
@@ -48,41 +35,13 @@ def _env_int(name: str, default: int) -> int:
         raise InputError(f"environment variable {name}={raw!r} is not an integer") from exc
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--prime", type=int, default=None, help="field modulus (odd prime)")
-    sub.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
-    sub.add_argument("--retries", type=int, default=3, help="independent samples before giving up")
-    sub.add_argument("--workers", type=int, default=None, help="worker pool size for sweeps")
-    sub.add_argument("--output", type=str, default=None, help="write result to this path")
-    sub.add_argument(
-        "--format", dest="fmt", choices=("json", "csv", "text"), default="json"
-    )
-    sub.add_argument(
-        "--work-limit-degree",
-        type=int,
-        default=40,
-        help="largest graded piece degree certificates may compute",
-    )
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
+def _field(args: argparse.Namespace) -> PrimeField:
+    """The field of `--prime`, else of `DETPF_PRIME`, else of the default prime."""
     prime = args.prime if args.prime is not None else _env_int("DETPF_PRIME", DEFAULT_PRIME)
-    workers = args.workers if getattr(args, "workers", None) is not None else _env_int(
-        "DETPF_WORKERS", 1
-    )
     try:
-        PrimeField(prime)
+        return PrimeField(prime)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    return RunConfig(
-        prime=prime,
-        seed=args.seed,
-        retries=args.retries,
-        max_certificate_degree=getattr(args, "work_limit_degree", 40),
-        workers=workers,
-        output=args.output,
-        fmt=args.fmt,
-    )
 
 
 def _render_text(doc, indent: int = 0) -> str:
@@ -101,17 +60,15 @@ def _render_text(doc, indent: int = 0) -> str:
     return f"{pad}{doc}"
 
 
-def _emit(cfg: RunConfig, doc, csv_lines: list[str] | None = None) -> None:
-    if cfg.fmt == "json":
+def _emit(args: argparse.Namespace, doc, csv_lines: list[str] | None = None) -> None:
+    if args.fmt == "json":
         text = json.dumps(doc, indent=2, sort_keys=True)
-    elif cfg.fmt == "csv":
-        if csv_lines is None:
-            raise InputError("csv output is only available for certificate sweeps")
+    elif args.fmt == "csv":
         text = "\n".join(csv_lines)
     else:
         text = _render_text(doc)
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
     else:
         print(text)
@@ -137,23 +94,21 @@ def _read_file(path: str) -> str:
 
 
 def _cmd_formulas(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     table = dominance.formula_table(args.ambient, args.degree)
-    _emit(cfg, table.to_dict())
+    _emit(args, table.to_dict())
     return 0
 
 
 def _cmd_dominance(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     ok, cert = dominance.is_dominant(
         args.ambient,
         args.degree,
-        prime=cfg.prime,
-        seed=cfg.seed,
-        retries=cfg.retries,
+        prime=_field(args).p,
+        seed=args.seed,
+        retries=args.retries,
     )
     _emit(
-        cfg,
+        args,
         cert.to_dict(),
         csv_lines=[cert.csv_header(), cert.csv_row()],
     )
@@ -163,29 +118,28 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
 
 
 def _cmd_dominance_sweep(args: argparse.Namespace) -> int:
-    cfg = _config(args)
+    workers = args.workers if args.workers is not None else _env_int("DETPF_WORKERS", 1)
     certs = dominance.dominance_sweep(
         args.ambient,
         args.max_degree,
-        prime=cfg.prime,
-        seed=cfg.seed,
-        retries=cfg.retries,
+        prime=_field(args).p,
+        seed=args.seed,
+        retries=args.retries,
         min_degree=args.min_degree,
-        workers=cfg.workers,
+        workers=workers,
     )
     doc = [c.to_dict() for c in certs]
     csv_lines = [dominance.DominanceCertificate.csv_header()] + [c.csv_row() for c in certs]
-    _emit(cfg, doc, csv_lines=csv_lines)
+    _emit(args, doc, csv_lines=csv_lines)
     return 0
 
 
 def _cmd_lower_bound(args: argparse.Namespace) -> int:
-    cfg = _config(args)
     threshold, trail = dominance.lower_bound_for_dominant_degree(
         args.ambient,
-        prime=cfg.prime,
-        seed=cfg.seed,
-        retries=cfg.retries,
+        prime=_field(args).p,
+        seed=args.seed,
+        retries=args.retries,
     )
     doc = {
         "ambient": args.ambient,
@@ -193,16 +147,15 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
         "trail": [c.to_dict() for c in trail],
     }
     csv_lines = [dominance.DominanceCertificate.csv_header()] + [c.csv_row() for c in trail]
-    _emit(cfg, doc, csv_lines=csv_lines)
+    _emit(args, doc, csv_lines=csv_lines)
     if args.expect is not None and threshold != args.expect:
         return 1
     return 0
 
 
 def _cmd_construct(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    field = cfg.field()
-    rng = FieldRng(cfg.seed, "construct", args.kind)
+    field = _field(args)
+    rng = FieldRng(args.seed, "construct", args.kind)
     if args.kind == "fermat":
         built = constructions.fermat_matrix(field, args.ambient, args.degree)
         matrix = built.matrix
@@ -234,18 +187,16 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    field = cfg.field()
+    field = _field(args)
     matrix = polymat.parse_graded_matrix(_read_file(args.matrix), field)
     form = mpoly.parse_form(_read_file(args.form), field)
-    result = polymat.verify_representation(matrix, form, args.kind, seed=cfg.seed)
-    _emit(cfg, {"ok": result.ok, "scalar": result.scalar, "kind": args.kind})
+    result = polymat.verify_representation(matrix, form, args.kind, seed=args.seed)
+    _emit(args, {"ok": result.ok, "scalar": result.scalar, "kind": args.kind})
     return 0 if result.ok else 1
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    field = cfg.field()
+    field = _field(args)
     matrix = polymat.parse_graded_matrix(_read_file(args.matrix), field)
     try:
         lo, hi = args.degrees.split("..")
@@ -253,17 +204,16 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise InputError(f"--degrees expects J0..J1, got {args.degrees!r}") from exc
     table = {str(j): graded.coker_hilbert(matrix, j) for j in range(lo, hi + 1)}
-    _emit(cfg, {"hilbert": table})
+    _emit(args, {"hilbert": table})
     return 0
 
 
 def _cmd_gorenstein(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    field = cfg.field()
+    field = _field(args)
     points = graded.parse_point_set(_read_file(args.points), field)
-    report = graded.gorenstein_check(points, work_limit=cfg.max_certificate_degree)
+    report = graded.gorenstein_check(points, work_limit=args.work_limit_degree)
     _emit(
-        cfg,
+        args,
         {
             "degree": report.degree,
             "hilbert": list(report.hilbert),
@@ -277,14 +227,13 @@ def _cmd_gorenstein(args: argparse.Namespace) -> int:
 
 
 def _cmd_smooth(args: argparse.Namespace) -> int:
-    cfg = _config(args)
-    field = cfg.field()
+    field = _field(args)
     form = mpoly.parse_form(_read_file(args.form), field)
     cert = graded.smoothness_certificate(
-        form, max_certificate_degree=cfg.max_certificate_degree
+        form, max_certificate_degree=args.work_limit_degree
     )
     _emit(
-        cfg,
+        args,
         {
             "verdict": cert.verdict,
             "certificate_degree": cert.certificate_degree,
@@ -296,6 +245,11 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """A parent parser holding a group of options shared by subcommands."""
+    return argparse.ArgumentParser(add_help=False, parents=list(parents))
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="detpf",
@@ -304,13 +258,39 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"detpf {__version__}")
     subs = parser.add_subparsers(dest="command", required=True)
 
-    sub = subs.add_parser("formulas", help="degree/genus/dimension formula table")
+    prime = _options()
+    prime.add_argument("--prime", type=int, default=None, help="field modulus (odd prime)")
+    seeded = _options(prime)
+    seeded.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
+    output = _options()
+    output.add_argument("--output", type=str, default=None, help="write result to this path")
+    document = _options(output)
+    document.add_argument("--format", dest="fmt", choices=("json", "text"), default="json")
+    certificate = _options(seeded, output)
+    certificate.add_argument(
+        "--retries", type=int, default=3, help="independent samples before giving up"
+    )
+    certificate.add_argument(
+        "--format", dest="fmt", choices=("json", "csv", "text"), default="json"
+    )
+    work_limit = _options()
+    work_limit.add_argument(
+        "--work-limit-degree",
+        type=int,
+        default=40,
+        help="largest graded piece degree certificates may compute",
+    )
+
+    sub = subs.add_parser(
+        "formulas", parents=[document], help="degree/genus/dimension formula table"
+    )
     sub.add_argument("--ambient", type=int, required=True)
     sub.add_argument("--degree", type=int, required=True)
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_formulas)
 
-    sub = subs.add_parser("dominance", help="one pfaffian dominance certificate")
+    sub = subs.add_parser(
+        "dominance", parents=[certificate], help="one pfaffian dominance certificate"
+    )
     sub.add_argument("--ambient", type=int, required=True)
     sub.add_argument("--degree", type=int, required=True)
     sub.add_argument(
@@ -318,23 +298,29 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="exit 1 unless the certificate proves dominance",
     )
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_dominance)
 
-    sub = subs.add_parser("dominance-sweep", help="certificates for a degree range")
+    sub = subs.add_parser(
+        "dominance-sweep", parents=[certificate], help="certificates for a degree range"
+    )
     sub.add_argument("--ambient", type=int, required=True)
     sub.add_argument("--max-degree", type=int, required=True)
     sub.add_argument("--min-degree", type=int, default=3)
-    _add_common(sub)
+    sub.add_argument(
+        "--workers", type=int, default=None, help="worker pool size (default DETPF_WORKERS or 1)"
+    )
     sub.set_defaults(handler=_cmd_dominance_sweep)
 
-    sub = subs.add_parser("lower-bound", help="largest dominant degree for an ambient")
+    sub = subs.add_parser(
+        "lower-bound", parents=[certificate], help="largest dominant degree for an ambient"
+    )
     sub.add_argument("--ambient", type=int, required=True)
     sub.add_argument("--expect", type=int, default=None, help="exit 1 unless the threshold matches")
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_lower_bound)
 
-    sub = subs.add_parser("construct", help="emit a constructed matrix file")
+    sub = subs.add_parser(
+        "construct", parents=[seeded, output], help="emit a constructed matrix file"
+    )
     sub.add_argument(
         "kind",
         choices=("fermat", "cyclic", "block", "theta-shape", "pullback", "random"),
@@ -353,30 +339,35 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--symmetry", choices=("general", "symmetric", "skew"), default="general")
     sub.add_argument("--nvars", type=int, default=4)
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_construct)
 
-    sub = subs.add_parser("verify", help="check det/pf of a matrix against a form")
+    sub = subs.add_parser(
+        "verify", parents=[seeded, document], help="check det/pf of a matrix against a form"
+    )
     sub.add_argument("--matrix", type=str, required=True)
     sub.add_argument("--form", type=str, required=True)
     sub.add_argument("--kind", choices=("det", "pf"), required=True)
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_verify)
 
-    sub = subs.add_parser("hilbert", help="Hilbert function of a presented cokernel")
+    sub = subs.add_parser(
+        "hilbert", parents=[prime, document], help="Hilbert function of a presented cokernel"
+    )
     sub.add_argument("--matrix", type=str, required=True)
     sub.add_argument("--degrees", type=str, required=True, help="range J0..J1")
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_hilbert)
 
-    sub = subs.add_parser("gorenstein", help="arithmetically Gorenstein point-set check")
+    sub = subs.add_parser(
+        "gorenstein",
+        parents=[prime, document, work_limit],
+        help="arithmetically Gorenstein point-set check",
+    )
     sub.add_argument("--points", type=str, required=True)
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_gorenstein)
 
-    sub = subs.add_parser("smooth", help="smoothness certificate for a form")
+    sub = subs.add_parser(
+        "smooth", parents=[prime, document, work_limit], help="smoothness certificate for a form"
+    )
     sub.add_argument("--form", type=str, required=True)
-    _add_common(sub)
     sub.set_defaults(handler=_cmd_smooth)
 
     return parser

@@ -10,15 +10,14 @@ oracle at sizes 2 and 3 by the test suite.
 Fermat hypersurfaces are assembled from that identity over the actual
 coefficient field: the binary forms X_a^d + X_b^d are factored into
 irreducibles over GF(p) and distributed over the cyclic slots, so the number
-of slots depends on how t^d + 1 splits at the chosen prime.  Degree 2 needs
-a rational isotropic vector instead, found by direct search.
+of slots depends on how t^d + 1 splits at the chosen prime.  Degree 2 is the
+norm form of the quaternions, split over GF(p) by a, b with a^2 + b^2 = -1,
+found by direct search.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-
-import numpy as np
 
 from .exactlin import PrimeField
 from .mpoly import HomogeneousForm
@@ -230,7 +229,7 @@ def _binary_power_sum_factors(
     return forms
 
 
-# ---- rational isotropic splitting for the degree-2 Fermat --------------------
+# ---- quaternion splitting for the degree-2 Fermat ----------------------------
 
 
 def _isotropic_ab(field: PrimeField):
@@ -253,63 +252,21 @@ def _linear_form(field: PrimeField, nvars: int, coeffs) -> HomogeneousForm:
     return HomogeneousForm(field, nvars, 1, terms)
 
 
-def _split_sum_of_squares(field: PrimeField, nvars: int):
-    """Write X_0^2 + ... + X_{nvars-1}^2 = A1 A2 + B1 B2 with linear forms.
+def _quaternion_norm_matrix(field: PrimeField, nvars: int) -> GradedMatrix:
+    """2x2 linear matrix with determinant X_0^2 + ... + X_{nvars-1}^2, nvars in {3, 4}.
 
-    nvars = 3: isotropic point on the conic; nvars = 4: one hyperbolic plane
-    split off, the rank-2 remainder factors because the total discriminant
-    is a square.
+    With a^2 + b^2 = -1, i -> [[0, -1], [1, 0]], j -> [[a, b], [b, -a]] and
+    k = ij -> [[-b, a], [a, b]] split the quaternions over GF(p), and the
+    determinant of the image of X0 + X1 i + X2 j + X3 k is its norm, the sum
+    of the four squares.  For nvars = 3, X3 is dropped.
     """
-    p = field.p
     a, b = _isotropic_ab(field)
-    if nvars == 3:
-        # Y0 = x0 - a x2, Y1 = x1 - b x2; Q = Y0 (Y0 + 2a x2) + Y1 (Y1 + 2b x2)
-        y0 = _linear_form(field, 3, (1, 0, -a))
-        y1 = _linear_form(field, 3, (0, 1, -b))
-        return (
-            (y0, _linear_form(field, 3, (1, 0, a))),
-            (y1, _linear_form(field, 3, (0, 1, b))),
-        )
-    if nvars != 4:
-        raise UnsupportedAmbient(f"sum-of-squares splitting for nvars={nvars}")
-    from .exactlin import _matmul
-
-    v = np.array([a, b, 1, 0], dtype=np.int64)
-    w = (np.array([0, 0, 1, 0], dtype=np.int64) - pow(2, p - 2, p) * v) % p
-    lv, lw = v.copy(), w.copy()  # G = I, so bilinear rows equal the vectors
-    P = (np.eye(4, dtype=np.int64) - np.outer(v, lw)) % p
-    P = (P - np.outer(w, lv)) % p
-    G2 = _matmul(P.T, P, p)
-    pair1 = (_linear_form(field, 4, 2 * lv % p), _linear_form(field, 4, lw))
-    # split the rank-2 remainder alpha M1^2 + beta M2^2
-    diag = [int(G2[i, i]) for i in range(4)]
-    if not any(diag):
-        # create a nonzero diagonal entry by a shear, then undo it on the forms
-        nz = [(i, j) for i in range(4) for j in range(4) if G2[i, j]]
-        i0, j0 = nz[0]
-        T = np.eye(4, dtype=np.int64)
-        T[j0, i0] = 1
-        G2 = _matmul(_matmul(T.T, G2, p), T, p)
-        undo = np.eye(4, dtype=np.int64)
-        undo[j0, i0] = p - 1
-    else:
-        undo = np.eye(4, dtype=np.int64)
-    i0 = next(i for i in range(4) if G2[i, i])
-    alpha = int(G2[i0, i0])
-    m1 = G2[i0] * pow(alpha, p - 2, p) % p
-    G3 = (G2 - alpha * (np.outer(m1, m1) % p) % p) % p
-    j0 = next((i for i in range(4) if G3[i, i]), None)
-    if j0 is None:
-        raise ArithmeticError("remainder not of expected rank pattern")
-    beta = int(G3[j0, j0])
-    m2 = G3[j0] * pow(beta, p - 2, p) % p
-    s = field.sqrt((-beta * pow(alpha, p - 2, p)) % p)
-    if s is None:
-        raise ArithmeticError("rank-2 remainder unexpectedly anisotropic")
-    u1 = _matmul(((m1 + s * m2) % p).reshape(1, 4), undo, p)[0]
-    u2 = _matmul(((m1 - s * m2) % p).reshape(1, 4), undo, p)[0]
-    pair2 = (_linear_form(field, 4, alpha * u1 % p), _linear_form(field, 4, u2))
-    return pair1, pair2
+    f0, f1, g0, g1 = (
+        _linear_form(field, nvars, coeffs[:nvars])
+        for coeffs in ((1, 0, a, -b), (1, 0, -a, b), (0, -1, b, a), (0, 1, b, a))
+    )
+    # det = f0 f1 + cyclic_sign(2) g0 g1 = f0 f1 - g0 g1
+    return cyclic_matrix([f0, f1], [g0, g1])
 
 
 # ---- Fermat hypersurfaces ----------------------------------------------------
@@ -379,12 +336,7 @@ def fermat_matrix(
         M = GradedMatrix(field, nvars, (1,), (0,), [[target]], GENERAL)
         return FermatConstruction(M, target, False)
     if d == 2:
-        pair_a, pair_b = _split_sum_of_squares(field, nvars)
-        sign = cyclic_sign(2)  # -1: fold into the first cycle entry
-        M = cyclic_matrix(
-            [pair_a[0], pair_a[1]], [pair_b[0].scale(sign), pair_b[1]]
-        )
-        return FermatConstruction(M, target, False)
+        return FermatConstruction(_quaternion_norm_matrix(field, nvars), target, False)
     if n == 2:
         b_factors = _binary_power_sum_factors(field, d, 1, 2, 3)
         slots = len(b_factors)

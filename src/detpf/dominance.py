@@ -74,7 +74,7 @@ columns of E rather than to the dimension.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -151,15 +151,7 @@ class FormulaTable:
     gorenstein_degree: int
 
     def to_dict(self) -> dict:
-        return {
-            "ambient": self.ambient,
-            "degree": self.degree,
-            "moduli_dim": self.moduli_dim,
-            "linsys_dim": self.linsys_dim,
-            "curve_degree": self.curve_degree,
-            "curve_genus": self.curve_genus,
-            "gorenstein_degree": self.gorenstein_degree,
-        }
+        return asdict(self)
 
 
 def formula_table(n: int, d: int) -> FormulaTable:
@@ -197,23 +189,7 @@ class DominanceCertificate:
     version: str = __version__
 
     def to_dict(self) -> dict:
-        return {
-            "ambient": self.ambient,
-            "degree": self.degree,
-            "prime": self.prime,
-            "seed": self.seed,
-            "attempts": self.attempts,
-            "codim": self.codim,
-            "rank_achieved": self.rank_achieved,
-            "target_dim": self.target_dim,
-            "sample_points_used": self.sample_points_used,
-            "elapsed_seconds": self.elapsed_seconds,
-            "verdict": self.verdict,
-            "matrix_hash": self.matrix_hash,
-            "inverse_fallbacks": self.inverse_fallbacks,
-            "quotient": self.quotient,
-            "version": self.version,
-        }
+        return asdict(self)
 
     def csv_row(self) -> str:
         return (

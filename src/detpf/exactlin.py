@@ -231,12 +231,6 @@ class ScalarMatrix:
             raise TypeError("can only multiply ScalarMatrix over the same field")
         return ScalarMatrix(self.field, _matmul(self.a, other.a, self.field.p))
 
-    def __add__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        return ScalarMatrix(self.field, (self.a + other.a) % self.field.p)
-
-    def __sub__(self, other: "ScalarMatrix") -> "ScalarMatrix":
-        return ScalarMatrix(self.field, (self.a - other.a) % self.field.p)
-
     def __repr__(self) -> str:
         return f"ScalarMatrix(p={self.field.p}, shape={self.a.shape})"
 

@@ -173,19 +173,6 @@ class GradedMatrix:
             f"nvars={self.nvars}, symmetry={self.symmetry})"
         )
 
-    def transpose(self) -> "GradedMatrix":
-        return GradedMatrix(
-            self.field,
-            self.nvars,
-            tuple(-t for t in self.col_twists),
-            tuple(-t for t in self.row_twists),
-            tuple(
-                tuple(self.entries[i][j] for i in range(self.nrows))
-                for j in range(self.ncols)
-            ),
-            self.symmetry,
-        )
-
     def evaluate(self, point: Sequence[int]) -> ScalarMatrix:
         vals = [[f.evaluate(point) for f in row] for row in self.entries]
         return ScalarMatrix(self.field, vals)

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -365,3 +366,74 @@ def test_sweep_csv(tmp_path, capsys):
     lines = out_path.read_text().strip().splitlines()
     assert lines[0] == "r,d,prime,seed,cd,rank,target,verdict,elapsed_ms"
     assert len(lines) == 3
+
+
+# Options shared by several subcommands, and the ones each subcommand keeps:
+# a subcommand declares only the options its handler reads.
+SHARED = {"--prime", "--seed", "--retries", "--workers", "--output", "--format", "--work-limit-degree"}
+CERTIFICATE = {"--prime", "--seed", "--retries", "--output", "--format"}
+DOCUMENT = {"--output", "--format"}
+KEPT = {
+    "formulas": DOCUMENT,
+    "dominance": CERTIFICATE,
+    "lower-bound": CERTIFICATE,
+    "dominance-sweep": CERTIFICATE | {"--workers"},
+    "construct": {"--prime", "--seed", "--output"},
+    "verify": {"--prime", "--seed"} | DOCUMENT,
+    "hilbert": {"--prime"} | DOCUMENT,
+    "gorenstein": {"--prime", "--work-limit-degree"} | DOCUMENT,
+    "smooth": {"--prime", "--work-limit-degree"} | DOCUMENT,
+}
+FORMATS = {"dominance": {"json", "csv", "text"}, "lower-bound": {"json", "csv", "text"},
+           "dominance-sweep": {"json", "csv", "text"}}
+# the smallest argument list each subcommand parses
+MINIMAL = {
+    "formulas": ["--ambient", "3", "--degree", "3"],
+    "dominance": ["--ambient", "3", "--degree", "3"],
+    "lower-bound": ["--ambient", "3"],
+    "dominance-sweep": ["--ambient", "3", "--max-degree", "3"],
+    "construct": ["fermat"],
+    "verify": ["--matrix", "m.gm", "--form", "f.form", "--kind", "det"],
+    "hilbert": ["--matrix", "m.gm", "--degrees", "0..1"],
+    "gorenstein": ["--points", "z.pts"],
+    "smooth": ["--form", "f.form"],
+}
+VALUE = {"--format": "json", "--output": "o.txt"}
+REMOVED = sorted(
+    (name, option) for name, kept in KEPT.items() for option in SHARED - kept
+)
+
+
+def _subparsers():
+    parser = build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    subs = _subparsers()
+    assert set(subs) == set(KEPT)
+    declared = {name: set(sub._option_string_actions) & SHARED for name, sub in subs.items()}
+    assert declared == KEPT
+    for name, sub in subs.items():
+        if "--format" in KEPT[name]:
+            choices = set(sub._option_string_actions["--format"].choices)
+            assert choices == FORMATS.get(name, {"json", "text"}), name
+    # 36 settable values, down from 7 on each of the 9 subcommands
+    assert sum(len(v) for v in KEPT.values()) == 36
+    assert len(REMOVED) == 27
+
+
+@pytest.mark.parametrize("command, option", REMOVED)
+def test_an_option_the_subcommand_does_not_read_exits_2(capsys, command, option):
+    with pytest.raises(SystemExit) as exc:
+        main([command, *MINIMAL[command], option, VALUE.get(option, "3")])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+
+def test_workers_come_from_the_environment_only_for_the_sweep(capsys, monkeypatch):
+    monkeypatch.setenv("DETPF_WORKERS", "many")
+    code, out, _ = run(capsys, "dominance", "--ambient", "5", "--degree", "3")
+    assert code == 0 and json.loads(out)["codim"] == 1
+    code, _, err = run(capsys, "dominance-sweep", "--ambient", "2", "--max-degree", "3")
+    assert code == 2 and "DETPF_WORKERS" in err

@@ -128,6 +128,15 @@ def test_fermat_works_at_other_primes():
                 continue
             built = fermat_matrix(Fp, 2, d)
             assert verify_representation(built.matrix, built.target, "det").ok, (p, d)
+    # degree 2 is the quaternion norm, with determinant exactly the target
+    for p in (3, 5, 7, 2**31 - 1):
+        Fp = PrimeField(p)
+        for n in (2, 3):
+            built = fermat_matrix(Fp, n, 2)
+            assert built.matrix.nrows == 2 and is_minimal(built.matrix), (p, n)
+            result = verify_representation(built.matrix, built.target, "det")
+            assert result.ok and result.scalar == 1, (p, n)
+            assert determinant_expansion(built.matrix) == built.target, (p, n)
 
 
 def test_block_skew_sign_frozen():
