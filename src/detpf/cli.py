@@ -1,9 +1,11 @@
 """Command-line front end.
 
 Every subcommand renders a JSON document (the canonical output); text output
-is a flat rendering of the same dict, and sweep CSV rows carry the fixed
-column set r,d,prime,seed,cd,rank,target,verdict,elapsed_ms.  Each subcommand
-declares only the options its handler reads, so argparse refuses the rest.
+renders the same document as `key: value` lines, with each list item under a
+`-` marker, and sweep CSV rows carry the fixed column set
+r,d,prime,seed,cd,rank,target,verdict,elapsed_ms.  Each subcommand declares
+only the options its handler reads, and the ranges of its numbers, so
+argparse refuses the rest with the subcommand's usage.
 Exit codes: 0 success, 1 verification/certification failure, 2 usage or
 input errors; every malformed input file raises `mpoly.ParseError`, which
 exits 2.
@@ -45,19 +47,22 @@ def _field(args: argparse.Namespace) -> PrimeField:
 
 
 def _render_text(doc, indent: int = 0) -> str:
+    """`key: value` lines for a dict, `- value` lines for a list, nested deeper."""
     pad = "  " * indent
     if isinstance(doc, dict):
-        lines = []
-        for k, v in doc.items():
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.append(_render_text(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
-        return "\n".join(lines)
-    if isinstance(doc, list):
-        return "\n".join(_render_text(v, indent) for v in doc)
-    return f"{pad}{doc}"
+        items = [(f"{k}:", v) for k, v in doc.items()]
+    elif isinstance(doc, list):
+        items = [("-", v) for v in doc]
+    else:
+        return f"{pad}{doc}"
+    lines = []
+    for label, v in items:
+        if isinstance(v, (dict, list)):
+            lines.append(f"{pad}{label}")
+            lines.append(_render_text(v, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {v}")
+    return "\n".join(lines)
 
 
 def _emit(args: argparse.Namespace, doc, csv_lines: list[str] | None = None) -> None:
@@ -245,6 +250,19 @@ def _cmd_smooth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_at_least(low: int):
+    """An argparse type for integers >= low; smaller values exit 2."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """A parent parser holding a group of options shared by subcommands."""
     return argparse.ArgumentParser(add_help=False, parents=list(parents))
@@ -284,15 +302,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "formulas", parents=[document], help="degree/genus/dimension formula table"
     )
-    sub.add_argument("--ambient", type=int, required=True)
-    sub.add_argument("--degree", type=int, required=True)
+    sub.add_argument("--ambient", type=_int_at_least(2), required=True)
+    sub.add_argument("--degree", type=_int_at_least(1), required=True)
     sub.set_defaults(handler=_cmd_formulas)
 
     sub = subs.add_parser(
         "dominance", parents=[certificate], help="one pfaffian dominance certificate"
     )
-    sub.add_argument("--ambient", type=int, required=True)
-    sub.add_argument("--degree", type=int, required=True)
+    sub.add_argument("--ambient", type=int, choices=range(2, 6), required=True)
+    sub.add_argument("--degree", type=_int_at_least(2), required=True)
     sub.add_argument(
         "--expect-dominant",
         action="store_true",
@@ -303,9 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "dominance-sweep", parents=[certificate], help="certificates for a degree range"
     )
-    sub.add_argument("--ambient", type=int, required=True)
-    sub.add_argument("--max-degree", type=int, required=True)
-    sub.add_argument("--min-degree", type=int, default=3)
+    sub.add_argument("--ambient", type=int, choices=range(2, 6), required=True)
+    sub.add_argument("--max-degree", type=_int_at_least(2), required=True)
+    sub.add_argument("--min-degree", type=_int_at_least(2), default=3)
     sub.add_argument(
         "--workers", type=int, default=None, help="worker pool size (default DETPF_WORKERS or 1)"
     )
@@ -314,7 +332,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "lower-bound", parents=[certificate], help="largest dominant degree for an ambient"
     )
-    sub.add_argument("--ambient", type=int, required=True)
+    # plane curves (r = 2) are never count-obstructed: no threshold exists
+    sub.add_argument("--ambient", type=int, choices=range(3, 6), required=True)
     sub.add_argument("--expect", type=int, default=None, help="exit 1 unless the threshold matches")
     sub.set_defaults(handler=_cmd_lower_bound)
 
@@ -370,12 +389,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--form", type=str, required=True)
     sub.set_defaults(handler=_cmd_smooth)
 
+    for sub in subs.choices.values():
+        sub.set_defaults(subparser=sub)  # reports options it does not read
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args, unread = parser.parse_known_args(argv)
+    if unread:
+        args.subparser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.handler(args)
     except (

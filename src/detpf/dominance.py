@@ -73,6 +73,7 @@ columns of E rather than to the dimension.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import asdict, dataclass
 
@@ -88,8 +89,6 @@ from .rng import FieldRng, derive_seed
 DOMINANT = "Dominant"
 NOT_DOMINANT_EVIDENCE = "NotDominantEvidence"
 NOT_DOMINANT_BY_COUNT = "NotDominantByCount"
-
-MAX_SCAN_DEGREE = 64  # where `lower_bound_for_dominant_degree` gives up
 
 
 # ---- closed-form counts ------------------------------------------------------
@@ -107,6 +106,11 @@ def linear_system_dimension(n: int, d: int) -> int:
     if n < 1 or d < 0:
         raise ValueError(f"need n >= 1 and d >= 0, got ({n}, {d})")
     return monomial_count(n + 1, d) - 1
+
+
+def _count_obstructed(n: int, d: int) -> bool:
+    """moduli < linear system: the pfaffian map cannot be dominant at (n, d)."""
+    return moduli_dimension(n, d) < linear_system_dimension(n, d)
 
 
 class NonIntegral(ArithmeticError):
@@ -302,7 +306,7 @@ def pfaffian_codim(
     elapsed = time.perf_counter() - t0
     if codim == 0:
         verdict = DOMINANT
-    elif moduli_dimension(r, d) < linear_system_dimension(r, d):
+    elif _count_obstructed(r, d):
         verdict = NOT_DOMINANT_BY_COUNT
     else:
         verdict = NOT_DOMINANT_EVIDENCE
@@ -336,7 +340,7 @@ def is_dominant(
     When moduli < linsys no number of samples could make the map dominant, so
     a single sample is recorded for the certificate and no retries are spent.
     """
-    by_count = moduli_dimension(r, d) < linear_system_dimension(r, d)
+    by_count = _count_obstructed(r, d)
     budget = 1 if by_count else max(1, retries)
     best: DominanceCertificate | None = None
     for attempt in range(1, budget + 1):
@@ -355,14 +359,17 @@ def lower_bound_for_dominant_degree(
     seed: int = 0,
     retries: int = 3,
 ) -> tuple[int, list[DominanceCertificate]]:
-    """Largest d (scanning upward from 3) for which the map is dominant."""
+    """Largest d (scanning upward from 3) for which the map is dominant.  The
+    scan ends by the first count-obstructed degree (16, 6, 3 for r = 3, 4, 5);
+    plane curves (r = 2) are never obstructed and have no threshold."""
+    if r not in (3, 4, 5):
+        raise ValueError(f"ambient r must be in 3..5 for a threshold, got {r}")
     trail: list[DominanceCertificate] = []
-    for d in range(3, MAX_SCAN_DEGREE + 1):
+    for d in itertools.count(3):
         ok, cert = is_dominant(r, d, prime=prime, seed=seed, retries=retries)
         trail.append(cert)
         if not ok:
             return d - 1, trail
-    raise RuntimeError(f"still dominant at degree {MAX_SCAN_DEGREE}; no upper threshold found")
 
 
 def dominance_sweep(

@@ -61,6 +61,16 @@ class DuplicatePoint(ValueError):
 # ---- point sets ---------------------------------------------------------------
 
 
+def _normalized(field: PrimeField, vec: Sequence[int]) -> tuple[int, ...] | None:
+    """`vec` mod p scaled so its first nonzero entry is 1; None for the zero vector."""
+    vec = tuple(int(x) % field.p for x in vec)
+    lead = next((x for x in vec if x), None)
+    if lead is None:
+        return None
+    inv = field.inv(lead)
+    return tuple(x * inv % field.p for x in vec)
+
+
 class PointSet:
     """Distinct projective points, normalized so the first nonzero entry is 1."""
 
@@ -72,12 +82,9 @@ class PointSet:
         for idx, pt in enumerate(points):
             if len(pt) != nvars:
                 raise ValueError(f"point {idx} has {len(pt)} coordinates, expected {nvars}")
-            vec = tuple(int(x) % field.p for x in pt)
-            lead = next((x for x in vec if x), None)
-            if lead is None:
+            vec = _normalized(field, pt)
+            if vec is None:
                 raise ValueError(f"point {idx} is the zero vector")
-            inv = field.inv(lead)
-            vec = tuple(x * inv % field.p for x in vec)
             if vec in seen:
                 raise DuplicatePoint(f"point {idx} repeats {vec}; the scheme must be reduced")
             seen.add(vec)
@@ -130,52 +137,15 @@ def parse_point_set(text: str, field: PrimeField | None = None) -> PointSet:
 def random_point_set(
     field: PrimeField, nvars: int, count: int, rng: FieldRng
 ) -> PointSet:
-    pts: list[tuple[int, ...]] = []
-    seen = set()
+    pts: dict[tuple[int, ...], None] = {}  # distinct points in draw order
     while len(pts) < count:
-        vec = tuple(rng.below(field.p) for _ in range(nvars))
-        lead = next((x for x in vec if x), None)
-        if lead is None:
-            continue
-        inv = field.inv(lead)
-        norm = tuple(x * inv % field.p for x in vec)
-        if norm in seen:
-            continue
-        seen.add(norm)
-        pts.append(norm)
-    return PointSet(field, nvars, pts)
+        vec = _normalized(field, [rng.below(field.p) for _ in range(nvars)])
+        if vec is not None:
+            pts[vec] = None
+    return PointSet(field, nvars, list(pts))
 
 
 # ---- ideal and cokernel dimensions ----------------------------------------------
-
-
-def _ideal_piece_blocks(
-    gens: Sequence[HomogeneousForm], nvars: int, j: int
-) -> list[np.ndarray]:
-    """One multiplication block S_{j - deg g} -> S_j per nonzero generator g
-    of degree at most j; side by side they span the degree-j ideal piece."""
-    to_basis = monomial_basis(nvars, j)
-    return [
-        multiplication_matrix(g, monomial_basis(nvars, j - g.degree), to_basis)
-        for g in gens
-        if g.degree <= j and not g.is_zero()
-    ]
-
-
-def ideal_piece_dim(gens: Sequence[HomogeneousForm], j: int) -> int:
-    """Dimension of the degree-j piece of the ideal generated by `gens`."""
-    gens = [g for g in gens if not g.is_zero()]
-    if not gens:
-        return 0
-    field = gens[0].field
-    nvars = gens[0].nvars
-    for g in gens:
-        if g.field != field or g.nvars != nvars:
-            raise ValueError("generators disagree on ring")
-    blocks = _ideal_piece_blocks(gens, nvars, j)
-    if not blocks:
-        return 0
-    return exactlin.rank(ScalarMatrix(field, np.hstack(blocks)))
 
 
 def graded_piece_matrix(M: GradedMatrix, j: int) -> ScalarMatrix:
@@ -198,6 +168,17 @@ def graded_piece_matrix(M: GradedMatrix, j: int) -> ScalarMatrix:
             c0 += len(cb)
         r0 += len(rb)
     return ScalarMatrix(field, out)
+
+
+def ideal_piece_dim(gens: Sequence[HomogeneousForm], j: int) -> int:
+    """Dimension of the degree-j piece of the ideal generated by `gens`: the
+    rank of the degree-j piece of the one-row matrix [g_1 ... g_k], with row
+    twist 0 and column twists -deg g_i.  Zero generators are dropped."""
+    gens = [g for g in gens if not g.is_zero()]
+    if not gens:
+        return 0
+    row = GradedMatrix(gens[0].field, gens[0].nvars, (0,), [-g.degree for g in gens], [gens])
+    return exactlin.rank(graded_piece_matrix(row, j))
 
 
 def coker_hilbert(M: GradedMatrix, j: int) -> int:
@@ -318,17 +299,14 @@ class GorensteinReport:
         return self.symmetry_ok and self.cayley_bacharach_ok
 
 
-def _evaluation_matrix(field: PrimeField, coords: np.ndarray, degree: int) -> ScalarMatrix:
-    basis = monomial_basis(coords.shape[1], degree)
-    return ScalarMatrix(field, vandermonde(coords, basis, field.p))
-
-
 def gorenstein_check(Z: PointSet, work_limit: int = 40) -> GorensteinReport:
-    """Hilbert-function symmetry plus the Cayley-Bacharach property for Z."""
+    """Hilbert-function symmetry plus the Cayley-Bacharach property for Z: the
+    forms of degree `index` vanishing on Z minus a point vanish at it too, so
+    deleting its Vandermonde row leaves the rank at hilbert[index]."""
     c = len(Z)
     if c < 2:
         raise ValueError("need at least 2 points")
-    field = Z.field
+    p = Z.field.p
     coords = Z.coordinate_array()
     hilbert: list[int] = []
     deg = 0
@@ -337,7 +315,8 @@ def gorenstein_check(Z: PointSet, work_limit: int = 40) -> GorensteinReport:
             raise WorkLimitExceeded(
                 f"Hilbert function not stationary by degree {work_limit}"
             )
-        r = exactlin.rank(_evaluation_matrix(field, coords, deg))
+        V = vandermonde(coords, monomial_basis(Z.nvars, deg), p)
+        r = exactlin.rank(ScalarMatrix(Z.field, V))
         hilbert.append(r)
         if r == c:
             break
@@ -346,21 +325,11 @@ def gorenstein_check(Z: PointSet, work_limit: int = 40) -> GorensteinReport:
     symmetry_ok = all(
         hilbert[q] + hilbert[index - q] == c for q in range(0, index + 1)
     )
-    cb_ok = True
-    basis_n = monomial_basis(Z.nvars, index)
-    for omit in range(c):
-        rest = np.delete(coords, omit, axis=0)
-        E = _evaluation_matrix(field, rest, index)
-        kernel = exactlin.kernel_basis(E)
-        if not kernel:
-            continue
-        at_z = vandermonde(coords[omit : omit + 1], basis_n, field.p)[0]
-        for vec in kernel:
-            if int(at_z @ vec % field.p):
-                cb_ok = False
-                break
-        if not cb_ok:
-            break
+    V = vandermonde(coords, monomial_basis(Z.nvars, index), p)
+    cb_ok = all(
+        exactlin.rank(ScalarMatrix(Z.field, np.delete(V, omit, axis=0))) == hilbert[index]
+        for omit in range(c)
+    )
     return GorensteinReport(c, tuple(hilbert), index, symmetry_ok, cb_ok)
 
 
@@ -381,12 +350,6 @@ def det_in_minor_ideal(M: GradedMatrix, seed: int = 0) -> bool:
 
 
 def form_in_ideal_piece(gens: Sequence[HomogeneousForm], F: HomogeneousForm) -> bool:
-    """Membership of F in the degree-(deg F) piece of the ideal (gens)."""
-    blocks = _ideal_piece_blocks(gens, F.nvars, F.degree)
-    if not blocks:
-        return F.is_zero()
-    span = np.hstack(blocks)
-    base_rank = exactlin.rank(ScalarMatrix(F.field, span))
-    vec = F.coefficient_vector(monomial_basis(F.nvars, F.degree)).reshape(-1, 1)
-    aug_rank = exactlin.rank(ScalarMatrix(F.field, np.hstack([span, vec])))
-    return aug_rank == base_rank
+    """Membership of F in the degree-(deg F) piece of the ideal (gens): adding
+    F to the generators leaves that piece's dimension unchanged."""
+    return ideal_piece_dim([*gens, F], F.degree) == ideal_piece_dim(gens, F.degree)

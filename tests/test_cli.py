@@ -428,7 +428,9 @@ def test_an_option_the_subcommand_does_not_read_exits_2(capsys, command, option)
     with pytest.raises(SystemExit) as exc:
         main([command, *MINIMAL[command], option, VALUE.get(option, "3")])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: detpf {command} ")
+    assert f"unrecognized arguments: {option}" in err
 
 
 def test_workers_come_from_the_environment_only_for_the_sweep(capsys, monkeypatch):
@@ -437,3 +439,37 @@ def test_workers_come_from_the_environment_only_for_the_sweep(capsys, monkeypatc
     assert code == 0 and json.loads(out)["codim"] == 1
     code, _, err = run(capsys, "dominance-sweep", "--ambient", "2", "--max-degree", "3")
     assert code == 2 and "DETPF_WORKERS" in err
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["dominance", "--ambient", "7", "--degree", "3"], "--ambient"),
+        (["dominance", "--ambient", "3", "--degree", "1"], "--degree"),
+        (["dominance-sweep", "--ambient", "1", "--max-degree", "4"], "--ambient"),
+        (["dominance-sweep", "--ambient", "3", "--max-degree", "4", "--min-degree", "1"],
+         "--min-degree"),
+        (["dominance-sweep", "--ambient", "3", "--max-degree", "1"], "--max-degree"),
+        (["formulas", "--ambient", "3", "--degree", "0"], "--degree"),
+        (["formulas", "--ambient", "1", "--degree", "3"], "--ambient"),
+        (["lower-bound", "--ambient", "2"], "--ambient"),
+        (["lower-bound", "--ambient", "6"], "--ambient"),
+    ],
+)
+def test_an_out_of_range_number_exits_2(capsys, argv, option):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: detpf {argv[0]} ")
+    assert f"argument {option}: " in err
+
+
+def test_text_format_marks_each_list_item(capsys):
+    code, out, _ = run(
+        capsys, "dominance-sweep", "--ambient", "2", "--max-degree", "5", "--format", "text"
+    )
+    assert code == 0
+    lines = out.splitlines()
+    assert lines.count("-") == 3
+    assert lines[0] == "-" and lines[1] == "  ambient: 2"

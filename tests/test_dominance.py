@@ -6,6 +6,7 @@ import pytest
 from detpf import dominance, exactlin
 from detpf.constructions import random_linear_skew
 from detpf.dominance import (
+    _count_obstructed,
     _span_rank,
     DOMINANT,
     NOT_DOMINANT_BY_COUNT,
@@ -115,6 +116,22 @@ def test_lower_bound_threefolds():
     assert [c.degree for c in trail] == [3, 4, 5, 6]
     assert all(c.codim == 0 for c in trail[:3])
     assert trail[3].verdict == NOT_DOMINANT_BY_COUNT
+
+
+def test_threshold_scan_stops_at_the_first_count_obstructed_degree():
+    first = {r: next(d for d in range(3, 100) if _count_obstructed(r, d)) for r in (3, 4, 5)}
+    assert first == {3: 16, 4: 6, 5: 3}
+    assert not any(_count_obstructed(2, d) for d in range(3, 500))
+
+
+def test_lower_bound_refuses_plane_curves_before_any_certificate(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("a certificate ran")
+
+    monkeypatch.setattr(dominance, "is_dominant", never)
+    for r in (2, 6):
+        with pytest.raises(ValueError, match="3..5"):
+            lower_bound_for_dominant_degree(r)
 
 
 def test_sweep_ordering_and_workers():

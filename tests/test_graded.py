@@ -1,8 +1,15 @@
 import numpy as np
 import pytest
 
+from detpf import exactlin
 from detpf.exactlin import DEFAULT_PRIME, PrimeField, ScalarMatrix
-from detpf.mpoly import HomogeneousForm, monomial_count
+from detpf.mpoly import (
+    HomogeneousForm,
+    monomial_basis,
+    monomial_count,
+    multiplication_matrix,
+    vandermonde,
+)
 from detpf.polymat import LinearSkewMatrix
 from detpf.constructions import (
     fermat_target,
@@ -225,3 +232,98 @@ def test_det_in_minor_ideal_when_det_vanishes(d):
     assert det_in_minor_ideal(repeated) is True
     zero = GradedMatrix(F, 4, M.row_twists, M.col_twists, [[None] * d] * d)
     assert det_in_minor_ideal(zero) is True
+
+
+# ---- the rank routes against the kernel-basis and block definitions --------------
+
+
+def _cayley_bacharach_by_kernel(Z, index):
+    """Reference: every form of degree `index` vanishing on Z minus z, taken
+    from a kernel basis, vanishes at z too."""
+    p = Z.field.p
+    coords = Z.coordinate_array()
+    V = vandermonde(coords, monomial_basis(Z.nvars, index), p)
+    for omit in range(len(Z)):
+        rest = ScalarMatrix(Z.field, np.delete(V, omit, axis=0))
+        if any(int(V[omit] @ v % p) for v in exactlin.kernel_basis(rest)):
+            return False
+    return True
+
+
+def _dependent_point_set(field, nvars, count, rng):
+    """`count` points, one of them the sum of the first three, or None."""
+    pts = [[rng.below(field.p) for _ in range(nvars)] for _ in range(count - 1)]
+    pts.insert(count // 2, [sum(c) % field.p for c in zip(*pts[:3])])
+    try:
+        return PointSet(field, nvars, pts)
+    except ValueError:  # a zero or repeated point
+        return None
+
+
+@pytest.mark.parametrize("p", [7, 101, 31991])
+def test_cayley_bacharach_by_rank_matches_kernel_reference(p):
+    field = PrimeField(p)
+    rng = FieldRng("cb-ref", p)
+    seen = set()
+    for nvars in (3, 4):
+        for count in range(2, 9):
+            for seed in range(3):
+                sets = [
+                    random_point_set(field, nvars, count, rng.fork(nvars, count, seed)),
+                    _dependent_point_set(field, nvars, count, rng.fork("dep", nvars, count, seed))
+                    if count >= 4
+                    else None,
+                ]
+                for Z in sets:
+                    if Z is None:
+                        continue
+                    rep = gorenstein_check(Z)
+                    want = _cayley_bacharach_by_kernel(Z, rep.index)
+                    assert rep.cayley_bacharach_ok == want, (nvars, Z.points)
+                    seen.add(want)
+    assert seen == {True, False}
+
+
+def _ideal_piece_dim_by_blocks(gens, nvars, j):
+    """Reference: rank of the multiplication blocks S_{j - deg g} -> S_j side by side."""
+    blocks = [
+        multiplication_matrix(g, monomial_basis(nvars, j - g.degree), monomial_basis(nvars, j))
+        for g in gens
+        if g.degree <= j and not g.is_zero()
+    ]
+    if not blocks:
+        return 0
+    return exactlin.rank(ScalarMatrix(gens[0].field, np.hstack(blocks)))
+
+
+def _sparse_form(field, nvars, degree, rng):
+    """A form with at most three terms, zero one time in six."""
+    exps = monomial_basis(nvars, degree).exponents
+    if rng.below(6) == 0:
+        return HomogeneousForm.zero(field, nvars, degree)
+    terms = {exps[rng.below(len(exps))]: 1 + rng.below(field.p - 1) for _ in range(3)}
+    return HomogeneousForm(field, nvars, degree, terms)
+
+
+@pytest.mark.parametrize("p", [7, 31991])
+def test_ideal_pieces_match_the_block_reference(p):
+    field = PrimeField(p)
+    rng = FieldRng("ideal-ref", p)
+    member_seen = set()
+    for case in range(60):
+        r = rng.fork(case)
+        nvars = 2 + r.below(3)
+        gens = [_sparse_form(field, nvars, r.below(4), r) for _ in range(1 + r.below(4))]
+        for j in range(5):
+            want = _ideal_piece_dim_by_blocks(gens, nvars, j)
+            assert ideal_piece_dim(gens, j) == want, (case, j)
+            # a member (a multiple of a generator) half the time, else a random form
+            g = gens[r.below(len(gens))]
+            if r.below(2) and g.degree <= j:
+                F = g * HomogeneousForm.random(field, nvars, j - g.degree, r)
+            else:
+                F = _sparse_form(field, nvars, j, r)
+            member = _ideal_piece_dim_by_blocks(gens + [F], nvars, j) == want
+            assert form_in_ideal_piece(gens, F) == member, (case, j)
+            member_seen.add(member)
+    assert member_seen == {True, False}
