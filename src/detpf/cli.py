@@ -18,7 +18,7 @@ import json
 import os
 import sys
 
-from . import __version__, constructions, dominance, graded, mpoly, polymat
+from . import __version__, constructions, dominance, exactlin, graded, mpoly, polymat
 from .exactlin import DEFAULT_PRIME, PrimeField
 from .rng import FieldRng
 
@@ -123,6 +123,8 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
 
 
 def _cmd_dominance_sweep(args: argparse.Namespace) -> int:
+    if args.min_degree > args.max_degree:
+        args.subparser.error(f"empty degree range {args.min_degree}..{args.max_degree}")
     workers = args.workers if args.workers is not None else _env_int("DETPF_WORKERS", 1)
     certs = dominance.dominance_sweep(
         args.ambient,
@@ -158,7 +160,13 @@ def _cmd_lower_bound(args: argparse.Namespace) -> int:
     return 0
 
 
+_INPUT_FILES = dict(cyclic=("--f-forms", "--g-forms"), block=("--matrix",), pullback=("--matrix",))
+
+
 def _cmd_construct(args: argparse.Namespace) -> int:
+    for option in _INPUT_FILES.get(args.kind, ()):
+        if getattr(args, option[2:].replace("-", "_")) is None:
+            args.subparser.error(f"construct {args.kind} needs {option}")
     field = _field(args)
     rng = FieldRng(args.seed, "construct", args.kind)
     if args.kind == "fermat":
@@ -179,11 +187,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
         inner = polymat.parse_graded_matrix(_read_file(args.matrix), field)
         matrix = constructions.pullback_squares(inner)
     elif args.kind == "random":
-        shape = constructions.ResolutionShape(
-            tuple(int(v) for v in args.rows.split(",")),
-            tuple(int(v) for v in args.cols.split(",")),
-            args.symmetry,
-        )
+        shape = constructions.ResolutionShape(args.rows, args.cols, args.symmetry)
         matrix = constructions.random_graded_matrix(field, args.nvars, shape, rng)
     else:  # pragma: no cover - argparse restricts choices
         raise InputError(f"unknown construction {args.kind!r}")
@@ -263,6 +267,14 @@ def _int_at_least(low: int):
     return parse
 
 
+def _twists(text: str) -> tuple[int, ...]:
+    """An argparse type for a comma-separated list of integers."""
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected integers separated by commas, got {text!r}")
+
+
 def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
     """A parent parser holding a group of options shared by subcommands."""
     return argparse.ArgumentParser(add_help=False, parents=list(parents))
@@ -294,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     work_limit = _options()
     work_limit.add_argument(
         "--work-limit-degree",
-        type=int,
+        type=_int_at_least(0),
         default=40,
         help="largest graded piece degree certificates may compute",
     )
@@ -349,15 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--matrix", type=str, help="input matrix file (block, pullback)")
     sub.add_argument("--f-forms", type=str, help="diagonal forms file (cyclic)")
     sub.add_argument("--g-forms", type=str, help="cycle forms file (cyclic)")
-    sub.add_argument("--rows", type=str, default="0,0,0", help="row twists (random)")
+    sub.add_argument("--rows", type=_twists, default="0,0,0", help="row twists (random)")
     sub.add_argument(
         "--cols",
-        type=str,
+        type=_twists,
         default="-1,-1,-1",
         help="column twists (random); use --cols=-1,-1,-1 for negative values",
     )
     sub.add_argument("--symmetry", choices=("general", "symmetric", "skew"), default="general")
-    sub.add_argument("--nvars", type=int, default=4)
+    sub.add_argument("--nvars", type=_int_at_least(1), default=4)
     sub.set_defaults(handler=_cmd_construct)
 
     sub = subs.add_parser(
@@ -408,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
         constructions.UnsupportedAmbient,
         graded.CharDividesDegree,
         graded.TooManyVariables,
+        graded.WorkLimitExceeded,
+        polymat.SizeMismatch,
+        exactlin.OddSize,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .exactlin import PrimeField
 from .mpoly import HomogeneousForm
-from .polymat import GENERAL, SKEW, SYMMETRIC, GradedMatrix, LinearSkewMatrix
+from .polymat import GENERAL, SKEW, SYMMETRIC, GradedMatrix, LinearSkewMatrix, SizeMismatch
 from .rng import FieldRng, derive_seed
 
 
@@ -479,6 +479,8 @@ def random_graded_matrix(
     """Uniform random coefficients at every allowed position of the shape."""
     rows, cols = shape.row_twists, shape.col_twists
     nr, nc = len(rows), len(cols)
+    if shape.symmetry != GENERAL and nr != nc:
+        raise SizeMismatch(f"{shape.symmetry} shape must be square, got {nr} x {nc}")
     entries: list[list[HomogeneousForm | None]] = [[None] * nc for _ in range(nr)]
 
     def sample(i: int, j: int) -> HomogeneousForm | None:

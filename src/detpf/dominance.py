@@ -45,30 +45,28 @@ into cd > 0, which proves nothing; a raised rank could certify a map that is
 not dominant.  Evaluation is such a shortcut: points on which V drops
 rank can only lower rank E.
 
-The GL(2d) quotient is another.  It replaces the C(2d, 2) columns of E
-that carry x_0 by the single column x_0 sum_{i<j} (M_0)_ij (M(x)^-1)_ij,
-which is -x_0 dpf(M_0) / pf(M(x)), where dpf(N) = sum_{i<j} N_ij dpf/dm_ij
-at M(x) is the pfaffian's derivative in the direction N.  The new column is
-a combination of the old ones, so E' = E T for a fixed column map T and
-rank E' <= rank E for any sample: the invariant holds whatever M_0 is.
-Equality holds for any sample when pf(M_0) != 0 and p does not divide d:
+The x_0 cut is another.  Of the C(2d, 2) columns of E that carry x_0 it
+keeps only the one at the first pair a < b in triu order with
+(M_0^-1)_ab != 0.  Deleting columns can only lower a rank, so the invariant
+holds whatever is kept; when M_0 is invertible the rank is unchanged for
+any sample and any odd p.  Write dpf(N) for the pfaffian's derivative at
+M(x) in the direction N, so that dpf(E_ij - E_ji) = +-P_ij:
 
-* pf(g M g^t) = det(g) pf(M) for g in GL(2d), applied to every M_k;
-  differentiating at g = 1 in the direction X gives
-  sum_k x_k dpf(X M_k + M_k X^t) = tr(X) pf;
-* Euler's relation for pf, homogeneous of degree d in the entries, gives
-  pf = (1/d) sum_k x_k dpf(M_k), which needs p not to divide d;
-* together, x_0 dpf(X M_0 + M_0 X^t) lies in
-  span{x_k P_ij : k >= 1} + <x_0 dpf(M_0)> for every X, and when M_0 is
-  invertible, X = N M_0^-1 / 2 makes X M_0 + M_0 X^t any skew N.
+* pf(g M g^t) = det(g) pf(M) for g in GL(2d), applied to every M_k and
+  differentiated at g = 1 in a direction X with tr X = 0, gives
+  sum_k x_k dpf(X M_k + M_k X^t) = 0;
+* X = N M_0^-1 / 2 sends X M_0 + M_0 X^t to any skew N and has
+  tr X = tr(N M_0^-1) / 2, so x_0 dpf(N) lies in span{x_k P_ij : k >= 1}
+  for every skew N in the hyperplane H = {N : tr(N M_0^-1) = 0};
+* N_0 = E_ab - E_ba has tr(N_0 M_0^-1) = -2 (M_0^-1)_ab != 0, so N_0 is
+  off H, and x_0 dpf(N_0) = +-x_0 P_ab is the kept column.
 
-So span{x_k P_ij} = span{x_k P_ij : k >= 1} + <x_0 dpf(M_0)>, a linear
-identity among the forms: the column span of C is unchanged, hence
-rank E' = rank E exactly.  `_quotient_is_exact` checks both conditions
-once per certificate and keeps the full E when either fails; a
-certificate's `quotient` field says which ran.  This is the quotient
-behind the moduli count (n+1) d (2d-1) - 4 d^2 of section 7, applied to the
-columns of E rather than to the dimension.
+So span{x_k P_ij} = span{x_k P_ij : k >= 1} + <x_0 P_ab>, and the cut E has
+the rank of E.  `_kept_x0_column` finds (a, b) once per certificate, or
+None when M_0 is singular, and then the full E is kept; a certificate's
+`quotient` field says which ran.  This is the GL(2d) quotient behind the
+moduli count (n+1) d (2d-1) - 4 d^2 of section 7, applied to the columns of
+E rather than to the dimension.
 """
 
 from __future__ import annotations
@@ -79,10 +77,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import __version__, exactlin
+from . import __version__, exactlin, graded
 from .exactlin import PrimeField, ScalarMatrix
 from .constructions import random_linear_skew
-from .mpoly import _shifted_rows, monomial_basis, monomial_count, sample_usable
+from .mpoly import monomial_count, sample_usable
 from .polymat import LinearSkewMatrix, submaximal_pfaffians
 from .rng import FieldRng, derive_seed
 
@@ -214,11 +212,11 @@ def _span_rank(
 
     Rows are x (x) triu(M(x)^-1) at the first N = C(d+r, r) points of the
     stream where M(x) is invertible; singular points are dropped and
-    replaced by `mpoly.sample_usable`.  When `_quotient_is_exact`, the x_0
-    block of C(2d, 2) columns is replaced by the single column
-    x_0 sum_{i<j} (M_0)_ij (M(x)^-1)_ij (module docstring).  `stats`, when
-    given, gets `quotient` (whether it was) and `inverse_fallbacks` (see
-    `exactlin.invert_many`; None when the Schur recursion did not run).
+    replaced by `mpoly.sample_usable`.  When M_0 is invertible, only the x_0
+    column `_kept_x0_column` of the C(2d, 2) that carry x_0 is kept (module
+    docstring).  `stats`, when given, gets `quotient` (whether it was) and
+    `inverse_fallbacks` (see `exactlin.invert_many`; None when the Schur
+    recursion did not run).
     """
     field = L.field
     target = monomial_count(L.nvars, d)
@@ -236,22 +234,23 @@ def _span_rank(
     points, entries, drawn = sample_usable(
         values_fn, field, L.nvars, stream, target, len(upper[0])
     )
-    quotient = _quotient_is_exact(L)
-    first = 1 if quotient else 0
+    kept = _kept_x0_column(L)
+    first = 0 if kept is None else 1
     rows = (points[:, first:, None] * entries[:, None, :]).reshape(len(points), -1)
-    if quotient:
-        m0 = L.coeff[0][upper][:, None]
-        rows = np.hstack([points[:, :1] * exactlin._matmul(entries, m0, field.p), rows])
+    if kept is not None:
+        rows = np.hstack([points[:, :1] * entries[:, kept : kept + 1], rows])
     if stats is not None:
-        stats.update(quotient=quotient, inverse_fallbacks=inverse_stats.get("fallbacks"))
+        stats.update(quotient=kept is not None, inverse_fallbacks=inverse_stats.get("fallbacks"))
     return exactlin.rank(ScalarMatrix(field, rows)), target, drawn
 
 
-def _quotient_is_exact(L: LinearSkewMatrix) -> bool:
-    """Collapsing the x_0 block keeps rank E: pf(M_0) != 0 and p does not
-    divide the degree of pf M (module docstring)."""
-    p = L.field.p
-    return (L.size // 2) % p != 0 and exactlin._pfaffian_array(L.coeff[0], p) != 0
+def _kept_x0_column(L: LinearSkewMatrix) -> int | None:
+    """The triu index of the first pair a < b with (M_0^-1)_ab != 0, the one
+    x_0 column the cut keeps; None when M_0 is singular (module docstring)."""
+    inverse, invertible = exactlin.invert_many(L.coeff[:1], L.field.p)
+    if not invertible[0]:
+        return None
+    return int(np.flatnonzero(inverse[0][np.triu_indices(L.size, 1)])[0])
 
 
 def span_rank_by_interpolation(
@@ -259,29 +258,15 @@ def span_rank_by_interpolation(
 ) -> tuple[int, int, int]:
     """(rank of span{X_k P_ij}, target dim, sample points used), the slow way.
 
-    Interpolates every submaximal pfaffian P_ij, then takes the rank of the
-    coefficient vectors of the forms X_k P_ij in the degree-d monomial basis.
-    This is the span matrix C of the module docstring itself; tests use it
-    as the reference for the evaluation rank of `_span_rank`.
+    Interpolates every submaximal pfaffian P_ij; the forms X_k P_ij span the
+    degree-d piece of the ideal (P_ij), whose dimension is the rank of the
+    span matrix C of the module docstring.  Tests use it as the reference
+    for the evaluation rank of `_span_rank`.
     """
-    field = L.field
-    r_plus_1 = L.nvars
     stats: dict = {}
     pfaffs = submaximal_pfaffians(L, seed=seed, stats=stats)
-    basis_lo = monomial_basis(r_plus_1, d - 1)
-    target = monomial_count(r_plus_1, d)
-    # multiplication by X_k sends the degree-(d-1) monomials to these rows
-    shifts = [
-        _shifted_rows(r_plus_1, d - 1, tuple(int(j == k) for j in range(r_plus_1)))
-        for k in range(r_plus_1)
-    ]
-    rows = np.zeros((r_plus_1 * len(pfaffs), target), dtype=np.int64)
-    for t, (pair, form) in enumerate(sorted(pfaffs.items())):
-        vec = form.coefficient_vector(basis_lo)
-        for k in range(r_plus_1):
-            rows[t * r_plus_1 + k, shifts[k]] = vec
-    rank = exactlin.rank(ScalarMatrix(field, rows))
-    return rank, target, stats["points_used"]
+    rank = graded.ideal_piece_dim(list(pfaffs.values()), d)
+    return rank, monomial_count(L.nvars, d), stats["points_used"]
 
 
 def pfaffian_codim(

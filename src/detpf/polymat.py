@@ -54,9 +54,6 @@ EXPANSION_CUTOFF_DET = 6
 EXPANSION_CUTOFF_PF = 8
 
 
-OddSize = exactlin.OddSize
-
-
 class SizeMismatch(ValueError):
     pass
 
@@ -487,7 +484,7 @@ def _require_skew(M: GradedMatrix) -> None:
     if M.symmetry != SKEW:
         raise ValueError("pfaffian needs the skew symmetry tag")
     if M.nrows % 2 != 0:
-        raise OddSize(f"pfaffian needs even size, got {M.nrows}")
+        raise exactlin.OddSize(f"pfaffian needs even size, got {M.nrows}")
 
 
 # ---- interpolated determinant / pfaffian ----------------------------------------
@@ -630,7 +627,7 @@ def submaximal_pfaffians(
     """
     n = L.size
     if n % 2 != 0:
-        raise OddSize(f"submaximal pfaffians need even size, got {n}")
+        raise exactlin.OddSize(f"submaximal pfaffians need even size, got {n}")
     if n < 4:
         raise SizeMismatch("size must be at least 4")
     d = n // 2

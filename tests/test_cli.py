@@ -473,3 +473,67 @@ def test_text_format_marks_each_list_item(capsys):
     lines = out.splitlines()
     assert lines.count("-") == 3
     assert lines[0] == "-" and lines[1] == "  ambient: 2"
+
+
+def test_a_work_limit_the_input_cannot_meet_exits_2(tmp_path, capsys):
+    path = tmp_path / "z.pts"
+    path.write_text(random_point_set(F, 4, 5, FieldRng("cli-g")).to_text())
+    code, _, err = run(capsys, "gorenstein", "--points", str(path), "--work-limit-degree", "0")
+    assert code == 2
+    assert err.startswith("error: ")
+    with pytest.raises(SystemExit) as exc:
+        main(["gorenstein", "--points", str(path), "--work-limit-degree", "-1"])
+    assert exc.value.code == 2
+    assert "argument --work-limit-degree: must be at least 0" in capsys.readouterr().err
+
+
+def test_an_empty_degree_range_exits_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["dominance-sweep", "--ambient", "3", "--min-degree", "5", "--max-degree", "3"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: detpf dominance-sweep ")
+    assert "error: empty degree range 5..3" in out.err
+
+
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["block"], "construct block needs --matrix"),
+        (["pullback"], "construct pullback needs --matrix"),
+        (["cyclic"], "construct cyclic needs --f-forms"),
+        (["cyclic", "--f-forms", "f.forms"], "construct cyclic needs --g-forms"),
+        (["random", "--rows=a,b"], "argument --rows: expected integers"),
+        (["random", "--cols=-1,,-1"], "argument --cols: expected integers"),
+        (["random", "--nvars", "0"], "argument --nvars: must be at least 1"),
+    ],
+)
+def test_construct_refuses_bad_options_with_its_usage(capsys, argv, needle):
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: detpf construct ")
+    assert needle in err
+
+
+def test_a_matrix_of_the_wrong_size_exits_2(tmp_path, capsys):
+    for symmetry in ("skew", "symmetric"):
+        code, out, err = run(
+            capsys, "construct", "random", "--symmetry", symmetry, "--rows=0,0", "--cols=-1,-1,-1"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {symmetry} shape must be square, got 2 x 3\n"
+    matrix, form = tmp_path / "wide.gm", tmp_path / "f.form"
+    assert main(["construct", "random", "--rows=0,0", "--cols=-1,-1,-1", "--output", str(matrix)]) == 0
+    form.write_text("form nvars=4 degree=2 p=31991\n1  2 0 0 0\n")
+    code, _, err = run(capsys, "verify", "--matrix", str(matrix), "--form", str(form), "--kind", "det")
+    assert code == 2
+    assert err == "error: determinant of a non-square matrix\n"
+    odd = tmp_path / "odd.gm"
+    argv = ["construct", "random", "--symmetry", "skew", "--rows=0,0,0", "--cols=-1,-1,-1"]
+    assert main([*argv, "--output", str(odd)]) == 0
+    code, _, err = run(capsys, "verify", "--matrix", str(odd), "--form", str(form), "--kind", "pf")
+    assert code == 2
+    assert err == "error: pfaffian needs even size, got 3\n"

@@ -23,9 +23,15 @@ from detpf.dominance import (
     plane_genus,
     span_rank_by_interpolation,
 )
-from detpf.exactlin import PrimeField
-from detpf.mpoly import DegeneratePencil, sample_points
-from detpf.polymat import LinearSkewMatrix
+from detpf.exactlin import PrimeField, ScalarMatrix
+from detpf.mpoly import (
+    DegeneratePencil,
+    _shifted_rows,
+    monomial_basis,
+    monomial_count,
+    sample_points,
+)
+from detpf.polymat import LinearSkewMatrix, submaximal_pfaffians
 from detpf.rng import FieldRng, derive_seed
 
 
@@ -187,15 +193,20 @@ CROSS_ROUTE = [
 def full_rank(monkeypatch, L, d, seed):
     """The rank of E with every x_0 column kept."""
     with monkeypatch.context() as patch:
-        patch.setattr(dominance, "_quotient_is_exact", lambda L: False)
+        patch.setattr(dominance, "_kept_x0_column", lambda L: None)
         return _span_rank(L, d, seed)[0]
 
 
-def forced_quotient_rank(monkeypatch, L, d, seed):
-    """The rank of E with the x_0 block collapsed whether or not it may be."""
+def cut_ranks(monkeypatch, L, d, seed, column):
+    """(rank of E with only x_0 column `column` kept, rank with it deleted too)."""
+    ranked = []
+    rank = exactlin.rank
     with monkeypatch.context() as patch:
-        patch.setattr(dominance, "_quotient_is_exact", lambda L: True)
-        return _span_rank(L, d, seed)[0]
+        patch.setattr(dominance, "_kept_x0_column", lambda L: column)
+        patch.setattr(exactlin, "rank", lambda A: ranked.append(A) or rank(A))
+        cut = _span_rank(L, d, seed)[0]
+    E = ranked[-1]  # the kept column comes first
+    return cut, rank(ScalarMatrix(E.field, E.a[:, 1:]))
 
 
 @pytest.mark.parametrize("r, d, prime", CROSS_ROUTE)
@@ -208,7 +219,7 @@ def test_evaluation_rank_matches_interpolated_span(monkeypatch, r, d, prime):
     span, span_target, _ = span_rank_by_interpolation(L, d, stream)
     assert target == span_target == comb(d + r, r)
     assert drawn == target  # no singular point at these primes and seeds
-    assert route["quotient"]  # pf(M_0) != 0 and p does not divide d
+    assert route["quotient"]  # M_0 is invertible
     assert rank == full_rank(monkeypatch, L, d, stream) == span
     cert = pfaffian_codim(r, d, prime=prime, seed=seed)
     assert (cert.rank_achieved, cert.codim) == (rank, target - span)
@@ -235,25 +246,57 @@ def test_singular_m0_keeps_the_full_matrix(monkeypatch, r, d, prime):
         rank, _, _ = _span_rank(M, d, 1, route)
         assert not route["quotient"]
         assert rank == full_rank(monkeypatch, M, d, 1) == span_rank_by_interpolation(M, d, 1)[0]
-        # the collapsed column would not span the x_0 block here
-        assert forced_quotient_rank(monkeypatch, M, d, 1) < rank
+    # with M_0 of rank two, no single x_0 column spans the x_0 block
+    M = with_m0(L, rank_two)
+    assert all(cut_ranks(monkeypatch, M, d, 1, t)[0] < rank for t in range(comb(2 * d, 2)))
+
+
+FULL_RANK_P_DIVIDING_D = {(2, 3, 3): 6, (2, 6, 3): 9, (2, 5, 5): 13, (3, 5, 5): 46}
 
 
 @pytest.mark.parametrize(
     "r, d, prime, seed", [(2, 3, 3, 0), (2, 6, 3, 0), (2, 5, 5, 0), (3, 5, 5, 0)]
 )
 def test_p_dividing_d_keeps_the_full_matrix(monkeypatch, r, d, prime, seed):
+    # the x_0 cut needs M_0 invertible and nothing of d: the one kept x_0
+    # column gives the full matrix's rank, and deleting it loses a rank
     L = sampled_matrix(r, d, prime, seed)
     stream = derive_seed(seed, "interp", r, d, 1)
-    assert exactlin._pfaffian_array(L.coeff[0], prime) != 0
     route = {}
     rank, target, _ = _span_rank(L, d, stream, route)
-    assert not route["quotient"]
-    assert rank == full_rank(monkeypatch, L, d, stream)
-    # Euler's relation fails, and with it the quotient: here it loses a rank
-    assert forced_quotient_rank(monkeypatch, L, d, stream) == rank - 1
+    assert route["quotient"]
+    assert rank == full_rank(monkeypatch, L, d, stream) == FULL_RANK_P_DIVIDING_D[r, d, prime]
+    kept = dominance._kept_x0_column(L)
+    assert cut_ranks(monkeypatch, L, d, stream, kept) == (rank, rank - 1)
     if d - 1 < prime:  # the P_ij interpolate
         assert rank <= span_rank_by_interpolation(L, d, stream)[0] == target
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7, 31991, 2**31 - 1])
+def test_cut_keeps_the_full_rank(monkeypatch, prime):
+    cut = cut_where_p_divides_d = 0
+    for seed in range(2):
+        for r, d in ((2, 3), (2, 5), (2, 6), (2, 7), (3, 3), (3, 5), (4, 3), (5, 3)):
+            L = sampled_matrix(r, d, prime, seed)
+            route = {}
+            try:
+                rank, _, _ = _span_rank(L, d, seed, route)
+            except DegeneratePencil:  # common at p = 3, and raised before any cut
+                continue
+            assert rank == full_rank(monkeypatch, L, d, seed)
+            cut += route["quotient"]
+            cut_where_p_divides_d += route["quotient"] and d % prime == 0
+    # M_0 is singular, or the pencil degenerate, in a few of the 16 at small p
+    assert cut >= 10
+    assert cut_where_p_divides_d >= (2 if prime <= 7 else 0)
+
+
+@pytest.mark.parametrize("r, d", [(4, 5), (4, 6), (5, 3), (5, 4)])
+def test_the_kept_x0_column_is_needed(monkeypatch, r, d):
+    L = sampled_matrix(r, d, 31991, 0)
+    kept = dominance._kept_x0_column(L)
+    rank = full_rank(monkeypatch, L, d, 0)
+    assert cut_ranks(monkeypatch, L, d, 0, kept) == (rank, rank - 1)
 
 
 def test_certificate_records_the_route():
@@ -262,11 +305,39 @@ def test_certificate_records_the_route():
     assert (doc["quotient"], doc["inverse_fallbacks"]) == (True, 0)
     # above the float64 bound only Gauss-Jordan runs
     assert pfaffian_codim(3, 6, prime=2**31 - 1, seed=3).to_dict()["inverse_fallbacks"] is None
-    # 3 divides the degree
-    assert pfaffian_codim(2, 3, prime=3, seed=0).quotient is False
+    # M_0 is singular here: the full matrix is kept
+    assert exactlin._det_array(sampled_matrix(3, 3, 7, 3).coeff[0], 7) == 0
+    assert pfaffian_codim(3, 3, prime=7, seed=3).quotient is False
+    # 3 divides the degree, and the cut runs
+    assert pfaffian_codim(2, 3, prime=3, seed=0).quotient is True
     # 2d = 4 rows is Gauss-Jordan's base size: no recursion
     assert pfaffian_codim(3, 2, seed=3).inverse_fallbacks is None
     assert DominanceCertificate.csv_header().count(",") == len(cert.csv_row().split(",")) - 1
+
+
+def scatter_span_rank(L, d, seed):
+    """rank{X_k P_ij} from each X_k P_ij's coefficients scattered into the
+    degree-d basis, independently of `graded.ideal_piece_dim`."""
+    n = L.nvars
+    pfaffs = submaximal_pfaffians(L, seed=seed)
+    basis = monomial_basis(n, d - 1)
+    rows = np.zeros((n * len(pfaffs), monomial_count(n, d)), dtype=np.int64)
+    for t, form in enumerate(pfaffs.values()):
+        for k in range(n):
+            shift = _shifted_rows(n, d - 1, tuple(int(j == k) for j in range(n)))
+            rows[t * n + k, shift] = form.coefficient_vector(basis)
+    return exactlin.rank(ScalarMatrix(L.field, rows))
+
+
+@pytest.mark.parametrize("prime", [7, 13, 101, 31991])
+def test_interpolated_span_matches_a_scatter_of_the_forms(prime):
+    for seed in range(2):
+        for r, d in ((2, 3), (2, 5), (3, 3), (3, 4), (4, 3), (5, 3)):
+            L = sampled_matrix(r, d, prime, seed)
+            assert span_rank_by_interpolation(L, d, seed)[0] == scatter_span_rank(L, d, seed)
+    # M_0 = 0 drops the span below the target (25 of 35)
+    L = with_m0(sampled_matrix(3, 4, prime, 1), np.zeros((8, 8), dtype=np.int64))
+    assert span_rank_by_interpolation(L, 4, 1)[0] == scatter_span_rank(L, 4, 1) == 25
 
 
 def test_evaluation_rank_never_exceeds_span_at_a_small_prime():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from detpf.exactlin import DEFAULT_PRIME, PrimeField, ScalarMatrix, Singular, pfaffian_skew
+from detpf.exactlin import (
+    DEFAULT_PRIME,
+    OddSize,
+    PrimeField,
+    ScalarMatrix,
+    Singular,
+    pfaffian_skew,
+)
 from detpf.exactlin import determinant as numeric_det
 from detpf.mpoly import DegeneratePencil, HomogeneousForm, monomial_count, sample_points
 from detpf.polymat import (
@@ -9,7 +16,6 @@ from detpf.polymat import (
     GradedMatrix,
     InterpolationFailure,
     LinearSkewMatrix,
-    OddSize,
     congruence_transform,
     determinant,
     determinant_expansion,
