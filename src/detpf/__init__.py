@@ -2,10 +2,11 @@
 
 __version__ = "0.1.0"
 
-from .exactlin import DEFAULT_PRIME, PrimeField, ScalarMatrix
+from .exactlin import DEFAULT_PRIME, InputError, PrimeField, ScalarMatrix
 
 __all__ = [
     "DEFAULT_PRIME",
+    "InputError",
     "PrimeField",
     "ScalarMatrix",
     "HomogeneousForm",

@@ -7,7 +7,7 @@ r,d,prime,seed,cd,rank,target,verdict,elapsed_ms.  Each subcommand declares
 only the options its handler reads, and the ranges of its numbers, so
 argparse refuses the rest with the subcommand's usage.
 Exit codes: 0 success, 1 verification/certification failure, 2 usage or
-input errors; every malformed input file raises `mpoly.ParseError`, which
+input errors; every input the toolkit refuses raises an `InputError`, which
 exits 2.
 """
 
@@ -18,13 +18,9 @@ import json
 import os
 import sys
 
-from . import __version__, constructions, dominance, exactlin, graded, mpoly, polymat
-from .exactlin import DEFAULT_PRIME, PrimeField
+from . import __version__, constructions, dominance, graded, mpoly, polymat
+from .exactlin import DEFAULT_PRIME, InputError, PrimeField
 from .rng import FieldRng
-
-
-class InputError(ValueError):
-    pass
 
 
 def _env_int(name: str, default: int) -> int:
@@ -40,10 +36,7 @@ def _env_int(name: str, default: int) -> int:
 def _field(args: argparse.Namespace) -> PrimeField:
     """The field of `--prime`, else of `DETPF_PRIME`, else of the default prime."""
     prime = args.prime if args.prime is not None else _env_int("DETPF_PRIME", DEFAULT_PRIME)
-    try:
-        return PrimeField(prime)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    return PrimeField(prime)
 
 
 def _render_text(doc, indent: int = 0) -> str:
@@ -207,12 +200,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_hilbert(args: argparse.Namespace) -> int:
     field = _field(args)
     matrix = polymat.parse_graded_matrix(_read_file(args.matrix), field)
-    try:
-        lo, hi = args.degrees.split("..")
-        lo, hi = int(lo), int(hi)
-    except ValueError as exc:
-        raise InputError(f"--degrees expects J0..J1, got {args.degrees!r}") from exc
-    table = {str(j): graded.coker_hilbert(matrix, j) for j in range(lo, hi + 1)}
+    table = {str(j): graded.coker_hilbert(matrix, j) for j in args.degrees}
     _emit(args, {"hilbert": table})
     return 0
 
@@ -273,6 +261,17 @@ def _twists(text: str) -> tuple[int, ...]:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integers separated by commas, got {text!r}")
+
+
+def _degree_range(text: str) -> range:
+    """An argparse type for a nonempty range J0..J1 of degrees, both included."""
+    try:
+        lo, hi = (int(v) for v in text.split(".."))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected J0..J1, got {text!r}")
+    if lo > hi:
+        raise argparse.ArgumentTypeError(f"empty degree range {lo}..{hi}")
+    return range(lo, hi + 1)
 
 
 def _options(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
@@ -384,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
         "hilbert", parents=[prime, document], help="Hilbert function of a presented cokernel"
     )
     sub.add_argument("--matrix", type=str, required=True)
-    sub.add_argument("--degrees", type=str, required=True, help="range J0..J1")
+    sub.add_argument("--degrees", type=_degree_range, required=True, help="range J0..J1")
     sub.set_defaults(handler=_cmd_hilbert)
 
     sub = subs.add_parser(
@@ -413,17 +412,7 @@ def main(argv: list[str] | None = None) -> int:
         args.subparser.error(f"unrecognized arguments: {' '.join(unread)}")
     try:
         return args.handler(args)
-    except (
-        InputError,
-        mpoly.ParseError,
-        constructions.DegreeInconsistency,
-        constructions.UnsupportedAmbient,
-        graded.CharDividesDegree,
-        graded.TooManyVariables,
-        graded.WorkLimitExceeded,
-        polymat.SizeMismatch,
-        exactlin.OddSize,
-    ) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

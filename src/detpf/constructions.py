@@ -19,17 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-from .exactlin import PrimeField
+from .exactlin import InputError, PrimeField
 from .mpoly import HomogeneousForm
 from .polymat import GENERAL, SKEW, SYMMETRIC, GradedMatrix, LinearSkewMatrix, SizeMismatch
 from .rng import FieldRng, derive_seed
 
 
-class DegreeInconsistency(ValueError):
+class DegreeInconsistency(InputError):
     pass
 
 
-class UnsupportedAmbient(ValueError):
+class UnsupportedAmbient(InputError):
     pass
 
 
@@ -372,7 +372,7 @@ def fermat_matrix(
 def block_skew_from(N: GradedMatrix) -> GradedMatrix:
     """Skew matrix [[0, N], [-tN, 0]]; pf = block_skew_sign(d) * det N."""
     if not N.is_square():
-        raise ValueError("block pfaffian construction needs a square matrix")
+        raise InputError("block pfaffian construction needs a square matrix")
     d = N.nrows
     field, nvars = N.field, N.nvars
     row_twists = tuple(N.row_twists) + tuple(-e for e in N.col_twists)
@@ -392,13 +392,13 @@ def block_skew_from(N: GradedMatrix) -> GradedMatrix:
 def pullback_squares(M: GradedMatrix) -> GradedMatrix:
     """Entrywise substitution (X0^2, X1^2, X2^2) into a symmetric linear matrix."""
     if M.symmetry != SYMMETRIC:
-        raise ValueError("pullback is defined for symmetric matrices")
+        raise InputError("pullback is defined for symmetric matrices")
     if M.nvars != 3:
-        raise ValueError(f"pullback needs 3 variables, got {M.nvars}")
+        raise InputError(f"pullback needs 3 variables, got {M.nvars}")
     for row in M.entries:
         for f in row:
             if not f.is_zero() and f.degree != 1:
-                raise ValueError("pullback needs linear entries")
+                raise InputError("pullback needs linear entries")
     squares = [HomogeneousForm.variable(M.field, 3, j, 2) for j in range(3)]
     entries = [[f.substitute(squares) for f in row] for row in M.entries]
     return GradedMatrix(

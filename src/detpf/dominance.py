@@ -111,29 +111,19 @@ def _count_obstructed(n: int, d: int) -> bool:
     return moduli_dimension(n, d) < linear_system_dimension(n, d)
 
 
-class NonIntegral(ArithmeticError):
-    pass
-
-
 def curve_invariants(d: int) -> tuple[int, int]:
     """(degree, genus) of the curve attached to a linear d x d determinant in P^3."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    deg_num = d * (d - 1)
-    gen_num = (d - 2) * (d - 3) * (2 * d + 1)
-    if deg_num % 2 or gen_num % 6:
-        raise NonIntegral(f"formulas not integral at d={d}")
-    return deg_num // 2, gen_num // 6
+    # (d-2)(d-3) is even, and 3 divides d-3, 2d+1 or d-2 as d = 0, 1, 2 mod 3
+    return d * (d - 1) // 2, (d - 2) * (d - 3) * (2 * d + 1) // 6
 
 
 def gorenstein_degree(d: int) -> int:
     """Number of points (resp. degree of the codim-2 subvariety) for 2d-pfaffians."""
     if d < 1:
         raise ValueError(f"need d >= 1, got {d}")
-    num = d * (d - 1) * (2 * d - 1)
-    if num % 6:
-        raise NonIntegral(f"formula not integral at d={d}")
-    return num // 6
+    return d * (d - 1) * (2 * d - 1) // 6  # the sum of k^2 over k < d
 
 
 def plane_genus(d: int) -> int:

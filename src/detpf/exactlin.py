@@ -73,6 +73,10 @@ FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 INT64_LIMIT = 1 << 63
 
 
+class InputError(ValueError):
+    """Input the toolkit refuses by design; the CLI reports it and exits 2."""
+
+
 class LinAlgError(ArithmeticError):
     """Base class for exact linear algebra failures."""
 
@@ -89,7 +93,7 @@ class Inconsistent(LinAlgError):
     """Right-hand side is outside the column span."""
 
 
-class OddSize(LinAlgError):
+class OddSize(LinAlgError, InputError):
     """Pfaffian of an odd-sized matrix requested."""
 
 
@@ -124,7 +128,7 @@ class PrimeField:
 
     def __init__(self, p: int):
         if p < 3 or p % 2 == 0 or p >= MAX_MODULUS or not _is_prime(p):
-            raise ValueError(f"modulus must be an odd prime below 2**31, got {p}")
+            raise InputError(f"modulus must be an odd prime below 2**31, got {p}")
         self.p = p
 
     def __eq__(self, other) -> bool:

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from . import exactlin
-from .exactlin import PrimeField, ScalarMatrix
+from .exactlin import InputError, PrimeField, ScalarMatrix
 from .mpoly import (
     HomogeneousForm,
     ParseError,
@@ -42,19 +42,19 @@ from .polymat import GradedMatrix, LinearSkewMatrix, determinant, maximal_minors
 from .rng import FieldRng
 
 
-class WorkLimitExceeded(RuntimeError):
+class WorkLimitExceeded(RuntimeError, InputError):
     pass
 
 
-class CharDividesDegree(ValueError):
+class CharDividesDegree(InputError):
     """Euler's relation fails: the characteristic divides the degree."""
 
 
-class TooManyVariables(ValueError):
+class TooManyVariables(InputError):
     """The smoothness certificate supports at most 4 variables."""
 
 
-class DuplicatePoint(ValueError):
+class DuplicatePoint(InputError):
     pass
 
 
@@ -81,10 +81,10 @@ class PointSet:
         seen = set()
         for idx, pt in enumerate(points):
             if len(pt) != nvars:
-                raise ValueError(f"point {idx} has {len(pt)} coordinates, expected {nvars}")
+                raise InputError(f"point {idx} has {len(pt)} coordinates, expected {nvars}")
             vec = _normalized(field, pt)
             if vec is None:
-                raise ValueError(f"point {idx} is the zero vector")
+                raise InputError(f"point {idx} is the zero vector")
             if vec in seen:
                 raise DuplicatePoint(f"point {idx} repeats {vec}; the scheme must be reduced")
             seen.add(vec)
@@ -305,7 +305,7 @@ def gorenstein_check(Z: PointSet, work_limit: int = 40) -> GorensteinReport:
     deleting its Vandermonde row leaves the rank at hilbert[index]."""
     c = len(Z)
     if c < 2:
-        raise ValueError("need at least 2 points")
+        raise InputError("need at least 2 points")
     p = Z.field.p
     coords = Z.coordinate_array()
     hilbert: list[int] = []

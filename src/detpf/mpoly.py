@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exactlin import Inconsistent, PrimeField
+from .exactlin import Inconsistent, InputError, PrimeField
 from .rng import FieldRng
 
 
@@ -44,7 +44,7 @@ class RankNotReached(RuntimeError):
     """Random sampling never spanned the monomial space."""
 
 
-class DegeneratePencil(RuntimeError):
+class DegeneratePencil(RuntimeError, InputError):
     """The black box could not be evaluated at too many sample points."""
 
 
@@ -363,7 +363,7 @@ def _power_row(x: int, degree: int, p: int) -> list[int]:
 # ---- text formats -------------------------------------------------------------
 
 
-class ParseError(ValueError):
+class ParseError(InputError):
     """A malformed line of a form, graded-matrix or point-set file."""
 
     def __init__(self, line_no: int, message: str):
@@ -509,10 +509,13 @@ def vandermonde(points: np.ndarray, basis: MonomialBasis, p: int) -> np.ndarray:
     return V
 
 
-def check_degenerate(drawn: int, dropped: int) -> None:
+def check_degenerate(drawn: int, dropped: int, p: int) -> None:
     """Raise DegeneratePencil if over half of 16 or more drawn points were dropped."""
     if drawn >= 16 and 2 * dropped > drawn:
-        raise DegeneratePencil(f"unusable at {dropped} of {drawn} sample points")
+        raise DegeneratePencil(
+            f"unusable at {dropped} of {drawn} sample points over GF({p}); "
+            "try a larger prime"
+        )
 
 
 def sample_usable(
@@ -552,7 +555,7 @@ def sample_usable(
         dropped = drawn - len(points)
         if stats is not None:
             stats.update(points_used=drawn, points_degenerate=dropped)
-        check_degenerate(drawn, dropped)
+        check_degenerate(drawn, dropped, p)
     return points, values, drawn
 
 

@@ -31,7 +31,7 @@ import hashlib
 import numpy as np
 
 from . import exactlin, mpoly
-from .exactlin import PrimeField, ScalarMatrix, Singular
+from .exactlin import InputError, PrimeField, ScalarMatrix, Singular
 from .mpoly import (
     HomogeneousForm,
     ParseError,
@@ -54,11 +54,11 @@ EXPANSION_CUTOFF_DET = 6
 EXPANSION_CUTOFF_PF = 8
 
 
-class SizeMismatch(ValueError):
+class SizeMismatch(InputError):
     pass
 
 
-class InterpolationFailure(RuntimeError):
+class InterpolationFailure(RuntimeError, InputError):
     pass
 
 
@@ -77,7 +77,7 @@ class GradedMatrix:
         symmetry: str = GENERAL,
     ):
         if symmetry not in _SYMMETRIES:
-            raise ValueError(f"unknown symmetry tag {symmetry!r}")
+            raise InputError(f"unknown symmetry tag {symmetry!r}")
         rows = tuple(int(t) for t in row_twists)
         cols = tuple(int(t) for t in col_twists)
         if len(entries) != len(rows):
@@ -94,14 +94,14 @@ class GradedMatrix:
                 ):
                     entry = HomogeneousForm.zero(field, nvars, max(deg, 0))
                 if entry.field != field or entry.nvars != nvars:
-                    raise ValueError(f"entry ({i},{j}) lives in the wrong ring")
+                    raise InputError(f"entry ({i},{j}) lives in the wrong ring")
                 if not entry.is_zero():
                     if deg < 0:
-                        raise ValueError(
+                        raise InputError(
                             f"entry ({i},{j}) must vanish: twist gap {deg} < 0"
                         )
                     if entry.degree != deg:
-                        raise ValueError(
+                        raise InputError(
                             f"entry ({i},{j}) has degree {entry.degree}, twists give {deg}"
                         )
                 out_row.append(entry)
@@ -120,17 +120,17 @@ class GradedMatrix:
             raise SizeMismatch(f"{self.symmetry} matrix must be square")
         sums = {d + e for d, e in zip(self.row_twists, self.col_twists)}
         if len(sums) > 1:
-            raise ValueError(
+            raise InputError(
                 f"{self.symmetry} tag needs col twists of the form t - row twists"
             )
         n = len(self.row_twists)
         for i in range(n):
             if skew and not self.entries[i][i].is_zero():
-                raise ValueError(f"skew matrix has nonzero diagonal at {i}")
+                raise InputError(f"skew matrix has nonzero diagonal at {i}")
             for j in range(i + 1, n):
                 mirror = -self.entries[j][i] if skew else self.entries[j][i]
                 if self.entries[i][j].coeffs != mirror.coeffs:
-                    raise ValueError(f"{self.symmetry} mirror fails at ({i},{j})")
+                    raise InputError(f"{self.symmetry} mirror fails at ({i},{j})")
 
     # ---- basic views ----------------------------------------------------
 
@@ -482,7 +482,7 @@ def pfaffian_expansion(M: GradedMatrix) -> HomogeneousForm:
 
 def _require_skew(M: GradedMatrix) -> None:
     if M.symmetry != SKEW:
-        raise ValueError("pfaffian needs the skew symmetry tag")
+        raise InputError("pfaffian needs the skew symmetry tag")
     if M.nrows % 2 != 0:
         raise exactlin.OddSize(f"pfaffian needs even size, got {M.nrows}")
 
@@ -583,7 +583,10 @@ def _interpolate_forms(
     try:
         coeffs = interpolate_many(values_fn, M.nvars, degree, M.field, seed, n_outputs)
     except RankNotReached as exc:
-        raise InterpolationFailure(str(exc)) from exc
+        raise InterpolationFailure(
+            f"{exc} over GF({M.field.p}); interpolating a degree-{degree} form "
+            f"needs p >= {degree}, try a larger prime"
+        ) from exc
     basis = monomial_basis(M.nvars, degree)
     return [HomogeneousForm.from_coefficient_vector(M.field, basis, c) for c in coeffs.T]
 
@@ -720,13 +723,13 @@ def verify_representation(
 ) -> VerificationResult:
     """Check det M (or pf M) = lambda F for a nonzero scalar lambda."""
     if F.is_zero():
-        raise ValueError("target form must be nonzero")
+        raise InputError("target form must be nonzero")
     if kind == "det":
         G = determinant(M, seed=seed)
     elif kind == "pf":
         G = pfaffian(M, seed=seed)
     else:
-        raise ValueError(f"kind must be 'det' or 'pf', got {kind!r}")
+        raise InputError(f"kind must be 'det' or 'pf', got {kind!r}")
     if G.is_zero() or G.nvars != F.nvars or G.degree != F.degree:
         return VerificationResult(False, None)
     p = F.field.p

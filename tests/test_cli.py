@@ -3,6 +3,8 @@ import json
 
 import pytest
 
+import detpf
+from detpf import constructions, exactlin, graded, mpoly, polymat
 from detpf.cli import build_parser, main
 from detpf.exactlin import DEFAULT_PRIME, PrimeField
 from detpf.constructions import fermat_matrix
@@ -454,6 +456,7 @@ def test_workers_come_from_the_environment_only_for_the_sweep(capsys, monkeypatc
         (["formulas", "--ambient", "1", "--degree", "3"], "--ambient"),
         (["lower-bound", "--ambient", "2"], "--ambient"),
         (["lower-bound", "--ambient", "6"], "--ambient"),
+        (["hilbert", "--matrix", "m.gm", "--degrees", "0..x"], "--degrees"),
     ],
 )
 def test_an_out_of_range_number_exits_2(capsys, argv, option):
@@ -495,6 +498,13 @@ def test_an_empty_degree_range_exits_2(capsys):
     assert out.out == ""
     assert out.err.startswith("usage: detpf dominance-sweep ")
     assert "error: empty degree range 5..3" in out.err
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--matrix", "m.gm", "--degrees", "3..1"])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: detpf hilbert ")
+    assert "error: argument --degrees: empty degree range 3..1" in out.err
 
 
 @pytest.mark.parametrize(
@@ -537,3 +547,85 @@ def test_a_matrix_of_the_wrong_size_exits_2(tmp_path, capsys):
     code, _, err = run(capsys, "verify", "--matrix", str(odd), "--form", str(form), "--kind", "pf")
     assert code == 2
     assert err == "error: pfaffian needs even size, got 3\n"
+
+
+@pytest.fixture
+def refused_inputs(tmp_path, capsys, monkeypatch):
+    """Input files for the REFUSED commands, in a temporary working directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["construct", "fermat", "--ambient", "2", "--degree", "5", "--output", "f5.gm"]) == 0
+    wide = ["--rows=0,0,0", "--cols=-1,-1", "--nvars", "3", "--output", "wide.gm"]
+    assert main(["construct", "random", *wide]) == 0
+    linear8 = ["--rows=" + ",".join(["0"] * 8), "--cols=" + ",".join(["-1"] * 8)]
+    linear8 += ["--prime", "5", "--nvars", "3", "--output", "linear8.gm"]
+    assert main(["construct", "random", *linear8]) == 0
+    (tmp_path / "f5.form").write_text("form nvars=3 degree=5 p=31991\n1  5 0 0\n1  0 5 0\n1  0 0 5\n")
+    (tmp_path / "zero.form").write_text("form nvars=3 degree=5 p=31991\n")
+    (tmp_path / "x8.form").write_text("form nvars=3 degree=8 p=5\n1  8 0 0\n")
+    (tmp_path / "one.pts").write_text("points p=31991 nvars=3\n1 0 0\n")
+    capsys.readouterr()
+
+
+REFUSED = {
+    "pf-of-a-general-matrix": ["verify", "--matrix", "f5.gm", "--form", "f5.form", "--kind", "pf"],
+    "zero-target-form": ["verify", "--matrix", "f5.gm", "--form", "zero.form", "--kind", "det"],
+    "block-of-a-3x2-matrix": ["construct", "block", "--matrix", "wide.gm"],
+    "pullback-of-a-general-matrix": ["construct", "pullback", "--matrix", "f5.gm"],
+    "skew-twists-that-disagree": [
+        "construct", "random", "--symmetry", "skew", "--rows=0,1", "--cols=-1,-3"
+    ],
+    "one-point": ["gorenstein", "--points", "one.pts"],
+    # degree 8 > p = 5: interpolation cannot recover the determinant
+    "det-degree-above-p": [
+        "verify", "--prime", "5", "--kind", "det", "--matrix", "linear8.gm", "--form", "x8.form"
+    ],
+    # over GF(3) most points make the pencil singular
+    "pencil-singular-over-gf3": [
+        "dominance", "--ambient", "2", "--degree", "3", "--prime", "3", "--seed", "1"
+    ],
+    "empty-hilbert-range": ["hilbert", "--matrix", "f5.gm", "--degrees", "3..1"],
+}
+
+
+@pytest.mark.parametrize("argv", list(REFUSED.values()), ids=list(REFUSED))
+def test_every_refused_input_exits_2(refused_inputs, capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(("error: ", "usage: "))
+    assert "Traceback" not in err
+
+
+def test_every_rejection_class_is_an_input_error():
+    for cls in (
+        mpoly.ParseError,
+        mpoly.DegeneratePencil,
+        polymat.SizeMismatch,
+        polymat.InterpolationFailure,
+        constructions.DegreeInconsistency,
+        constructions.UnsupportedAmbient,
+        graded.CharDividesDegree,
+        graded.TooManyVariables,
+        graded.DuplicatePoint,
+        graded.WorkLimitExceeded,
+        exactlin.OddSize,
+    ):
+        assert issubclass(cls, detpf.InputError), cls
+    assert detpf.InputError is exactlin.InputError
+    assert issubclass(detpf.InputError, ValueError)
+    # each class keeps its first base
+    assert exactlin.OddSize.__mro__[1] is exactlin.LinAlgError
+    for cls in (graded.WorkLimitExceeded, mpoly.DegeneratePencil, polymat.InterpolationFailure):
+        assert cls.__mro__[1] is RuntimeError
+
+
+def test_a_prime_too_small_for_the_sample_is_named(refused_inputs, capsys):
+    code, _, err = run(capsys, *REFUSED["det-degree-above-p"])
+    assert code == 2
+    assert "over GF(5); interpolating a degree-8 form needs p >= 8, try a larger prime" in err
+    code, _, err = run(capsys, *REFUSED["pencil-singular-over-gf3"])
+    assert code == 2
+    assert err == "error: unusable at 10 of 19 sample points over GF(3); try a larger prime\n"

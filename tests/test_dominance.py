@@ -1,3 +1,4 @@
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -56,6 +57,14 @@ def test_curve_invariants():
     assert curve_invariants(3) == (3, 0)
     assert curve_invariants(4) == (6, 3)
     assert curve_invariants(2) == (1, 0)
+
+
+def test_closed_forms_are_exact():
+    for d in range(1, 501):
+        genus = Fraction((d - 2) * (d - 3) * (2 * d + 1), 6)
+        values = (*curve_invariants(d), gorenstein_degree(d))
+        assert values == (Fraction(d * (d - 1), 2), genus, Fraction(d * (d - 1) * (2 * d - 1), 6))
+        assert all(type(v) is int for v in values)
 
 
 def test_gorenstein_degree():

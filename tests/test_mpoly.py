@@ -224,10 +224,11 @@ def test_interpolation_stops_when_most_points_are_unusable():
 )
 def test_check_degenerate_boundary(drawn, dropped, raises):
     if raises:
-        with pytest.raises(DegeneratePencil, match=f"{dropped} of {drawn}"):
-            check_degenerate(drawn, dropped)
+        match = rf"{dropped} of {drawn} sample points over GF\(7\); try a larger prime"
+        with pytest.raises(DegeneratePencil, match=match):
+            check_degenerate(drawn, dropped, 7)
     else:
-        check_degenerate(drawn, dropped)
+        check_degenerate(drawn, dropped, 7)
 
 
 def test_interpolation_rank_not_reached_on_tiny_field():
