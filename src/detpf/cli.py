@@ -383,7 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
         "hilbert", parents=[prime, document], help="Hilbert function of a presented cokernel"
     )
     sub.add_argument("--matrix", type=str, required=True)
-    sub.add_argument("--degrees", type=_degree_range, required=True, help="range J0..J1")
+    sub.add_argument(
+        "--degrees",
+        type=_degree_range,
+        required=True,
+        help="range J0..J1; use --degrees=-3..-1 for a negative J0",
+    )
     sub.set_defaults(handler=_cmd_hilbert)
 
     sub = subs.add_parser(

@@ -1,13 +1,26 @@
 """Graded-piece linear algebra over GF(p).
 
-Hilbert functions, ideal degree pieces, the smoothness certificate, the
-infinitesimal stabilizer dimension, arithmetically-Gorenstein point-set
-checks and minors-ideal membership are all raw rank computations on
-coefficient matrices of graded pieces; no Groebner machinery anywhere.
+Ideal degree pieces, the smoothness certificate, the infinitesimal
+stabilizer dimension, arithmetically-Gorenstein point-set checks and
+minors-ideal membership are rank computations on coefficient matrices of
+graded pieces; no Groebner machinery anywhere.
 
 The pieces are built by scatter: multiplying the degree-j monomials by a
 monomial X^e sends them to a fixed set of rows, cached per (nvars, j, e),
 and each term of a form writes its coefficient into those rows at once.
+
+Hilbert functions of cokernels take a rank only when they must.  Let
+M: +S(e_c) -> +S(d_r) have no more columns than rows.  A point x with
+rank M(x) = ncols is a witness: some maximal minor of M is nonzero at x,
+so it is a nonzero polynomial, and over the domain S that makes M
+injective (McCoy, Rings and Ideals, 1948).  Then every graded piece of M
+has full column rank, and the resolution 0 -> +S(e_c) -> +S(d_r) ->
+coker M -> 0 gives h(j) = sum_r dim S_{j+d_r} - sum_c dim S_{j+e_c}
+(Eisenbud, The Geometry of Syzygies, ch. 1).  `coker_hilbert` looks for a
+witness among a few points of a fixed stream; with more columns than rows,
+or when no drawn point is a witness (det M = 0, or a small prime where a
+nonzero minor vanishes on all of GF(p)^n), it takes the rank of the
+degree-j piece.  Both routes give the exact value.
 
 `det_in_minor_ideal` gets all d maximal minors of the rows below the first
 from one interpolation (`polymat.maximal_minors`), whose black box takes
@@ -181,13 +194,35 @@ def ideal_piece_dim(gens: Sequence[HomogeneousForm], j: int) -> int:
     return exactlin.rank(graded_piece_matrix(row, j))
 
 
+WITNESS_POINTS = 4
+
+
+def _has_injectivity_witness(M: GradedMatrix) -> bool:
+    """Is M(x) of full column rank at one of the first WITNESS_POINTS points
+    of a fixed stream?  True proves M injective over S; False proves nothing.
+    With more columns than rows no point qualifies, since rank M(x) <= nrows."""
+    if M.ncols == 0:
+        return True
+    rng = FieldRng(0, "graded.coker_hilbert witness")
+    for _ in range(WITNESS_POINTS):
+        x = [rng.below(M.field.p) for _ in range(M.nvars)]
+        if exactlin.rank(M.evaluate(x)) == M.ncols:
+            return True
+    return False
+
+
 def coker_hilbert(M: GradedMatrix, j: int) -> int:
-    """Hilbert function of coker(M) at degree j: target dim minus rank."""
+    """Hilbert function of coker(M) at degree j: target dim minus the rank
+    of the degree-j piece of M.
+
+    A point x with rank M(x) = ncols makes some maximal minor of M a nonzero
+    polynomial, so M is injective over the domain S, every graded piece has
+    full column rank, and that rank is the source dim sum_c dim S_{j+e_c}:
+    no piece is built.  Without such a witness the piece's rank is taken."""
     target = sum(monomial_count(M.nvars, j + d) for d in M.row_twists)
-    piece = graded_piece_matrix(M, j)
-    if piece.cols == 0:
-        return target
-    return target - exactlin.rank(piece)
+    if _has_injectivity_witness(M):
+        return target - sum(monomial_count(M.nvars, j + e) for e in M.col_twists)
+    return target - exactlin.rank(graded_piece_matrix(M, j))
 
 
 # ---- smoothness certificate --------------------------------------------------------
@@ -235,6 +270,8 @@ def smoothness_certificate(
     """
     d = F.degree
     field = F.field
+    if d < 2:
+        return SmoothnessCertificate("smooth", 0, None, None)
     if d % field.p == 0:
         raise CharDividesDegree(
             f"char {field.p} divides deg {d}; choose a different prime"
@@ -243,8 +280,6 @@ def smoothness_certificate(
         raise TooManyVariables(
             f"smoothness certificate supports at most 4 variables, got {F.nvars}"
         )
-    if d < 2:
-        return SmoothnessCertificate("smooth", 0, None, None)
     J = F.nvars * (d - 2) + 1
     full = monomial_count(F.nvars, J)
     partials = [F.partial_derivative(j) for j in range(F.nvars)]

@@ -129,6 +129,24 @@ def test_construct_random_and_hilbert(tmp_path, capsys):
     assert [table[str(j)] for j in range(5)] == [3 * (j + 1) for j in range(5)]
 
 
+def test_hilbert_negative_degree_range_needs_the_equals_form(tmp_path, capsys):
+    matrix_path = tmp_path / "lin.gm"
+    linear = constructions.random_graded_matrix(
+        F, 3, constructions.linear_square_shape(3), FieldRng("neg-degrees")
+    )
+    matrix_path.write_text(linear.to_text())
+    code, out, _ = run(
+        capsys, "hilbert", "--matrix", str(matrix_path), "--degrees=-3..-1"
+    )
+    assert code == 0
+    assert json.loads(out)["hilbert"] == {"-3": 0, "-2": 0, "-1": 0}
+    # written as two tokens, argparse reads -3..-1 as an option
+    with pytest.raises(SystemExit) as exc:
+        main(["hilbert", "--matrix", str(matrix_path), "--degrees", "-3..-1"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_construct_all_kinds(tmp_path, capsys):
     from detpf.mpoly import HomogeneousForm
 
@@ -204,6 +222,16 @@ def test_smooth_command(tmp_path, capsys):
     path.write_text(fermat_target(F, 2, 4).to_text())
     code, out, _ = run(capsys, "smooth", "--form", str(path))
     assert code == 0
+    assert json.loads(out)["verdict"] == "smooth"
+
+
+def test_smooth_constant_form_is_smooth(tmp_path, capsys):
+    # a degree-0 form defines the empty hypersurface; p divides 0, but no
+    # Euler relation is needed below degree 2
+    path = tmp_path / "one.form"
+    path.write_text("form nvars=3 degree=0 p=31991\n1  0 0 0\n")
+    code, out, err = run(capsys, "smooth", "--form", str(path))
+    assert (code, err) == (0, "")
     assert json.loads(out)["verdict"] == "smooth"
 
 

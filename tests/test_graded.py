@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from detpf import exactlin
+from detpf import exactlin, graded
 from detpf.exactlin import DEFAULT_PRIME, PrimeField, ScalarMatrix
 from detpf.mpoly import (
     HomogeneousForm,
@@ -10,8 +10,9 @@ from detpf.mpoly import (
     multiplication_matrix,
     vandermonde,
 )
-from detpf.polymat import LinearSkewMatrix
+from detpf.polymat import GradedMatrix, LinearSkewMatrix
 from detpf.constructions import (
+    ResolutionShape,
     fermat_target,
     linear_square_shape,
     prop_35_shape,
@@ -25,6 +26,7 @@ from detpf.graded import (
     det_in_minor_ideal,
     form_in_ideal_piece,
     gorenstein_check,
+    graded_piece_matrix,
     ideal_piece_dim,
     parse_point_set,
     random_point_set,
@@ -61,6 +63,105 @@ def test_coker_hilbert_vanishes_below_generators():
     M = random_graded_matrix(F, 3, prop_35_shape(5, 2), FieldRng("ch2"))
     assert coker_hilbert(M, -1) == 0
     assert coker_hilbert(M, -2) == 0
+
+
+def _piece_rank_hilbert(M, j):
+    """Reference: the target dimension minus the rank of the degree-j piece."""
+    target = sum(monomial_count(M.nvars, j + d) for d in M.row_twists)
+    return target - exactlin.rank(graded_piece_matrix(M, j))
+
+
+def _count_pieces(monkeypatch):
+    """Patch graded's piece builder to count its calls; returns the counter."""
+    calls = []
+    real = graded.graded_piece_matrix
+
+    def counting(M, j):
+        calls.append(j)
+        return real(M, j)
+
+    monkeypatch.setattr(graded, "graded_piece_matrix", counting)
+    return calls
+
+
+def _no_pieces(monkeypatch):
+    def refuse(M, j):
+        raise AssertionError("coker_hilbert built a graded piece")
+
+    monkeypatch.setattr(graded, "graded_piece_matrix", refuse)
+
+
+@pytest.mark.parametrize("p", [7, P])
+@pytest.mark.parametrize(
+    "rows, cols",
+    [
+        ((0, 0, 0), (-1, -1, -1)),
+        ((0, 1), (-1, -1)),
+        ((0, 0, 1), (-1, -2)),
+        ((0, 1, 1, 2), (-1, 0, -1)),
+        ((2, 0, 1), (-1, 0)),
+    ],
+)
+def test_coker_hilbert_of_injective_matrices_matches_piece_ranks(monkeypatch, p, rows, cols):
+    field = PrimeField(p)
+    rng = FieldRng("inj", p, str(rows), str(cols))
+    M = random_graded_matrix(field, 3, ResolutionShape(rows, cols), rng)
+    degrees = range(-max(rows) - 2, 7)
+    expected = [_piece_rank_hilbert(M, j) for j in degrees]
+    _no_pieces(monkeypatch)  # a witness point is found, so the twists answer
+    assert [coker_hilbert(M, j) for j in degrees] == expected
+
+
+def _linear_columns(field, nvars, nrows, seed):
+    rng = FieldRng("cols", seed)
+    return [HomogeneousForm.random(field, nvars, 1, rng.fork(i)) for i in range(nrows)]
+
+
+@pytest.mark.parametrize("p", [7, P])
+@pytest.mark.parametrize("case", ["equal-columns", "zero-column", "wide"])
+def test_coker_hilbert_of_non_injective_matrices_takes_piece_ranks(monkeypatch, p, case):
+    field = PrimeField(p)
+    a = _linear_columns(field, 3, 3, "a")
+    b = _linear_columns(field, 3, 3, "b")
+    zero = [None] * 3
+    columns = {
+        "equal-columns": [a, b, a],
+        "zero-column": [a, zero, b],
+        "wide": [a[:2], b[:2], _linear_columns(field, 3, 2, "c")],
+    }[case]
+    entries = [list(row) for row in zip(*columns)]
+    M = GradedMatrix(field, 3, (0,) * len(entries), (-1,) * len(columns), entries)
+    expected = [_piece_rank_hilbert(M, j) for j in range(-2, 7)]
+    calls = _count_pieces(monkeypatch)
+    assert [coker_hilbert(M, j) for j in range(-2, 7)] == expected
+    assert calls == list(range(-2, 7))
+
+
+def test_coker_hilbert_when_every_point_of_a_small_field_fails_the_witness(monkeypatch):
+    # x0^3 x1 - x0 x1^3 is a nonzero form that vanishes on all of GF(3)^2:
+    # [f] is injective, but no point can show it, and the ranks answer
+    field = PrimeField(3)
+    f = HomogeneousForm(field, 2, 4, {(3, 1): 1, (1, 3): 2})
+    M = GradedMatrix(field, 2, (0,), (-4,), [[f]])
+    calls = _count_pieces(monkeypatch)
+    assert [coker_hilbert(M, j) for j in range(-4, 6)] == [0, 0, 0, 0, 1, 2, 3, 4, 4, 4]
+    assert len(calls) == 10
+
+
+def test_coker_hilbert_of_a_matrix_without_columns(monkeypatch):
+    _no_pieces(monkeypatch)
+    M = GradedMatrix(F, 3, (0, 1), (), [[], []])
+    assert [coker_hilbert(M, j) for j in range(-2, 4)] == [
+        monomial_count(3, j) + monomial_count(3, j + 1) for j in range(-2, 4)
+    ]
+    empty = GradedMatrix(F, 3, (), (), [])
+    assert [coker_hilbert(empty, j) for j in range(3)] == [0, 0, 0]
+
+
+def test_coker_hilbert_of_an_injective_matrix_builds_no_piece(monkeypatch):
+    M = random_graded_matrix(F, 3, linear_square_shape(4), FieldRng("nopiece"))
+    _no_pieces(monkeypatch)
+    assert [coker_hilbert(M, j) for j in range(7)] == [4 * (j + 1) for j in range(7)]
 
 
 def test_smoothness_fermat_and_singular():
