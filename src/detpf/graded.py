@@ -25,11 +25,8 @@ degree-j piece.  Both routes give the exact value.
 `det_in_minor_ideal` gets all d maximal minors of the rows below the first
 from one interpolation (`polymat.maximal_minors`), whose black box takes
 the determinants of the d column-deleted (d-1) x (d-1) stacks of M(x) in
-one batched elimination.  Interpolating a form of degree D needs D <= p
-(no nonzero form of degree at most p vanishes on all of GF(p)^n), so the
-minors need p >= d - 1, and the determinant of M, interpolated above the
-expansion cutoff, p >= d, that is p > d - 1; otherwise `polymat`'s
-`InterpolationFailure` is raised.
+one batched elimination; `mpoly.interpolate_many` says which primes are
+too small for the minors and for the determinant above its cutoff.
 """
 
 from __future__ import annotations

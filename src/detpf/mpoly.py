@@ -40,8 +40,8 @@ class BasisMismatch(ValueError):
     pass
 
 
-class RankNotReached(RuntimeError):
-    """Random sampling never spanned the monomial space."""
+class InterpolationFailure(RuntimeError, InputError):
+    """GF(p) is too small to recover the asked-for forms by sampling."""
 
 
 class DegeneratePencil(RuntimeError, InputError):
@@ -567,20 +567,32 @@ def interpolate_many(
     seed: int,
     n_outputs: int,
     stats: dict | None = None,
-) -> np.ndarray:
-    """Recover coefficient vectors of homogeneous forms from a batched black box.
+) -> list[HomogeneousForm]:
+    """Recover homogeneous forms from a batched black box, one per output.
 
     `values_fn` is the black box of `sample_usable`, which keeps
     ceil(1.1 N) usable points for the N monomials, doubling up to 4 N while
     the evaluation matrix is rank deficient.  One elimination of that
-    matrix serves every output column.  Returns an (n_monomials, n_outputs)
-    coefficient array; `stats` is filled by `sample_usable`.
+    matrix serves every output column.  `stats` is filled by `sample_usable`.
+
+    This is the one place that decides when GF(p) is too small.  With two
+    or more variables, the values on GF(p)^n determine a degree-D form
+    exactly when D <= p: no nonzero form of degree at most p vanishes at
+    every point, while X0^(D-p-1) (X0^p X1 - X0 X1^p) does.  A larger D
+    raises `InterpolationFailure` before the black box is called, and so
+    does a rank still short after 4 N points.  One variable is exempt:
+    X0^D is nonzero at X0 = 1.
     """
     from .exactlin import _back_substitute, _forward_eliminate
 
+    p = field.p
+    if nvars > 1 and degree > p:
+        raise InterpolationFailure(
+            f"a nonzero degree-{degree} form vanishes at every point over GF({p}); "
+            f"interpolating a degree-{degree} form needs p >= {degree}, try a larger prime"
+        )
     basis = monomial_basis(nvars, degree)
     ncols = len(basis)
-    p = field.p
     kept = None
     target = max(ncols, math.ceil(ncols * 1.1))
     cap = max(target, 4 * ncols)
@@ -597,11 +609,14 @@ def interpolate_many(
                     f"degree-{degree} form"
                 )
             _back_substitute(m, p, pivots)
-            return m[:ncols, ncols:].copy()
+            return [
+                HomogeneousForm.from_coefficient_vector(field, basis, column)
+                for column in m[:ncols, ncols:].T
+            ]
         if target >= cap:
-            raise RankNotReached(
+            raise InterpolationFailure(
                 f"evaluation matrix stuck at rank {len(pivots)} < {ncols} "
-                f"after {target} points"
+                f"after {target} points over GF({p}); try a larger prime"
             )
         target = min(cap, target * 2)
 
@@ -619,6 +634,5 @@ def interpolate_homogeneous(
         values = [[int(black_box(tuple(int(x) for x in pt)))] for pt in points]
         return np.array(values, dtype=np.int64), np.ones(len(points), dtype=bool)
 
-    coeffs = interpolate_many(values_fn, nvars, degree, field, seed, 1)
-    basis = monomial_basis(nvars, degree)
-    return HomogeneousForm.from_coefficient_vector(field, basis, coeffs[:, 0])
+    (form,) = interpolate_many(values_fn, nvars, degree, field, seed, 1)
+    return form

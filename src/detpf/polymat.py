@@ -35,7 +35,6 @@ from .exactlin import InputError, PrimeField, ScalarMatrix, Singular
 from .mpoly import (
     HomogeneousForm,
     ParseError,
-    RankNotReached,
     interpolate_many,
     monomial_basis,
     read_header,
@@ -43,6 +42,8 @@ from .mpoly import (
 )
 # not called here; kept because perfbench/spans.py patches this binding
 from .mpoly import sample_points  # noqa: F401
+# raised by interpolate_many; kept so callers can catch it from this module
+from .mpoly import InterpolationFailure  # noqa: F401
 from .rng import FieldRng, derive_seed
 
 GENERAL = "general"
@@ -55,10 +56,6 @@ EXPANSION_CUTOFF_PF = 8
 
 
 class SizeMismatch(InputError):
-    pass
-
-
-class InterpolationFailure(RuntimeError, InputError):
     pass
 
 
@@ -495,12 +492,8 @@ def determinant(
     seed: int = 0,
     cutoff: int = EXPANSION_CUTOFF_DET,
 ) -> HomogeneousForm:
-    """Exact determinant form; expansion below `cutoff`, interpolation above.
-
-    The interpolating route needs deg det <= p: no nonzero form of degree at
-    most p vanishes at every point of GF(p)^n, while X0^p X1 - X0 X1^p, of
-    degree p + 1, does.
-    """
+    """Exact determinant form; expansion below `cutoff`, interpolation above
+    (under the degree rule of `mpoly.interpolate_many`)."""
     if not M.is_square():
         raise SizeMismatch("determinant of a non-square matrix")
     if M.nrows <= cutoff:
@@ -535,8 +528,8 @@ def maximal_minors(M: GradedMatrix, seed: int = 0) -> list[HomogeneousForm]:
 
     Minors of one degree come from one interpolation, whose black box takes
     the determinants of all k x k column-deleted stacks in one batched
-    elimination; like `determinant` above its cutoff, this needs every
-    minor's degree to be at most p.  A minor of negative degree is zero.
+    elimination, under the degree rule of `mpoly.interpolate_many`.  A
+    minor of negative degree is zero.
     """
     k = M.nrows
     if M.ncols != k + 1:
@@ -580,15 +573,7 @@ def _interpolate_forms(
     def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return values(M.evaluate_batch(points)), np.ones(len(points), dtype=bool)
 
-    try:
-        coeffs = interpolate_many(values_fn, M.nvars, degree, M.field, seed, n_outputs)
-    except RankNotReached as exc:
-        raise InterpolationFailure(
-            f"{exc} over GF({M.field.p}); interpolating a degree-{degree} form "
-            f"needs p >= {degree}, try a larger prime"
-        ) from exc
-    basis = monomial_basis(M.nvars, degree)
-    return [HomogeneousForm.from_coefficient_vector(M.field, basis, c) for c in coeffs.T]
+    return interpolate_many(values_fn, M.nvars, degree, M.field, seed, n_outputs)
 
 
 # ---- submaximal pfaffians ---------------------------------------------------------
@@ -646,12 +631,8 @@ def submaximal_pfaffians(
         return inverses[:, upper[0], upper[1]] * pair_sign % p * pf % p, usable
 
     seed = derive_seed(seed, "subpf")
-    coeffs = interpolate_many(values_fn, L.nvars, d - 1, field, seed, len(pair_sign), stats)
-    basis = monomial_basis(L.nvars, d - 1)
-    return {
-        (int(i), int(j)): HomogeneousForm.from_coefficient_vector(field, basis, column)
-        for i, j, column in zip(*upper, coeffs.T)
-    }
+    forms = interpolate_many(values_fn, L.nvars, d - 1, field, seed, len(pair_sign), stats)
+    return {(int(i), int(j)): form for i, j, form in zip(*upper, forms)}
 
 
 # ---- structural operations -----------------------------------------------------

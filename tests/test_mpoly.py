@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from detpf.exactlin import DEFAULT_PRIME, PrimeField
+from detpf.exactlin import DEFAULT_PRIME, Inconsistent, PrimeField
 from detpf.mpoly import (
     BasisMismatch,
     DegeneratePencil,
     DegreeMismatch,
     HomogeneousForm,
+    InterpolationFailure,
     NonUniformImageDegrees,
     ParseError,
-    RankNotReached,
     check_degenerate,
     interpolate_homogeneous,
     interpolate_many,
@@ -196,9 +196,7 @@ def test_interpolation_drops_unusable_points(modulus):
         return values[:, None], usable
 
     stats = {}
-    coeffs = interpolate_many(values_fn, 3, 5, F, 13, 1, stats)
-    basis = monomial_basis(3, 5)
-    assert HomogeneousForm.from_coefficient_vector(F, basis, coeffs[:, 0]) == f
+    assert interpolate_many(values_fn, 3, 5, F, 13, 1, stats) == [f]
     drawn = np.vstack(seen)
     assert np.array_equal(drawn, sample_points(F, 3, 13, 0, len(drawn)))
     dropped = int(np.count_nonzero(drawn[:, 0] % modulus == 0))
@@ -235,8 +233,50 @@ def test_interpolation_rank_not_reached_on_tiny_field():
     # over GF(3), x^4 y and x^2 y^3 agree as functions (x^3 = x pointwise),
     # so the degree-5 evaluation matrix in 2 variables can never reach rank 6
     F3 = PrimeField(3)
-    with pytest.raises(RankNotReached):
+    with pytest.raises(InterpolationFailure):
         interpolate_homogeneous(lambda pt: 0, 2, 5, F3, seed=4)
+
+
+@pytest.mark.parametrize("nvars, degree, p", [(2, 4, 3), (3, 6, 5), (4, 14, 13)])
+def test_a_degree_above_p_is_refused_before_sampling(nvars, degree, p):
+    def values_fn(points):
+        raise AssertionError("the black box was called")
+
+    message = (
+        rf"over GF\({p}\); interpolating a degree-{degree} form "
+        rf"needs p >= {degree}, try a larger prime"
+    )
+    with pytest.raises(InterpolationFailure, match=message):
+        interpolate_many(values_fn, nvars, degree, PrimeField(p), 0, 1)
+
+
+def test_one_variable_interpolates_any_degree():
+    # N = 1 and X0^D is nonzero at X0 = 1, so D > p is no obstacle
+    F3 = PrimeField(3)
+    got = interpolate_homogeneous(lambda pt: 2 * pt[0] ** 7, 1, 7, F3, seed=0)
+    assert got == HomogeneousForm.monomial(F3, (7,), 2)
+
+
+def test_the_capped_rank_failure_claims_no_degree_rule():
+    # degree 3 = p is within the rule, but the 16 points of seed 52 repeat
+    # among the 9 of GF(3)^2 and never span the 4 cubics
+    F3 = PrimeField(3)
+    with pytest.raises(InterpolationFailure) as info:
+        interpolate_homogeneous(lambda pt: 0, 2, 3, F3, seed=52)
+    assert str(info.value) == (
+        "evaluation matrix stuck at rank 3 < 4 after 16 points over GF(3); "
+        "try a larger prime"
+    )
+
+
+def test_values_of_a_higher_degree_are_inconsistent():
+    cubic = HomogeneousForm.random(F, 3, 3, FieldRng(53))
+
+    def values_fn(points):
+        return cubic.evaluate_many(points)[:, None], np.ones(len(points), dtype=bool)
+
+    with pytest.raises(Inconsistent, match="degree-2 form"):
+        interpolate_many(values_fn, 3, 2, F, 0, 1)
 
 
 FORM_HEAD = "form nvars=3 degree=1 p=31991\n"

@@ -29,6 +29,7 @@ from detpf.polymat import (
     verify_representation,
 )
 from detpf.constructions import (
+    ResolutionShape,
     linear_square_shape,
     linear_symmetric_shape,
     random_graded_matrix,
@@ -114,6 +115,28 @@ def test_determinant_interpolation_matches_expansion():
             assert d1 == d2
             cases += 1
     assert cases >= 12
+
+
+def test_determinant_of_negative_degree_above_the_cutoff():
+    # every entry has degree 0 - 1 < 0 and is forced to zero
+    def twisted(size):
+        return GradedMatrix(F, 3, (0,) * size, (1,) * size, [[None] * size] * size)
+
+    small = determinant_expansion(twisted(3))
+    assert small == HomogeneousForm.zero(F, 3, 0) and small.degree == 0
+    assert determinant(twisted(7)) == small
+
+
+def test_a_degree_above_p_is_refused_before_any_point(monkeypatch):
+    F13 = PrimeField(13)
+    M = random_graded_matrix(F13, 4, linear_square_shape(14), FieldRng("det14"))
+
+    def no_points(self, points):
+        raise AssertionError("a point was evaluated")
+
+    monkeypatch.setattr(GradedMatrix, "evaluate_batch", no_points)
+    with pytest.raises(InterpolationFailure, match=r"GF\(13\); .* needs p >= 14"):
+        determinant(M)
 
 
 def test_pfaffian_numeric_convention_and_errors():
@@ -408,3 +431,13 @@ def test_maximal_minors_need_degree_at_most_p():
         else:
             with pytest.raises(InterpolationFailure):
                 maximal_minors(below, seed=d)
+    # cubic minors in 2 variables are within the rule at p = 3, so a rank
+    # the sample never reaches names no bound on p
+    shape = ResolutionShape((0, 0, 0), (-1, -1, -1, -1))
+    M = random_graded_matrix(F3, 2, shape, FieldRng("m"))
+    with pytest.raises(InterpolationFailure) as info:
+        maximal_minors(M, seed=0)
+    assert str(info.value) == (
+        "evaluation matrix stuck at rank 3 < 4 after 16 points over GF(3); "
+        "try a larger prime"
+    )
