@@ -23,10 +23,13 @@ nonzero minor vanishes on all of GF(p)^n), it takes the rank of the
 degree-j piece.  Both routes give the exact value.
 
 `det_in_minor_ideal` gets all d maximal minors of the rows below the first
-from one interpolation (`polymat.maximal_minors`), whose black box takes
-the determinants of the d column-deleted (d-1) x (d-1) stacks of M(x) in
-one batched elimination; `mpoly.interpolate_many` says which primes are
-too small for the minors and for the determinant above its cutoff.
+from one interpolation (`polymat.maximal_minors`): the black box takes the
+determinants of the d column-deleted (d-1) x (d-1) stacks of M(x) at the
+points of a principal lattice in one batched `exactlin._det_array` call,
+and `mpoly.interpolate_many` turns the values into the minors by
+triangular Newton solves, with no elimination of a Vandermonde matrix.
+`mpoly.interpolate_many` also says which primes are too small for the
+minors and for the determinant above its cutoff.
 """
 
 from __future__ import annotations

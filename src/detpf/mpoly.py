@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exactlin import Inconsistent, InputError, PrimeField
+from .exactlin import Inconsistent, InputError, PrimeField, _inverse_residues, _matmul
 from .rng import FieldRng
 
 
@@ -518,6 +518,21 @@ def check_degenerate(drawn: int, dropped: int, p: int) -> None:
         )
 
 
+def _evaluate(
+    values_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    points: np.ndarray,
+    n_outputs: int,
+    p: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """`values_fn(points)` as (values mod p, usable mask), shapes checked."""
+    vals, usable = values_fn(points)
+    vals = np.asarray(vals, dtype=np.int64) % p
+    usable = np.asarray(usable, dtype=bool)
+    if vals.shape != (len(points), n_outputs) or usable.shape != (len(points),):
+        raise ValueError(f"black box returned shapes {vals.shape} and {usable.shape}")
+    return vals, usable
+
+
 def sample_usable(
     values_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     field: PrimeField,
@@ -527,6 +542,7 @@ def sample_usable(
     n_outputs: int,
     kept: tuple[np.ndarray, np.ndarray, int] | None = None,
     stats: dict | None = None,
+    seen: tuple[int, int] = (0, 0),
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The first `target` usable points of the stream, their values, and
     the number of points drawn; `kept`, an earlier result, is extended.
@@ -535,8 +551,10 @@ def sample_usable(
     array of exact values and a bool mask of the points it could evaluate.
     Each batch draws the next points of the stream, as many as are still
     missing, so nothing is drawn past the `target`-th usable point.
-    `check_degenerate` stops a black box that drops too many; `stats`, when
-    given, gets `points_used` (drawn) and `points_degenerate` (dropped).
+    `check_degenerate` stops a black box that drops too many, counting the
+    `seen` (evaluated, unusable) points the caller tried before the stream;
+    `stats`, when given, gets the same totals as `points_used` and
+    `points_degenerate`.
     """
     p = field.p
     if kept is None:
@@ -545,18 +563,146 @@ def sample_usable(
     while len(points) < target:
         fresh = sample_points(field, nvars, seed, drawn, target - len(points))
         drawn += len(fresh)
-        vals, usable = values_fn(fresh)
-        vals = np.asarray(vals, dtype=np.int64) % p
-        usable = np.asarray(usable, dtype=bool)
-        if vals.shape != (len(fresh), n_outputs) or usable.shape != (len(fresh),):
-            raise ValueError(f"black box returned shapes {vals.shape} and {usable.shape}")
+        vals, usable = _evaluate(values_fn, fresh, n_outputs, p)
         points = np.vstack([points, fresh[usable]])
         values = np.vstack([values, vals[usable]])
-        dropped = drawn - len(points)
+        used, dropped = seen[0] + drawn, seen[1] + drawn - len(points)
         if stats is not None:
-            stats.update(points_used=drawn, points_degenerate=dropped)
-        check_degenerate(drawn, dropped, p)
+            stats.update(points_used=used, points_degenerate=dropped)
+        check_degenerate(used, dropped, p)
     return points, values, drawn
+
+
+def _lattice_nodes(field: PrimeField, count: int, seed: int) -> np.ndarray:
+    """`count` distinct residues: a partial Fisher-Yates shuffle of 0..p-1,
+    held sparsely, driven by the seed's "lattice" stream."""
+    rng = FieldRng(seed, "lattice")
+    moved: dict[int, int] = {}
+    nodes = []
+    for i in range(count):
+        j = i + rng.below(field.p - i)
+        nodes.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return np.array(nodes, dtype=np.int64)
+
+
+def _first_positive(exponents: np.ndarray) -> np.ndarray:
+    """Per monomial, the first variable with a positive exponent; the last
+    variable for the constant monomial.  This is the monomial's block."""
+    nvars = exponents.shape[1]
+    return np.where(exponents.any(axis=1), (exponents > 0).argmax(axis=1), nvars - 1)
+
+
+def principal_lattice(
+    field: PrimeField, nvars: int, degree: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(points, nodes): the interpolation points of `interpolate_many`, one
+    per monomial of the basis and in its order, and the nodes they use.
+
+    The nodes a are `degree` distinct residues drawn from the seed (none for
+    one variable).  The monomial X_k^e X_{k+1}^b_{k+1} ... X_{n-1}^b_{n-1},
+    with e > 0 or k = n - 1, owns the point
+    (0, ..., 0, 1, a[b_{k+1}], ..., a[b_{n-1}]) with its 1 at index k.
+    """
+    exps = monomial_basis(nvars, degree).exponent_array()
+    nodes = _lattice_nodes(field, degree if nvars > 1 else 0, seed)
+    first = _first_positive(exps)[:, None]
+    cols = np.arange(nvars)
+    # the entries at or before the block index are replaced below, so their
+    # exponents, which may exceed degree - 1, are clipped into range
+    padded = np.append(nodes, 0)[np.minimum(exps, len(nodes))]
+    points = np.where(cols > first, padded, (cols == first).astype(np.int64))
+    return points, nodes
+
+
+def _newton_tables(nodes: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(values -> Newton coefficients, Newton -> monomial coefficients) in
+    one variable on the nodes a_0..a_{D-1}.
+
+    Row i of the first is the divided difference f[a_0, ..., a_i] as
+    weights of the values f(a_j): lower triangular.  Column k of the
+    second holds the coefficients of prod_{i<k} (t - a_i): upper triangular.
+    """
+    D = len(nodes)
+    divided = np.eye(D, dtype=np.int64)
+    for j in range(1, D):
+        inv = _inverse_residues((nodes[j:] - nodes[:-j]) % p, p)
+        divided[j:] = (divided[j:] - divided[j - 1 : -1]) % p * inv[:, None] % p
+    newton = np.zeros((D, D), dtype=np.int64)
+    newton[:1, :1] = 1
+    for k in range(1, D):
+        newton[1:, k] = newton[:-1, k - 1]
+        newton[:, k] = (newton[:, k] - nodes[k - 1] * newton[:, k - 1]) % p
+    return divided, newton
+
+
+_CUBE_ENTRIES = 1 << 20  # bound on a zero-padded cube of `_solve_block`
+
+
+def _along_axes(cube: np.ndarray, table: np.ndarray, m: int, p: int) -> np.ndarray:
+    """Apply the D x D `table` along each of the first m axes of a flattened
+    (D^m, width) cube."""
+    D, width = len(table), cube.shape[1]
+    x = cube.reshape((D,) * m + (width,))
+    for axis in range(m):
+        x = np.moveaxis(x, axis, 0)
+        shape = x.shape
+        x = np.moveaxis(_matmul(table, x.reshape(D, -1), p).reshape(shape), 0, axis)
+    return x.reshape(D**m, width)
+
+
+def _solve_lattice(
+    values: np.ndarray, basis: MonomialBasis, nodes: np.ndarray, p: int
+) -> np.ndarray:
+    """Coefficients, in basis order, of the forms taking `values` (one
+    column per form) at the `principal_lattice` on `nodes`: block Newton
+    solves, from the last block to the first."""
+    D, nvars = basis.degree, basis.nvars
+    exps = basis.exponent_array()
+    bounds = np.searchsorted(_first_positive(exps), np.arange(nvars + 1))
+    divided, newton = _newton_tables(nodes, p)
+    coeffs = np.zeros_like(values)
+    for k in range(nvars - 1, -1, -1):
+        rows = slice(bounds[k], bounds[k + 1])
+        m = nvars - 1 - k
+        rest = values[rows]
+        if m == 0 or not len(rest):
+            coeffs[rows] = rest
+            continue
+        # the later blocks are the degree-D monomials of X_{k+1}..X_{n-1}
+        b = exps[rows, k + 1 :]
+        V = vandermonde(nodes[b], monomial_basis(m, D), p)
+        rest = (rest - _matmul(V, coeffs[bounds[k + 1] :], p)) % p
+        coeffs[rows] = _solve_block(rest, b, divided, newton, p)
+    return coeffs
+
+
+def _solve_block(
+    values: np.ndarray, b: np.ndarray, divided: np.ndarray, newton: np.ndarray, p: int
+) -> np.ndarray:
+    """Monomial coefficients of the polynomials of degree <= D - 1 taking
+    `values` on the affine principal lattice.
+
+    Row i is both the point a[b_i] and the monomial y^b_i, for the
+    multi-indices b of {b : |b| <= D - 1}.  Both triangular steps run on a
+    zero-padded D^m cube; the lattice is closed under lowering an index, so
+    the padding leaves the Newton coefficients on it exact, and the mask
+    between the steps drops the ones off it.  Output columns go through in
+    chunks that keep the cube below `_CUBE_ENTRIES`.
+    """
+    D, m = len(divided), b.shape[1]
+    flat = b @ (D ** np.arange(m - 1, -1, -1))
+    out = np.empty_like(values)
+    step = max(1, _CUBE_ENTRIES // D**m)
+    for c in range(0, values.shape[1], step):
+        part = values[:, c : c + step]
+        cube = np.zeros((D**m, part.shape[1]), dtype=np.int64)
+        cube[flat] = part
+        cube = _along_axes(cube, divided, m, p)
+        simplex = np.zeros_like(cube)
+        simplex[flat] = cube[flat]
+        out[:, c : c + step] = _along_axes(simplex, newton, m, p)[flat]
+    return out
 
 
 def interpolate_many(
@@ -570,18 +716,43 @@ def interpolate_many(
 ) -> list[HomogeneousForm]:
     """Recover homogeneous forms from a batched black box, one per output.
 
-    `values_fn` is the black box of `sample_usable`, which keeps
-    ceil(1.1 N) usable points for the N monomials, doubling up to 4 N while
-    the evaluation matrix is rank deficient.  One elimination of that
-    matrix serves every output column.  `stats` is filled by `sample_usable`.
+    `values_fn` is the black box of `sample_usable`.  It is called once on
+    the N = C(D+n-1, n-1) points of `principal_lattice`, then on stream points.
+
+    The lattice (Chung & Yao, SIAM J. Numer. Anal. 14(4), 1977; Sauer & Xu,
+    Math. Comp. 64, 1995).  Split the degree-D monomials by their first
+    variable with a positive exponent: block k holds the X_k^e X_{k+1}^b...
+    with e > 0, and X_{n-1}^D (or 1, when D = 0) ends the last block.  Block
+    k's points are (0, ..., 0, 1, y), the 1 at index k and y on the affine
+    principal lattice {(a_i1, ..., a_im) : i1 + ... + im <= D - 1} of
+    m = n - 1 - k variables.  Every monomial of an earlier block vanishes
+    there, and a monomial of block k is y^b there, with |b| <= D - 1.  So
+    the evaluation matrix is block triangular, and each diagonal block is
+    the Vandermonde matrix of the polynomials of degree <= D - 1 on the
+    principal lattice, which is unisolvent once the D nodes a_i are
+    distinct.  Blocks are solved last to first: the later blocks' values
+    are subtracted, then per-axis divided differences (lower triangular)
+    give Newton coefficients, and the Newton basis prod (y_j - a_i) is
+    expanded into monomials (upper triangular).
+
+    Holes.  A lattice point the black box cannot use is an unknown value:
+    each of the k holes adds its Lagrange form, which is 1 there and 0 at
+    the other lattice points.  ceil(0.1 N) + k usable stream points give
+    one elimination of [Lagrange forms at the points | residual values],
+    which must have k pivots and leave zero rows; otherwise the values are
+    `Inconsistent`.  With no holes this is the consistency check alone.
+    While the rank is short the stream points double, up to 4 N.
+    `check_degenerate` counts holes and dropped stream points together, and
+    `stats` gets both in `points_used` and `points_degenerate`.
 
     This is the one place that decides when GF(p) is too small.  With two
     or more variables, the values on GF(p)^n determine a degree-D form
     exactly when D <= p: no nonzero form of degree at most p vanishes at
-    every point, while X0^(D-p-1) (X0^p X1 - X0 X1^p) does.  A larger D
-    raises `InterpolationFailure` before the black box is called, and so
-    does a rank still short after 4 N points.  One variable is exempt:
-    X0^D is nonzero at X0 = 1.
+    every point, while X0^(D-p-1) (X0^p X1 - X0 X1^p) does.  D <= p is
+    also exactly when D distinct nodes exist.  A larger D raises
+    `InterpolationFailure` before the black box is called, and so does a
+    hole rank still short after 4 N stream points.  One variable is exempt:
+    its one point is X0 = 1, where X0^D is nonzero.
     """
     from .exactlin import _back_substitute, _forward_eliminate
 
@@ -593,29 +764,40 @@ def interpolate_many(
         )
     basis = monomial_basis(nvars, degree)
     ncols = len(basis)
+    points, nodes = principal_lattice(field, nvars, degree, seed)
+    values, usable = _evaluate(values_fn, points, n_outputs, p)
+    holes = np.flatnonzero(~usable)
+    k = len(holes)
+    values[holes] = 0
+    unit = np.zeros((ncols, k), dtype=np.int64)
+    unit[holes, np.arange(k)] = 1
+    # the known values' forms, then the holes' Lagrange forms
+    solved = _solve_lattice(np.hstack([values, unit]), basis, nodes, p)
     kept = None
-    target = max(ncols, math.ceil(ncols * 1.1))
+    target = -(-ncols // 10) + k
     cap = max(target, 4 * ncols)
     while True:
-        kept = sample_usable(values_fn, field, nvars, seed, target, n_outputs, kept, stats)
-        points, values, _ = kept
-        V = vandermonde(points, basis, p)
-        m = np.hstack([V, values])
-        pivots, _ = _forward_eliminate(m, p, ncols)
-        if len(pivots) == ncols:
-            if m[ncols:, ncols:].any():
+        kept = sample_usable(
+            values_fn, field, nvars, seed, target, n_outputs, kept, stats, (ncols, k)
+        )
+        at = _matmul(vandermonde(kept[0], basis, p), solved, p)
+        m = np.hstack([at[:, n_outputs:], (kept[1] - at[:, :n_outputs]) % p])
+        pivots, _ = _forward_eliminate(m, p, k)
+        if len(pivots) == k:
+            if m[k:, k:].any():
                 raise Inconsistent(
                     "sampled values are not the evaluations of a single "
                     f"degree-{degree} form"
                 )
             _back_substitute(m, p, pivots)
+            coeffs = (solved[:, :n_outputs] + _matmul(solved[:, n_outputs:], m[:k, k:], p)) % p
             return [
                 HomogeneousForm.from_coefficient_vector(field, basis, column)
-                for column in m[:ncols, ncols:].T
+                for column in coeffs.T
             ]
         if target >= cap:
             raise InterpolationFailure(
-                f"evaluation matrix stuck at rank {len(pivots)} < {ncols} "
+                f"evaluation matrix stuck at rank {len(pivots)} < {k} "
                 f"after {target} points over GF({p}); try a larger prime"
             )
         target = min(cap, target * 2)

@@ -498,12 +498,11 @@ def determinant(
         raise SizeMismatch("determinant of a non-square matrix")
     if M.nrows <= cutoff:
         return determinant_expansion(M)
-    degree = M.determinant_degree
-    if degree < 0:
-        return HomogeneousForm.zero(M.field, M.nvars, 0)
     p = M.field.p
     seed = derive_seed(seed, "det")
-    (det,) = _interpolate_forms(M, degree, lambda a: exactlin._det_array(a, p)[:, None], 1, seed)
+    (det,) = _interpolate_forms(
+        M, M.determinant_degree, lambda a: exactlin._det_array(a, p)[:, None], 1, seed
+    )
     return det
 
 
@@ -539,10 +538,8 @@ def maximal_minors(M: GradedMatrix, seed: int = 0) -> list[HomogeneousForm]:
     by_degree: dict[int, list[int]] = {}
     for j, e in enumerate(M.col_twists):
         by_degree.setdefault(base + e, []).append(j)
-    minors = [HomogeneousForm.zero(M.field, M.nvars, 0)] * (k + 1)
+    minors: dict[int, HomogeneousForm] = {}
     for degree, skipped in by_degree.items():
-        if degree < 0:
-            continue
 
         def values(stack: np.ndarray, skipped=skipped) -> np.ndarray:
             subs = np.stack([np.delete(stack, j, axis=2) for j in skipped], axis=1)
@@ -552,9 +549,8 @@ def maximal_minors(M: GradedMatrix, seed: int = 0) -> list[HomogeneousForm]:
         forms = _interpolate_forms(
             M, degree, values, len(skipped), derive_seed(seed, "minors", degree)
         )
-        for j, form in zip(skipped, forms):
-            minors[j] = form
-    return minors
+        minors.update(zip(skipped, forms))
+    return [minors[j] for j in range(k + 1)]
 
 
 def _interpolate_forms(
@@ -567,8 +563,11 @@ def _interpolate_forms(
     """The degree-`degree` forms x -> values(M(x))[t], by one interpolation.
 
     `values` maps a (count, nrows, ncols) stack of M(x) to a (count,
-    n_outputs) array.
+    n_outputs) array.  A negative degree gives zero forms of degree 0: a
+    form of negative degree is zero.
     """
+    if degree < 0:
+        return [HomogeneousForm.zero(M.field, M.nvars, 0)] * n_outputs
 
     def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return values(M.evaluate_batch(points)), np.ones(len(points), dtype=bool)
@@ -608,10 +607,11 @@ def submaximal_pfaffians(
 
     One batched inverse per round of sample points (`exactlin.invert_many`)
     yields every value at once through the inverse identity
-    P_ij(x) = (-1)^(i+j) pf(M(x)) (M(x)^{-1})_{ij}; the shared evaluation
-    matrix is then solved against all C(2d, 2) right-hand sides.  Points
-    where M(x) is singular (for skew M, where pf(M(x)) = 0) are dropped and
-    replaced; `stats` gets the counts of `interpolate_many`.
+    P_ij(x) = (-1)^(i+j) pf(M(x)) (M(x)^{-1})_{ij}; one lattice solve of
+    `interpolate_many` then serves all C(2d, 2) outputs.  Where M(x) is
+    singular (for skew M, where pf(M(x)) = 0), a lattice point becomes a
+    hole and a stream point is dropped and replaced; `stats` gets the
+    counts of `interpolate_many`.
     """
     n = L.size
     if n % 2 != 0:

@@ -577,6 +577,19 @@ def test_a_matrix_of_the_wrong_size_exits_2(tmp_path, capsys):
     assert err == "error: pfaffian needs even size, got 3\n"
 
 
+def test_verify_pf_of_negative_degree_exits_1(tmp_path, capsys):
+    # the 10 x 10 skew matrix with row twists 0 and column twists 1 has
+    # pfaffian 0, above the expansion cutoff
+    matrix, form = tmp_path / "skew10.gm", tmp_path / "one.form"
+    twists = ["--rows=" + ",".join(["0"] * 10), "--cols=" + ",".join(["1"] * 10)]
+    argv = ["construct", "random", "--symmetry", "skew", *twists, "--output", str(matrix)]
+    assert main(argv) == 0
+    form.write_text("form nvars=4 degree=0 p=31991\n1  0 0 0 0\n")
+    code, out, err = run(capsys, "verify", "--matrix", str(matrix), "--form", str(form), "--kind", "pf")
+    assert (code, err) == (1, "")
+    assert json.loads(out)["ok"] is False
+
+
 @pytest.fixture
 def refused_inputs(tmp_path, capsys, monkeypatch):
     """Input files for the REFUSED commands, in a temporary working directory."""

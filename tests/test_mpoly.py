@@ -1,7 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from detpf.exactlin import DEFAULT_PRIME, Inconsistent, PrimeField
+from detpf.exactlin import DEFAULT_PRIME, Inconsistent, PrimeField, ScalarMatrix, solve_many
 from detpf.mpoly import (
     BasisMismatch,
     DegeneratePencil,
@@ -18,8 +20,10 @@ from detpf.mpoly import (
     multiplication_matrix,
     parse_form,
     parse_forms,
+    principal_lattice,
     sample_points,
 )
+from detpf import mpoly
 from detpf.graded import parse_point_set
 from detpf.polymat import parse_graded_matrix
 from detpf.rng import FieldRng
@@ -185,7 +189,9 @@ def test_interpolation_dense_roundtrip():
 @pytest.mark.parametrize("modulus", [3, 7])
 def test_interpolation_drops_unusable_points(modulus):
     # the black box refuses every point with X0 = 0 mod `modulus` and returns
-    # junk there; those points are replaced by the next ones of the stream
+    # junk there.  On the lattice X0 is 1 in block 0 and 0 in the blocks
+    # k >= 1, whose points, one per monomial free of X0, become the holes;
+    # ceil(0.1 * 21) + 6 usable stream points then fix them
     f = HomogeneousForm.random(F, 3, 5, FieldRng(12))
     seen = []
 
@@ -197,11 +203,17 @@ def test_interpolation_drops_unusable_points(modulus):
 
     stats = {}
     assert interpolate_many(values_fn, 3, 5, F, 13, 1, stats) == [f]
-    drawn = np.vstack(seen)
-    assert np.array_equal(drawn, sample_points(F, 3, 13, 0, len(drawn)))
-    dropped = int(np.count_nonzero(drawn[:, 0] % modulus == 0))
-    assert stats == {"points_used": len(drawn), "points_degenerate": dropped}
-    assert dropped > 0 and len(drawn) - dropped == 24  # ceil(1.1 * 21) kept
+    lattice, _ = principal_lattice(F, 3, 5, 13)
+    assert np.array_equal(seen[0], lattice)
+    holes = lattice[:, 0] == 0
+    assert np.array_equal(lattice[~holes, 0], np.ones(monomial_count(3, 4), dtype=np.int64))
+    assert np.count_nonzero(holes) == monomial_count(2, 5) == 6
+    stream = np.vstack(seen[1:])
+    assert np.array_equal(stream, sample_points(F, 3, 13, 0, len(stream)))
+    dropped = int(np.count_nonzero(stream[:, 0] % modulus == 0))
+    assert stream[-1, 0] % modulus != 0
+    assert len(stream) - dropped == 3 + 6
+    assert stats == {"points_used": 21 + len(stream), "points_degenerate": 6 + dropped}
 
 
 def test_interpolation_stops_when_most_points_are_unusable():
@@ -212,8 +224,9 @@ def test_interpolation_stops_when_most_points_are_unusable():
     stats = {}
     with pytest.raises(DegeneratePencil):
         interpolate_many(values_fn, 3, 2, F, 0, 1, stats)
-    # batches of ceil(1.1 * 6) = 7 points; the rule applies from 16 drawn
-    assert stats == {"points_used": 21, "points_degenerate": 21}
+    # 6 lattice holes, then stream batches of ceil(0.1 * 6) + 6 = 7 points;
+    # the rule applies from 16 points counted, lattice and stream together
+    assert stats == {"points_used": 20, "points_degenerate": 20}
 
 
 @pytest.mark.parametrize(
@@ -258,15 +271,103 @@ def test_one_variable_interpolates_any_degree():
 
 
 def test_the_capped_rank_failure_claims_no_degree_rule():
-    # degree 3 = p is within the rule, but the 16 points of seed 52 repeat
-    # among the 9 of GF(3)^2 and never span the 4 cubics
+    # degree 3 = p is within the rule and the lattice (1, a_i), (0, 1)
+    # determines every cubic; but a black box that refuses X0 = 0 leaves
+    # (0, 1) a hole, and its Lagrange form X1 (X1 - X0) (X1 + X0) vanishes
+    # at every point with X0 != 0, so no stream point can fix it
     F3 = PrimeField(3)
+
+    def values_fn(points):
+        return np.zeros((len(points), 1), dtype=np.int64), points[:, 0] % 3 != 0
+
     with pytest.raises(InterpolationFailure) as info:
-        interpolate_homogeneous(lambda pt: 0, 2, 3, F3, seed=52)
+        interpolate_many(values_fn, 2, 3, F3, 52, 1)
     assert str(info.value) == (
-        "evaluation matrix stuck at rank 3 < 4 after 16 points over GF(3); "
+        "evaluation matrix stuck at rank 0 < 1 after 16 points over GF(3); "
         "try a larger prime"
     )
+
+
+def _dense_interpolation(values_fn, nvars, degree, field, n_outputs):
+    """The forms by one dense Vandermonde solve, independent of the lattice:
+    every point of GF(p)^n when there are at most 1000, else 3 N stream
+    points, with plain-int powers and `exactlin.solve_many`."""
+    p = field.p
+    basis = monomial_basis(nvars, degree)
+    if p**nvars <= 1000:
+        points = np.array(list(itertools.product(range(p), repeat=nvars)), dtype=np.int64)
+    else:
+        rng = FieldRng("dense", nvars, degree)
+        points = np.array(
+            [[rng.below(p) for _ in range(nvars)] for _ in range(3 * len(basis))],
+            dtype=np.int64,
+        )
+    values, usable = values_fn(points)
+    points, values = points[usable], values[usable]
+    exps = basis.exponent_array()
+    V = np.ones((len(points), len(basis)), dtype=np.int64)
+    for j in range(nvars):
+        powers = np.array(
+            [[pow(int(x), e, p) for e in range(degree + 1)] for x in points[:, j]],
+            dtype=np.int64,
+        )
+        V = V * powers[:, exps[:, j]] % p
+    X = solve_many(ScalarMatrix(field, V), ScalarMatrix(field, values))
+    return [HomogeneousForm.from_coefficient_vector(field, basis, col) for col in X.a.T]
+
+
+@pytest.mark.parametrize("holes", [False, True], ids=["no-holes", "holes"])
+@pytest.mark.parametrize("p", [3, 7, 31991, 2**31 - 1])
+def test_lattice_interpolation_matches_a_dense_solve(p, holes):
+    # D = 0, D = 2 and D = p (D = 3 for the large primes) in 1..6 variables;
+    # with holes the black box refuses the points whose coordinates sum to
+    # 1 mod p, among them the lattice point (0, ..., 0, 1) every time
+    field = PrimeField(p)
+    for nvars in range(1, 7):
+        for degree in sorted({0, 2, p if p < 10 else 3}):
+            forms = [
+                HomogeneousForm.random(field, nvars, degree, FieldRng("dense", p, nvars, degree, t))
+                for t in range(2)
+            ]
+
+            def values_fn(points):
+                values = np.stack([f.evaluate_many(points) for f in forms], axis=1)
+                usable = points.sum(axis=1) % p != 1 if holes else np.ones(len(points), bool)
+                return np.where(usable[:, None], values, p - 1), usable
+
+            got = interpolate_many(values_fn, nvars, degree, field, 5, 2)
+            assert got == _dense_interpolation(values_fn, nvars, degree, field, 2) == forms
+
+
+def test_lattice_chunks_of_output_columns_agree(monkeypatch):
+    # a cube bound below one column's cube still takes one column at a time
+    forms = [HomogeneousForm.random(F, 4, 6, FieldRng("chunks", t)) for t in range(5)]
+
+    def values_fn(points):
+        values = np.stack([f.evaluate_many(points) for f in forms], axis=1)
+        return values, points[:, 0] != 0
+
+    whole = interpolate_many(values_fn, 4, 6, F, 3, 5)
+    for bound in (100, 6**3, 2 * 6**3):
+        monkeypatch.setattr(mpoly, "_CUBE_ENTRIES", bound)
+        assert interpolate_many(values_fn, 4, 6, F, 3, 5) == whole == forms
+
+
+@pytest.mark.parametrize("nvars, degree", [(4, 14), (4, 6), (2, 1), (3, 0)])
+def test_the_black_box_sees_the_lattice_then_the_check_points(nvars, degree):
+    # N lattice points, then ceil(0.1 N) + k stream points for k holes: here
+    # the points with X0 = 0, which no stream point of this seed has
+    f = HomogeneousForm.random(F, nvars, degree, FieldRng("calls", degree))
+    sizes = []
+
+    def values_fn(points):
+        sizes.append(len(points))
+        return f.evaluate_many(points)[:, None], points[:, 0] != 0
+
+    assert interpolate_many(values_fn, nvars, degree, F, 9, 1) == [f]
+    N = monomial_count(nvars, degree)
+    k = monomial_count(nvars - 1, degree)
+    assert sizes == [N, -(-N // 10) + k]
 
 
 def test_values_of_a_higher_degree_are_inconsistent():

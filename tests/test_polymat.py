@@ -10,7 +10,13 @@ from detpf.exactlin import (
     pfaffian_skew,
 )
 from detpf.exactlin import determinant as numeric_det
-from detpf.mpoly import DegeneratePencil, HomogeneousForm, monomial_count, sample_points
+from detpf.mpoly import (
+    DegeneratePencil,
+    HomogeneousForm,
+    monomial_count,
+    principal_lattice,
+    sample_points,
+)
 from detpf.polymat import (
     SKEW,
     GradedMatrix,
@@ -127,6 +133,17 @@ def test_determinant_of_negative_degree_above_the_cutoff():
     assert determinant(twisted(7)) == small
 
 
+def test_pfaffian_of_negative_degree_above_the_cutoff():
+    # row twists 0 and column twists 1: every entry has degree -1 and the
+    # pfaffian degree is -size / 2
+    def twisted(size):
+        return GradedMatrix(F, 3, (0,) * size, (1,) * size, [[None] * size] * size, SKEW)
+
+    small = pfaffian_expansion(twisted(4))
+    assert small == HomogeneousForm.zero(F, 3, 0) and small.degree == 0
+    assert pfaffian(twisted(10)) == small
+
+
 def test_a_degree_above_p_is_refused_before_any_point(monkeypatch):
     F13 = PrimeField(13)
     M = random_graded_matrix(F13, 4, linear_square_shape(14), FieldRng("det14"))
@@ -203,23 +220,30 @@ def test_submaximal_inverse_identity_matches_deletion():
 
 @pytest.mark.parametrize("size", [4, 6])
 def test_submaximal_drops_singular_points_at_small_prime(size):
-    # over GF(7) M(x) is often singular; those points are dropped and
-    # replaced from the same stream, and the forms still match the
-    # deletion oracle
+    # over GF(7) M(x) is often singular; lattice points where it is are
+    # holes, stream points where it is are dropped and replaced from the
+    # same stream, and the forms still match the deletion oracle
     F7 = PrimeField(7)
-    kept_target = -(-11 * monomial_count(4, size // 2 - 1) // 10)  # ceil(1.1 N)
+    degree = size // 2 - 1
+    N = monomial_count(4, degree)
     total_dropped = 0
     for seed in range(10):
         L = LinearSkewMatrix.random(F7, 4, size, FieldRng("skew7", seed))
         stats = {}
         got = submaximal_pfaffians(L, seed=seed, stats=stats)
         assert got == submaximal_pfaffians_by_deletion(L.to_graded())
-        drawn = sample_points(F7, 4, derive_seed(seed, "subpf"), 0, stats["points_used"])
+        stream = derive_seed(seed, "subpf")
+        lattice, _ = principal_lattice(F7, 4, degree, stream)
+        holes = sum(numeric_det(L.evaluate(pt)) == 0 for pt in lattice)
+        drawn = sample_points(F7, 4, stream, 0, stats["points_used"] - N)
         singular = [numeric_det(L.evaluate(pt)) == 0 for pt in drawn]
-        assert stats["points_degenerate"] == sum(singular)
-        assert stats["points_used"] == kept_target + sum(singular)
+        assert stats["points_degenerate"] == holes + sum(singular)
+        # ceil(0.1 N) + holes usable stream points, doubled while the holes'
+        # rank is short
+        target = -(-N // 10) + holes
+        assert len(drawn) - sum(singular) in {target << j for j in range(4)}
         assert not singular[-1]
-        total_dropped += sum(singular)
+        total_dropped += holes + sum(singular)
     assert total_dropped > 0
 
 
@@ -431,13 +455,10 @@ def test_maximal_minors_need_degree_at_most_p():
         else:
             with pytest.raises(InterpolationFailure):
                 maximal_minors(below, seed=d)
-    # cubic minors in 2 variables are within the rule at p = 3, so a rank
-    # the sample never reaches names no bound on p
+    # cubic minors in 2 variables are within the rule at p = 3: the lattice
+    # uses every element of GF(3) as a node and recovers them
     shape = ResolutionShape((0, 0, 0), (-1, -1, -1, -1))
     M = random_graded_matrix(F3, 2, shape, FieldRng("m"))
-    with pytest.raises(InterpolationFailure) as info:
-        maximal_minors(M, seed=0)
-    assert str(info.value) == (
-        "evaluation matrix stuck at rank 3 < 4 after 16 points over GF(3); "
-        "try a larger prime"
-    )
+    minors = maximal_minors(M, seed=0)
+    assert minors == [determinant_expansion(column_deleted(M, j)) for j in range(4)]
+    assert all(minor.degree == 3 for minor in minors)
