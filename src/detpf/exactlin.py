@@ -635,7 +635,8 @@ def solve_many(A: ScalarMatrix, B: ScalarMatrix) -> ScalarMatrix:
 
 
 def determinant(A: ScalarMatrix) -> int:
-    """Determinant via fraction-tracking elimination (no normalization)."""
+    """Determinant by elimination that scales each pivot row to 1 and
+    multiplies the pivots, negated once per row swap (`_eliminate_stack`)."""
     if A.rows != A.cols:
         raise ValueError("determinant of a non-square matrix")
     return _det_array(A.a, A.field.p)

@@ -28,8 +28,8 @@ determinants of the d column-deleted (d-1) x (d-1) stacks of M(x) at the
 points of a principal lattice in one batched `exactlin._det_array` call,
 and `mpoly.interpolate_many` turns the values into the minors by
 triangular Newton solves, with no elimination of a Vandermonde matrix.
-`mpoly.interpolate_many` also says which primes are too small for the
-minors and for the determinant above its cutoff.
+`mpoly.determines` says which primes are too small for the minors and
+for the determinant, which `polymat.determinant` then expands if M is small.
 """
 
 from __future__ import annotations

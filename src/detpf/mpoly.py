@@ -705,6 +705,15 @@ def _solve_block(
     return out
 
 
+def determines(nvars: int, degree: int, p: int) -> bool:
+    """Whether values on GF(p)^n determine a degree-D form.  With two or
+    more variables that is exactly D <= p: no nonzero form of degree at
+    most p vanishes at every point, while X0^(D-p-1) (X0^p X1 - X0 X1^p)
+    does, and D <= p is when `principal_lattice` has D distinct nodes.  One
+    variable is exempt: its one point is X0 = 1, where X0^D is nonzero."""
+    return nvars == 1 or degree <= p
+
+
 def interpolate_many(
     values_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     nvars: int,
@@ -745,19 +754,14 @@ def interpolate_many(
     `check_degenerate` counts holes and dropped stream points together, and
     `stats` gets both in `points_used` and `points_degenerate`.
 
-    This is the one place that decides when GF(p) is too small.  With two
-    or more variables, the values on GF(p)^n determine a degree-D form
-    exactly when D <= p: no nonzero form of degree at most p vanishes at
-    every point, while X0^(D-p-1) (X0^p X1 - X0 X1^p) does.  D <= p is
-    also exactly when D distinct nodes exist.  A larger D raises
-    `InterpolationFailure` before the black box is called, and so does a
-    hole rank still short after 4 N stream points.  One variable is exempt:
-    its one point is X0 = 1, where X0^D is nonzero.
+    A degree `determines` refuses raises `InterpolationFailure` before the
+    black box is called, and so does a hole rank still short after 4 N
+    stream points.
     """
     from .exactlin import _back_substitute, _forward_eliminate
 
     p = field.p
-    if nvars > 1 and degree > p:
+    if not determines(nvars, degree, p):
         raise InterpolationFailure(
             f"a nonzero degree-{degree} form vanishes at every point over GF({p}); "
             f"interpolating a degree-{degree} form needs p >= {degree}, try a larger prime"

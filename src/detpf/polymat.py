@@ -4,9 +4,10 @@ A GradedMatrix carries row twists d_i and column twists e_j; entry (i, j) is
 homogeneous of degree d_i - e_j and forced to zero when that is negative;
 `parse_graded_matrix` reads it through the grammar in `mpoly` and refuses a
 term in such an entry at the term's line.
-Determinants and pfaffians have two routes: a cofactor/expansion oracle at
-small size, and evaluation-interpolation at scale.  The oracle is kept
-independent so the fast route can be calibrated against it.
+Determinants and pfaffians interpolate wherever `mpoly.determines` allows
+the degree over GF(p); a small matrix it refuses falls back to the
+cofactor/expansion oracle, which is kept independent so that interpolation
+can be calibrated against it.
 
 Sign conventions, fixed once and frozen by the test suite:
 
@@ -487,18 +488,14 @@ def _require_skew(M: GradedMatrix) -> None:
 # ---- interpolated determinant / pfaffian ----------------------------------------
 
 
-def determinant(
-    M: GradedMatrix,
-    seed: int = 0,
-    cutoff: int = EXPANSION_CUTOFF_DET,
-) -> HomogeneousForm:
-    """Exact determinant form; expansion below `cutoff`, interpolation above
-    (under the degree rule of `mpoly.interpolate_many`)."""
+def determinant(M: GradedMatrix, seed: int = 0) -> HomogeneousForm:
+    """Exact determinant form: interpolated where `mpoly.determines` allows
+    the degree, else expanded up to size EXPANSION_CUTOFF_DET."""
     if not M.is_square():
         raise SizeMismatch("determinant of a non-square matrix")
-    if M.nrows <= cutoff:
-        return determinant_expansion(M)
     p = M.field.p
+    if M.nrows <= EXPANSION_CUTOFF_DET and not mpoly.determines(M.nvars, M.determinant_degree, p):
+        return determinant_expansion(M)
     seed = derive_seed(seed, "det")
     (det,) = _interpolate_forms(
         M, M.determinant_degree, lambda a: exactlin._det_array(a, p)[:, None], 1, seed
@@ -506,17 +503,14 @@ def determinant(
     return det
 
 
-def pfaffian(
-    M: GradedMatrix,
-    seed: int = 0,
-    cutoff: int = EXPANSION_CUTOFF_PF,
-) -> HomogeneousForm:
-    """Exact pfaffian form of a skew GradedMatrix of even size."""
+def pfaffian(M: GradedMatrix, seed: int = 0) -> HomogeneousForm:
+    """Exact pfaffian form of a skew GradedMatrix of even size, routed as
+    `determinant` is, with EXPANSION_CUTOFF_PF."""
     _require_skew(M)
-    if M.nrows <= cutoff:
-        return pfaffian_expansion(M)
     degree = M.determinant_degree // 2
     p = M.field.p
+    if M.nrows <= EXPANSION_CUTOFF_PF and not mpoly.determines(M.nvars, degree, p):
+        return pfaffian_expansion(M)
     seed = derive_seed(seed, "pf")
     (pf,) = _interpolate_forms(M, degree, lambda a: exactlin._pfaffian_array(a, p)[:, None], 1, seed)
     return pf

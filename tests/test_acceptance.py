@@ -154,8 +154,8 @@ def test_criterion_5_pfaffian_algebra():
     for size in (2, 4, 6, 8):
         for rep in range(4):
             M = _uniform_matrix(size, 1, rep, symmetry="skew")
-            pf = pfaffian(M)
-            ok = ok and pf * pf == determinant(M, seed=rep, cutoff=0)
+            pf = pfaffian_expansion(M)
+            ok = ok and pf * pf == determinant(M, seed=rep)
             cases += 1
     for rep in range(10):
         M = _uniform_matrix(6, 1, 100 + rep, symmetry="skew")
@@ -193,12 +193,12 @@ def test_criterion_6_oracle_equivalence():
     det_plan += [(6, 1)] * 3 + [(6, 2)] * 2 + [(6, 3)] * 1
     for rep, (size, deg) in enumerate(det_plan):
         M = _uniform_matrix(size, deg, rep)
-        ok = ok and determinant_expansion(M) == determinant(M, seed=rep, cutoff=0)
+        ok = ok and determinant_expansion(M) == determinant(M, seed=rep)
         cases += 1
     pf_plan = [(4, d) for d in (1, 2, 3)] * 5 + [(6, d) for d in (1, 2, 3)] * 3 + [(8, 1)] * 3
     for rep, (size, deg) in enumerate(pf_plan):
         M = _uniform_matrix(size, deg, 1000 + rep, symmetry="skew")
-        ok = ok and pfaffian_expansion(M) == pfaffian(M, seed=rep, cutoff=0)
+        ok = ok and pfaffian_expansion(M) == pfaffian(M, seed=rep)
         cases += 1
     sub_cases = 0
     for size in (4, 6):

@@ -579,7 +579,7 @@ def test_a_matrix_of_the_wrong_size_exits_2(tmp_path, capsys):
 
 def test_verify_pf_of_negative_degree_exits_1(tmp_path, capsys):
     # the 10 x 10 skew matrix with row twists 0 and column twists 1 has
-    # pfaffian 0, above the expansion cutoff
+    # pfaffian degree -5, so its pfaffian is the zero form
     matrix, form = tmp_path / "skew10.gm", tmp_path / "one.form"
     twists = ["--rows=" + ",".join(["0"] * 10), "--cols=" + ",".join(["1"] * 10)]
     argv = ["construct", "random", "--symmetry", "skew", *twists, "--output", str(matrix)]

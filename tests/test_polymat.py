@@ -1,6 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from detpf import polymat
 from detpf.exactlin import (
     DEFAULT_PRIME,
     OddSize,
@@ -36,6 +39,7 @@ from detpf.polymat import (
 )
 from detpf.constructions import (
     ResolutionShape,
+    linear_skew_shape,
     linear_square_shape,
     linear_symmetric_shape,
     random_graded_matrix,
@@ -117,13 +121,13 @@ def test_determinant_interpolation_matches_expansion():
                 continue  # covered by the acceptance suite's budgeted sweep
             M = uniform_matrix(size, entry_degree, rng.below(10**6))
             d1 = determinant_expansion(M)
-            d2 = determinant(M, seed=cases, cutoff=0)
+            d2 = determinant(M, seed=cases)
             assert d1 == d2
             cases += 1
     assert cases >= 12
 
 
-def test_determinant_of_negative_degree_above_the_cutoff():
+def test_determinant_of_negative_degree_is_zero_of_degree_0():
     # every entry has degree 0 - 1 < 0 and is forced to zero
     def twisted(size):
         return GradedMatrix(F, 3, (0,) * size, (1,) * size, [[None] * size] * size)
@@ -133,7 +137,7 @@ def test_determinant_of_negative_degree_above_the_cutoff():
     assert determinant(twisted(7)) == small
 
 
-def test_pfaffian_of_negative_degree_above_the_cutoff():
+def test_pfaffian_of_negative_degree_is_zero_of_degree_0():
     # row twists 0 and column twists 1: every entry has degree -1 and the
     # pfaffian degree is -size / 2
     def twisted(size):
@@ -144,16 +148,64 @@ def test_pfaffian_of_negative_degree_above_the_cutoff():
     assert pfaffian(twisted(10)) == small
 
 
-def test_a_degree_above_p_is_refused_before_any_point(monkeypatch):
-    F13 = PrimeField(13)
-    M = random_graded_matrix(F13, 4, linear_square_shape(14), FieldRng("det14"))
+def _no_expansion(M):
+    raise AssertionError("the expansion ran")
+
+
+@pytest.mark.parametrize("p", [7, 31991])
+def test_a_degree_at_most_p_is_interpolated(p, monkeypatch):
+    field = PrimeField(p)
+    cases = [
+        random_graded_matrix(field, 3, linear_square_shape(n), FieldRng("route", p, n))
+        for n in range(1, 7)
+    ]
+    cases += [
+        LinearSkewMatrix.random(field, 3, n, FieldRng("route", p, n)).to_graded()
+        for n in (2, 4, 6, 8)
+    ]
+    want = [pfaffian_expansion(M) if M.symmetry == SKEW else determinant_expansion(M) for M in cases]
+    monkeypatch.setattr(polymat, "determinant_expansion", _no_expansion)
+    monkeypatch.setattr(polymat, "pfaffian_expansion", _no_expansion)
+    got = [pfaffian(M) if M.symmetry == SKEW else determinant(M) for M in cases]
+    assert got == want
+
+
+def test_a_small_matrix_of_degree_above_p_is_expanded():
+    # over GF(3) values on GF(3)^3 do not determine these forms, so only the
+    # expansion answers; each answer is checked at every point of GF(3)^3
+    F3 = PrimeField(3)
+    points = list(itertools.product(range(3), repeat=3))
+    for n in (4, 5, 6):
+        M = random_graded_matrix(F3, 3, linear_square_shape(n), FieldRng("fallback", n))
+        det = determinant(M)
+        assert det.degree == n
+        assert [det.evaluate(x) for x in points] == [numeric_det(M.evaluate(x)) for x in points]
+    shape = ResolutionShape((0,) * 4, (-2,) * 4, SKEW)
+    M = random_graded_matrix(F3, 3, shape, FieldRng("fallback", "pf"))
+    pf = pfaffian(M)
+    assert pf.degree == 4 and not pf.is_zero()
+    assert [pf.evaluate(x) for x in points] == [pfaffian_skew(M.evaluate(x)) for x in points]
+
+
+@pytest.mark.parametrize(
+    "p, shape, route, needed",
+    [
+        pytest.param(13, linear_square_shape(14), determinant, 14, id="det14-p13"),
+        pytest.param(3, linear_square_shape(7), determinant, 7, id="det7-p3"),
+        pytest.param(3, linear_skew_shape(10), pfaffian, 5, id="pf10-p3"),
+    ],
+)
+def test_a_degree_above_p_is_refused_before_any_point(p, shape, route, needed, monkeypatch):
+    M = random_graded_matrix(PrimeField(p), 4, shape, FieldRng("refused", p, needed))
 
     def no_points(self, points):
         raise AssertionError("a point was evaluated")
 
     monkeypatch.setattr(GradedMatrix, "evaluate_batch", no_points)
-    with pytest.raises(InterpolationFailure, match=r"GF\(13\); .* needs p >= 14"):
-        determinant(M)
+    monkeypatch.setattr(polymat, "determinant_expansion", _no_expansion)
+    monkeypatch.setattr(polymat, "pfaffian_expansion", _no_expansion)
+    with pytest.raises(InterpolationFailure, match=rf"GF\({p}\); .* needs p >= {needed}"):
+        route(M)
 
 
 def test_pfaffian_numeric_convention_and_errors():
@@ -181,9 +233,9 @@ def test_pfaffian_squares_to_determinant_symbolic():
         for rep in range(3):
             L = random_linear_skew(3, size, rng.below(10**6))
             M = L.to_graded()
-            pf = pfaffian(M)
+            pf = pfaffian_expansion(M)
             assert pf.degree == size // 2
-            assert pf * pf == determinant(M, seed=rep, cutoff=0)
+            assert pf * pf == determinant(M, seed=rep)
 
 
 def test_pfaffian_interpolation_matches_expansion():
@@ -191,7 +243,7 @@ def test_pfaffian_interpolation_matches_expansion():
     for size in (4, 6, 8):
         L = random_linear_skew(3, size, rng.below(10**6))
         M = L.to_graded()
-        assert pfaffian(M, cutoff=0) == pfaffian_expansion(M)
+        assert pfaffian(M) == pfaffian_expansion(M)
 
 
 def test_submaximal_size4_reduces_to_entries():
