@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .exactlin import Inconsistent, InputError, PrimeField, _inverse_residues, _matmul
-from .rng import FieldRng
+from .rng import FieldRng, below_table
 
 
 class DegreeMismatch(ValueError):
@@ -485,13 +485,9 @@ def _shifted_rows(nvars: int, degree: int, exponent: tuple[int, ...]) -> np.ndar
 def sample_points(
     field: PrimeField, nvars: int, seed: int, start: int, count: int
 ) -> np.ndarray:
-    """Points start..start+count-1 of the deterministic per-index stream."""
-    pts = np.empty((count, nvars), dtype=np.int64)
-    for i in range(count):
-        rng = FieldRng(seed, "point", start + i)
-        for j in range(nvars):
-            pts[i, j] = rng.below(field.p)
-    return pts
+    """Points start..start+count-1 of the deterministic per-index stream:
+    point i is nvars draws of FieldRng(seed, "point", i).below(p)."""
+    return below_table(seed, "point", start, count, nvars, field.p)
 
 
 def vandermonde(points: np.ndarray, basis: MonomialBasis, p: int) -> np.ndarray:

@@ -315,13 +315,12 @@ class LinearSkewMatrix:
     def random(
         cls, field: PrimeField, nvars: int, size: int, rng: FieldRng
     ) -> "LinearSkewMatrix":
+        # draws fill each M_k's upper triangle in row-major order
+        i, j = np.triu_indices(size, 1)
+        v = rng.below_many(field.p, nvars * len(i)).reshape(nvars, -1)
         coeff = np.zeros((nvars, size, size), dtype=np.int64)
-        for k in range(nvars):
-            for i in range(size):
-                for j in range(i + 1, size):
-                    v = rng.below(field.p)
-                    coeff[k, i, j] = v
-                    coeff[k, j, i] = (-v) % field.p
+        coeff[:, i, j] = v
+        coeff[:, j, i] = (-v) % field.p
         return cls(field, nvars, coeff)
 
     def evaluate(self, point: Sequence[int]) -> ScalarMatrix:

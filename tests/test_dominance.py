@@ -199,23 +199,54 @@ CROSS_ROUTE = [
 ]
 
 
-def full_rank(monkeypatch, L, d, seed):
-    """The rank of E with every x_0 column kept."""
+def whole_blocks(L):
+    """Every triu index in every x_k block: the uncut E."""
+    return [np.arange(comb(L.size, 2))] * L.nvars
+
+
+def rank_keeping(monkeypatch, L, d, seed, kept):
+    """The rank of E built from the blocks' columns `kept` instead of
+    `_kept_columns(L)`."""
     with monkeypatch.context() as patch:
-        patch.setattr(dominance, "_kept_x0_column", lambda L: None)
+        patch.setattr(dominance, "_kept_columns", lambda L: kept)
         return _span_rank(L, d, seed)[0]
 
 
-def cut_ranks(monkeypatch, L, d, seed, column):
-    """(rank of E with only x_0 column `column` kept, rank with it deleted too)."""
+def full_rank(monkeypatch, L, d, seed):
+    """The rank of E with every column kept."""
+    return rank_keeping(monkeypatch, L, d, seed, whole_blocks(L))
+
+
+def x0_cut_rank(monkeypatch, L, d, seed):
+    """The rank of E with only the x_0 cut: the x_1 block kept whole."""
+    kept = dominance._kept_columns(L)
+    kept[1] = whole_blocks(L)[1]
+    return rank_keeping(monkeypatch, L, d, seed, kept)
+
+
+def both_cuts(r, d):
+    """The width of E when the x_0 and x_1 cuts both run."""
+    return 1 + d + (r - 1) * comb(2 * d, 2)
+
+
+def cut_matrix(monkeypatch, L, d, seed, kept):
+    """(rank, E) of E built from the blocks' columns `kept`."""
     ranked = []
     rank = exactlin.rank
     with monkeypatch.context() as patch:
-        patch.setattr(dominance, "_kept_x0_column", lambda L: column)
+        patch.setattr(dominance, "_kept_columns", lambda L: kept)
         patch.setattr(exactlin, "rank", lambda A: ranked.append(A) or rank(A))
         cut = _span_rank(L, d, seed)[0]
-    E = ranked[-1]  # the kept column comes first
-    return cut, rank(ScalarMatrix(E.field, E.a[:, 1:]))
+    return cut, ranked[-1]
+
+
+def cut_ranks(monkeypatch, L, d, seed, column):
+    """(rank of E with only x_0 column `column` kept and the other blocks
+    whole, rank with it deleted too)."""
+    kept = [np.array([column])] + whole_blocks(L)[1:]
+    cut, E = cut_matrix(monkeypatch, L, d, seed, kept)
+    # the kept column comes first
+    return cut, exactlin.rank(ScalarMatrix(E.field, E.a[:, 1:]))
 
 
 @pytest.mark.parametrize("r, d, prime", CROSS_ROUTE)
@@ -228,8 +259,9 @@ def test_evaluation_rank_matches_interpolated_span(monkeypatch, r, d, prime):
     span, span_target, _ = span_rank_by_interpolation(L, d, stream)
     assert target == span_target == comb(d + r, r)
     assert drawn == target  # no singular point at these primes and seeds
-    assert route["quotient"]  # M_0 is invertible
-    assert rank == full_rank(monkeypatch, L, d, stream) == span
+    assert route["columns"] == both_cuts(r, d)
+    assert rank == x0_cut_rank(monkeypatch, L, d, stream) == full_rank(monkeypatch, L, d, stream)
+    assert rank == span
     cert = pfaffian_codim(r, d, prime=prime, seed=seed)
     assert (cert.rank_achieved, cert.codim) == (rank, target - span)
 
@@ -253,7 +285,7 @@ def test_singular_m0_keeps_the_full_matrix(monkeypatch, r, d, prime):
         M = with_m0(L, m0)
         route = {}
         rank, _, _ = _span_rank(M, d, 1, route)
-        assert not route["quotient"]
+        assert route["columns"] == (r + 1) * comb(2 * d, 2)
         assert rank == full_rank(monkeypatch, M, d, 1) == span_rank_by_interpolation(M, d, 1)[0]
     # with M_0 of rank two, no single x_0 column spans the x_0 block
     M = with_m0(L, rank_two)
@@ -267,15 +299,16 @@ FULL_RANK_P_DIVIDING_D = {(2, 3, 3): 6, (2, 6, 3): 9, (2, 5, 5): 13, (3, 5, 5): 
     "r, d, prime, seed", [(2, 3, 3, 0), (2, 6, 3, 0), (2, 5, 5, 0), (3, 5, 5, 0)]
 )
 def test_p_dividing_d_keeps_the_full_matrix(monkeypatch, r, d, prime, seed):
-    # the x_0 cut needs M_0 invertible and nothing of d: the one kept x_0
+    # the cuts need M_0 invertible and nothing of d: the one kept x_0
     # column gives the full matrix's rank, and deleting it loses a rank
     L = sampled_matrix(r, d, prime, seed)
     stream = derive_seed(seed, "interp", r, d, 1)
     route = {}
     rank, target, _ = _span_rank(L, d, stream, route)
-    assert route["quotient"]
-    assert rank == full_rank(monkeypatch, L, d, stream) == FULL_RANK_P_DIVIDING_D[r, d, prime]
-    kept = dominance._kept_x0_column(L)
+    assert route["columns"] == both_cuts(r, d)
+    assert rank == x0_cut_rank(monkeypatch, L, d, stream) == full_rank(monkeypatch, L, d, stream)
+    assert rank == FULL_RANK_P_DIVIDING_D[r, d, prime]
+    kept = dominance._kept_columns(L)[0][0]
     assert cut_ranks(monkeypatch, L, d, stream, kept) == (rank, rank - 1)
     if d - 1 < prime:  # the P_ij interpolate
         assert rank <= span_rank_by_interpolation(L, d, stream)[0] == target
@@ -283,7 +316,7 @@ def test_p_dividing_d_keeps_the_full_matrix(monkeypatch, r, d, prime, seed):
 
 @pytest.mark.parametrize("prime", [3, 5, 7, 31991, 2**31 - 1])
 def test_cut_keeps_the_full_rank(monkeypatch, prime):
-    cut = cut_where_p_divides_d = 0
+    cut = x1_cut = cut_where_p_divides_d = 0
     for seed in range(2):
         for r, d in ((2, 3), (2, 5), (2, 6), (2, 7), (3, 3), (3, 5), (4, 3), (5, 3)):
             L = sampled_matrix(r, d, prime, seed)
@@ -292,33 +325,100 @@ def test_cut_keeps_the_full_rank(monkeypatch, prime):
                 rank, _, _ = _span_rank(L, d, seed, route)
             except DegeneratePencil:  # common at p = 3, and raised before any cut
                 continue
-            assert rank == full_rank(monkeypatch, L, d, seed)
-            cut += route["quotient"]
-            cut_where_p_divides_d += route["quotient"] and d % prime == 0
+            assert rank == x0_cut_rank(monkeypatch, L, d, seed) == full_rank(monkeypatch, L, d, seed)
+            x0_cut = route["columns"] < (r + 1) * comb(2 * d, 2)
+            cut += x0_cut
+            x1_cut += route["columns"] == both_cuts(r, d)
+            cut_where_p_divides_d += x0_cut and d % prime == 0
     # M_0 is singular, or the pencil degenerate, in a few of the 16 at small p
     assert cut >= 10
+    assert x1_cut >= 10
     assert cut_where_p_divides_d >= (2 if prime <= 7 else 0)
 
 
 @pytest.mark.parametrize("r, d", [(4, 5), (4, 6), (5, 3), (5, 4)])
 def test_the_kept_x0_column_is_needed(monkeypatch, r, d):
     L = sampled_matrix(r, d, 31991, 0)
-    kept = dominance._kept_x0_column(L)
+    kept = dominance._kept_columns(L)[0][0]
     rank = full_rank(monkeypatch, L, d, 0)
     assert cut_ranks(monkeypatch, L, d, 0, kept) == (rank, rank - 1)
+
+
+@pytest.mark.parametrize("r, d", [(4, 5), (4, 6), (5, 3), (5, 4), (2, 6)])
+def test_every_kept_x1_column_is_needed(monkeypatch, r, d):
+    L = sampled_matrix(r, d, 31991, 0)
+    kept = dominance._kept_columns(L)
+    assert len(kept[1]) == d
+    rank, E = cut_matrix(monkeypatch, L, d, 0, kept)
+    assert rank == full_rank(monkeypatch, L, d, 0)
+    # the x_1 columns follow the one x_0 column
+    for t in range(1, d + 1):
+        assert exactlin.rank(ScalarMatrix(E.field, np.delete(E.a, t, axis=1))) == rank - 1
+
+
+def pencil_with_m1(L, B, g):
+    """L with M_0 = [[0, I], [-I, 0]] and M_1 = [[0, B], [-B^t, 0]], then
+    every M_k moved to g M_k g^t.  M_0^-1 M_1 is similar to B^t (+) B."""
+    p, d = L.field.p, len(B)
+    z, one = np.zeros((d, d), dtype=np.int64), np.eye(d, dtype=np.int64)
+    coeff = L.coeff.copy()
+    coeff[0] = np.block([[z, one], [-one, z]]) % p
+    coeff[1] = np.block([[z, B], [-B.T, z]]) % p
+    for k in range(L.nvars):
+        coeff[k] = exactlin._matmul(exactlin._matmul(g, coeff[k], p), g.T, p)
+    return LinearSkewMatrix(L.field, L.nvars, coeff)
+
+
+def random_invertible(size, prime, rng):
+    while True:
+        g = rng.below_many(prime, size * size).reshape(size, size)
+        if exactlin._det_array(g, prime):
+            return g
+
+
+@pytest.mark.parametrize("prime", [3, 5, 7, 31991])
+def test_the_x1_cut_runs_when_m0_inverse_m1_is_cyclic_on_each_half(monkeypatch, prime):
+    # K = M_0^-1 M_1 ~ B^t (+) B: with B a Jordan block the A_j = K^j M_0^-1,
+    # j < d, are independent and the x_1 cut runs; with a repeated
+    # eigenvalue of diagonal B, or B scalar (M_1 = c M_0), the minimal
+    # polynomial of K has degree below d and the x_1 block is kept whole
+    ran = kept_whole = 0
+    for r, d in ((2, 3), (2, 4), (3, 3), (3, 4)):
+        jordan = 2 * np.eye(d, dtype=np.int64) + np.eye(d, k=1, dtype=np.int64)
+        repeated = np.diag([2, 2] + list(range(3, d + 1))).astype(np.int64)
+        scalar = 3 * np.eye(d, dtype=np.int64)
+        for seed in range(2):
+            # without the congruence the pivots Q are not the first d columns
+            g = np.eye(2 * d, dtype=np.int64)
+            if seed:
+                g = random_invertible(2 * d, prime, FieldRng(seed, "congruence", r, d))
+            for B, cut in ((jordan, True), (repeated, False), (scalar, False)):
+                L = pencil_with_m1(sampled_matrix(r, d, prime, seed), B, g)
+                route = {}
+                try:
+                    rank, _, _ = _span_rank(L, d, seed, route)
+                except DegeneratePencil:
+                    continue
+                width = both_cuts(r, d) if cut else 1 + r * comb(2 * d, 2)
+                assert route["columns"] == width
+                assert rank == x0_cut_rank(monkeypatch, L, d, seed)
+                assert rank == full_rank(monkeypatch, L, d, seed)
+                ran += cut
+                kept_whole += not cut
+    assert ran >= 4 and kept_whole >= 8
 
 
 def test_certificate_records_the_route():
     cert = pfaffian_codim(3, 6, seed=3)
     doc = cert.to_dict()
-    assert (doc["quotient"], doc["inverse_fallbacks"]) == (True, 0)
+    assert (doc["columns"], doc["inverse_fallbacks"]) == (both_cuts(3, 6), 0)
     # above the float64 bound only Gauss-Jordan runs
     assert pfaffian_codim(3, 6, prime=2**31 - 1, seed=3).to_dict()["inverse_fallbacks"] is None
     # M_0 is singular here: the full matrix is kept
     assert exactlin._det_array(sampled_matrix(3, 3, 7, 3).coeff[0], 7) == 0
-    assert pfaffian_codim(3, 3, prime=7, seed=3).quotient is False
-    # 3 divides the degree, and the cut runs
-    assert pfaffian_codim(2, 3, prime=3, seed=0).quotient is True
+    assert pfaffian_codim(3, 3, prime=7, seed=3).columns == 4 * comb(6, 2)
+    # 3 divides the degree, and both cuts run
+    assert pfaffian_codim(2, 3, prime=3, seed=0).columns == both_cuts(2, 3)
     # 2d = 4 rows is Gauss-Jordan's base size: no recursion
     assert pfaffian_codim(3, 2, seed=3).inverse_fallbacks is None
     assert DominanceCertificate.csv_header().count(",") == len(cert.csv_row().split(",")) - 1
