@@ -4,23 +4,33 @@ Matrices hold int64 residues in [0, p) for an odd prime p < 2**31, so a
 product of two residues stays below 2**62 and a single row operation never
 overflows int64.
 
-Elimination (`_forward_eliminate`, `_back_substitute`) is blocked in the
-manner of FFLAS-FFPACK (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).  A
-panel of PANEL columns is factored by rank-1 row operations; the update of
-the rest of the matrix is then one matrix product, computed in float64 BLAS
-in strips of STRIP rows and added to the int64 matrix without reduction.
-Two bounds make this exact:
+Elimination (`rank`, `_forward_eliminate`, `_back_substitute`) keeps the
+matrix in float64 with delayed reduction, in the manner of FFLAS-FFPACK
+(Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008), and factors it by
+recursive LU (Toledo, SIAM J. Matrix Anal. Appl. 18(4), 1997).  `_factor`
+splits the columns in halves down to leaves of at most LEAF columns, which
+`_leaf` factors by rank-1 steps on a contiguous int64 transposed copy.
+After the left half of a span, the right half's part of its pivot rows
+becomes U12 = L11^-1 A12, and L21 U12 is subtracted from the rows below in
+one float64 product, left unreduced (`_update_right`).  An entry is reduced
+mod p only when it enters a leaf or a product.  A span hands L^-1 of its
+pivot rows to its parent, which needs it for U12; `rank` asks its root for
+none, so a matrix of one leaf is one rank-1 pass.  With n = min(rows, cols),
+no elimination has more than n pivots, so
 
-* a float64 product of k residues pairs is exact while k*(p-1)**2 < 2**53
-  (every partial sum is an integer that float64 represents), which with
-  k = PANEL holds for p up to 16777213;
-* an entry that receives one unreduced update per pivot stays inside int64
-  while npivots*(p-1)**2 + p < 2**63; entries are reduced mod p only when
-  they become part of the next panel, and once at the end.
+* every product sums at most n terms, each a product of two residues;
+* an entry takes at most one such term per pivot before it is reduced,
+  so it stays below n*(p-1)**2 + p in magnitude;
 
-When either bound fails (p close to 2**31), or the matrix is no wider than
-one panel, elimination runs the rank-1 loop alone, reducing after every
-column.  `_matmul` shares the same bound: float64 BLAS when it holds, int64
+and both are exact in float64, with the room `_reduce_float` needs, while
+n*(p-1)**2 + 2p < 2**53: up to 8.8 million pivots at p = 31991, 32 at
+p = 16777213.  Above that bound (p close to 2**31) elimination runs the
+rank-1 loop alone on int64 (`_eliminate_rank1`), reducing after every
+column.  `rank` reads the pivot count off the factorization and writes no
+echelon form; `_forward_eliminate` writes it from the same factorization,
+with zeros where L was stored.  `_back_substitute` clears above the pivots
+by halves of rows under the same bound.  `_matmul` has its own bound:
+float64 BLAS while k*(p-1)**2 < 2**53 for inner dimension k, int64
 products over chunks of the inner dimension otherwise.
 
 Stacks of small matrices go through one batched loop, `_eliminate_stack`,
@@ -51,10 +61,10 @@ singular A or S at some level are rerun through Gauss-Jordan.  The inverse
 is unique, so both routes give the same residues.
 
 Pivoting always selects the first nonzero entry in row order -- GF(p) has no
-magnitude.  The rule depends only on residues, and both paths compute every
-residue exactly, so they make the same row swaps and write the same echelon
-form, pivots and sign, byte for byte; every certificate is therefore
-reproducible from (prime, seed) whichever path ran.
+magnitude -- and swaps whole rows.  The rule depends only on residues, and
+both routes compute every residue exactly, so they make the same row swaps
+and write the same echelon form, pivots and sign, byte for byte; every
+certificate is therefore reproducible from (prime, seed) whichever route ran.
 """
 
 from __future__ import annotations
@@ -65,8 +75,7 @@ DEFAULT_PRIME = 31991
 
 MAX_MODULUS = 1 << 31
 
-PANEL = 32  # columns factored by the rank-1 loop before one trailing product
-STRIP = 256  # rows per float64 trailing product, bounding its temporaries
+LEAF = 8  # widest column span the recursive elimination factors by rank-1 steps
 SCHUR_BASE = 4  # largest members `_schur_inverse` hands to Gauss-Jordan
 
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
@@ -251,25 +260,17 @@ def _max_terms(p: int, limit: int, start: int = 0) -> int:
     return (limit - 1 - start) // ((p - 1) * (p - 1))
 
 
-def _blocked_is_exact(p: int, npivots: int) -> bool:
-    """Both bounds of the blocked elimination hold (see the module docstring)."""
-    return PANEL <= _max_terms(p, FLOAT_EXACT) and npivots <= _max_terms(p, INT64_LIMIT, p)
-
-
-def _exact_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b through float64 BLAS, as int64.
-
-    Exact for nonnegative integer inputs when a.shape[-1]*(max a)*(max b)
-    < 2**53; callers check this with `_max_terms`.
-    """
-    return (np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)).astype(np.int64)
+def _float_is_exact(p: int, npivots: int) -> bool:
+    """The recursive elimination is exact in float64 when it finds at most
+    `npivots` pivots: npivots*(p-1)**2 + 2p < 2**53 (module docstring)."""
+    return npivots <= _max_terms(p, FLOAT_EXACT, 2 * p)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """Product of two residue arrays, reduced mod p; exact for any p < 2**31."""
     k = a.shape[1]
     if k <= _max_terms(p, FLOAT_EXACT):
-        return _exact_product(a, b) % p
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
     # chunk the inner dimension so accumulated dot products stay inside int64
     step = max(1, _max_terms(p, INT64_LIMIT, p))
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
@@ -278,20 +279,155 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _eliminate_panel(m, p, row, c0, c1, hi, keep_multipliers):
-    """Rank-1 forward elimination of columns [c0, c1), from `row` down.
+def _reduce_float(c: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """c mod p for a float64 array of integers with |c| + p < 2**53, written
+    to `out` when it is given.
 
-    Row swaps move whole rows; scaling and row updates touch columns up to
-    `hi`.  With keep_multipliers, the entry below each pivot keeps the
-    multiplier of its row update (as LAPACK stores L) instead of becoming 0.
-    Returns (pivot_columns, pivot_inverses, sign).
+    fl(c/p) lies within |c|*2**-53/p < 1/p of c/p, and c/p is an integer or
+    at least 1/p away from one, so floor(fl(c/p)) is the true quotient q;
+    q*p and c - q*p are then exact.
     """
-    nrows = m.shape[0]
+    q = c / p
+    np.floor(q, out=q)
+    q *= p
+    return np.subtract(c, q, out=q if out is None else out)
+
+
+def _lower_inverse(lower: np.ndarray, inverses: list[int], p: int) -> np.ndarray:
+    """L^-1 for the k x k lower triangle L whose diagonal entries have the
+    given inverses and whose strictly lower part N is that of `lower`.
+
+    With D the diagonal of the inverses, L = D^-1 (I - A) for A = -D N,
+    which is nilpotent, so L^-1 = (I + A)(I + A^2)(I + A^4)... D up to the
+    factor that reaches A^(k-1): log2(k) squarings.  Their sums of k
+    products of residues stay inside int64 under the float bound.
+    """
+    k = len(inverses)
+    inv = np.array(inverses, dtype=np.int64)
+    index = np.arange(k)
+    a = np.where(index[:, None] > index, lower * (p - inv[:, None]) % p, 0)
+    x = a + np.eye(k, dtype=np.int64)
+    reach = 2
+    while reach < k:
+        a = a @ a % p
+        x = (x @ a + x) % p
+        reach *= 2
+    x *= inv
+    x %= p
+    return x.astype(np.float64)
+
+
+def _leaf(f, p, row, c0, c1, inverse):
+    """Rank-1 elimination of the columns [c0, c1) of f, from `row` down.
+
+    The columns are copied out transposed, as int64, so that each step
+    reads a contiguous column and reduces it with one `%`; whole rows of f
+    follow the swaps.  Each pivot row is scaled to 1, and the entries below
+    a pivot keep the multiplier of their row update, as LAPACK stores L.  A
+    column is reduced when its step comes and a pivot row when it is
+    chosen; every other update is left unreduced.  Returns (pivot_columns,
+    sign, L^-1 of the pivot rows when `inverse`, else None).
+    """
+    t = f[row:, c0:c1].T.astype(np.int64, order="C")
+    nrows = t.shape[1]
     pivots: list[int] = []
     inverses: list[int] = []
     sign = 1
-    skip = 1 if keep_multipliers else 0
-    for col in range(c0, c1):
+    k = 0
+    for j in range(c1 - c0):
+        if k == nrows:
+            break
+        col = t[j, k:]
+        np.remainder(col, p, out=col)
+        if col[0]:
+            r = k
+        else:
+            nz = np.flatnonzero(col)
+            if not nz.size:
+                continue
+            r = k + int(nz[0])
+            t[:, [k, r]] = t[:, [r, k]]
+            f[[row + k, row + r]] = f[[row + r, row + k]]
+            sign = -sign
+        inv = pow(int(t[j, k]), -1, p)
+        t[j, k] = 1
+        if j + 1 < c1 - c0:
+            u = t[j + 1 :, k]
+            np.remainder(u, p, out=u)
+            u *= inv
+            np.remainder(u, p, out=u)
+            t[j + 1 :, k + 1 :] -= u[:, None] * t[j, k + 1 :]
+        pivots.append(c0 + j)
+        inverses.append(inv)
+        k += 1
+    f[row:, c0:c1] = t.T
+    if not inverse:
+        return pivots, sign, None
+    lower = t[[c - c0 for c in pivots], :k].T
+    return pivots, sign, _lower_inverse(lower, inverses, p)
+
+
+def _columns(pivots: list[int]) -> slice | list[int]:
+    """Index of the increasing columns `pivots`: a slice when they are
+    contiguous, so that numpy takes a view of them rather than a copy."""
+    if pivots[-1] - pivots[0] == len(pivots) - 1:
+        return slice(pivots[0], pivots[-1] + 1)
+    return pivots
+
+
+def _update_right(f, p, row, pivots, x, c0, c1) -> None:
+    """Turn the pivot rows' part of the columns [c0, c1) into U = L^-1 A and
+    subtract L U from the rows below them, in one float64 product left
+    unreduced.  `pivots` are the pivot columns found from `row` down and x
+    is L^-1 of their rows."""
+    top = row + len(pivots)
+    u = f[row:top, c0:c1]
+    _reduce_float(u, p, out=u)
+    _reduce_float(x @ u, p, out=u)
+    f[top:, c0:c1] -= f[top:, _columns(pivots)] @ u
+
+
+def _factor(f, p, row, c0, c1, inverse):
+    """Recursive LU of the columns [c0, c1) of the float64 array f, from
+    `row` down (Toledo, SIAM J. Matrix Anal. Appl. 18(4), 1997).
+
+    Spans of at most LEAF columns go to `_leaf`.  A wider span is split in
+    halves: the left half is factored, `_update_right` brings the right
+    half up to date, and the right half is factored.  Storage and return
+    value are `_leaf`'s; L^-1 of the pivot rows, when asked for, is
+    [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]].
+    """
+    if c1 - c0 <= LEAF:
+        return _leaf(f, p, row, c0, c1, inverse)
+    cm = (c0 + c1) // 2
+    left, sign, x11 = _factor(f, p, row, c0, cm, True)
+    if left:
+        _update_right(f, p, row, left, x11, cm, c1)
+    top = row + len(left)
+    right, s, x22 = _factor(f, p, top, cm, c1, inverse)
+    pivots, sign = left + right, sign * s
+    if not inverse:
+        return pivots, sign, None
+    if not (left and right):
+        return pivots, sign, x22 if right else x11
+    k1, k2 = len(left), len(right)
+    x = np.zeros((k1 + k2, k1 + k2))
+    x[:k1, :k1] = x11
+    x[k1:, k1:] = x22
+    y = _reduce_float(f[top : top + k2, _columns(left)] @ x11, p)
+    _reduce_float(-(x22 @ y), p, out=x[k1:, :k1])
+    return pivots, sign, x
+
+
+def _eliminate_rank1(m: np.ndarray, p: int, ncols: int):
+    """Forward elimination of the first `ncols` columns of the int64 residue
+    array m by the rank-1 loop alone, reducing after every column; the
+    route above the float bound.  Returns (pivot_columns, sign)."""
+    nrows = m.shape[0]
+    pivots: list[int] = []
+    sign = 1
+    for col in range(ncols):
+        row = len(pivots)
         if row == nrows:
             break
         nz = np.nonzero(m[row:, col])[0]
@@ -302,112 +438,76 @@ def _eliminate_panel(m, p, row, c0, c1, hi, keep_multipliers):
             m[[row, r]] = m[[r, row]]
             sign = -sign
         inv = pow(int(m[row, col]), p - 2, p)
-        m[row, col:hi] = m[row, col:hi] * inv % p
-        below = m[row + 1 :, col + skip : hi]
+        m[row, col:] = m[row, col:] * inv % p
         f = m[row + 1 :, col]
         if f.any():
-            below[...] = (below - np.outer(f, m[row, col + skip : hi])) % p
+            below = m[row + 1 :, col:]
+            below[...] = (below - np.outer(f, m[row, col:])) % p
         pivots.append(col)
-        inverses.append(inv)
-        row += 1
-    return pivots, inverses, sign
-
-
-def _finish_pivot_rows(a: np.ndarray, lower: np.ndarray, inverses, p: int) -> np.ndarray:
-    """Write in place what the rank-1 loop leaves in the pivot rows' columns
-    right of their panel: row j = (a_j - sum_{i<j} lower[j, i] * row_i) * inverses[j].
-
-    `a` holds those columns, unreduced; `lower` holds the panel's multipliers
-    below its diagonal.  Returns the finished rows as float64.
-    """
-    np.remainder(a, p, out=a)
-    u = np.empty(a.shape, dtype=np.float64)
-    for j, inv in enumerate(inverses):
-        if j:
-            a[j] -= _exact_product(lower[j, :j], u[:j])
-        a[j] = a[j] % p * inv % p
-        u[j] = a[j]
-    return u
-
-
-def _trailing_update(t: np.ndarray, multipliers: np.ndarray, u: np.ndarray, p: int) -> None:
-    """t -= multipliers @ u, as t += (-multipliers mod p) @ u, left unreduced."""
-    neg = (-multipliers) % p
-    for s in range(0, t.shape[0], STRIP):
-        t[s : s + STRIP] += _exact_product(neg[s : s + STRIP], u)
+    return pivots, sign
 
 
 def _forward_eliminate(m: np.ndarray, p: int, ncols: int):
-    """In-place forward elimination on the first `ncols` columns.
+    """In-place forward elimination on the first `ncols` columns of the
+    int64 residue array m.
 
     Pivot rows are normalized to 1 and entries below pivots are 0; columns
     past `ncols` (right-hand sides) follow the row operations.  Returns
     (pivot_columns, sign) where sign tracks row swaps.
     """
-    width = m.shape[1]
-    if ncols <= PANEL or not _blocked_is_exact(p, ncols):
-        pivots, _, sign = _eliminate_panel(m, p, 0, 0, ncols, width, False)
-        return pivots, sign
-    nrows = m.shape[0]
-    pivots = []
-    sign = 1
-    row = 0
-    for c0 in range(0, ncols, PANEL):
-        c1 = min(c0 + PANEL, ncols)
-        panel = m[row:, c0:c1]
-        np.remainder(panel, p, out=panel)
-        found, inverses, s = _eliminate_panel(m, p, row, c0, c1, c1, True)
-        sign *= s
-        if found:
-            top = row + len(found)
-            lower = m[row:, found]
-            for j, col in enumerate(found):
-                m[row + j + 1 :, col] = 0
-            u = _finish_pivot_rows(m[row:top, c1:], lower, inverses, p)
-            _trailing_update(m[top:, c1:], lower[len(found) :], u, p)
-            pivots += found
-            row = top
-        if row == nrows:
-            break
-    rest = m[row:, c1:]
-    np.remainder(rest, p, out=rest)
+    nrows, width = m.shape
+    if not _float_is_exact(p, min(nrows, ncols)):
+        return _eliminate_rank1(m, p, ncols)
+    f = m.astype(np.float64)
+    rhs = width > ncols
+    pivots, sign, x = _factor(f, p, 0, 0, ncols, rhs)
+    r = len(pivots)
+    if rhs and r:
+        _update_right(f, p, 0, pivots, x, ncols, width)
+    rest = f[r:, ncols:]
+    _reduce_float(rest, p, out=rest)
+    f[:, pivots] = np.triu(f[:, pivots])  # L was stored below the pivots
+    m[...] = f
     return pivots, sign
 
 
-def _clear_above(m: np.ndarray, p: int, pivots: list[int], b0: int, b1: int) -> None:
-    """Rank-1 back-substitution within pivot rows [b0, b1)."""
-    for row in range(b1 - 1, b0, -1):
-        col = pivots[row]
-        f = m[b0:row, col]
-        if f.any():
-            m[b0:row, col:] = (m[b0:row, col:] - np.outer(f, m[row, col:])) % p
+def _clear_halves(u: np.ndarray, p: int, pivots: list[int], b0: int, b1: int) -> None:
+    """Clear the entries above the pivots among the float64 rows [b0, b1)
+    of an echelon form: the lower half first, then its pivot columns from
+    the upper half in one product, then the upper half."""
+    if b1 - b0 < 2:
+        return
+    h = (b0 + b1) // 2
+    _clear_halves(u, p, pivots, h, b1)
+    top = u[b0:h, pivots[h] :]
+    top -= u[b0:h, pivots[h:b1]] @ u[h:b1, pivots[h] :]
+    _reduce_float(top, p, out=top)
+    _clear_halves(u, p, pivots, b0, h)
 
 
 def _back_substitute(m: np.ndarray, p: int, pivots: list[int]) -> None:
-    """Clear entries above the pivots (m already forward-eliminated).
-
-    Blocks of PANEL pivot rows are finished bottom-up; each finished block
-    is subtracted from the rows above it in one trailing product.
-    """
+    """Clear entries above the pivots (m already forward-eliminated): by
+    `_clear_halves` under the float bound, else by the rank-1 loop."""
     r = len(pivots)
-    if r <= PANEL or not _blocked_is_exact(p, r):
-        _clear_above(m, p, pivots, 0, r)
+    if _float_is_exact(p, r):
+        u = m[:r].astype(np.float64)
+        _clear_halves(u, p, pivots, 0, r)
+        m[:r] = u
         return
-    for b1 in range(r, 0, -PANEL):
-        b0 = max(0, b1 - PANEL)
-        block = m[b0:b1, pivots[b0] :]
-        np.remainder(block, p, out=block)
-        _clear_above(m, p, pivots, b0, b1)
-        if b0:
-            u = block.astype(np.float64)
-            _trailing_update(m[:b0, pivots[b0] :], m[:b0, pivots[b0:b1]], u, p)
+    for row in range(r - 1, 0, -1):
+        col = pivots[row]
+        f = m[:row, col]
+        if f.any():
+            m[:row, col:] = (m[:row, col:] - np.outer(f, m[row, col:])) % p
 
 
 def rank(A: ScalarMatrix) -> int:
-    """Rank over GF(p); deterministic elimination, exact arithmetic."""
-    m = A.a.copy()
-    pivots, _ = _forward_eliminate(m, A.field.p, A.cols)
-    return len(pivots)
+    """Rank over GF(p): the pivot count of the recursive elimination, which
+    writes no echelon form; the rank-1 loop above the float bound."""
+    p = A.field.p
+    if not _float_is_exact(p, min(A.shape)):
+        return len(_eliminate_rank1(A.a.copy(), p, A.cols)[0])
+    return len(_factor(A.a.astype(np.float64), p, 0, 0, A.cols, False)[0])
 
 
 def kernel_basis(A: ScalarMatrix) -> list[np.ndarray]:
@@ -533,20 +633,6 @@ def _schur_is_exact(p: int, n: int) -> bool:
     `_schur_inverse`) and has a block to split off (n > SCHUR_BASE)."""
     h = _schur_split(n)
     return n > SCHUR_BASE and max(h, n - h) <= _max_terms(p, FLOAT_EXACT, 2 * p)
-
-
-def _reduce_float(c: np.ndarray, p: int) -> np.ndarray:
-    """c mod p for a float64 array of integers with |c| + 2p < 2**53.
-
-    The quotient c / p is correctly rounded, so its floor is the true
-    quotient or one more; one conditional add of p corrects the latter.
-    """
-    q = c / p
-    np.floor(q, out=q)
-    q *= p
-    r = c - q
-    np.add(r, p, out=r, where=r < 0)
-    return r
 
 
 def _schur_inverse(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:

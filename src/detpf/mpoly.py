@@ -541,14 +541,17 @@ def sample_usable(
     seen: tuple[int, int] = (0, 0),
 ) -> tuple[np.ndarray, np.ndarray, int]:
     """The first `target` usable points of the stream, their values, and
-    the number of points drawn; `kept`, an earlier result, is extended.
+    the number of stream points drawn; `kept`, an earlier result, is extended.
 
     `values_fn(points)` returns `(values, usable)`: an (npoints, n_outputs)
     array of exact values and a bool mask of the points it could evaluate.
     Each batch draws the next points of the stream, as many as are still
-    missing, so nothing is drawn past the `target`-th usable point.
-    `check_degenerate` stops a black box that drops too many, counting the
-    `seen` (evaluated, unusable) points the caller tried before the stream;
+    missing, so nothing is drawn past the `target`-th usable point.  A
+    point the stream has drawn before is skipped, and once all p^nvars
+    points have been tried the stream stops, with fewer than `target`
+    points when the field is too small.  `check_degenerate` stops a black
+    box that drops too many of the points tried, counting the `seen`
+    (evaluated, unusable) points the caller tried before the stream;
     `stats`, when given, gets the same totals as `points_used` and
     `points_degenerate`.
     """
@@ -556,13 +559,22 @@ def sample_usable(
     if kept is None:
         kept = (np.empty((0, nvars), np.int64), np.empty((0, n_outputs), np.int64), 0)
     points, values, drawn = kept
-    while len(points) < target:
-        fresh = sample_points(field, nvars, seed, drawn, target - len(points))
-        drawn += len(fresh)
+    tried = set(map(tuple, sample_points(field, nvars, seed, 0, drawn).tolist()))
+    while len(points) < target and len(tried) < p**nvars:
+        batch = sample_points(field, nvars, seed, drawn, target - len(points))
+        drawn += len(batch)
+        new = []
+        for i, x in enumerate(map(tuple, batch.tolist())):
+            if x not in tried:
+                tried.add(x)
+                new.append(i)
+        if not new:
+            continue
+        fresh = batch[new]
         vals, usable = _evaluate(values_fn, fresh, n_outputs, p)
         points = np.vstack([points, fresh[usable]])
         values = np.vstack([values, vals[usable]])
-        used, dropped = seen[0] + drawn, seen[1] + drawn - len(points)
+        used, dropped = seen[0] + len(tried), seen[1] + len(tried) - len(points)
         if stats is not None:
             stats.update(points_used=used, points_degenerate=dropped)
         check_degenerate(used, dropped, p)
@@ -746,13 +758,14 @@ def interpolate_many(
     one elimination of [Lagrange forms at the points | residual values],
     which must have k pivots and leave zero rows; otherwise the values are
     `Inconsistent`.  With no holes this is the consistency check alone.
-    While the rank is short the stream points double, up to 4 N.
+    While the rank is short the stream points double, up to 4 N; the
+    stream's points are distinct, so over a tiny field it may run out first.
     `check_degenerate` counts holes and dropped stream points together, and
     `stats` gets both in `points_used` and `points_degenerate`.
 
     A degree `determines` refuses raises `InterpolationFailure` before the
     black box is called, and so does a hole rank still short after 4 N
-    stream points.
+    stream points or after every point of GF(p)^nvars.
     """
     from .exactlin import _back_substitute, _forward_eliminate
 
@@ -795,10 +808,12 @@ def interpolate_many(
                 HomogeneousForm.from_coefficient_vector(field, basis, column)
                 for column in coeffs.T
             ]
-        if target >= cap:
+        exhausted = len(kept[0]) < target
+        if exhausted or target >= cap:
+            tried = f"all {p**nvars}" if exhausted else target
             raise InterpolationFailure(
                 f"evaluation matrix stuck at rank {len(pivots)} < {k} "
-                f"after {target} points over GF({p}); try a larger prime"
+                f"after {tried} points over GF({p}); try a larger prime"
             )
         target = min(cap, target * 2)
 

@@ -195,19 +195,36 @@ def test_elimination_deterministic():
     assert all(np.array_equal(a, b) for a, b in zip(k1, k2))
 
 
-# ---- blocked kernel against a plain-integer reference ------------------------
+# ---- recursive kernel against a plain-integer reference ----------------------
 
 
-def _largest_float_path_prime() -> int:
-    p = isqrt((2**53 - 1) // exactlin.PANEL) + 1
-    while not exactlin._is_prime(p):
-        p -= 1
-    return p
+def _float_boundary(n: int) -> tuple[int, int]:
+    """The primes either side of n*(p-1)**2 + 2p < 2**53, the bound under
+    which the recursive elimination runs in float64 with up to n pivots."""
+    m = isqrt((exactlin.FLOAT_EXACT - 1) // n) + 2
+    while n * (m - 1) ** 2 + 2 * m >= exactlin.FLOAT_EXACT:
+        m -= 1
+    return _primes_around(m)
 
 
-FLOAT_PRIME = _largest_float_path_prime()
+def _primes_around(m: int) -> tuple[int, int]:
+    """The largest prime <= m and the smallest prime > m."""
+    lo, hi = m, m + 1
+    while not exactlin._is_prime(lo):
+        lo -= 1
+    while not exactlin._is_prime(hi):
+        hi += 1
+    return lo, hi
+
+
+# within one leaf, one leaf, one leaf and a column, and three to five levels
+WIDTHS = (1, 7, exactlin.LEAF, exactlin.LEAF + 1, 33, 67, 130)
+# the largest prime at which 32 pivots stay in float64: matrices up to 32
+# wide take the float route there, wider ones the rank-1 loop
+FLOAT_PRIME = _float_boundary(32)[0]
 PRIMES = (3, 31991, FLOAT_PRIME, 2**31 - 1)
-WIDTHS = (1, 5, exactlin.PANEL - 1, exactlin.PANEL, exactlin.PANEL + 1, 2 * exactlin.PANEL + 3)
+# and the largest prime at which every width above takes the float route
+KERNEL_PRIMES = PRIMES + (_float_boundary(max(WIDTHS))[0],)
 
 
 def _row_op(a, f, b, p):
@@ -271,45 +288,57 @@ def structured_matrices(draw):
     nrows = draw(st.sampled_from((2, ncols, ncols + 12)))
     top = min(nrows, ncols)
     return structured(
-        p=draw(st.sampled_from(PRIMES)),
+        p=draw(st.sampled_from(KERNEL_PRIMES)),
         ncols=ncols,
         nrows=nrows,
         rhs=draw(st.sampled_from((0, 1, 3))),
         rank_cap=draw(st.sampled_from((top, top, top // 2, 0))),
-        lead=draw(st.sampled_from((0, 0, 1, exactlin.PANEL, ncols))),
+        lead=draw(st.sampled_from((0, 0, 1, exactlin.LEAF, ncols))),
         zero_share=draw(st.sampled_from((0.0, 0.3, 0.9))),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
 
 
-WIDE = 2 * exactlin.PANEL + 3
-# cases a small example budget might miss: every one spans three panels
+WIDE = 67
+# cases a small example budget might miss: each spans four recursion levels
 EXAMPLES = (
     structured(31991, WIDE, WIDE + 12, 3, WIDE, 0, 0.0, 1),  # tall, full column rank
-    structured(FLOAT_PRIME, WIDE, WIDE, 1, WIDE - 7, 0, 0.3, 2),  # pivots skip columns
-    structured(3, WIDE, 40, 2, 40, exactlin.PANEL, 0.0, 3),  # first panel has no pivot
+    structured(KERNEL_PRIMES[-1], WIDE, WIDE, 1, WIDE - 7, 0, 0.3, 2),  # pivots skip columns
+    structured(3, WIDE, 40, 2, 40, 2 * exactlin.LEAF, 0.0, 3),  # first two leaves without pivot
     structured(2**31 - 1, WIDE, WIDE, 3, WIDE, 0, 0.0, 4),  # rank-1 fallback
+    structured(31991, 130, 40, 2, 40, 0, 0.0, 5),  # rows run out halfway
 )
 
 
 @settings(max_examples=150, deadline=None)
-@given(structured_matrices(), st.sampled_from((exactlin.STRIP, 5)))
-@example(EXAMPLES[0], 5)
-@example(EXAMPLES[1], exactlin.STRIP)
-@example(EXAMPLES[2], 5)
-@example(EXAMPLES[3], exactlin.STRIP)
-def test_kernel_matches_reference_byte_for_byte(case, strip):
+@given(structured_matrices())
+@example(EXAMPLES[0])
+@example(EXAMPLES[1])
+@example(EXAMPLES[2])
+@example(EXAMPLES[3])
+@example(EXAMPLES[4])
+def test_kernel_matches_reference_byte_for_byte(case):
     p, ncols, a = case
     echelon, reduced, ref_pivots, ref_sign = reference_eliminate(a.tolist(), p, ncols)
     m = a.copy()
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(exactlin, "STRIP", strip)
-        pivots, sign = exactlin._forward_eliminate(m, p, ncols)
-        assert (pivots, sign) == (ref_pivots, ref_sign)
-        assert m.dtype == np.int64
-        assert m.tobytes() == _as_int64(echelon, a.shape).tobytes()
-        exactlin._back_substitute(m, p, pivots)
+    pivots, sign = exactlin._forward_eliminate(m, p, ncols)
+    assert (pivots, sign) == (ref_pivots, ref_sign)
+    assert m.dtype == np.int64
+    assert m.tobytes() == _as_int64(echelon, a.shape).tobytes()
+    exactlin._back_substitute(m, p, pivots)
     assert m.tobytes() == _as_int64(reduced, a.shape).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_matrices())
+@example(EXAMPLES[2])
+@example(EXAMPLES[4])
+def test_rank_is_the_pivot_count_of_forward_eliminate(case):
+    p, ncols, a = case
+    A = ScalarMatrix(PrimeField(p), a[:, :ncols])
+    pivots, _ = exactlin._forward_eliminate(a.copy(), p, ncols)
+    assert rank(A) == len(pivots)
+    assert rank(A.T) == len(pivots)
 
 
 @settings(max_examples=60, deadline=None)
@@ -317,6 +346,7 @@ def test_kernel_matches_reference_byte_for_byte(case, strip):
 @example(EXAMPLES[0])
 @example(EXAMPLES[1])
 @example(EXAMPLES[2])
+@example(EXAMPLES[4])
 def test_public_api_matches_reference(case):
     p, ncols, a = case
     field = PrimeField(p)
@@ -363,25 +393,35 @@ def _matmul_reference(a, b, p):
 
 
 @pytest.mark.parametrize(
-    "p, ncols, blocked",
+    "p, n, route",
     [
-        (31991, exactlin.PANEL, False),
-        (31991, exactlin.PANEL + 1, True),
-        (FLOAT_PRIME, exactlin.PANEL + 1, True),
-        (16777259, exactlin.PANEL + 1, False),  # the next prime fails the float bound
-        (2**31 - 1, 2 * exactlin.PANEL + 3, False),
+        (31991, exactlin.LEAF, "leaf"),
+        (31991, exactlin.LEAF + 1, "recursive"),
+        (_float_boundary(33)[0], 33, "recursive"),
+        (_float_boundary(33)[1], 33, "rank-1"),  # the next prime fails the float bound
+        (2**31 - 1, WIDE, "rank-1"),
     ],
 )
-def test_path_choice_depends_on_width_and_prime(monkeypatch, p, ncols, blocked):
-    calls = []
-    update = exactlin._trailing_update
-    monkeypatch.setattr(
-        exactlin, "_trailing_update", lambda *args: calls.append(1) or update(*args)
-    )
-    a = np.random.default_rng(ncols).integers(0, p, (ncols, ncols), dtype=np.int64)
-    inv = invert(ScalarMatrix(PrimeField(p), a))
-    assert bool(calls) == blocked
-    assert _matmul_reference(a, inv.a, p) == np.eye(ncols, dtype=np.int64).tolist()
+def test_path_choice_depends_on_width_and_prime(monkeypatch, p, n, route):
+    calls = {"_leaf": 0, "_update_right": 0, "_eliminate_rank1": 0}
+    for name in calls:
+        def counted(*args, name=name, kernel=getattr(exactlin, name)):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(exactlin, name, counted)
+    a = np.random.default_rng(n).integers(0, p, (n, n), dtype=np.int64)
+    A = ScalarMatrix(PrimeField(p), a)
+    assert rank(A) == n
+    if route == "leaf":  # one lean pass: no split, no L^-1, no update
+        assert calls == {"_leaf": 1, "_update_right": 0, "_eliminate_rank1": 0}
+    elif route == "recursive":
+        assert calls["_leaf"] > 1 and calls["_update_right"] > 0
+        assert calls["_eliminate_rank1"] == 0
+    else:
+        assert calls == {"_leaf": 0, "_update_right": 0, "_eliminate_rank1": 1}
+    inv = invert(A)
+    assert _matmul_reference(a, inv.a, p) == np.eye(n, dtype=np.int64).tolist()
 
 
 @pytest.mark.parametrize("p", PRIMES + (67108859,))
@@ -397,16 +437,6 @@ def test_matmul_exact_on_both_paths(p, k):
 
 
 # ---- batched inverse ------------------------------------------------------------
-
-
-def _primes_around(m: int) -> tuple[int, int]:
-    """The largest prime <= m and the smallest prime > m."""
-    lo, hi = m, m + 1
-    while not exactlin._is_prime(lo):
-        lo -= 1
-    while not exactlin._is_prime(hi):
-        hi += 1
-    return lo, hi
 
 
 def _delayed_boundary(n: int) -> tuple[int, int]:
@@ -565,6 +595,8 @@ def test_bound_predicates_switch_at_the_documented_primes(n):
     lo, hi = _schur_boundary(n)
     assert exactlin._schur_is_exact(lo, n) == (n > exactlin.SCHUR_BASE)
     assert not exactlin._schur_is_exact(hi, n)
+    lo, hi = _float_boundary(n)
+    assert exactlin._float_is_exact(lo, n) and not exactlin._float_is_exact(hi, n)
 
 
 def delayed_worst_case(n, p):
@@ -644,6 +676,63 @@ def test_schur_bound_with_worst_case_entries(monkeypatch, n):
     inverses, _ = exactlin.invert_many(a[None], beyond, stats)
     assert stats == {}
     assert _matmul_reference(a, inverses[0], beyond) == eye.tolist()
+
+
+def float_worst_case(n, p):
+    """M = L U with L unit lower triangular and U unit upper triangular,
+    both with -1 off the diagonal.
+
+    Each step of the recursive elimination pivots on 1 in place; every
+    multiplier and every pivot-row entry right of the pivot is p - 1, so each
+    pivot subtracts exactly (p-1)**2 from every entry below and right of it:
+    the last entry takes n - 1 of them before it is reduced.
+    """
+    lower = np.tril(np.full((n, n), -1, dtype=object), -1) + np.eye(n, dtype=object)
+    upper = np.triu(np.full((n, n), -1, dtype=object), 1) + np.eye(n, dtype=object)
+    return upper, (lower.dot(upper) % p).astype(np.int64)
+
+
+@pytest.mark.parametrize("n", (exactlin.LEAF + 1, 33, 130))
+@pytest.mark.parametrize("side", (0, 1))
+def test_float_bound_with_worst_case_entries(monkeypatch, n, side):
+    # on the bound's last prime the recursion runs in float64, and the last
+    # leaf takes entries from which every pivot left of it has been
+    # subtracted unreduced; on the next prime the rank-1 loop runs
+    p = _float_boundary(n)[side]
+    upper, a = float_worst_case(n, p)
+    seen = []
+    leaf = exactlin._leaf
+
+    def watched(f, q, row, c0, c1, inverse):
+        seen.append((c0, float(np.abs(f[row:, c0:c1]).max(initial=0))))
+        return leaf(f, q, row, c0, c1, inverse)
+
+    monkeypatch.setattr(exactlin, "_leaf", watched)
+    m = a.copy()
+    assert exactlin._forward_eliminate(m, p, n) == (list(range(n)), 1)
+    assert m.tolist() == (upper % p).tolist()
+    assert rank(ScalarMatrix(PrimeField(p), a)) == n
+    if side == 0:
+        c0, largest = max(seen)
+        assert c0 > n - exactlin.LEAF - 1 and largest > c0 * (p - 2) ** 2
+    else:
+        assert not seen
+
+
+@pytest.mark.parametrize("p", (3, 5, 31991, 16777213, 94906249, 2**31 - 1))
+def test_reduce_float_needs_no_correction(p):
+    # floor(c / p) in float64 is the true quotient for |c| + p < 2**53, right
+    # up to that edge and on both sides of every multiple of p near it
+    edge = exactlin.FLOAT_EXACT - 2 * p
+    values = [s * (edge - k) for s in (1, -1) for k in range(200)]
+    for q in (1, 2, 7, 10**6, edge // p - 1, -(edge // p) + 1):
+        values += [q * p + e for e in range(-2, 3)]
+    values += [exactlin.FLOAT_EXACT - p - 1, -(exactlin.FLOAT_EXACT - p - 1)]
+    got = exactlin._reduce_float(np.array(values, dtype=np.float64), p)
+    assert got.tolist() == [v % p for v in values]
+    out = np.empty(len(values))
+    assert exactlin._reduce_float(np.array(values, dtype=np.float64), p, out=out) is out
+    assert out.tolist() == got.tolist()
 
 
 @pytest.mark.parametrize("p", PRIMES + (16777213, 67108859))

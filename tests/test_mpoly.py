@@ -274,7 +274,8 @@ def test_the_capped_rank_failure_claims_no_degree_rule():
     # degree 3 = p is within the rule and the lattice (1, a_i), (0, 1)
     # determines every cubic; but a black box that refuses X0 = 0 leaves
     # (0, 1) a hole, and its Lagrange form X1 (X1 - X0) (X1 + X0) vanishes
-    # at every point with X0 != 0, so no stream point can fix it
+    # at every point with X0 != 0, so no stream point can fix it; the stream
+    # stops once it has tried all 9 points of GF(3)^2
     F3 = PrimeField(3)
 
     def values_fn(points):
@@ -283,9 +284,43 @@ def test_the_capped_rank_failure_claims_no_degree_rule():
     with pytest.raises(InterpolationFailure) as info:
         interpolate_many(values_fn, 2, 3, F3, 52, 1)
     assert str(info.value) == (
-        "evaluation matrix stuck at rank 0 < 1 after 16 points over GF(3); "
+        "evaluation matrix stuck at rank 0 < 1 after all 9 points over GF(3); "
         "try a larger prime"
     )
+
+
+def test_stream_points_are_distinct_over_a_tiny_field():
+    # a black box that refuses the points whose coordinates sum to 1 leaves
+    # the lattice holes (1, 0) and (0, 1) over GF(3); drawn with repeats, 16
+    # stream points left the holes' rank at 1 < 2, while the 6 usable points
+    # of GF(3)^2 fix them
+    F3 = PrimeField(3)
+    f = HomogeneousForm(F3, 2, 3, {(3, 0): 1, (2, 1): 2, (1, 2): 1, (0, 3): 2})
+    seen = []
+
+    def values_fn(points):
+        seen.append(points)
+        usable = points.sum(axis=1) % 3 != 1
+        return np.where(usable, f.evaluate_many(points), 0)[:, None], usable
+
+    assert interpolate_many(values_fn, 2, 3, F3, 10, 1) == [f]
+    stream = [tuple(x) for x in np.vstack(seen[1:]).tolist()]
+    assert len(set(stream)) == len(stream)
+
+
+def test_sample_usable_stops_after_every_point_is_tried():
+    # asked for 20 points of GF(3)^2, the stream skips its repeats and stops
+    # at the 9 points there are, in the order it first drew them
+    F3 = PrimeField(3)
+
+    def everything(points):
+        return np.zeros((len(points), 1), dtype=np.int64), np.ones(len(points), dtype=bool)
+
+    points, _, drawn = mpoly.sample_usable(everything, F3, 2, 5, 20, 1)
+    stream = [tuple(x) for x in sample_points(F3, 2, 5, 0, drawn).tolist()]
+    assert drawn > 9
+    assert [tuple(x) for x in points.tolist()] == list(dict.fromkeys(stream))
+    assert len(points) == 9
 
 
 def _dense_interpolation(values_fn, nvars, degree, field, n_outputs):
