@@ -8,11 +8,11 @@ the tangent map of the pfaffian map at M (Beauville, "Determinantal
 hypersurfaces", Michigan Math. J. 48, 2000, section 7).
 
 The rank is read off by evaluation, without computing any P_ij.  Sample
-N = C(d+r, r) points x at which M(x) is invertible, invert all N matrices in
-one batch (`exactlin.invert_many`), and give each point the row
-x (x) triu(M(x)^-1) of length (r+1) C(2d, 2).  The rank of this N-row matrix
-E is the certificate's rank.  Since (M^-1)_ij = (-1)^(i+j) P_ij(x) / pf(M(x))
-for i < j, the matrix factors as
+N = C(d+r, r) points x at which M(x) is invertible, invert all N skew
+matrices in one batch (`exactlin.invert_skew_many`), and give each point
+the row x (x) triu(M(x)^-1) of length (r+1) C(2d, 2).  The rank of this
+N-row matrix E is the certificate's rank.  Since
+(M^-1)_ij = (-1)^(i+j) P_ij(x) / pf(M(x)) for i < j, the matrix factors as
 
     E = D V C S,
 
@@ -233,7 +233,8 @@ def _span_rank(
     replaced by `mpoly.sample_usable`.  Of each x_k block only the columns
     `_kept_columns` returns are kept (module docstring).  `stats`, when
     given, gets `columns` (the width of E) and `inverse_fallbacks` (see
-    `exactlin.invert_many`; None when the Schur recursion did not run).
+    `exactlin.invert_skew_many`; None when the Schur recursion did not
+    run).
     """
     field = L.field
     target = monomial_count(L.nvars, d)
@@ -241,7 +242,7 @@ def _span_rank(
     inverse_stats: dict = {}
 
     def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        inverses, invertible = exactlin.invert_many(
+        inverses, invertible = exactlin.invert_skew_many(
             L.evaluate_batch(points), field.p, inverse_stats
         )
         return inverses[:, upper[0], upper[1]], invertible
@@ -272,7 +273,7 @@ def _kept_columns(L: LinearSkewMatrix) -> list[np.ndarray | slice]:
     p = L.field.p
     upper = np.triu_indices(L.size, 1)
     kept: list[np.ndarray | slice] = [slice(None)] * L.nvars
-    inverse, invertible = exactlin.invert_many(L.coeff[:1], p)
+    inverse, invertible = exactlin.invert_skew_many(L.coeff[:1], p)
     if not invertible[0]:
         return kept
     powers = [inverse[0]]

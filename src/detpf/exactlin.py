@@ -46,18 +46,27 @@ the pfaffians of a stack of skew matrices.  Callers that need det or pf of
 M(x) at many points (interpolation, maximal minors) make one call per batch
 of points.
 
-`invert_many` inverts a stack by block recursion through the Schur
-complement (`_schur_inverse`, after Strassen, Numer. Math. 13, 1969):
-split each member as
-[[A, B], [C, D]] with A of even size h near n/2, invert A and
-S = D - C A^-1 B by the same recursion down to 4 x 4 blocks, which
-Gauss-Jordan takes, and assemble the inverse from six stacked float64
-products, each reduced mod p.  A leading block of a skew matrix is skew, as
-is its Schur complement, and h is even because a skew matrix of odd size
-is singular.  The products are exact while k*(p-1)**2 + 2p < 2**53 for
-k = max(h, n - h), up to p of about 2.3e7 at n = 32; above that, and for
-n <= 4, the whole stack goes through Gauss-Jordan.  Members with a
-singular A or S at some level are rerun through Gauss-Jordan.  The inverse
+`invert_skew_many` inverts a stack of skew matrices by block recursion
+through the Schur complement (`_schur_inverse`, after Strassen, Numer.
+Math. 13, 1969; Bunch, Math. Comp. 38, 1982, for the skew case).  Split
+each member as M = [[A, B], [-B^T, D]] with A of even size h near n/2 and
+put X = A^-1 B.  Three identities halve the off-diagonal work:
+
+* -B^T A^-1 = X^T, because A^-1 is skew;
+* S = D + B^T X is skew, so it is inverted by the same recursion;
+* with Z = X S^-1, -S^-1 X^T = Z^T;
+
+so M^-1 = [[A^-1 + Z X^T, -Z], [Z^T, S^-1]] takes four stacked float64
+products per level (A^-1 B, B^T X, X S^-1, Z X^T), each reduced mod p.  The
+recursion ends at 2 x 2 blocks [[0, b], [-b, 0]], whose inverse is
+[[0, -1/b], [1/b, 0]].  It reads only the strict upper triangle of each
+member, so the contract is the inverse of the skew matrix that triangle
+defines, and no skewness check is made.  A skew matrix of odd size is
+singular, so an odd n returns every member singular at once.  The products
+are exact while k*(p-1)**2 + 2p < 2**53 for k = max(h, n - h), up to p of
+about 2.3e7 at n = 32; above that the whole stack goes through
+Gauss-Jordan, as do the members with b = 0 or a singular Schur complement
+at some level.  Gauss-Jordan takes them as triu - triu^T, and the inverse
 is unique, so both routes give the same residues.
 
 Pivoting always selects the first nonzero entry in row order -- GF(p) has no
@@ -76,7 +85,6 @@ DEFAULT_PRIME = 31991
 MAX_MODULUS = 1 << 31
 
 LEAF = 8  # widest column span the recursive elimination factors by rank-1 steps
-SCHUR_BASE = 4  # largest members `_schur_inverse` hands to Gauss-Jordan
 
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 INT64_LIMIT = 1 << 63
@@ -623,76 +631,98 @@ def _schur_split(n: int) -> int:
     """Size h of the leading block: the even number nearest n/2.
 
     A skew matrix of odd size is singular, so an odd leading block would
-    send every skew member back to Gauss-Jordan.
+    send every member back to Gauss-Jordan.
     """
     return 2 * ((n + 2) // 4)
 
 
 def _schur_is_exact(p: int, n: int) -> bool:
-    """The Schur recursion on n x n members is exact in float64 (see
-    `_schur_inverse`) and has a block to split off (n > SCHUR_BASE)."""
+    """The skew Schur recursion on n x n members is exact in float64 (see
+    `_schur_inverse`) and has a block to invert (n >= 2)."""
     h = _schur_split(n)
-    return n > SCHUR_BASE and max(h, n - h) <= _max_terms(p, FLOAT_EXACT, 2 * p)
+    return n >= 2 and max(h, n - h) <= _max_terms(p, FLOAT_EXACT, 2 * p)
+
+
+def _skew_from_upper(a: np.ndarray, p: int) -> np.ndarray:
+    """triu - triu^T mod p of each member of a stack: the skew matrix that
+    its strict upper triangle defines."""
+    upper = np.triu(a, 1)
+    return (upper - upper.transpose(0, 2, 1)) % p
 
 
 def _schur_inverse(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """(inverses, ok) of a (count, n, n) float64 stack of residues by block
+    """(inverses, ok) of the skew matrices that the strict upper triangles
+    of a (count, n, n) float64 stack of residues define, n even, by block
     recursion through the Schur complement (Strassen, Numer. Math. 13, 1969).
 
-    With M = [[A, B], [C, D]], X = A^-1 B, Y = C A^-1, S = D - C X and
-    Z = X S^-1, the inverse is [[A^-1 + Z Y, -Z], [-S^-1 Y, S^-1]].  A and
-    S are inverted by the same recursion, down to SCHUR_BASE rows, where
-    `_gauss_jordan_many` runs.  Every product is one stacked float64 matmul
-    of residues with inner dimension at most k = max(h, n - h), reduced mod
-    p; its entries, plus one residue, stay below k*(p-1)**2 + p, exact while
-    that plus p is below 2**53 (`_schur_is_exact`).  ok[t] is False when a
-    leading block or a Schur complement of member t is singular; its
-    inverse is then meaningless, though still made of residues.
+    With M = [[A, B], [-B^T, D]] and X = A^-1 B, the skew A^-1 gives
+    -B^T A^-1 = X^T; S = D + B^T X is skew; and with Z = X S^-1,
+    -S^-1 X^T = Z^T.  So M^-1 = [[A^-1 + Z X^T, -Z], [Z^T, S^-1]], from the
+    four stacked float64 products A^-1 B, B^T X, X S^-1 and Z X^T, each
+    reduced mod p.  A and S are inverted by the same recursion, which reads
+    only their strict upper triangles, down to 2 x 2 blocks [[0, b], [-b, 0]]
+    with inverse [[0, -1/b], [1/b, 0]].  Every product has inner dimension
+    at most k = max(h, n - h); its entries, plus one residue, stay below
+    k*(p-1)**2 + p, exact while that plus p is below 2**53
+    (`_schur_is_exact`).  ok[t] is False when b or a Schur complement of
+    member t vanishes at some level; its inverse is then meaningless,
+    though still made of residues.
     """
-    count, n, _ = a.shape
-    if n <= SCHUR_BASE:
-        inverses, ok = _gauss_jordan_many(a.astype(np.int64), p)
-        return inverses.astype(np.float64), ok
+    n = a.shape[1]
+    if n == 2:
+        b = a[:, 0, 1].astype(np.int64)
+        inv = _inverse_residues(b, p)
+        out = np.zeros_like(a)
+        out[:, 0, 1] = (p - inv) % p
+        out[:, 1, 0] = inv
+        return out, b != 0
     h = _schur_split(n)
-    A, B, C, D = a[:, :h, :h], a[:, :h, h:], a[:, h:, :h], a[:, h:, h:]
+    A, B, D = a[:, :h, :h], a[:, :h, h:], a[:, h:, h:]
     a_inv, ok = _schur_inverse(A, p)
     x = _reduce_float(a_inv @ B, p)
-    y = _reduce_float(C @ a_inv, p)
-    s_inv, ok_s = _schur_inverse(_reduce_float(D - C @ x, p), p)
+    s_inv, ok_s = _schur_inverse(_reduce_float(D + B.transpose(0, 2, 1) @ x, p), p)
     z = _reduce_float(x @ s_inv, p)
     out = np.empty_like(a)
-    out[:, :h, :h] = _reduce_float(a_inv + z @ y, p)
-    out[:, :h, h:] = _reduce_float(p - z, p)
-    out[:, h:, :h] = _reduce_float(p - _reduce_float(s_inv @ y, p), p)
+    _reduce_float(a_inv + z @ x.transpose(0, 2, 1), p, out=out[:, :h, :h])
+    _reduce_float(p - z, p, out=out[:, :h, h:])
+    out[:, h:, :h] = z.transpose(0, 2, 1)
     out[:, h:, h:] = s_inv
     return out, ok & ok_s
 
 
-def invert_many(stack, p: int, stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Inverses of a stack of n x n matrices.
+def invert_skew_many(stack, p: int, stats: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Inverses of a stack of n x n skew matrices, each given by its strict
+    upper triangle.
 
-    Returns (inverses, invertible) for a (count, n, n) stack: where
-    invertible[t], inverses[t] is byte-equal to `invert` of stack[t];
-    singular members come back as zero matrices and leave the others
-    untouched.  The stack is inverted by the Schur recursion
+    Returns (inverses, invertible) for a (count, n, n) stack: inverses[t]
+    is the inverse of the skew matrix triu(M) - triu(M)^T for M = stack[t],
+    byte-equal to `invert` of it where invertible[t]; the diagonal and lower
+    triangle of M are never read.  Singular members come back as zero
+    matrices and leave the others untouched; at odd n every member is
+    singular.  The stack is inverted by the skew Schur recursion
     (`_schur_inverse`) when it is exact at p, and the members it fails --
-    a singular leading block or Schur complement, or M itself singular --
-    are rerun through one batched Gauss-Jordan (`_gauss_jordan_many`), as
-    is the whole stack otherwise.  The inverse is unique, so the route
-    never shows in the result.  `stats`, when given, gets `fallbacks`
-    increased by the number of members rerun; it is left alone when the
-    recursion does not run.
+    a vanishing b or Schur complement, or M itself singular -- are rerun
+    through one batched Gauss-Jordan (`_gauss_jordan_many`), as is the
+    whole stack otherwise.  The inverse is unique, so the route never shows
+    in the result.  `stats`, when given, gets `fallbacks` increased by the
+    number of members rerun; it is left alone when the recursion does not
+    run.
     """
     a = np.mod(np.asarray(stack, dtype=np.int64), p)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    if not _schur_is_exact(p, a.shape[1]):
-        return _gauss_jordan_many(a, p)
+    count, n, _ = a.shape
+    if n % 2:
+        return np.zeros_like(a), np.zeros(count, dtype=bool)
+    if not _schur_is_exact(p, n):
+        return _gauss_jordan_many(_skew_from_upper(a, p), p)
     inverses, invertible = _schur_inverse(a.astype(np.float64), p)
     inverses = inverses.astype(np.int64)
     rerun = np.nonzero(~invertible)[0]
     if rerun.size:
-        inverses[rerun], invertible[rerun] = _gauss_jordan_many(a[rerun], p)
+        inverses[rerun], invertible[rerun] = _gauss_jordan_many(
+            _skew_from_upper(a[rerun], p), p
+        )
     if stats is not None:
         stats["fallbacks"] = stats.get("fallbacks", 0) + rerun.size
     return inverses, invertible

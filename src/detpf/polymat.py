@@ -598,8 +598,9 @@ def submaximal_pfaffians(
 ) -> dict[tuple[int, int], HomogeneousForm]:
     """All C(2d, 2) pfaffians of M with row/column pairs deleted, degree d-1.
 
-    One batched inverse per round of sample points (`exactlin.invert_many`)
-    yields every value at once through the inverse identity
+    One batched inverse per round of sample points
+    (`exactlin.invert_skew_many`, as M(x) is skew) yields every value at
+    once through the inverse identity
     P_ij(x) = (-1)^(i+j) pf(M(x)) (M(x)^{-1})_{ij}; one lattice solve of
     `interpolate_many` then serves all C(2d, 2) outputs.  Where M(x) is
     singular (for skew M, where pf(M(x)) = 0), a lattice point becomes a
@@ -619,7 +620,7 @@ def submaximal_pfaffians(
 
     def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         mats = L.evaluate_batch(points)
-        inverses, usable = exactlin.invert_many(mats, p)
+        inverses, usable = exactlin.invert_skew_many(mats, p)
         pf = exactlin._pfaffian_array(mats, p)[:, None]
         return inverses[:, upper[0], upper[1]] * pair_sign % p * pf % p, usable
 

@@ -419,8 +419,8 @@ def test_certificate_records_the_route():
     assert pfaffian_codim(3, 3, prime=7, seed=3).columns == 4 * comb(6, 2)
     # 3 divides the degree, and both cuts run
     assert pfaffian_codim(2, 3, prime=3, seed=0).columns == both_cuts(2, 3)
-    # 2d = 4 rows is Gauss-Jordan's base size: no recursion
-    assert pfaffian_codim(3, 2, seed=3).inverse_fallbacks is None
+    # 2d = 4 rows recurse once, to two 2 x 2 blocks, and no member falls back
+    assert pfaffian_codim(3, 2, seed=3).inverse_fallbacks == 0
     assert DominanceCertificate.csv_header().count(",") == len(cert.csv_row().split(",")) - 1
 
 

@@ -448,10 +448,22 @@ def _delayed_boundary(n: int) -> tuple[int, int]:
     return _primes_around(m)
 
 
+def _schur_boundary(n: int) -> tuple[int, int]:
+    """The primes either side of k*(p-1)**2 + 2p < 2**53, k = max(h, n - h),
+    the bound under which invert_skew_many runs the Schur recursion on n x n."""
+    h = exactlin._schur_split(n)
+    k = max(h, n - h)
+    m = isqrt((exactlin.FLOAT_EXACT - 1) // k) + 2
+    while k * (m - 1) ** 2 + 2 * m >= exactlin.FLOAT_EXACT:
+        m -= 1
+    return _primes_around(m)
+
+
+# ---- batched Gauss-Jordan on general stacks ----------------------------------
+
 INVERT_SIZES = (1, 2, 4, 5, 6, 30, 32, 33)
-# the Schur recursion runs for n > 4 at the first four primes; 2**31 - 1
-# takes Gauss-Jordan, reducing every step for every n > 1; the other prime
-# sits on the delayed-reduction bound for n = 33
+# 2**31 - 1 reduces every step for every n > 1; the other large prime sits
+# on the delayed-reduction bound for n = 33
 INVERT_PRIMES = (3, 7, 31991, 16777213, _delayed_boundary(33)[0], 2**31 - 1)
 INVERT_KINDS = ("random", "swap", "dependent", "zero", "lead2", "leadh", "skew")
 
@@ -460,8 +472,8 @@ def stacked(p, n, kinds, seed):
     """(count, n, n) stack, one member per entry of `kinds`:
     "random", "swap" (column 0 zero in the top rows, forcing row swaps),
     "dependent" (last row a combination of the others), "zero", "lead2"
-    (leading 2 x 2 block zero), "leadh" (the Schur recursion's leading
-    h x h block singular, the rest random) or "skew"."""
+    (leading 2 x 2 block zero), "leadh" (leading h x h block singular for
+    h = `_schur_split(n)`, the rest random) or "skew"."""
     rng = np.random.default_rng(seed)
     out = rng.integers(0, p, (len(kinds), n, n), dtype=np.int64)
     h = exactlin._schur_split(n)
@@ -492,24 +504,13 @@ def stacks(draw):
     return p, stacked(p, n, kinds, draw(st.integers(0, 2**32 - 1)))
 
 
-@settings(max_examples=80, deadline=None)
-@given(stacks())
-@example((2**31 - 1, stacked(2**31 - 1, 33, ["swap", "dependent", "random"], 1)))
-@example((31991, stacked(31991, 32, ["random", "zero", "swap", "dependent"], 2)))
-@example((3, stacked(3, 30, ["random"] * 5, 3)))
-@example((7, stacked(7, 30, ["lead2", "leadh", "skew", "random"], 4)))
-@example((16777213, stacked(16777213, 32, ["lead2", "leadh", "skew", "swap"], 5)))
-@example((31991, stacked(31991, 33, ["leadh", "lead2", "skew"], 6)))
-def test_invert_many_matches_invert_and_reference(case):
-    p, stack = case
+def assert_inverses_match_reference(stack, p, inverses, invertible):
+    """Each member's inverse equals the plain-int Gauss-Jordan's and, byte
+    for byte, `invert`'s; a singular member is flagged and comes back zero."""
     field = PrimeField(p)
     n = stack.shape[1]
-    inverses, invertible = exactlin.invert_many(stack, p)
-    assert inverses.dtype == np.int64 and inverses.shape == stack.shape
-    jordan, jordan_ok = exactlin._gauss_jordan_many(stack % p, p)
-    assert inverses.tobytes() == jordan.tobytes()
-    assert invertible.tolist() == jordan_ok.tolist()
     eye = np.eye(n, dtype=np.int64)
+    assert inverses.dtype == np.int64 and inverses.shape == stack.shape
     for t, a in enumerate(stack):
         _, reduced, pivots, _ = reference_eliminate(np.hstack([a, eye]).tolist(), p, n)
         if len(pivots) < n:
@@ -523,30 +524,172 @@ def test_invert_many_matches_invert_and_reference(case):
             assert inverses[t].tobytes() == invert(ScalarMatrix(field, a)).a.tobytes()
 
 
+@settings(max_examples=80, deadline=None)
+@given(stacks())
+@example((2**31 - 1, stacked(2**31 - 1, 33, ["swap", "dependent", "random"], 1)))
+@example((31991, stacked(31991, 32, ["random", "zero", "swap", "dependent"], 2)))
+@example((3, stacked(3, 30, ["random"] * 5, 3)))
+@example((7, stacked(7, 30, ["lead2", "leadh", "skew", "random"], 4)))
+@example((16777213, stacked(16777213, 32, ["lead2", "leadh", "skew", "swap"], 5)))
+@example((31991, stacked(31991, 33, ["leadh", "lead2", "skew"], 6)))
+def test_invert_many_matches_invert_and_reference(case):
+    # `_gauss_jordan_many`, the fallback of invert_skew_many, on general stacks
+    p, stack = case
+    inverses, invertible = exactlin._gauss_jordan_many(stack % p, p)
+    assert_inverses_match_reference(stack, p, inverses, invertible)
+
+
+def test_invert_many_members_do_not_interact():
+    p = 31991
+    stack = stacked(p, 30, ["random", "zero", "swap", "dependent", "random"], 5)
+    inverses, invertible = exactlin._gauss_jordan_many(stack, p)
+    assert invertible.tolist() == [True, False, True, False, True]
+    for t in range(len(stack)):
+        alone, ok = exactlin._gauss_jordan_many(stack[t : t + 1], p)
+        assert ok[0] == invertible[t]
+        assert alone[0].tobytes() == inverses[t].tobytes()
+
+
+def test_invert_many_edge_shapes():
+    for invert_stack in (exactlin._gauss_jordan_many, exactlin.invert_skew_many):
+        inverses, invertible = invert_stack(np.zeros((0, 4, 4), dtype=np.int64), P)
+        assert inverses.shape == (0, 4, 4) and invertible.shape == (0,)
+        inverses, invertible = invert_stack(np.zeros((3, 0, 0), dtype=np.int64), P)
+        assert inverses.shape == (3, 0, 0) and invertible.tolist() == [True] * 3
+    inverses, invertible = exactlin._gauss_jordan_many(np.array([[[2]], [[0]]]), P)
+    assert inverses[:, 0, 0].tolist() == [F.inv(2), 0]
+    assert invertible.tolist() == [True, False]
+    # a 1 x 1 matrix has no strict upper triangle: its skew matrix is 0
+    inverses, invertible = exactlin.invert_skew_many([[[P + 2]], [[0]]], P)
+    assert not inverses.any() and invertible.tolist() == [False, False]
+    with pytest.raises(ValueError):
+        exactlin.invert_skew_many(np.zeros((2, 3, 4), dtype=np.int64), P)
+
+
+# ---- batched inverse of skew stacks ---------------------------------------------
+
+SKEW_SIZES = (0, 1, 2, 3, 4, 6, 30, 32, 33)
+# the Schur recursion runs for every even n >= 2 at the first five primes,
+# the fifth being the last one under its bound at n = 32; 2**31 - 1 takes
+# Gauss-Jordan
+SCHUR_PRIME = _schur_boundary(32)[0]
+SKEW_PRIMES = (3, 7, 31991, 16777213, SCHUR_PRIME, 2**31 - 1)
+SKEW_KINDS = ("random", "zero", "a01", "leadh", "deficient")
+
+
+def _make_dependent(m, size, rng, p):
+    """Make row and column size - 1 of the leading size x size block of the
+    skew m the combination A c of the columns before them, A the leading
+    (size - 1) x (size - 1) block; the block [[A, A c], [c^T A, 0]] then has
+    the rank of A, at most size - 2, as A is skew of odd size."""
+    c = rng.integers(0, p, size - 1).astype(object)
+    v = (m[: size - 1, : size - 1].astype(object).dot(c) % p).astype(np.int64)
+    m[: size - 1, size - 1] = v
+    m[size - 1, : size - 1] = (-v) % p
+
+
+def skew_members(p, n, kinds, seed, garbage=False):
+    """(count, n, n) stack of skew matrices, one per entry of `kinds`:
+    "random", "zero", "a01" (entry (0, 1) zero, M invertible for n >= 4 in
+    general), "leadh" (the Schur recursion's leading h x h block singular,
+    M invertible in general) or "deficient" (rank at most n - 2).  With
+    `garbage`, the diagonal and lower triangle are random instead."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.integers(0, p, (len(kinds), n, n), dtype=np.int64), 1)
+    out = (upper - upper.transpose(0, 2, 1)) % p
+    h = exactlin._schur_split(n)
+    for t, kind in enumerate(kinds):
+        if kind == "zero":
+            out[t] = 0
+        elif kind == "a01" and n >= 2:
+            out[t, 0, 1] = out[t, 1, 0] = 0
+        elif kind == "leadh" and 2 <= h < n:
+            _make_dependent(out[t], h, rng, p)
+        elif kind == "deficient" and n >= 2:
+            _make_dependent(out[t], n, rng, p)
+    if garbage:
+        lower = np.tril_indices(n)
+        out[:, lower[0], lower[1]] = rng.integers(0, p, (len(kinds), len(lower[0])))
+    return out
+
+
+@st.composite
+def skew_member_stacks(draw):
+    p = draw(st.sampled_from(SKEW_PRIMES))
+    n = draw(st.sampled_from(SKEW_SIZES))
+    kinds = draw(st.lists(st.sampled_from(SKEW_KINDS), min_size=1, max_size=5))
+    return p, skew_members(p, n, kinds, draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(skew_member_stacks())
+@example((3, skew_members(3, 30, ["random"] * 5, 1)))
+@example((7, skew_members(7, 30, ["a01", "leadh", "deficient", "random"], 2)))
+@example((31991, skew_members(31991, 32, ["random", "zero", "a01", "leadh", "deficient"], 3)))
+@example((16777213, skew_members(16777213, 32, ["leadh", "a01", "random"], 4)))
+@example((SCHUR_PRIME, skew_members(SCHUR_PRIME, 32, ["random", "leadh", "a01"], 5)))
+@example((2**31 - 1, skew_members(2**31 - 1, 32, ["random", "deficient", "a01"], 6)))
+@example((31991, skew_members(31991, 33, ["random", "random"], 7)))
+@example((31991, skew_members(31991, 0, ["random"], 8)))
+def test_invert_skew_many_matches_invert_and_reference(case):
+    p, stack = case
+    inverses, invertible = exactlin.invert_skew_many(stack, p)
+    assert_inverses_match_reference(stack, p, inverses, invertible)
+    for t in range(len(stack)):  # members do not interact
+        alone, ok = exactlin.invert_skew_many(stack[t : t + 1], p)
+        assert ok[0] == invertible[t]
+        assert alone[0].tobytes() == inverses[t].tobytes()
+
+
+@pytest.mark.parametrize("p", (7, 31991, 2**31 - 1))
+@pytest.mark.parametrize("n", (2, 4, 30, 33))
+def test_invert_skew_many_reads_only_the_strict_upper_triangle(p, n):
+    # random diagonals and lower triangles change neither the recursion,
+    # nor the members it reruns, nor Gauss-Jordan above the bound
+    kinds = ["random", "a01", "leadh", "deficient", "zero", "random"]
+    clean = skew_members(p, n, kinds, n)
+    dirty = skew_members(p, n, kinds, n, garbage=True)
+    assert (np.triu(dirty, 1) == np.triu(clean, 1)).all() and (dirty != clean).any()
+    stats, dirty_stats = {}, {}
+    inverses, invertible = exactlin.invert_skew_many(clean, p, stats)
+    again, ok = exactlin.invert_skew_many(dirty, p, dirty_stats)
+    assert again.tobytes() == inverses.tobytes()
+    assert ok.tolist() == invertible.tolist()
+    assert dirty_stats == stats
+
+
 def test_singular_leading_blocks_fall_back_to_gauss_jordan():
     p = 31991
-    kinds = ["lead2", "random", "leadh", "skew", "zero"]
-    stack = stacked(p, 30, kinds, 8)
+    kinds = ["a01", "random", "leadh", "zero", "deficient"]
+    stack = skew_members(p, 30, kinds, 8)
     stats = {}
-    inverses, invertible = exactlin.invert_many(stack, p, stats)
-    # M stays invertible when only a leading block is singular; the 16 x 16
-    # block of "leadh" sends its member back, while the zero 2 x 2 block of
-    # "lead2" sits inside a 4 x 4 base block, which Gauss-Jordan pivots around,
-    # and the leading blocks of a skew member have even size
-    assert invertible.tolist() == [True, True, True, True, False]
-    assert stats == {"fallbacks": 2}
-    for t in (0, 2, 3):
-        assert _matmul_reference(stack[t], inverses[t], p) == np.eye(30, dtype=np.int64).tolist()
-    exactlin.invert_many(stack[2:], p, stats)
-    assert stats == {"fallbacks": 4}  # accumulated over calls
+    inverses, invertible = exactlin.invert_skew_many(stack, p, stats)
+    # M stays invertible when only a01 or the leading 16 x 16 block is
+    # singular, and the recursion fails at the 2 x 2 base or at the top;
+    # those members and the two singular ones are rerun
+    assert invertible.tolist() == [True, True, True, False, False]
+    assert stats == {"fallbacks": 4}
+    skew = exactlin._skew_from_upper(stack, p)
+    for t in (0, 1, 2):
+        assert _matmul_reference(skew[t], inverses[t], p) == np.eye(30, dtype=np.int64).tolist()
+    exactlin.invert_skew_many(stack[2:], p, stats)
+    assert stats == {"fallbacks": 7}  # accumulated over calls
     untouched = {}
-    exactlin.invert_many(stack, 2**31 - 1, untouched)
+    exactlin.invert_skew_many(stack, 2**31 - 1, untouched)
+    exactlin.invert_skew_many(stack[:, :29, :29], p, untouched)
     assert untouched == {}  # no recursion ran, so nothing fell back
 
 
 @pytest.mark.parametrize(
     "p, n, schur",
-    [(31991, 30, True), (31991, 32, True), (31991, 4, False), (2**31 - 1, 32, False)],
+    [
+        (31991, 2, True),
+        (31991, 4, True),
+        (31991, 30, True),
+        (31991, 32, True),
+        (31991, 33, False),
+        (2**31 - 1, 32, False),
+    ],
 )
 def test_invert_many_route_by_size_and_prime(monkeypatch, p, n, schur):
     calls = {"schur": 0, "jordan": []}
@@ -557,35 +700,33 @@ def test_invert_many_route_by_size_and_prime(monkeypatch, p, n, schur):
         return recurse(a, q)
 
     def counted_jordan(a, q):
-        calls["jordan"].append(a.shape[1])
+        calls["jordan"].append(a.shape)
         return jordan(a, q)
 
     monkeypatch.setattr(exactlin, "_schur_inverse", counted_schur)
     monkeypatch.setattr(exactlin, "_gauss_jordan_many", counted_jordan)
-    stack = stacked(p, n, ["random"] * 6, n)
-    inverses, invertible = exactlin.invert_many(stack, p)
-    assert invertible.all()
+    stack = skew_members(p, n, ["random"] * 4 + ["a01", "deficient"], n)
+    stats = {}
+    inverses, invertible = exactlin.invert_skew_many(stack, p, stats)
+    if n % 2:
+        assert calls == {"schur": 0, "jordan": []} and stats == {}
+        assert not invertible.any() and not inverses.any()
+        return
+    # at n = 2 the "a01" member is the zero matrix
+    assert invertible.tolist() == [True] * 4 + [n > 2, False]
     if schur:
-        assert calls["schur"] > 1  # the top call and its recursion
-        assert max(calls["jordan"]) <= exactlin.SCHUR_BASE  # only the base blocks
+        # the top call and every block down to n/2 blocks of 2 x 2; only
+        # the "a01" and "deficient" members are rerun
+        assert calls == {"schur": n - 1, "jordan": [(2, n, n)]}
+        assert stats == {"fallbacks": 2}
     else:
-        assert calls == {"schur": 0, "jordan": [n]}
-    for t in range(len(stack)):
-        assert _matmul_reference(stack[t], inverses[t], p) == np.eye(n, dtype=np.int64).tolist()
+        assert calls == {"schur": 0, "jordan": [(6, n, n)]} and stats == {}
+    skew = exactlin._skew_from_upper(stack, p)
+    for t in np.flatnonzero(invertible):
+        assert _matmul_reference(skew[t], inverses[t], p) == np.eye(n, dtype=np.int64).tolist()
 
 
 # ---- worst-case entries at the exactness bounds -------------------------------
-
-
-def _schur_boundary(n: int) -> tuple[int, int]:
-    """The primes either side of k*(p-1)**2 + 2p < 2**53, k = max(h, n - h),
-    the bound under which invert_many runs the Schur recursion on n x n."""
-    h = exactlin._schur_split(n)
-    k = max(h, n - h)
-    m = isqrt((exactlin.FLOAT_EXACT - 1) // k) + 2
-    while k * (m - 1) ** 2 + 2 * m >= exactlin.FLOAT_EXACT:
-        m -= 1
-    return _primes_around(m)
 
 
 @pytest.mark.parametrize("n", (2, 5, 6, 30, 32, 33))
@@ -593,8 +734,7 @@ def test_bound_predicates_switch_at_the_documented_primes(n):
     lo, hi = _delayed_boundary(n)
     assert exactlin._stack_is_delayed(lo, n) and not exactlin._stack_is_delayed(hi, n)
     lo, hi = _schur_boundary(n)
-    assert exactlin._schur_is_exact(lo, n) == (n > exactlin.SCHUR_BASE)
-    assert not exactlin._schur_is_exact(hi, n)
+    assert exactlin._schur_is_exact(lo, n) and not exactlin._schur_is_exact(hi, n)
     lo, hi = _float_boundary(n)
     assert exactlin._float_is_exact(lo, n) and not exactlin._float_is_exact(hi, n)
 
@@ -619,14 +759,13 @@ def test_delayed_reduction_bound_with_worst_case_entries(n, side):
     # on the bound's last prime the stack stays unreduced; on the next
     # prime it is reduced after every step
     p = _delayed_boundary(n)[side]
-    assert not exactlin._schur_is_exact(p, n)  # Gauss-Jordan runs
     lower, upper, a = delayed_worst_case(n, p)
     echelon, reduced, pivots, sign = reference_eliminate(a.tolist(), p, n)
     # the elimination the family is built for: no swap, U as the echelon form
     assert (pivots, sign) == (list(range(n)), 1)
     assert echelon == (upper % p).tolist()
     assert exactlin._det_array(np.stack([a, a]), p).tolist() == [1, 1]
-    inverses, invertible = exactlin.invert_many(a[None], p)
+    inverses, invertible = exactlin._gauss_jordan_many(a[None], p)
     eye = np.eye(n, dtype=np.int64)
     _, reduced, _, _ = reference_eliminate(np.hstack([a, eye]).tolist(), p, n)
     assert invertible.tolist() == [True]
@@ -634,38 +773,51 @@ def test_delayed_reduction_bound_with_worst_case_entries(n, side):
 
 
 def schur_worst_case(n, p):
-    """[[I, -2J], [-2J, 4h J + I]] with J all ones and h the leading size.
+    """Skew [[A, B], [-B^T, D]] whose product B^T X, X = A^-1 B, sums
+    h products (p-2)**2 in its (0, 1) entry, with h = `_schur_split(n)`,
+    which is max(h, n - h).
 
-    A = I and S = D - C A^-1 B = I, while C A^-1 B sums h products
-    (p-2)**2 and A^-1 + (A^-1 B S^-1)(C A^-1) sums n - h of them plus 1.
-    The products are odd, so a float64 partial sum past 2**53 would round.
+    A and D are J (+) J (+) ... with J = [[0, 1], [-1, 0]], so A^-1 = -A.
+    Column 0 of B is -2 times the ones vector 1, column 1 is -2 A 1, which
+    makes column 1 of X all -2, and the other columns are 0.  So S = D +
+    B^T X is D with 1 + 4h in place of its (0, 1) entry 1, and invertible,
+    as are all the blocks the recursion meets.  The reduction of S sees
+    h*(p-2)**2 + 1, which is odd, so a float64 sum past 2**53 would round.
     """
     h = exactlin._schur_split(n)
-    a = np.full((n, n), p - 2, dtype=np.int64)
-    a[:h, :h] = np.eye(h, dtype=np.int64)
-    a[h:, h:] = 4 * h + np.eye(n - h, dtype=np.int64)
-    return a
+    J = np.array([[0, 1], [-1, 0]], dtype=np.int64)
+    a = np.zeros((n, n), dtype=np.int64)
+    for i in range(0, n, 2):
+        a[i : i + 2, i : i + 2] = J
+    B = np.zeros((h, n - h), dtype=np.int64)
+    B[:, 0] = -2
+    B[:, 1] = -2 * a[:h, :h].sum(axis=1)
+    a[:h, h:] = B
+    a[h:, :h] = -B.T
+    return a % p
 
 
-@pytest.mark.parametrize("n", (5, 6, 30, 32, 33))
+@pytest.mark.parametrize("n", (4, 6, 30, 32))
 def test_schur_bound_with_worst_case_entries(monkeypatch, n):
     p, beyond = _schur_boundary(n)
     h = exactlin._schur_split(n)
     k = max(h, n - h)
+    assert k == h
     seen = []
     reduce_float = exactlin._reduce_float
-    monkeypatch.setattr(
-        exactlin,
-        "_reduce_float",
-        lambda c, q: seen.append(float(np.abs(c).max(initial=0))) or reduce_float(c, q),
-    )
+
+    def watched(c, q, out=None):
+        seen.append(float(np.abs(c).max(initial=0)))
+        return reduce_float(c, q, out=out)
+
+    monkeypatch.setattr(exactlin, "_reduce_float", watched)
     a = schur_worst_case(n, p)
     stats = {}
-    inverses, invertible = exactlin.invert_many(a[None], p, stats)
+    inverses, invertible = exactlin.invert_skew_many(a[None], p, stats)
     assert stats == {"fallbacks": 0}
-    # the products come within 2k(p-1) of the bound; when h > n - h, C A^-1 B
-    # does, and its reduction sees D - C A^-1 B, less by 4h + 1
-    assert max(seen) > k * (p - 2) ** 2 - p
+    # the reduction of S sees k products (p-2)**2 plus one: within 2k(p-1)
+    # of k*(p-1)**2, the most the bound allows for
+    assert max(seen) >= k * (p - 2) ** 2 + 1
     eye = np.eye(n, dtype=np.int64)
     _, reduced, pivots, _ = reference_eliminate(np.hstack([a, eye]).tolist(), p, n)
     assert invertible.tolist() == [len(pivots) == n] == [True]
@@ -673,7 +825,7 @@ def test_schur_bound_with_worst_case_entries(monkeypatch, n):
     # one prime further, Gauss-Jordan takes the same family
     a = schur_worst_case(n, beyond)
     stats = {}
-    inverses, _ = exactlin.invert_many(a[None], beyond, stats)
+    inverses, _ = exactlin.invert_skew_many(a[None], beyond, stats)
     assert stats == {}
     assert _matmul_reference(a, inverses[0], beyond) == eye.tolist()
 
@@ -744,27 +896,6 @@ def test_reduce_float_at_the_edges(p):
     )
     got = exactlin._reduce_float(values.astype(np.float64), p)
     assert got.tolist() == [int(v) % p for v in values]
-
-
-def test_invert_many_members_do_not_interact():
-    p = 31991
-    stack = stacked(p, 30, ["random", "zero", "swap", "dependent", "random"], 5)
-    inverses, invertible = exactlin.invert_many(stack, p)
-    assert invertible.tolist() == [True, False, True, False, True]
-    for t in range(len(stack)):
-        alone, ok = exactlin.invert_many(stack[t : t + 1], p)
-        assert ok[0] == invertible[t]
-        assert alone[0].tobytes() == inverses[t].tobytes()
-
-
-def test_invert_many_edge_shapes():
-    inverses, invertible = exactlin.invert_many(np.zeros((0, 4, 4), dtype=np.int64), P)
-    assert inverses.shape == (0, 4, 4) and invertible.shape == (0,)
-    inverses, invertible = exactlin.invert_many([[[P + 2]], [[0]]], P)
-    assert inverses[:, 0, 0].tolist() == [F.inv(2), 0]
-    assert invertible.tolist() == [True, False]
-    with pytest.raises(ValueError):
-        exactlin.invert_many(np.zeros((2, 3, 4), dtype=np.int64), P)
 
 
 # ---- scalar determinant and pfaffian against plain-int expansions ------------
