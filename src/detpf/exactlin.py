@@ -1,8 +1,16 @@
 """Exact dense linear algebra over GF(p).
 
-Matrices hold int64 residues in [0, p) for an odd prime p < 2**31, so a
-product of two residues stays below 2**62 and a single row operation never
-overflows int64.
+Matrices hold residues in [0, p) for an odd prime p < 2**31, as int64 or
+as float64.  An int64 product of two residues stays below 2**62, so a
+single row operation never overflows int64.  A float64 array is taken to
+hold residues already, each an integer in [0, p), and is never reduced or
+cast on the way in: `ScalarMatrix` keeps it without a copy, `rank` factors
+it in place, and `invert_skew_many` returns float64 inverses for it.  A
+caller makes float64 residues only where its products are exact in
+float64 (`polymat.LinearSkewMatrix.evaluate_batch`), so a certificate's
+stacks and its matrix E are reduced once, by `_reduce_float`, and are never
+cast between the product that evaluates M(x) and the factorization of E.
+Any other input is read as integers and reduced mod p.
 
 Elimination (`rank`, `_forward_eliminate`, `_back_substitute`) keeps the
 matrix in float64 with delayed reduction, in the manner of FFLAS-FFPACK
@@ -198,16 +206,20 @@ class PrimeField:
 
 
 class ScalarMatrix:
-    """Dense matrix of GF(p) residues, stored row-major as int64."""
+    """Dense matrix of GF(p) residues.  A float64 array of residues is held
+    as it is, without a copy; any other data is reduced into int64."""
 
     __slots__ = ("field", "a")
 
     def __init__(self, field: PrimeField, data):
-        a = np.asarray(data, dtype=np.int64)
+        if isinstance(data, np.ndarray) and data.dtype == np.float64:
+            a = data
+        else:
+            a = np.mod(np.asarray(data, dtype=np.int64), field.p)
         if a.ndim != 2:
             raise ValueError(f"expected a 2-d array, got shape {a.shape}")
         self.field = field
-        self.a = np.mod(a, field.p)
+        self.a = a
 
     @classmethod
     def zeros(cls, field: PrimeField, rows: int, cols: int) -> "ScalarMatrix":
@@ -280,6 +292,7 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if k <= _max_terms(p, FLOAT_EXACT):
         return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
     # chunk the inner dimension so accumulated dot products stay inside int64
+    a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
     step = max(1, _max_terms(p, INT64_LIMIT, p))
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
     for s in range(0, k, step):
@@ -511,17 +524,21 @@ def _back_substitute(m: np.ndarray, p: int, pivots: list[int]) -> None:
 
 def rank(A: ScalarMatrix) -> int:
     """Rank over GF(p): the pivot count of the recursive elimination, which
-    writes no echelon form; the rank-1 loop above the float bound."""
+    writes no echelon form; the rank-1 loop above the float bound.
+
+    The elimination runs on a copy of an int64 matrix, but on a float64
+    matrix itself: its entries are overwritten by the factorization.
+    """
     p = A.field.p
     if not _float_is_exact(p, min(A.shape)):
-        return len(_eliminate_rank1(A.a.copy(), p, A.cols)[0])
-    return len(_factor(A.a.astype(np.float64), p, 0, 0, A.cols, False)[0])
+        return len(_eliminate_rank1(A.a.astype(np.int64), p, A.cols)[0])
+    return len(_factor(A.a.astype(np.float64, copy=False), p, 0, 0, A.cols, False)[0])
 
 
 def kernel_basis(A: ScalarMatrix) -> list[np.ndarray]:
     """Basis of the right null space {v : A v = 0}, ordered by free column."""
     p = A.field.p
-    m = A.a.copy()
+    m = A.a.astype(np.int64)
     pivots, _ = _forward_eliminate(m, p, A.cols)
     _back_substitute(m, p, pivots)
     pivot_set = set(pivots)
@@ -702,22 +719,26 @@ def invert_skew_many(stack, p: int, stats: dict | None = None) -> tuple[np.ndarr
     singular.  The stack is inverted by the skew Schur recursion
     (`_schur_inverse`) when it is exact at p, and the members it fails --
     a vanishing b or Schur complement, or M itself singular -- are rerun
-    through one batched Gauss-Jordan (`_gauss_jordan_many`), as is the
-    whole stack otherwise.  The inverse is unique, so the route never shows
-    in the result.  `stats`, when given, gets `fallbacks` increased by the
-    number of members rerun; it is left alone when the recursion does not
-    run.
+    through one batched Gauss-Jordan (`_gauss_jordan_many`) and written
+    back, as is the whole stack otherwise.  The inverse is unique, so the
+    route never shows in the result.  A float64 stack holds residues and
+    gets float64 inverses, which the recursion computes without a cast;
+    any other stack is reduced mod p and gets int64 inverses.  `stats`,
+    when given, gets `fallbacks` increased by the number of members rerun;
+    it is left alone when the recursion does not run.
     """
-    a = np.mod(np.asarray(stack, dtype=np.int64), p)
+    a = np.asarray(stack)
+    if a.dtype != np.float64:
+        a = np.mod(np.asarray(a, dtype=np.int64), p)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     count, n, _ = a.shape
     if n % 2:
         return np.zeros_like(a), np.zeros(count, dtype=bool)
     if not _schur_is_exact(p, n):
-        return _gauss_jordan_many(_skew_from_upper(a, p), p)
-    inverses, invertible = _schur_inverse(a.astype(np.float64), p)
-    inverses = inverses.astype(np.int64)
+        inverses, invertible = _gauss_jordan_many(_skew_from_upper(a, p), p)
+        return inverses.astype(a.dtype, copy=False), invertible
+    inverses, invertible = _schur_inverse(a.astype(np.float64, copy=False), p)
     rerun = np.nonzero(~invertible)[0]
     if rerun.size:
         inverses[rerun], invertible[rerun] = _gauss_jordan_many(
@@ -725,7 +746,7 @@ def invert_skew_many(stack, p: int, stats: dict | None = None) -> tuple[np.ndarr
         )
     if stats is not None:
         stats["fallbacks"] = stats.get("fallbacks", 0) + rerun.size
-    return inverses, invertible
+    return inverses.astype(a.dtype, copy=False), invertible
 
 
 def solve_many(A: ScalarMatrix, B: ScalarMatrix) -> ScalarMatrix:
@@ -740,7 +761,7 @@ def solve_many(A: ScalarMatrix, B: ScalarMatrix) -> ScalarMatrix:
         raise TypeError("A and B must live over the same field")
     p = A.field.p
     n = A.cols
-    m = np.hstack([A.a, B.a])
+    m = np.hstack([A.a, B.a]).astype(np.int64, copy=False)
     pivots, _ = _forward_eliminate(m, p, n)
     if len(pivots) < n:
         raise RankDeficient(f"column rank {len(pivots)} < {n}")

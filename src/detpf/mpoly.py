@@ -520,9 +520,13 @@ def _evaluate(
     n_outputs: int,
     p: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`values_fn(points)` as (values mod p, usable mask), shapes checked."""
+    """`values_fn(points)` as (values mod p, usable mask), shapes checked.
+    float64 values are residues already (`exactlin`) and are kept as they
+    are; any other values are reduced into int64."""
     vals, usable = values_fn(points)
-    vals = np.asarray(vals, dtype=np.int64) % p
+    vals = np.asarray(vals)
+    if vals.dtype != np.float64:
+        vals = np.asarray(vals, dtype=np.int64) % p
     usable = np.asarray(usable, dtype=bool)
     if vals.shape != (len(points), n_outputs) or usable.shape != (len(points),):
         raise ValueError(f"black box returned shapes {vals.shape} and {usable.shape}")

@@ -332,10 +332,22 @@ class LinearSkewMatrix:
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """(npoints, size, size) stack of M(x): one product of the points
-        with the flattened M_k."""
-        pts = np.mod(np.asarray(points, dtype=np.int64), self.field.p)
+        with the flattened M_k.
+
+        Each entry sums nvars products of two residues.  While
+        nvars*(p-1)**2 + p < 2**53 the product is exact in float64 and is
+        reduced there, so the stack holds float64 residues (`exactlin`'s
+        float64 contract); above that bound it holds int64 residues.
+        """
+        p = self.field.p
+        pts = np.mod(np.asarray(points, dtype=np.int64), p)
         flat = self.coeff.reshape(self.nvars, -1)
-        return exactlin._matmul(pts, flat, self.field.p).reshape(-1, self.size, self.size)
+        if self.nvars <= exactlin._max_terms(p, exactlin.FLOAT_EXACT, p):
+            values = pts.astype(np.float64) @ flat.astype(np.float64)
+            exactlin._reduce_float(values, p, out=values)
+        else:
+            values = exactlin._matmul(pts, flat, p)
+        return values.reshape(-1, self.size, self.size)
 
     def to_graded(self) -> GradedMatrix:
         entries = []
@@ -622,7 +634,9 @@ def submaximal_pfaffians(
         mats = L.evaluate_batch(points)
         inverses, usable = exactlin.invert_skew_many(mats, p)
         pf = exactlin._pfaffian_array(mats, p)[:, None]
-        return inverses[:, upper[0], upper[1]] * pair_sign % p * pf % p, usable
+        # the interpolation takes int64 values
+        entries = inverses[:, upper[0], upper[1]].astype(np.int64, copy=False)
+        return entries * pair_sign % p * pf % p, usable
 
     seed = derive_seed(seed, "subpf")
     forms = interpolate_many(values_fn, L.nvars, d - 1, field, seed, len(pair_sign), stats)

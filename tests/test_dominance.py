@@ -230,12 +230,15 @@ def both_cuts(r, d):
 
 
 def cut_matrix(monkeypatch, L, d, seed, kept):
-    """(rank, E) of E built from the blocks' columns `kept`."""
+    """(rank, E) of E built from the blocks' columns `kept`.  `exactlin.rank`
+    factors a float64 E in place, so the spy keeps a copy of it."""
     ranked = []
     rank = exactlin.rank
     with monkeypatch.context() as patch:
         patch.setattr(dominance, "_kept_columns", lambda L: kept)
-        patch.setattr(exactlin, "rank", lambda A: ranked.append(A) or rank(A))
+        patch.setattr(
+            exactlin, "rank", lambda A: ranked.append(ScalarMatrix(A.field, A.a.copy())) or rank(A)
+        )
         cut = _span_rank(L, d, seed)[0]
     return cut, ranked[-1]
 
@@ -264,6 +267,40 @@ def test_evaluation_rank_matches_interpolated_span(monkeypatch, r, d, prime):
     assert rank == span
     cert = pfaffian_codim(r, d, prime=prime, seed=seed)
     assert (cert.rank_achieved, cert.codim) == (rank, target - span)
+
+
+@pytest.mark.parametrize("prime", [3, 7, 31991, 16777213, 94906249, 2**31 - 1])
+def test_evaluation_matrix_matches_the_int64_construction(monkeypatch, prime):
+    # E, as residues, is points x triu(invert(M(x))) built in int64, whichever
+    # dtype the certificate kept it in: float64 while M(x) is evaluated in
+    # float64, int64 above that; at 16777213 the float64 E has more pivots
+    # than the elimination's float bound allows, so the rank-1 loop ranks it
+    r, d, seed = (2, 3, 0) if prime == 3 else (3, 5, 1)
+    sampled, ranked = [], []
+    usable, rank = dominance.sample_usable, exactlin.rank
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            dominance, "sample_usable", lambda *a: sampled.append(usable(*a)) or sampled[-1]
+        )
+        patch.setattr(
+            exactlin, "rank", lambda A: ranked.append(ScalarMatrix(A.field, A.a.copy())) or rank(A)
+        )
+        cert = pfaffian_codim(r, d, prime=prime, seed=seed)
+    ((points, _, _),), (E,) = sampled, ranked
+    L = sampled_matrix(r, d, prime, seed)
+    upper = np.triu_indices(L.size, 1)
+    kept = dominance._kept_columns(L)
+    rows = []
+    for x in points:
+        entries = exactlin.invert(L.evaluate(x)).a[upper]
+        rows.append(np.concatenate([x[k] * entries[cols] % prime for k, cols in enumerate(kept)]))
+    built = ScalarMatrix(L.field, rows)
+    assert E.a.dtype == (np.float64 if prime <= 16777213 else np.int64)
+    assert E.a.tolist() == built.a.tolist()
+    assert cert.rank_achieved == exactlin.rank(built) == exactlin.rank(E)
+    assert cert.columns == E.cols
+    if prime == 16777213:
+        assert not exactlin._float_is_exact(prime, min(E.shape))
 
 
 def with_m0(L, m0):

@@ -726,6 +726,45 @@ def test_invert_many_route_by_size_and_prime(monkeypatch, p, n, schur):
         assert _matmul_reference(skew[t], inverses[t], p) == np.eye(n, dtype=np.int64).tolist()
 
 
+@pytest.mark.parametrize("p", SKEW_PRIMES)
+@pytest.mark.parametrize("n", (2, 4, 30, 32, 33))
+def test_invert_skew_many_on_float64_residues_matches_int64(p, n):
+    # a float64 stack is taken as residues and gets float64 inverses, equal
+    # to the int64 stack's, with the same flags and reruns; above the Schur
+    # bound Gauss-Jordan's inverses are written back as float64
+    kinds = ["random", "a01", "leadh", "deficient", "zero", "random"]
+    stack = skew_members(p, n, kinds, n)
+    stats, float_stats = {}, {}
+    inverses, invertible = exactlin.invert_skew_many(stack, p, stats)
+    again, ok = exactlin.invert_skew_many(stack.astype(np.float64), p, float_stats)
+    assert inverses.dtype == np.int64 and again.dtype == np.float64
+    assert again.tolist() == inverses.tolist()
+    assert ok.tolist() == invertible.tolist()
+    assert float_stats == stats
+
+
+def test_float64_matrix_is_held_as_residues_and_factored_in_place():
+    rng = np.random.default_rng(4)
+    a = rng.integers(0, P, (12, 9))
+    a[:, 8] = (a[:, :8] @ rng.integers(0, P, 8)) % P  # rank 8
+    square = rng.integers(0, P, (8, 8))
+    wide, tall = ScalarMatrix(F, a.T.astype(np.float64)), ScalarMatrix(F, a)
+    assert wide.a.dtype == np.float64 and tall.a.dtype == np.int64
+    held = np.ascontiguousarray(a.T, dtype=np.float64)
+    assert ScalarMatrix(F, held).a is held  # no copy
+    assert [v.tolist() for v in kernel_basis(ScalarMatrix(F, a.astype(np.float64)))] == [
+        v.tolist() for v in kernel_basis(tall)
+    ]
+    assert (wide @ tall).a.tolist() == (tall.T @ tall).a.tolist()
+    f = ScalarMatrix(F, square.astype(np.float64))
+    assert invert(f) == invert(ScalarMatrix(F, square))
+    assert determinant(f) == determinant(ScalarMatrix(F, square))
+    # rank copies an int64 matrix and factors a float64 one in place
+    assert rank(tall) == rank(ScalarMatrix(F, held)) == 8
+    assert tall.a.tolist() == a.tolist()
+    assert held.tolist() != a.T.tolist()
+
+
 # ---- worst-case entries at the exactness bounds -------------------------------
 
 

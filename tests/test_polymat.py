@@ -1,9 +1,10 @@
 import itertools
+from math import isqrt
 
 import numpy as np
 import pytest
 
-from detpf import polymat
+from detpf import exactlin, polymat
 from detpf.exactlin import (
     DEFAULT_PRIME,
     OddSize,
@@ -392,6 +393,50 @@ def test_matrix_parse_errors_cite_lines():
     good = "gradedmatrix p=31991 nvars=3 symmetry=general\nrows 1\ncols 0\n"
     with pytest.raises(ValueError, match="line 4"):
         parse_graded_matrix(good + "entry 0 0 nterms=bogus\n")
+
+
+def _evaluation_boundary(nvars):
+    """The primes either side of nvars*(p-1)**2 + p < 2**53, the bound under
+    which `LinearSkewMatrix.evaluate_batch` evaluates and reduces in float64."""
+    m = isqrt((exactlin.FLOAT_EXACT - 1) // nvars) + 2
+    while nvars * (m - 1) ** 2 + m >= exactlin.FLOAT_EXACT:
+        m -= 1
+    lo, hi = m, m + 1
+    while not exactlin._is_prime(lo):
+        lo -= 1
+    while not exactlin._is_prime(hi):
+        hi += 1
+    return lo, hi
+
+
+@pytest.mark.parametrize("nvars", (1, 4, 6))
+@pytest.mark.parametrize("side", (0, 1))
+def test_evaluation_bound_with_worst_case_entries(monkeypatch, nvars, side):
+    # every coefficient and coordinate is p - 1, so each upper entry of M(x)
+    # sums nvars products (p-1)**2 before it is reduced: on the bound's last
+    # prime that stays exact in float64, on the next prime the int64 route runs
+    p = _evaluation_boundary(nvars)[side]
+    size = 4
+    i, j = np.triu_indices(size, 1)
+    coeff = np.zeros((nvars, size, size), dtype=np.int64)
+    coeff[:, i, j] = p - 1
+    coeff[:, j, i] = 1
+    L = LinearSkewMatrix(PrimeField(p), nvars, coeff)
+    seen = []
+    reduce_float = exactlin._reduce_float
+
+    def watched(c, q, out=None):
+        seen.append(int(np.abs(c).max(initial=0)))
+        return reduce_float(c, q, out=out)
+
+    monkeypatch.setattr(exactlin, "_reduce_float", watched)
+    got = L.evaluate_batch(np.full((3, nvars), p - 1))
+    assert got.dtype == (np.float64, np.int64)[side]
+    expected = np.zeros((size, size), dtype=object)
+    expected[i, j] = nvars * (p - 1) ** 2 % p
+    expected[j, i] = nvars * (p - 1) % p
+    assert got.tolist() == [expected.tolist()] * 3
+    assert seen == ([nvars * (p - 1) ** 2], [])[side]
 
 
 def test_linear_skew_graded_roundtrip():
