@@ -204,7 +204,7 @@ class DominanceCertificate:
     elapsed_seconds: float
     verdict: str
     matrix_hash: str
-    inverse_fallbacks: int | None
+    inverse_fallbacks: int
     columns: int
     version: str = __version__
 
@@ -231,19 +231,17 @@ def _span_rank(
     Rows are x (x) triu(M(x)^-1) at the first N = C(d+r, r) points of the
     stream where M(x) is invertible; singular points are dropped and
     replaced by `mpoly.sample_usable`.  Of each x_k block only the columns
-    `_kept_columns` returns are kept (module docstring).  Where
-    `LinearSkewMatrix.evaluate_batch` evaluates in float64, the stacks, the
-    inverses and E stay float64 residues: each block of E is reduced once,
-    in place, and `exactlin.rank` factors E itself.  Above that bound they
-    are int64, and E is reduced as it enters its `ScalarMatrix`.  `stats`,
-    when given, gets `columns` (the width of E) and `inverse_fallbacks`
-    (see `exactlin.invert_skew_many`; None when the Schur recursion did not
-    run).
+    `_kept_columns` returns are kept (module docstring).  The stacks, the
+    inverses and E stay float64 residues: each block of E is the product of
+    a point coordinate with the inverse entries, one `exactlin._matmul` of
+    inner dimension 1 written into E, and `exactlin.rank` factors E itself.
+    `stats`, when given, gets `columns` (the width of E) and
+    `inverse_fallbacks` (see `exactlin.invert_skew_many`).
     """
     field = L.field
     target = monomial_count(L.nvars, d)
     upper = np.triu_indices(L.size, 1)
-    inverse_stats: dict = {}
+    inverse_stats = {"fallbacks": 0}
 
     def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         inverses, invertible = exactlin.invert_skew_many(
@@ -257,16 +255,14 @@ def _span_rank(
         values_fn, field, L.nvars, stream, target, len(upper[0])
     )
     blocks = [entries[:, cols] for cols in _kept_columns(L)]
-    rows = np.empty((len(points), sum(b.shape[1] for b in blocks)), dtype=entries.dtype)
+    rows = np.empty((len(points), sum(b.shape[1] for b in blocks)))
     at = 0
     for k, block in enumerate(blocks):
-        out = rows[:, at : at + block.shape[1]]
-        np.multiply(points[:, k : k + 1], block, out=out)
-        if rows.dtype == np.float64:  # products of two residues, below (p-1)**2
-            exactlin._reduce_float(out, field.p, out=out)
+        out = rows[:, None, at : at + block.shape[1]]
+        exactlin._matmul(points[:, k, None, None], block[:, None, :], field.p, out=out)
         at += block.shape[1]
     if stats is not None:
-        stats.update(columns=rows.shape[1], inverse_fallbacks=inverse_stats.get("fallbacks"))
+        stats.update(columns=rows.shape[1], inverse_fallbacks=inverse_stats["fallbacks"])
     return exactlin.rank(ScalarMatrix(field, rows)), target, drawn
 
 

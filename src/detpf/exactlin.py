@@ -5,12 +5,28 @@ as float64.  An int64 product of two residues stays below 2**62, so a
 single row operation never overflows int64.  A float64 array is taken to
 hold residues already, each an integer in [0, p), and is never reduced or
 cast on the way in: `ScalarMatrix` keeps it without a copy, `rank` factors
-it in place, and `invert_skew_many` returns float64 inverses for it.  A
-caller makes float64 residues only where its products are exact in
-float64 (`polymat.LinearSkewMatrix.evaluate_batch`), so a certificate's
-stacks and its matrix E are reduced once, by `_reduce_float`, and are never
-cast between the product that evaluates M(x) and the factorization of E.
+it in place, and `invert_skew_many` returns float64 inverses for it.
+`_matmul` returns float64 residues, so a certificate's stacks and its
+matrix E are never cast between the product that evaluates M(x)
+(`polymat.LinearSkewMatrix.evaluate_batch`) and the factorization of E.
 Any other input is read as integers and reduced mod p.
+
+Every product is `_matmul`, exact for every p < 2**31.  With inner
+dimension k, while k*(p-1)**2 + p < 2**53 it is one float64 BLAS product,
+reduced in place by `_reduce_float`.  Above that bound it writes
+b = b_hi*2**16 + b_lo, the error-free splitting of Ozaki, Ogita, Oishi &
+Rump (Numer. Algorithms 59, 2012), and sums a b_hi and a b_lo over chunks
+of the inner dimension, each of at most
+
+    c = floor((2**53 - 1 - 2p) / ((p-1)*(2**16 - 1)))
+
+terms: 64 at p = 2**31 - 1.  Proof: for |a|, |b| <= p - 1 < 2**31 the
+split has 0 <= b_lo <= 2**16 - 1 and |b_hi| <= 2**15, so one chunk's
+product is at most c*(p-1)*(2**16 - 1) in magnitude; adding the residue
+below p carried from the chunks before it and the p of room
+`_reduce_float` needs stays below 2**53 exactly when
+c*(p-1)*(2**16 - 1) + 2p < 2**53.  The two reduced sums r_hi, r_lo < p
+then give a b mod p from r_hi*2**16 + r_lo < 2**48.
 
 Elimination (`rank`, `_forward_eliminate`, `_back_substitute`) keeps the
 matrix in float64 with delayed reduction, in the manner of FFLAS-FFPACK
@@ -32,14 +48,14 @@ no elimination has more than n pivots, so
 
 and both are exact in float64, with the room `_reduce_float` needs, while
 n*(p-1)**2 + 2p < 2**53: up to 8.8 million pivots at p = 31991, 32 at
-p = 16777213.  Above that bound (p close to 2**31) elimination runs the
-rank-1 loop alone on int64 (`_eliminate_rank1`), reducing after every
-column.  `rank` reads the pivot count off the factorization and writes no
-echelon form; `_forward_eliminate` writes it from the same factorization,
-with zeros where L was stored.  `_back_substitute` clears above the pivots
-by halves of rows under the same bound.  `_matmul` has its own bound:
-float64 BLAS while k*(p-1)**2 < 2**53 for inner dimension k, int64
-products over chunks of the inner dimension otherwise.
+p = 16777213.  Above that delayed bound the same recursion subtracts
+`_matmul`'s reduced products, so an entry takes less than p per level,
+and `_leaf` reduces its int64 copy after every step, since a few products
+of two residues overflow int64 near p = 2**31.  `rank` reads the pivot
+count off the factorization and writes no echelon form;
+`_forward_eliminate` writes it from the same factorization, with zeros
+where L was stored.  `_back_substitute` clears above the pivots by halves
+of rows, its products delayed or reduced under the same bound.
 
 Stacks of small matrices go through one batched loop, `_eliminate_stack`,
 with the same delayed reduction: the pivot column and pivot row are reduced
@@ -70,18 +86,20 @@ recursion ends at 2 x 2 blocks [[0, b], [-b, 0]], whose inverse is
 [[0, -1/b], [1/b, 0]].  It reads only the strict upper triangle of each
 member, so the contract is the inverse of the skew matrix that triangle
 defines, and no skewness check is made.  A skew matrix of odd size is
-singular, so an odd n returns every member singular at once.  The products
-are exact while k*(p-1)**2 + 2p < 2**53 for k = max(h, n - h), up to p of
-about 2.3e7 at n = 32; above that the whole stack goes through
-Gauss-Jordan, as do the members with b = 0 or a singular Schur complement
-at some level.  Gauss-Jordan takes them as triu - triu^T, and the inverse
-is unique, so both routes give the same residues.
+singular, so an odd n returns every member singular at once.  B^T X and
+Z X^T are added to D and A^-1 before they are reduced while
+k*(p-1)**2 + 2p < 2**53 for k = max(h, n - h), up to p of about 2.3e7 at
+n = 32, and reduced by `_matmul` first above that.  The members with
+b = 0 or a singular Schur complement at some level are rerun through
+Gauss-Jordan, which takes them as triu - triu^T; the inverse is unique,
+so both routes give the same residues.
 
 Pivoting always selects the first nonzero entry in row order -- GF(p) has no
 magnitude -- and swaps whole rows.  The rule depends only on residues, and
-both routes compute every residue exactly, so they make the same row swaps
-and write the same echelon form, pivots and sign, byte for byte; every
-certificate is therefore reproducible from (prime, seed) whichever route ran.
+every residue is computed exactly, delayed or reduced, so the elimination
+makes the same row swaps and writes the same echelon form, pivots and sign,
+byte for byte, at every prime; every certificate is therefore reproducible
+from (prime, seed).
 """
 
 from __future__ import annotations
@@ -96,6 +114,7 @@ LEAF = 8  # widest column span the recursive elimination factors by rank-1 steps
 
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 INT64_LIMIT = 1 << 63
+SPLIT = 1 << 16  # `_matmul` writes b = b_hi*SPLIT + b_lo above its one-product bound
 
 
 class InputError(ValueError):
@@ -280,24 +299,37 @@ def _max_terms(p: int, limit: int, start: int = 0) -> int:
     return (limit - 1 - start) // ((p - 1) * (p - 1))
 
 
-def _float_is_exact(p: int, npivots: int) -> bool:
-    """The recursive elimination is exact in float64 when it finds at most
-    `npivots` pivots: npivots*(p-1)**2 + 2p < 2**53 (module docstring)."""
+def _float_is_delayed(p: int, npivots: int) -> bool:
+    """The recursive elimination may leave its products unreduced in float64
+    when it finds at most `npivots` pivots: npivots*(p-1)**2 + 2p < 2**53
+    (module docstring)."""
     return npivots <= _max_terms(p, FLOAT_EXACT, 2 * p)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Product of two residue arrays, reduced mod p; exact for any p < 2**31."""
-    k = a.shape[1]
-    if k <= _max_terms(p, FLOAT_EXACT):
-        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
-    # chunk the inner dimension so accumulated dot products stay inside int64
-    a, b = a.astype(np.int64, copy=False), b.astype(np.int64, copy=False)
-    step = max(1, _max_terms(p, INT64_LIMIT, p))
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.int64)
-    for s in range(0, k, step):
-        out = (out + a[:, s : s + step] @ b[s : s + step]) % p
-    return out
+def _matmul(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """a @ b mod p as float64 residues, written to `out` when it is given;
+    exact for any p < 2**31 (module docstring).
+
+    a and b hold integers of magnitude below p, as 2-d arrays or as stacks
+    of them.  One float64 product while k*(p-1)**2 + p < 2**53 for the
+    inner dimension k, taken as a broadcast multiply when k = 1; else the
+    split b = b_hi*SPLIT + b_lo over chunks of k.
+    """
+    a = a.astype(np.float64, copy=False)
+    b = b.astype(np.float64, copy=False)
+    k = a.shape[-1]
+    if k <= _max_terms(p, FLOAT_EXACT, p):
+        c = a * b if k == 1 else a @ b
+        return _reduce_float(c, p, out=c if out is None else out)
+    step = (FLOAT_EXACT - 1 - 2 * p) // ((p - 1) * (SPLIT - 1))
+    hi = np.floor(b / SPLIT)
+    sums = []
+    for part in (hi, b - hi * SPLIT):
+        total = 0.0
+        for s in range(0, k, step):
+            total = _reduce_float(total + a[..., s : s + step] @ part[..., s : s + step, :], p)
+        sums.append(total)
+    return _reduce_float(sums[0] * SPLIT + sums[1], p, out=out)
 
 
 def _reduce_float(c: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -314,14 +346,21 @@ def _reduce_float(c: np.ndarray, p: int, out: np.ndarray | None = None) -> np.nd
     return np.subtract(c, q, out=q if out is None else out)
 
 
-def _lower_inverse(lower: np.ndarray, inverses: list[int], p: int) -> np.ndarray:
+def _product(a: np.ndarray, b: np.ndarray, p: int, delayed: bool) -> np.ndarray:
+    """a @ b of residues: unreduced when `delayed`, where the caller's bound
+    keeps the sum it enters exact, else reduced by `_matmul`."""
+    return a @ b if delayed else _matmul(a, b, p)
+
+
+def _lower_inverse(lower: np.ndarray, inverses: list[int], p: int, delayed: bool) -> np.ndarray:
     """L^-1 for the k x k lower triangle L whose diagonal entries have the
     given inverses and whose strictly lower part N is that of `lower`.
 
     With D the diagonal of the inverses, L = D^-1 (I - A) for A = -D N,
     which is nilpotent, so L^-1 = (I + A)(I + A^2)(I + A^4)... D up to the
-    factor that reaches A^(k-1): log2(k) squarings.  Their sums of k
-    products of residues stay inside int64 under the float bound.
+    factor that reaches A^(k-1): log2(k) squarings.  Their products of k
+    terms are taken in int64 when `delayed`, since k*(p-1)**2 < 2**53 then,
+    and from `_matmul` otherwise; D scales in int64.
     """
     k = len(inverses)
     inv = np.array(inverses, dtype=np.int64)
@@ -330,15 +369,15 @@ def _lower_inverse(lower: np.ndarray, inverses: list[int], p: int) -> np.ndarray
     x = a + np.eye(k, dtype=np.int64)
     reach = 2
     while reach < k:
-        a = a @ a % p
-        x = (x @ a + x) % p
+        a = _product(a, a, p, delayed) % p
+        x = (_product(x, a, p, delayed) + x) % p
         reach *= 2
-    x *= inv
+    x = x.astype(np.int64, copy=False) * inv
     x %= p
     return x.astype(np.float64)
 
 
-def _leaf(f, p, row, c0, c1, inverse):
+def _leaf(f, p, row, c0, c1, inverse, delayed):
     """Rank-1 elimination of the columns [c0, c1) of f, from `row` down.
 
     The columns are copied out transposed, as int64, so that each step
@@ -346,8 +385,9 @@ def _leaf(f, p, row, c0, c1, inverse):
     follow the swaps.  Each pivot row is scaled to 1, and the entries below
     a pivot keep the multiplier of their row update, as LAPACK stores L.  A
     column is reduced when its step comes and a pivot row when it is
-    chosen; every other update is left unreduced.  Returns (pivot_columns,
-    sign, L^-1 of the pivot rows when `inverse`, else None).
+    chosen; every other update is left unreduced when `delayed`, and
+    reduced after its step otherwise.  Returns (pivot_columns, sign, L^-1
+    of the pivot rows when `inverse`, else None).
     """
     t = f[row:, c0:c1].T.astype(np.int64, order="C")
     nrows = t.shape[1]
@@ -377,7 +417,10 @@ def _leaf(f, p, row, c0, c1, inverse):
             np.remainder(u, p, out=u)
             u *= inv
             np.remainder(u, p, out=u)
-            t[j + 1 :, k + 1 :] -= u[:, None] * t[j, k + 1 :]
+            rest = t[j + 1 :, k + 1 :]
+            rest -= u[:, None] * t[j, k + 1 :]
+            if not delayed:
+                np.remainder(rest, p, out=rest)
         pivots.append(c0 + j)
         inverses.append(inv)
         k += 1
@@ -385,7 +428,7 @@ def _leaf(f, p, row, c0, c1, inverse):
     if not inverse:
         return pivots, sign, None
     lower = t[[c - c0 for c in pivots], :k].T
-    return pivots, sign, _lower_inverse(lower, inverses, p)
+    return pivots, sign, _lower_inverse(lower, inverses, p, delayed)
 
 
 def _columns(pivots: list[int]) -> slice | list[int]:
@@ -396,19 +439,19 @@ def _columns(pivots: list[int]) -> slice | list[int]:
     return pivots
 
 
-def _update_right(f, p, row, pivots, x, c0, c1) -> None:
+def _update_right(f, p, row, pivots, x, c0, c1, delayed) -> None:
     """Turn the pivot rows' part of the columns [c0, c1) into U = L^-1 A and
-    subtract L U from the rows below them, in one float64 product left
-    unreduced.  `pivots` are the pivot columns found from `row` down and x
-    is L^-1 of their rows."""
+    subtract L U from the rows below them, in one float64 product, left
+    unreduced when `delayed`.  `pivots` are the pivot columns found from
+    `row` down and x is L^-1 of their rows."""
     top = row + len(pivots)
     u = f[row:top, c0:c1]
     _reduce_float(u, p, out=u)
-    _reduce_float(x @ u, p, out=u)
-    f[top:, c0:c1] -= f[top:, _columns(pivots)] @ u
+    _matmul(x, u, p, out=u)
+    f[top:, c0:c1] -= _product(f[top:, _columns(pivots)], u, p, delayed)
 
 
-def _factor(f, p, row, c0, c1, inverse):
+def _factor(f, p, row, c0, c1, inverse, delayed):
     """Recursive LU of the columns [c0, c1) of the float64 array f, from
     `row` down (Toledo, SIAM J. Matrix Anal. Appl. 18(4), 1997).
 
@@ -416,16 +459,17 @@ def _factor(f, p, row, c0, c1, inverse):
     halves: the left half is factored, `_update_right` brings the right
     half up to date, and the right half is factored.  Storage and return
     value are `_leaf`'s; L^-1 of the pivot rows, when asked for, is
-    [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]].
+    [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]].  `delayed` says whether
+    the delayed bound holds for the whole factorization (module docstring).
     """
     if c1 - c0 <= LEAF:
-        return _leaf(f, p, row, c0, c1, inverse)
+        return _leaf(f, p, row, c0, c1, inverse, delayed)
     cm = (c0 + c1) // 2
-    left, sign, x11 = _factor(f, p, row, c0, cm, True)
+    left, sign, x11 = _factor(f, p, row, c0, cm, True, delayed)
     if left:
-        _update_right(f, p, row, left, x11, cm, c1)
+        _update_right(f, p, row, left, x11, cm, c1, delayed)
     top = row + len(left)
-    right, s, x22 = _factor(f, p, top, cm, c1, inverse)
+    right, s, x22 = _factor(f, p, top, cm, c1, inverse, delayed)
     pivots, sign = left + right, sign * s
     if not inverse:
         return pivots, sign, None
@@ -435,56 +479,27 @@ def _factor(f, p, row, c0, c1, inverse):
     x = np.zeros((k1 + k2, k1 + k2))
     x[:k1, :k1] = x11
     x[k1:, k1:] = x22
-    y = _reduce_float(f[top : top + k2, _columns(left)] @ x11, p)
-    _reduce_float(-(x22 @ y), p, out=x[k1:, :k1])
+    y = _matmul(f[top : top + k2, _columns(left)], x11, p)
+    _matmul(-x22, y, p, out=x[k1:, :k1])
     return pivots, sign, x
-
-
-def _eliminate_rank1(m: np.ndarray, p: int, ncols: int):
-    """Forward elimination of the first `ncols` columns of the int64 residue
-    array m by the rank-1 loop alone, reducing after every column; the
-    route above the float bound.  Returns (pivot_columns, sign)."""
-    nrows = m.shape[0]
-    pivots: list[int] = []
-    sign = 1
-    for col in range(ncols):
-        row = len(pivots)
-        if row == nrows:
-            break
-        nz = np.nonzero(m[row:, col])[0]
-        if nz.size == 0:
-            continue
-        r = row + int(nz[0])
-        if r != row:
-            m[[row, r]] = m[[r, row]]
-            sign = -sign
-        inv = pow(int(m[row, col]), p - 2, p)
-        m[row, col:] = m[row, col:] * inv % p
-        f = m[row + 1 :, col]
-        if f.any():
-            below = m[row + 1 :, col:]
-            below[...] = (below - np.outer(f, m[row, col:])) % p
-        pivots.append(col)
-    return pivots, sign
 
 
 def _forward_eliminate(m: np.ndarray, p: int, ncols: int):
     """In-place forward elimination on the first `ncols` columns of the
-    int64 residue array m.
+    residue array m, int64 or float64.
 
     Pivot rows are normalized to 1 and entries below pivots are 0; columns
     past `ncols` (right-hand sides) follow the row operations.  Returns
     (pivot_columns, sign) where sign tracks row swaps.
     """
     nrows, width = m.shape
-    if not _float_is_exact(p, min(nrows, ncols)):
-        return _eliminate_rank1(m, p, ncols)
+    delayed = _float_is_delayed(p, min(nrows, ncols))
     f = m.astype(np.float64)
     rhs = width > ncols
-    pivots, sign, x = _factor(f, p, 0, 0, ncols, rhs)
+    pivots, sign, x = _factor(f, p, 0, 0, ncols, rhs, delayed)
     r = len(pivots)
     if rhs and r:
-        _update_right(f, p, 0, pivots, x, ncols, width)
+        _update_right(f, p, 0, pivots, x, ncols, width, delayed)
     rest = f[r:, ncols:]
     _reduce_float(rest, p, out=rest)
     f[:, pivots] = np.triu(f[:, pivots])  # L was stored below the pivots
@@ -492,47 +507,40 @@ def _forward_eliminate(m: np.ndarray, p: int, ncols: int):
     return pivots, sign
 
 
-def _clear_halves(u: np.ndarray, p: int, pivots: list[int], b0: int, b1: int) -> None:
+def _clear_halves(
+    u: np.ndarray, p: int, pivots: list[int], b0: int, b1: int, delayed: bool
+) -> None:
     """Clear the entries above the pivots among the float64 rows [b0, b1)
     of an echelon form: the lower half first, then its pivot columns from
     the upper half in one product, then the upper half."""
     if b1 - b0 < 2:
         return
     h = (b0 + b1) // 2
-    _clear_halves(u, p, pivots, h, b1)
+    _clear_halves(u, p, pivots, h, b1, delayed)
     top = u[b0:h, pivots[h] :]
-    top -= u[b0:h, pivots[h:b1]] @ u[h:b1, pivots[h] :]
+    top -= _product(u[b0:h, pivots[h:b1]], u[h:b1, pivots[h] :], p, delayed)
     _reduce_float(top, p, out=top)
-    _clear_halves(u, p, pivots, b0, h)
+    _clear_halves(u, p, pivots, b0, h, delayed)
 
 
 def _back_substitute(m: np.ndarray, p: int, pivots: list[int]) -> None:
-    """Clear entries above the pivots (m already forward-eliminated): by
-    `_clear_halves` under the float bound, else by the rank-1 loop."""
+    """Clear entries above the pivots (m already forward-eliminated)."""
     r = len(pivots)
-    if _float_is_exact(p, r):
-        u = m[:r].astype(np.float64)
-        _clear_halves(u, p, pivots, 0, r)
-        m[:r] = u
-        return
-    for row in range(r - 1, 0, -1):
-        col = pivots[row]
-        f = m[:row, col]
-        if f.any():
-            m[:row, col:] = (m[:row, col:] - np.outer(f, m[row, col:])) % p
+    u = m[:r].astype(np.float64)
+    _clear_halves(u, p, pivots, 0, r, _float_is_delayed(p, r))
+    m[:r] = u
 
 
 def rank(A: ScalarMatrix) -> int:
     """Rank over GF(p): the pivot count of the recursive elimination, which
-    writes no echelon form; the rank-1 loop above the float bound.
+    writes no echelon form.
 
     The elimination runs on a copy of an int64 matrix, but on a float64
     matrix itself: its entries are overwritten by the factorization.
     """
     p = A.field.p
-    if not _float_is_exact(p, min(A.shape)):
-        return len(_eliminate_rank1(A.a.astype(np.int64), p, A.cols)[0])
-    return len(_factor(A.a.astype(np.float64, copy=False), p, 0, 0, A.cols, False)[0])
+    f = A.a.astype(np.float64, copy=False)
+    return len(_factor(f, p, 0, 0, A.cols, False, _float_is_delayed(p, min(A.shape)))[0])
 
 
 def kernel_basis(A: ScalarMatrix) -> list[np.ndarray]:
@@ -653,13 +661,6 @@ def _schur_split(n: int) -> int:
     return 2 * ((n + 2) // 4)
 
 
-def _schur_is_exact(p: int, n: int) -> bool:
-    """The skew Schur recursion on n x n members is exact in float64 (see
-    `_schur_inverse`) and has a block to invert (n >= 2)."""
-    h = _schur_split(n)
-    return n >= 2 and max(h, n - h) <= _max_terms(p, FLOAT_EXACT, 2 * p)
-
-
 def _skew_from_upper(a: np.ndarray, p: int) -> np.ndarray:
     """triu - triu^T mod p of each member of a stack: the skew matrix that
     its strict upper triangle defines."""
@@ -669,8 +670,9 @@ def _skew_from_upper(a: np.ndarray, p: int) -> np.ndarray:
 
 def _schur_inverse(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(inverses, ok) of the skew matrices that the strict upper triangles
-    of a (count, n, n) float64 stack of residues define, n even, by block
-    recursion through the Schur complement (Strassen, Numer. Math. 13, 1969).
+    of a (count, n, n) float64 stack of residues define, n even and
+    positive, by block recursion through the Schur complement (Strassen,
+    Numer. Math. 13, 1969).
 
     With M = [[A, B], [-B^T, D]] and X = A^-1 B, the skew A^-1 gives
     -B^T A^-1 = X^T; S = D + B^T X is skew; and with Z = X S^-1,
@@ -679,11 +681,12 @@ def _schur_inverse(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     reduced mod p.  A and S are inverted by the same recursion, which reads
     only their strict upper triangles, down to 2 x 2 blocks [[0, b], [-b, 0]]
     with inverse [[0, -1/b], [1/b, 0]].  Every product has inner dimension
-    at most k = max(h, n - h); its entries, plus one residue, stay below
-    k*(p-1)**2 + p, exact while that plus p is below 2**53
-    (`_schur_is_exact`).  ok[t] is False when b or a Schur complement of
-    member t vanishes at some level; its inverse is then meaningless,
-    though still made of residues.
+    at most k = max(h, n - h).  B^T X and Z X^T are added unreduced to a
+    residue while k*(p-1)**2 + 2p < 2**53, which keeps the sum exact with
+    the room `_reduce_float` needs, and come reduced from `_matmul` above
+    that.  ok[t] is False when b or a Schur complement of member t vanishes
+    at some level; its inverse is then meaningless, though still made of
+    residues.
     """
     n = a.shape[1]
     if n == 2:
@@ -694,13 +697,16 @@ def _schur_inverse(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
         out[:, 1, 0] = inv
         return out, b != 0
     h = _schur_split(n)
+    delayed = _float_is_delayed(p, max(h, n - h))
     A, B, D = a[:, :h, :h], a[:, :h, h:], a[:, h:, h:]
     a_inv, ok = _schur_inverse(A, p)
-    x = _reduce_float(a_inv @ B, p)
-    s_inv, ok_s = _schur_inverse(_reduce_float(D + B.transpose(0, 2, 1) @ x, p), p)
-    z = _reduce_float(x @ s_inv, p)
+    x = _matmul(a_inv, B, p)
+    s_inv, ok_s = _schur_inverse(
+        _reduce_float(D + _product(B.transpose(0, 2, 1), x, p, delayed), p), p
+    )
+    z = _matmul(x, s_inv, p)
     out = np.empty_like(a)
-    _reduce_float(a_inv + z @ x.transpose(0, 2, 1), p, out=out[:, :h, :h])
+    _reduce_float(a_inv + _product(z, x.transpose(0, 2, 1), p, delayed), p, out=out[:, :h, :h])
     _reduce_float(p - z, p, out=out[:, :h, h:])
     out[:, h:, :h] = z.transpose(0, 2, 1)
     out[:, h:, h:] = s_inv
@@ -715,17 +721,18 @@ def invert_skew_many(stack, p: int, stats: dict | None = None) -> tuple[np.ndarr
     is the inverse of the skew matrix triu(M) - triu(M)^T for M = stack[t],
     byte-equal to `invert` of it where invertible[t]; the diagonal and lower
     triangle of M are never read.  Singular members come back as zero
-    matrices and leave the others untouched; at odd n every member is
-    singular.  The stack is inverted by the skew Schur recursion
-    (`_schur_inverse`) when it is exact at p, and the members it fails --
-    a vanishing b or Schur complement, or M itself singular -- are rerun
+    matrices and leave the others untouched.  At odd n every member is
+    singular and at n = 0 every member is invertible, and neither runs an
+    elimination.  Otherwise the stack is inverted by the skew Schur
+    recursion (`_schur_inverse`) at every p, and the members it fails -- a
+    vanishing b or Schur complement, or M itself singular -- are rerun
     through one batched Gauss-Jordan (`_gauss_jordan_many`) and written
-    back, as is the whole stack otherwise.  The inverse is unique, so the
-    route never shows in the result.  A float64 stack holds residues and
-    gets float64 inverses, which the recursion computes without a cast;
-    any other stack is reduced mod p and gets int64 inverses.  `stats`,
-    when given, gets `fallbacks` increased by the number of members rerun;
-    it is left alone when the recursion does not run.
+    back.  The inverse is unique, so the rerun never shows in the result.
+    A float64 stack holds residues and gets float64 inverses, which the
+    recursion computes without a cast; any other stack is reduced mod p and
+    gets int64 inverses.  `stats`, when given, gets `fallbacks` increased
+    by the number of members rerun, 0 when none is; an odd or empty stack
+    runs no recursion and leaves it alone.
     """
     a = np.asarray(stack)
     if a.dtype != np.float64:
@@ -733,11 +740,8 @@ def invert_skew_many(stack, p: int, stats: dict | None = None) -> tuple[np.ndarr
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
     count, n, _ = a.shape
-    if n % 2:
-        return np.zeros_like(a), np.zeros(count, dtype=bool)
-    if not _schur_is_exact(p, n):
-        inverses, invertible = _gauss_jordan_many(_skew_from_upper(a, p), p)
-        return inverses.astype(a.dtype, copy=False), invertible
+    if n % 2 or not n:
+        return np.zeros_like(a), np.full(count, not n)
     inverses, invertible = _schur_inverse(a.astype(np.float64, copy=False), p)
     rerun = np.nonzero(~invertible)[0]
     if rerun.size:

@@ -331,23 +331,15 @@ class LinearSkewMatrix:
         return ScalarMatrix(self.field, acc)
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """(npoints, size, size) stack of M(x): one product of the points
-        with the flattened M_k.
-
-        Each entry sums nvars products of two residues.  While
-        nvars*(p-1)**2 + p < 2**53 the product is exact in float64 and is
-        reduced there, so the stack holds float64 residues (`exactlin`'s
-        float64 contract); above that bound it holds int64 residues.
-        """
+        """(npoints, size, size) stack of M(x) as float64 residues
+        (`exactlin`'s float64 contract): one `exactlin._matmul` of the points
+        with the flattened M_k.  Each entry sums nvars products of two
+        residues, so while nvars*(p-1)**2 + p < 2**53 that is one float64
+        product, reduced in place; above that `_matmul` splits it."""
         p = self.field.p
         pts = np.mod(np.asarray(points, dtype=np.int64), p)
         flat = self.coeff.reshape(self.nvars, -1)
-        if self.nvars <= exactlin._max_terms(p, exactlin.FLOAT_EXACT, p):
-            values = pts.astype(np.float64) @ flat.astype(np.float64)
-            exactlin._reduce_float(values, p, out=values)
-        else:
-            values = exactlin._matmul(pts, flat, p)
-        return values.reshape(-1, self.size, self.size)
+        return exactlin._matmul(pts, flat, p).reshape(-1, self.size, self.size)
 
     def to_graded(self) -> GradedMatrix:
         entries = []

@@ -271,10 +271,11 @@ def test_evaluation_rank_matches_interpolated_span(monkeypatch, r, d, prime):
 
 @pytest.mark.parametrize("prime", [3, 7, 31991, 16777213, 94906249, 2**31 - 1])
 def test_evaluation_matrix_matches_the_int64_construction(monkeypatch, prime):
-    # E, as residues, is points x triu(invert(M(x))) built in int64, whichever
-    # dtype the certificate kept it in: float64 while M(x) is evaluated in
-    # float64, int64 above that; at 16777213 the float64 E has more pivots
-    # than the elimination's float bound allows, so the rank-1 loop ranks it
+    # E, as residues, is points x triu(invert(M(x))) built in int64, though
+    # the certificate keeps it in float64 at every prime; from 16777213 on
+    # E has more pivots than the delayed bound allows, so the recursion
+    # ranks it with reduced products, and above 94906249 even one product
+    # of two residues is past 2**53, so `_matmul` splits E's products
     r, d, seed = (2, 3, 0) if prime == 3 else (3, 5, 1)
     sampled, ranked = [], []
     usable, rank = dominance.sample_usable, exactlin.rank
@@ -295,12 +296,12 @@ def test_evaluation_matrix_matches_the_int64_construction(monkeypatch, prime):
         entries = exactlin.invert(L.evaluate(x)).a[upper]
         rows.append(np.concatenate([x[k] * entries[cols] % prime for k, cols in enumerate(kept)]))
     built = ScalarMatrix(L.field, rows)
-    assert E.a.dtype == (np.float64 if prime <= 16777213 else np.int64)
+    assert E.a.dtype == np.float64
     assert E.a.tolist() == built.a.tolist()
     assert cert.rank_achieved == exactlin.rank(built) == exactlin.rank(E)
     assert cert.columns == E.cols
-    if prime == 16777213:
-        assert not exactlin._float_is_exact(prime, min(E.shape))
+    if prime >= 16777213:
+        assert not exactlin._float_is_delayed(prime, min(E.shape))
 
 
 def with_m0(L, m0):
@@ -449,8 +450,8 @@ def test_certificate_records_the_route():
     cert = pfaffian_codim(3, 6, seed=3)
     doc = cert.to_dict()
     assert (doc["columns"], doc["inverse_fallbacks"]) == (both_cuts(3, 6), 0)
-    # above the float64 bound only Gauss-Jordan runs
-    assert pfaffian_codim(3, 6, prime=2**31 - 1, seed=3).to_dict()["inverse_fallbacks"] is None
+    # the Schur recursion runs at every prime, so the count is an integer
+    assert pfaffian_codim(3, 6, prime=2**31 - 1, seed=3).to_dict()["inverse_fallbacks"] == 0
     # M_0 is singular here: the full matrix is kept
     assert exactlin._det_array(sampled_matrix(3, 3, 7, 3).coeff[0], 7) == 0
     assert pfaffian_codim(3, 3, prime=7, seed=3).columns == 4 * comb(6, 2)

@@ -219,11 +219,11 @@ def _primes_around(m: int) -> tuple[int, int]:
 
 # within one leaf, one leaf, one leaf and a column, and three to five levels
 WIDTHS = (1, 7, exactlin.LEAF, exactlin.LEAF + 1, 33, 67, 130)
-# the largest prime at which 32 pivots stay in float64: matrices up to 32
-# wide take the float route there, wider ones the rank-1 loop
+# the largest prime at which 32 pivots may stay unreduced: matrices up to 32
+# wide delay their products there, wider ones take them reduced
 FLOAT_PRIME = _float_boundary(32)[0]
 PRIMES = (3, 31991, FLOAT_PRIME, 2**31 - 1)
-# and the largest prime at which every width above takes the float route
+# and the largest prime at which every width above delays its products
 KERNEL_PRIMES = PRIMES + (_float_boundary(max(WIDTHS))[0],)
 
 
@@ -305,7 +305,7 @@ EXAMPLES = (
     structured(31991, WIDE, WIDE + 12, 3, WIDE, 0, 0.0, 1),  # tall, full column rank
     structured(KERNEL_PRIMES[-1], WIDE, WIDE, 1, WIDE - 7, 0, 0.3, 2),  # pivots skip columns
     structured(3, WIDE, 40, 2, 40, 2 * exactlin.LEAF, 0.0, 3),  # first two leaves without pivot
-    structured(2**31 - 1, WIDE, WIDE, 3, WIDE, 0, 0.0, 4),  # rank-1 fallback
+    structured(2**31 - 1, WIDE, WIDE, 3, WIDE, 0, 0.0, 4),  # split, reduced products
     structured(31991, 130, 40, 2, 40, 0, 0.0, 5),  # rows run out halfway
 )
 
@@ -398,15 +398,17 @@ def _matmul_reference(a, b, p):
         (31991, exactlin.LEAF, "leaf"),
         (31991, exactlin.LEAF + 1, "recursive"),
         (_float_boundary(33)[0], 33, "recursive"),
-        (_float_boundary(33)[1], 33, "rank-1"),  # the next prime fails the float bound
-        (2**31 - 1, WIDE, "rank-1"),
+        (_float_boundary(33)[1], 33, "reduced"),  # the next prime fails the delayed bound
+        (2**31 - 1, WIDE, "reduced"),
     ],
 )
 def test_path_choice_depends_on_width_and_prime(monkeypatch, p, n, route):
-    calls = {"_leaf": 0, "_update_right": 0, "_eliminate_rank1": 0}
+    # one recursion at every prime; only whether it delays its products
+    # (the last argument of both kernels) depends on the prime
+    calls = {"_leaf": [], "_update_right": []}
     for name in calls:
         def counted(*args, name=name, kernel=getattr(exactlin, name)):
-            calls[name] += 1
+            calls[name].append(args[-1])
             return kernel(*args)
 
         monkeypatch.setattr(exactlin, name, counted)
@@ -414,12 +416,11 @@ def test_path_choice_depends_on_width_and_prime(monkeypatch, p, n, route):
     A = ScalarMatrix(PrimeField(p), a)
     assert rank(A) == n
     if route == "leaf":  # one lean pass: no split, no L^-1, no update
-        assert calls == {"_leaf": 1, "_update_right": 0, "_eliminate_rank1": 0}
-    elif route == "recursive":
-        assert calls["_leaf"] > 1 and calls["_update_right"] > 0
-        assert calls["_eliminate_rank1"] == 0
+        assert calls == {"_leaf": [True], "_update_right": []}
     else:
-        assert calls == {"_leaf": 0, "_update_right": 0, "_eliminate_rank1": 1}
+        delayed = route == "recursive"
+        assert len(calls["_leaf"]) > 1 and calls["_update_right"]
+        assert set(calls["_leaf"]) == set(calls["_update_right"]) == {delayed}
     inv = invert(A)
     assert _matmul_reference(a, inv.a, p) == np.eye(n, dtype=np.int64).tolist()
 
@@ -427,13 +428,61 @@ def test_path_choice_depends_on_width_and_prime(monkeypatch, p, n, route):
 @pytest.mark.parametrize("p", PRIMES + (67108859,))
 @pytest.mark.parametrize("k", (1, 2, 5, 40))
 def test_matmul_exact_on_both_paths(p, k):
-    # float64 for k <= 32 at FLOAT_PRIME and k <= 2 at 67108859; int64 chunks
-    # beyond that, and always at 2**31 - 1
+    # one float64 product for k <= 32 at FLOAT_PRIME and k <= 2 at 67108859;
+    # the 16-bit split beyond that, and always at 2**31 - 1
     rng = np.random.default_rng(k)
     a = rng.integers(0, p, (3, k), dtype=np.int64)
     b = rng.integers(0, p, (k, 4), dtype=np.int64)
     F_p = PrimeField(p)
     assert (ScalarMatrix(F_p, a) @ ScalarMatrix(F_p, b)).a.tolist() == _matmul_reference(a, b, p)
+
+
+def _split_chunk(p: int) -> int:
+    """Terms per chunk of `_matmul`'s 16-bit split: the largest c with
+    c*(p-1)*(2**16 - 1) + 2p < 2**53."""
+    return (exactlin.FLOAT_EXACT - 1 - 2 * p) // ((p - 1) * (2**16 - 1))
+
+
+def _one_product_boundary() -> int:
+    """The first prime at which one product of two residues, plus p, is no
+    longer below 2**53: from there on `_matmul` splits at every k."""
+    m = isqrt(exactlin.FLOAT_EXACT)
+    while (m - 1) ** 2 + m >= exactlin.FLOAT_EXACT:
+        m -= 1
+    return _primes_around(m)[1]
+
+
+@pytest.mark.parametrize("p", (_one_product_boundary(), 2**31 - 1))
+@pytest.mark.parametrize("extra", (0, 1))
+def test_split_product_with_worst_case_entries(monkeypatch, p, extra):
+    # a of all p - 1 against b of all p - 1 and of the largest residue whose
+    # low 16 bits are all ones, the split's worst case; an inner dimension of
+    # one chunk, and one past it so that a second chunk adds to the first
+    chunk = _split_chunk(p)
+    assert exactlin._max_terms(p, exactlin.FLOAT_EXACT, p) == 0
+    assert chunk == 64 if p == 2**31 - 1 else chunk > 64
+    k = chunk + extra
+    a = np.full((2, 3, k), p - 1, dtype=np.int64)
+    b = np.full((2, k, 2), p - 1, dtype=np.int64)
+    b[:, :, 1] = ((p - 1) >> 16 << 16) - 1
+    assert (b[0, 0, 1] & 0xFFFF, b[0, 0, 1] < p) == (0xFFFF, True)
+    want = [_matmul_reference(a[t], b[t], p) for t in range(2)]
+    assert exactlin._matmul(a[1], b[1], p).tolist() == want[1]
+    seen = []
+    reduce_float = exactlin._reduce_float
+
+    def watched(c, q, out=None):
+        seen.append(int(np.abs(c).max(initial=0)))
+        return reduce_float(c, q, out=out)
+
+    monkeypatch.setattr(exactlin, "_reduce_float", watched)
+    assert exactlin._matmul(a, b, p).tolist() == want
+    # one reduction per chunk for each half of b, then one for the sum
+    assert len(seen) == 2 * (1 + extra) + 1
+    # the first chunk of the low half is the bound's worst case exactly
+    assert max(seen) == chunk * (p - 1) * (2**16 - 1)
+    assert max(seen) + p < exactlin.FLOAT_EXACT
+    assert (chunk + 1) * (p - 1) * (2**16 - 1) + 2 * p >= exactlin.FLOAT_EXACT
 
 
 # ---- batched inverse ------------------------------------------------------------
@@ -450,7 +499,8 @@ def _delayed_boundary(n: int) -> tuple[int, int]:
 
 def _schur_boundary(n: int) -> tuple[int, int]:
     """The primes either side of k*(p-1)**2 + 2p < 2**53, k = max(h, n - h),
-    the bound under which invert_skew_many runs the Schur recursion on n x n."""
+    the bound under which the Schur recursion on n x n adds B^T X and Z X^T
+    unreduced."""
     h = exactlin._schur_split(n)
     k = max(h, n - h)
     m = isqrt((exactlin.FLOAT_EXACT - 1) // k) + 2
@@ -569,9 +619,9 @@ def test_invert_many_edge_shapes():
 # ---- batched inverse of skew stacks ---------------------------------------------
 
 SKEW_SIZES = (0, 1, 2, 3, 4, 6, 30, 32, 33)
-# the Schur recursion runs for every even n >= 2 at the first five primes,
-# the fifth being the last one under its bound at n = 32; 2**31 - 1 takes
-# Gauss-Jordan
+# the Schur recursion runs for every even n >= 2 at every prime; at the
+# first five its products are delayed at n = 32, the fifth being the last
+# one under that bound, and at 2**31 - 1 they are split and reduced
 SCHUR_PRIME = _schur_boundary(32)[0]
 SKEW_PRIMES = (3, 7, 31991, 16777213, SCHUR_PRIME, 2**31 - 1)
 SKEW_KINDS = ("random", "zero", "a01", "leadh", "deficient")
@@ -644,8 +694,8 @@ def test_invert_skew_many_matches_invert_and_reference(case):
 @pytest.mark.parametrize("p", (7, 31991, 2**31 - 1))
 @pytest.mark.parametrize("n", (2, 4, 30, 33))
 def test_invert_skew_many_reads_only_the_strict_upper_triangle(p, n):
-    # random diagonals and lower triangles change neither the recursion,
-    # nor the members it reruns, nor Gauss-Jordan above the bound
+    # random diagonals and lower triangles change neither the recursion, with
+    # delayed or reduced products, nor the members it reruns
     kinds = ["random", "a01", "leadh", "deficient", "zero", "random"]
     clean = skew_members(p, n, kinds, n)
     dirty = skew_members(p, n, kinds, n, garbage=True)
@@ -675,13 +725,18 @@ def test_singular_leading_blocks_fall_back_to_gauss_jordan():
     exactlin.invert_skew_many(stack[2:], p, stats)
     assert stats == {"fallbacks": 7}  # accumulated over calls
     untouched = {}
-    exactlin.invert_skew_many(stack, 2**31 - 1, untouched)
     exactlin.invert_skew_many(stack[:, :29, :29], p, untouched)
-    assert untouched == {}  # no recursion ran, so nothing fell back
+    assert untouched == {}  # at odd n no recursion ran, so nothing fell back
+    # above the delayed bound the recursion runs all the same and reruns the
+    # same kinds of member
+    big, wide = 2**31 - 1, {}
+    inverses, invertible = exactlin.invert_skew_many(skew_members(big, 30, kinds, 8), big, wide)
+    assert invertible.tolist() == [True, True, True, False, False]
+    assert wide == {"fallbacks": 4}
 
 
 @pytest.mark.parametrize(
-    "p, n, schur",
+    "p, n, delayed",
     [
         (31991, 2, True),
         (31991, 4, True),
@@ -691,9 +746,13 @@ def test_singular_leading_blocks_fall_back_to_gauss_jordan():
         (2**31 - 1, 32, False),
     ],
 )
-def test_invert_many_route_by_size_and_prime(monkeypatch, p, n, schur):
-    calls = {"schur": 0, "jordan": []}
-    recurse, jordan = exactlin._schur_inverse, exactlin._gauss_jordan_many
+def test_invert_many_route_by_size_and_prime(monkeypatch, p, n, delayed):
+    calls = {"schur": 0, "jordan": [], "products": []}
+    recurse, jordan, product = (
+        exactlin._schur_inverse,
+        exactlin._gauss_jordan_many,
+        exactlin._product,
+    )
 
     def counted_schur(a, q):
         calls["schur"] += 1
@@ -703,24 +762,29 @@ def test_invert_many_route_by_size_and_prime(monkeypatch, p, n, schur):
         calls["jordan"].append(a.shape)
         return jordan(a, q)
 
+    def counted_product(a, b, q, flag):
+        calls["products"].append(flag)
+        return product(a, b, q, flag)
+
     monkeypatch.setattr(exactlin, "_schur_inverse", counted_schur)
     monkeypatch.setattr(exactlin, "_gauss_jordan_many", counted_jordan)
+    monkeypatch.setattr(exactlin, "_product", counted_product)
     stack = skew_members(p, n, ["random"] * 4 + ["a01", "deficient"], n)
     stats = {}
     inverses, invertible = exactlin.invert_skew_many(stack, p, stats)
     if n % 2:
-        assert calls == {"schur": 0, "jordan": []} and stats == {}
+        assert calls == {"schur": 0, "jordan": [], "products": []} and stats == {}
         assert not invertible.any() and not inverses.any()
         return
     # at n = 2 the "a01" member is the zero matrix
     assert invertible.tolist() == [True] * 4 + [n > 2, False]
-    if schur:
-        # the top call and every block down to n/2 blocks of 2 x 2; only
-        # the "a01" and "deficient" members are rerun
-        assert calls == {"schur": n - 1, "jordan": [(2, n, n)]}
-        assert stats == {"fallbacks": 2}
-    else:
-        assert calls == {"schur": 0, "jordan": [(6, n, n)]} and stats == {}
+    # at every prime: the top call and every block down to n/2 blocks of
+    # 2 x 2; only the "a01" and "deficient" members are rerun
+    assert calls["schur"] == n - 1 and calls["jordan"] == [(2, n, n)]
+    assert stats == {"fallbacks": 2}
+    # B^T X and Z X^T at each of the n/2 - 1 levels above the base, delayed
+    # under the bound and reduced by `_matmul` above it
+    assert calls["products"] == [delayed] * (n - 2)
     skew = exactlin._skew_from_upper(stack, p)
     for t in np.flatnonzero(invertible):
         assert _matmul_reference(skew[t], inverses[t], p) == np.eye(n, dtype=np.int64).tolist()
@@ -730,8 +794,7 @@ def test_invert_many_route_by_size_and_prime(monkeypatch, p, n, schur):
 @pytest.mark.parametrize("n", (2, 4, 30, 32, 33))
 def test_invert_skew_many_on_float64_residues_matches_int64(p, n):
     # a float64 stack is taken as residues and gets float64 inverses, equal
-    # to the int64 stack's, with the same flags and reruns; above the Schur
-    # bound Gauss-Jordan's inverses are written back as float64
+    # to the int64 stack's, with the same flags and reruns, at every prime
     kinds = ["random", "a01", "leadh", "deficient", "zero", "random"]
     stack = skew_members(p, n, kinds, n)
     stats, float_stats = {}, {}
@@ -772,10 +835,8 @@ def test_float64_matrix_is_held_as_residues_and_factored_in_place():
 def test_bound_predicates_switch_at_the_documented_primes(n):
     lo, hi = _delayed_boundary(n)
     assert exactlin._stack_is_delayed(lo, n) and not exactlin._stack_is_delayed(hi, n)
-    lo, hi = _schur_boundary(n)
-    assert exactlin._schur_is_exact(lo, n) and not exactlin._schur_is_exact(hi, n)
     lo, hi = _float_boundary(n)
-    assert exactlin._float_is_exact(lo, n) and not exactlin._float_is_exact(hi, n)
+    assert exactlin._float_is_delayed(lo, n) and not exactlin._float_is_delayed(hi, n)
 
 
 def delayed_worst_case(n, p):
@@ -849,11 +910,20 @@ def test_schur_bound_with_worst_case_entries(monkeypatch, n):
         seen.append(float(np.abs(c).max(initial=0)))
         return reduce_float(c, q, out=out)
 
+    flags = []
+    product = exactlin._product
+
+    def flagged(x, y, q, delayed):
+        flags.append(delayed)
+        return product(x, y, q, delayed)
+
     monkeypatch.setattr(exactlin, "_reduce_float", watched)
+    monkeypatch.setattr(exactlin, "_product", flagged)
     a = schur_worst_case(n, p)
     stats = {}
     inverses, invertible = exactlin.invert_skew_many(a[None], p, stats)
     assert stats == {"fallbacks": 0}
+    assert flags and all(flags)
     # the reduction of S sees k products (p-2)**2 plus one: within 2k(p-1)
     # of k*(p-1)**2, the most the bound allows for
     assert max(seen) >= k * (p - 2) ** 2 + 1
@@ -861,11 +931,17 @@ def test_schur_bound_with_worst_case_entries(monkeypatch, n):
     _, reduced, pivots, _ = reference_eliminate(np.hstack([a, eye]).tolist(), p, n)
     assert invertible.tolist() == [len(pivots) == n] == [True]
     assert inverses[0].tolist() == [r[n:] for r in reduced]
-    # one prime further, Gauss-Jordan takes the same family
+    # one prime further the same recursion takes the family; the top level's
+    # B^T X and Z X^T are reduced by `_matmul` before they are added, while
+    # the smaller blocks below it still delay theirs
     a = schur_worst_case(n, beyond)
     stats = {}
+    seen.clear()
+    flags.clear()
     inverses, _ = exactlin.invert_skew_many(a[None], beyond, stats)
-    assert stats == {}
+    assert stats == {"fallbacks": 0}
+    assert flags.count(False) == 2
+    assert max(seen) + beyond < exactlin.FLOAT_EXACT
     assert _matmul_reference(a, inverses[0], beyond) == eye.tolist()
 
 
@@ -886,17 +962,17 @@ def float_worst_case(n, p):
 @pytest.mark.parametrize("n", (exactlin.LEAF + 1, 33, 130))
 @pytest.mark.parametrize("side", (0, 1))
 def test_float_bound_with_worst_case_entries(monkeypatch, n, side):
-    # on the bound's last prime the recursion runs in float64, and the last
-    # leaf takes entries from which every pivot left of it has been
-    # subtracted unreduced; on the next prime the rank-1 loop runs
+    # on the bound's last prime the last leaf takes entries from which every
+    # pivot left of it has been subtracted unreduced; on the next prime the
+    # same recursion subtracts reduced products, less than p per level
     p = _float_boundary(n)[side]
     upper, a = float_worst_case(n, p)
     seen = []
     leaf = exactlin._leaf
 
-    def watched(f, q, row, c0, c1, inverse):
+    def watched(f, q, row, c0, c1, inverse, delayed):
         seen.append((c0, float(np.abs(f[row:, c0:c1]).max(initial=0))))
-        return leaf(f, q, row, c0, c1, inverse)
+        return leaf(f, q, row, c0, c1, inverse, delayed)
 
     monkeypatch.setattr(exactlin, "_leaf", watched)
     m = a.copy()
@@ -907,7 +983,7 @@ def test_float_bound_with_worst_case_entries(monkeypatch, n, side):
         c0, largest = max(seen)
         assert c0 > n - exactlin.LEAF - 1 and largest > c0 * (p - 2) ** 2
     else:
-        assert not seen
+        assert seen and max(largest for _, largest in seen) < n.bit_length() * p
 
 
 @pytest.mark.parametrize("p", (3, 5, 31991, 16777213, 94906249, 2**31 - 1))

@@ -397,7 +397,7 @@ def test_matrix_parse_errors_cite_lines():
 
 def _evaluation_boundary(nvars):
     """The primes either side of nvars*(p-1)**2 + p < 2**53, the bound under
-    which `LinearSkewMatrix.evaluate_batch` evaluates and reduces in float64."""
+    which `LinearSkewMatrix.evaluate_batch` is one float64 product."""
     m = isqrt((exactlin.FLOAT_EXACT - 1) // nvars) + 2
     while nvars * (m - 1) ** 2 + m >= exactlin.FLOAT_EXACT:
         m -= 1
@@ -414,7 +414,8 @@ def _evaluation_boundary(nvars):
 def test_evaluation_bound_with_worst_case_entries(monkeypatch, nvars, side):
     # every coefficient and coordinate is p - 1, so each upper entry of M(x)
     # sums nvars products (p-1)**2 before it is reduced: on the bound's last
-    # prime that stays exact in float64, on the next prime the int64 route runs
+    # prime that stays exact in float64, on the next prime `_matmul` splits
+    # the coefficients into 16-bit halves
     p = _evaluation_boundary(nvars)[side]
     size = 4
     i, j = np.triu_indices(size, 1)
@@ -431,12 +432,18 @@ def test_evaluation_bound_with_worst_case_entries(monkeypatch, nvars, side):
 
     monkeypatch.setattr(exactlin, "_reduce_float", watched)
     got = L.evaluate_batch(np.full((3, nvars), p - 1))
-    assert got.dtype == (np.float64, np.int64)[side]
+    assert got.dtype == np.float64
     expected = np.zeros((size, size), dtype=object)
     expected[i, j] = nvars * (p - 1) ** 2 % p
     expected[j, i] = nvars * (p - 1) % p
     assert got.tolist() == [expected.tolist()] * 3
-    assert seen == ([nvars * (p - 1) ** 2], [])[side]
+    if side == 0:
+        assert seen == [nvars * (p - 1) ** 2]
+    else:
+        # one reduction per half of the coefficients p - 1 and 1, then their sum
+        hi, lo = (p - 1) >> 16, (p - 1) & 0xFFFF
+        assert seen[:2] == [nvars * (p - 1) * hi, nvars * (p - 1) * max(lo, 1)]
+        assert len(seen) == 3 and max(seen) + p < exactlin.FLOAT_EXACT
 
 
 def test_linear_skew_graded_roundtrip():
