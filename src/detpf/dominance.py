@@ -8,9 +8,9 @@ the tangent map of the pfaffian map at M (Beauville, "Determinantal
 hypersurfaces", Michigan Math. J. 48, 2000, section 7).
 
 The rank is read off by evaluation, without computing any P_ij.  Sample
-N = C(d+r, r) points x at which M(x) is invertible, invert all N skew
-matrices in one batch (`exactlin.invert_skew_many`), and give each point
-the row x (x) triu(M(x)^-1) of length (r+1) C(2d, 2).  The rank of this
+N = C(d+r, r) points x at which M(x) is invertible, invert the N skew
+matrices in chunks of points (`exactlin.invert_skew_many`), and give each
+point the row x (x) triu(M(x)^-1) of length (r+1) C(2d, 2).  The rank of this
 N-row matrix E is the certificate's rank.  Since
 (M^-1)_ij = (-1)^(i+j) P_ij(x) / pf(M(x)) for i < j, the matrix factors as
 
@@ -223,6 +223,9 @@ class DominanceCertificate:
         return "r,d,prime,seed,cd,rank,target,verdict,elapsed_ms"
 
 
+CHUNK = 128
+
+
 def _span_rank(
     L: LinearSkewMatrix, d: int, seed: int, stats: dict | None = None
 ) -> tuple[int, int, int]:
@@ -231,38 +234,48 @@ def _span_rank(
     Rows are x (x) triu(M(x)^-1) at the first N = C(d+r, r) points of the
     stream where M(x) is invertible; singular points are dropped and
     replaced by `mpoly.sample_usable`.  Of each x_k block only the columns
-    `_kept_columns` returns are kept (module docstring).  The stacks, the
-    inverses and E stay float64 residues: each block of E is the product of
-    a point coordinate with the inverse entries, one `exactlin._matmul` of
-    inner dimension 1 written into E, and `exactlin.rank` factors E itself.
+    `_kept_columns` returns are kept (module docstring).  E is the only
+    N-row array: the black box allocates E's rows for its points and fills
+    them CHUNK points at a time, evaluating M at the chunk, inverting that
+    stack and writing each block as the product of a point coordinate with
+    the kept inverse entries, one `exactlin._matmul` of inner dimension 1
+    into E.  When every point of the first batch is usable,
+    `sample_usable` returns those rows without a copy, and `exactlin.rank`
+    factors E itself.  CHUNK = 128 keeps the stack of M(x) and its
+    inverses small beside E, while each chunk still pays the Schur
+    recursion's per-level overhead only once per 128 members; chunks of 32
+    and 64 were slower per certificate.  All of it stays float64 residues.
     `stats`, when given, gets `columns` (the width of E) and
     `inverse_fallbacks` (see `exactlin.invert_skew_many`).
     """
     field = L.field
     target = monomial_count(L.nvars, d)
     upper = np.triu_indices(L.size, 1)
+    blocks = [(upper[0][cols], upper[1][cols]) for cols in _kept_columns(L)]
+    width = sum(len(i) for i, _ in blocks)
     inverse_stats = {"fallbacks": 0}
 
     def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        inverses, invertible = exactlin.invert_skew_many(
-            L.evaluate_batch(points), field.p, inverse_stats
-        )
-        return inverses[:, upper[0], upper[1]], invertible
+        rows = np.empty((len(points), width))
+        invertible = np.empty(len(points), dtype=bool)
+        for s in range(0, len(points), CHUNK):
+            x = points[s : s + CHUNK]
+            inverses, invertible[s : s + CHUNK] = exactlin.invert_skew_many(
+                L.evaluate_batch(x), field.p, inverse_stats
+            )
+            at = 0
+            for k, (i, j) in enumerate(blocks):
+                out = rows[s : s + CHUNK, None, at : at + len(i)]
+                block = inverses[:, None, i, j]
+                exactlin._matmul(x[:, k, None, None], block, field.p, out=out)
+                at += len(i)
+        return rows, invertible
 
     # the point stream submaximal_pfaffians draws from for the same seed
     stream = derive_seed(seed, "subpf")
-    points, entries, drawn = sample_usable(
-        values_fn, field, L.nvars, stream, target, len(upper[0])
-    )
-    blocks = [entries[:, cols] for cols in _kept_columns(L)]
-    rows = np.empty((len(points), sum(b.shape[1] for b in blocks)))
-    at = 0
-    for k, block in enumerate(blocks):
-        out = rows[:, None, at : at + block.shape[1]]
-        exactlin._matmul(points[:, k, None, None], block[:, None, :], field.p, out=out)
-        at += block.shape[1]
+    _, rows, drawn = sample_usable(values_fn, field, L.nvars, stream, target, width)
     if stats is not None:
-        stats.update(columns=rows.shape[1], inverse_fallbacks=inverse_stats["fallbacks"])
+        stats.update(columns=width, inverse_fallbacks=inverse_stats["fallbacks"])
     return exactlin.rank(ScalarMatrix(field, rows)), target, drawn
 
 
@@ -272,7 +285,7 @@ def _kept_columns(L: LinearSkewMatrix) -> list[np.ndarray | slice]:
     with (M_0^-1)_ab != 0, and in the x_1 block the d pivot columns of the
     matrix whose rows are triu(K^j M_0^-1), j < d, K = M_0^-1 M_1, when it
     has rank d.  Every other block, and every block when M_0 is singular,
-    is kept whole, as slice(None), so that E takes it without a copy."""
+    is kept whole, as slice(None), which selects every triu index."""
     p = L.field.p
     upper = np.triu_indices(L.size, 1)
     kept: list[np.ndarray | slice] = [slice(None)] * L.nvars

@@ -200,15 +200,15 @@ WITNESS_POINTS = 4
 def _has_injectivity_witness(M: GradedMatrix) -> bool:
     """Is M(x) of full column rank at one of the first WITNESS_POINTS points
     of a fixed stream?  True proves M injective over S; False proves nothing.
-    With more columns than rows no point qualifies, since rank M(x) <= nrows."""
+    With more columns than rows no point qualifies, since rank M(x) <= nrows.
+    M is evaluated at all the points in one batch and the members are ranked
+    in stream order, up to the first of full column rank."""
     if M.ncols == 0:
         return True
     rng = FieldRng(0, "graded.coker_hilbert witness")
-    for _ in range(WITNESS_POINTS):
-        x = [rng.below(M.field.p) for _ in range(M.nvars)]
-        if exactlin.rank(M.evaluate(x)) == M.ncols:
-            return True
-    return False
+    points = [[rng.below(M.field.p) for _ in range(M.nvars)] for _ in range(WITNESS_POINTS)]
+    values = M.evaluate_batch(np.array(points, dtype=np.int64))
+    return any(exactlin.rank(ScalarMatrix(M.field, v)) == M.ncols for v in values)
 
 
 def coker_hilbert(M: GradedMatrix, j: int) -> int:

@@ -557,7 +557,10 @@ def sample_usable(
     box that drops too many of the points tried, counting the `seen`
     (evaluated, unusable) points the caller tried before the stream;
     `stats`, when given, gets the same totals as `points_used` and
-    `points_degenerate`.
+    `points_degenerate`.  When nothing is kept yet and every point of a
+    batch is usable, the batch's points and the black box's own values
+    array are kept as they are, without a copy; a batch with unusable
+    points, or one that extends earlier points, is stacked onto them.
     """
     p = field.p
     if kept is None:
@@ -576,8 +579,11 @@ def sample_usable(
             continue
         fresh = batch[new]
         vals, usable = _evaluate(values_fn, fresh, n_outputs, p)
-        points = np.vstack([points, fresh[usable]])
-        values = np.vstack([values, vals[usable]])
+        if len(points) == 0 and usable.all():
+            points, values = fresh, vals
+        else:
+            points = np.vstack([points, fresh[usable]])
+            values = np.vstack([values, vals[usable]])
         used, dropped = seen[0] + len(tried), seen[1] + len(tried) - len(points)
         if stats is not None:
             stats.update(points_used=used, points_degenerate=dropped)

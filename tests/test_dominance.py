@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -460,6 +461,47 @@ def test_certificate_records_the_route():
     # 2d = 4 rows recurse once, to two 2 x 2 blocks, and no member falls back
     assert pfaffian_codim(3, 2, seed=3).inverse_fallbacks == 0
     assert DominanceCertificate.csv_header().count(",") == len(cert.csv_row().split(",")) - 1
+
+
+def chunked_route(monkeypatch, L, d, stream, chunk):
+    """(rank, target, drawn), the route and E, with CHUNK set to `chunk`."""
+    route, ranked = {}, []
+    rank = exactlin.rank
+    with monkeypatch.context() as patch:
+        patch.setattr(dominance, "CHUNK", chunk)
+        patch.setattr(exactlin, "rank", lambda A: ranked.append(A.a.copy()) or rank(A))
+        result = _span_rank(L, d, stream, route)
+    return result, route, ranked[0]
+
+
+@pytest.mark.parametrize("r, d, prime, seed", [(3, 6, 31991, 0), (3, 10, 11, 1)])
+def test_chunks_of_points_build_the_whole_stack_matrix(monkeypatch, r, d, prime, seed):
+    # CHUNK >= N inverts the whole stack in one batch, as before chunking;
+    # at p = 11 singular members and Gauss-Jordan reruns fall in several
+    # chunks, and the dropped points are replaced by a refill batch
+    L = sampled_matrix(r, d, prime, seed)
+    stream = derive_seed(seed, "interp", r, d, 1)
+    whole = chunked_route(monkeypatch, L, d, stream, 10**6)
+    for chunk in (1, 5, dominance.CHUNK):
+        result, route, E = chunked_route(monkeypatch, L, d, stream, chunk)
+        assert (result, route) == whole[:2]
+        assert E.tobytes() == whole[2].tobytes()
+    if prime == 11:
+        (rank, target, drawn), route, _ = whole
+        assert (rank, target, drawn) == (260, 286, 314)
+        assert route == {"columns": 391, "inverse_fallbacks": 188}
+
+
+def test_the_certificate_peaks_below_twice_the_evaluation_matrix():
+    # E, N x columns float64, is the only N-row array: neither the whole
+    # stack of M(x) nor its inverses are held beside it
+    tracemalloc.start()
+    try:
+        cert = pfaffian_codim(3, 16, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * cert.target_dim * cert.columns * 8
 
 
 def scatter_span_rank(L, d, seed):

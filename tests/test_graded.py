@@ -148,6 +148,52 @@ def test_coker_hilbert_when_every_point_of_a_small_field_fails_the_witness(monke
     assert len(calls) == 10
 
 
+def _witness_entry_by_entry(M):
+    """The index of the first of the WITNESS_POINTS stream points at which
+    M(x), evaluated one entry at a time, has full column rank; None if none."""
+    rng = FieldRng(0, "graded.coker_hilbert witness")
+    points = [
+        [rng.below(M.field.p) for _ in range(M.nvars)] for _ in range(graded.WITNESS_POINTS)
+    ]
+    for t, x in enumerate(points):
+        if exactlin.rank(M.evaluate(x)) == M.ncols:
+            return t, points
+    return None, points
+
+
+def test_the_batched_witness_answers_as_the_entry_by_entry_one(monkeypatch):
+    # square linear matrices over small fields: det M(x) vanishes at some
+    # stream points, so witnesses are found at a later point or not at all
+    found_late = missed = 0
+    evaluate_batch = GradedMatrix.evaluate_batch
+    for p in (3, 5, 7):
+        field = PrimeField(p)
+        for seed in range(12):
+            M = random_graded_matrix(
+                field, 3, linear_square_shape(3), FieldRng("witness", p, seed)
+            )
+            first, points = _witness_entry_by_entry(M)
+            seen = []
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    GradedMatrix,
+                    "evaluate_batch",
+                    lambda self, x: seen.append(x.tolist()) or evaluate_batch(self, x),
+                )
+                assert graded._has_injectivity_witness(M) == (first is not None)
+            assert seen == [points]
+            found_late += first is not None and first > 0
+            missed += first is None
+    assert found_late and missed
+
+
+def test_coker_hilbert_of_a_matrix_without_rows():
+    # S(0) -> 0: no witness point can exist, and the cokernel is 0
+    M = GradedMatrix(F, 3, (), (0,), [])
+    assert not graded._has_injectivity_witness(M)
+    assert [coker_hilbert(M, j) for j in range(-1, 3)] == [0, 0, 0, 0]
+
+
 def test_coker_hilbert_of_a_matrix_without_columns(monkeypatch):
     _no_pieces(monkeypatch)
     M = GradedMatrix(F, 3, (0, 1), (), [[], []])

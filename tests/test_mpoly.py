@@ -323,6 +323,26 @@ def test_sample_usable_stops_after_every_point_is_tried():
     assert len(points) == 9
 
 
+def test_sample_usable_keeps_a_first_batch_without_a_copy():
+    # every point usable: the values are the black box's own array; one
+    # unusable point and they are a stacked copy of the usable rows
+    returned = []
+
+    def values_fn(points):
+        returned.append(np.ones((len(points), 3)))
+        return returned[-1], points[:, 0] != skip
+
+    skip = -1
+    points, values, drawn = mpoly.sample_usable(values_fn, F, 3, 4, 10, 3)
+    assert (len(points), drawn) == (10, 10)
+    assert values is returned[0]
+    skip = int(points[0, 0])
+    returned.clear()
+    _, values, _ = mpoly.sample_usable(values_fn, F, 3, 4, 10, 3)
+    assert len(returned) == 2
+    assert not any(np.shares_memory(values, v) for v in returned)
+
+
 def _dense_interpolation(values_fn, nvars, degree, field, n_outputs):
     """The forms by one dense Vandermonde solve, independent of the lattice:
     every point of GF(p)^n when there are at most 1000, else 3 N stream
