@@ -65,11 +65,7 @@ def _emit(args: argparse.Namespace, doc, csv_lines: list[str] | None = None) -> 
         text = "\n".join(csv_lines)
     else:
         text = _render_text(doc)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write_file(args.output, text + "\n")
 
 
 def _write_file(path: str | None, text: str) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .exactlin import InputError, PrimeField
-from .mpoly import HomogeneousForm
+from .mpoly import HomogeneousForm, monomial_basis
 from .polymat import GENERAL, SKEW, SYMMETRIC, GradedMatrix, LinearSkewMatrix, SizeMismatch
 from .rng import FieldRng, derive_seed
 
@@ -243,13 +243,7 @@ def _isotropic_ab(field: PrimeField):
 
 
 def _linear_form(field: PrimeField, nvars: int, coeffs) -> HomogeneousForm:
-    terms = {}
-    for j, c in enumerate(coeffs):
-        c = int(c) % field.p
-        if c:
-            exp = tuple(1 if t == j else 0 for t in range(nvars))
-            terms[exp] = c
-    return HomogeneousForm(field, nvars, 1, terms)
+    return HomogeneousForm.from_coefficient_vector(field, monomial_basis(nvars, 1), coeffs)
 
 
 def _quaternion_norm_matrix(field: PrimeField, nvars: int) -> GradedMatrix:

@@ -300,22 +300,18 @@ def smoothness_certificate(
 def stabilizer_lie_dim(L: LinearSkewMatrix) -> int:
     """Dimension of {A : A M_k + M_k tA = 0 for every coefficient matrix M_k}."""
     n = L.size
-    p = L.field.p
-    unknowns = n * n
-    rows = []
-    for k in range(L.nvars):
-        Mk = L.coeff[k]
-        for i in range(n):
-            for j in range(i + 1, n):
-                row = np.zeros(unknowns, dtype=np.int64)
-                # (A Mk + Mk tA)_{ij} = sum_a A[i,a] Mk[a,j] + sum_b Mk[i,b] A[j,b]
-                row[i * n : (i + 1) * n] = (row[i * n : (i + 1) * n] + Mk[:, j]) % p
-                row[j * n : (j + 1) * n] = (row[j * n : (j + 1) * n] + Mk[i, :]) % p
-                rows.append(row)
-    if not rows:
-        return unknowns
-    system = ScalarMatrix(L.field, np.array(rows, dtype=np.int64))
-    return unknowns - exactlin.rank(system)
+    i, j = np.triu_indices(n, 1)
+    if not len(i):
+        return n * n
+    # row (k, i, j) holds the coefficients of (A Mk + Mk tA)_{ij} in the
+    # unknowns A[r, c] at r*n + c: Mk[:, j] in A's row i, Mk[i, :] in row j;
+    # float64 residues, which `rank` factors without a copy
+    pairs = np.arange(len(i))
+    rows = np.zeros((L.nvars, len(i), n, n))
+    rows[:, pairs, i, :] = L.coeff[:, :, j].transpose(0, 2, 1)
+    rows[:, pairs, j, :] = L.coeff[:, i, :]
+    system = ScalarMatrix(L.field, rows.reshape(-1, n * n))
+    return n * n - exactlin.rank(system)
 
 
 # ---- arithmetically Gorenstein point sets ----------------------------------------------

@@ -269,15 +269,10 @@ class HomogeneousForm:
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (n, nvars) array of points."""
-        basis = monomial_basis(self.nvars, self.degree)
-        vec = self.coefficient_vector(basis)
-        V = vandermonde(points, basis, self.field.p)
         p = self.field.p
-        out = np.zeros(points.shape[0], dtype=np.int64)
-        nz = np.nonzero(vec)[0]
-        for idx in nz:
-            out = (out + V[:, idx] * int(vec[idx])) % p
-        return out
+        basis = monomial_basis(self.nvars, self.degree)
+        vec = self.coefficient_vector(basis)[:, None]
+        return _matmul(vandermonde(points, basis, p), vec, p)[:, 0].astype(np.int64)
 
     def substitute(self, images: Sequence["HomogeneousForm"]) -> "HomogeneousForm":
         if len(images) != self.nvars:

@@ -170,7 +170,9 @@ class GradedMatrix:
 
     def evaluate(self, point: Sequence[int]) -> ScalarMatrix:
         vals = [[f.evaluate(point) for f in row] for row in self.entries]
-        return ScalarMatrix(self.field, vals)
+        return ScalarMatrix(
+            self.field, np.array(vals, dtype=np.int64).reshape(self.nrows, self.ncols)
+        )
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """(npoints, nrows, ncols) array of entry values.
@@ -342,18 +344,13 @@ class LinearSkewMatrix:
         return exactlin._matmul(pts, flat, p).reshape(-1, self.size, self.size)
 
     def to_graded(self) -> GradedMatrix:
-        entries = []
-        for i in range(self.size):
-            row = []
-            for j in range(self.size):
-                coeffs = {}
-                for k in range(self.nvars):
-                    c = int(self.coeff[k, i, j])
-                    if c:
-                        exp = tuple(1 if t == k else 0 for t in range(self.nvars))
-                        coeffs[exp] = c
-                row.append(HomogeneousForm(self.field, self.nvars, 1, coeffs))
-            entries.append(row)
+        # the linear monomials run X_0, ..., X_{nvars-1}, so entry (i, j)
+        # has the coefficient vector M[:, i, j]
+        basis = monomial_basis(self.nvars, 1)
+        entries = [
+            [HomogeneousForm.from_coefficient_vector(self.field, basis, v) for v in row]
+            for row in self.coeff.transpose(1, 2, 0)
+        ]
         return GradedMatrix(
             self.field,
             self.nvars,
@@ -387,17 +384,15 @@ class LinearSkewMatrix:
         if M.symmetry != SKEW:
             raise ValueError("expected a skew matrix")
         n = M.nrows
+        basis = monomial_basis(M.nvars, 1)
         coeff = np.zeros((M.nvars, n, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                f = M.entries[i][j]
+        for i, row in enumerate(M.entries):
+            for j, f in enumerate(row):
                 if f.is_zero():
                     continue
                 if f.degree != 1:
                     raise ValueError(f"entry ({i},{j}) is not linear")
-                for e, c in f.coeffs.items():
-                    k = e.index(1)
-                    coeff[k, i, j] = c
+                coeff[:, i, j] = f.coefficient_vector(basis)
         return cls(M.field, M.nvars, coeff)
 
 
@@ -626,7 +621,7 @@ def submaximal_pfaffians(
         mats = L.evaluate_batch(points)
         inverses, usable = exactlin.invert_skew_many(mats, p)
         pf = exactlin._pfaffian_array(mats, p)[:, None]
-        # the interpolation takes int64 values
+        # int64, so that the products by pair_sign and pf stay exact for p < 2**31
         entries = inverses[:, upper[0], upper[1]].astype(np.int64, copy=False)
         return entries * pair_sign % p * pf % p, usable
 
@@ -655,27 +650,19 @@ def congruence_transform(M: GradedMatrix, A: ScalarMatrix) -> GradedMatrix:
         raise ValueError("congruence by a scalar matrix needs uniform twists")
     if exactlin.determinant(A) == 0:
         raise Singular("congruence transform must be invertible")
-    deg = M.row_twists[0] - M.col_twists[0]
-    zero = HomogeneousForm.zero(M.field, M.nvars, max(deg, 0))
-    a = A.a
-    new_entries = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = zero
-            for s in range(n):
-                if a[i, s] == 0:
-                    continue
-                for t in range(n):
-                    c = int(a[i, s]) * int(a[j, t]) % M.field.p
-                    if c == 0:
-                        continue
-                    entry = M.entries[s][t]
-                    if entry.is_zero():
-                        continue
-                    acc = acc + entry.scale(c)
-            row.append(acc)
-        new_entries.append(row)
+    p = M.field.p
+    basis = monomial_basis(M.nvars, max(M.row_twists[0] - M.col_twists[0], 0))
+    b = len(basis)
+    # stack[s, t] is the coefficient vector of M[s, t]; A M contracts the
+    # first axis, and A (A M)[i] = (A M tA)[i] the second
+    stack = np.array(
+        [[f.coefficient_vector(basis) for f in row] for row in M.entries], dtype=np.int64
+    )
+    left = exactlin._matmul(A.a, stack.reshape(n, n * b), p).reshape(n, n, b)
+    both = exactlin._matmul(A.a, left, p)
+    new_entries = [
+        [HomogeneousForm.from_coefficient_vector(M.field, basis, v) for v in row] for row in both
+    ]
     return GradedMatrix(
         M.field, M.nvars, M.row_twists, M.col_twists, new_entries, M.symmetry
     )

@@ -255,6 +255,35 @@ def test_stabilizer_examples():
             assert stabilizer_lie_dim(L) == 0, (size, seed)
 
 
+def stabilizer_dim_by_columns(L):
+    """n^2 minus the rank of X -> (triu(X M_k + M_k tX))_k, with one column
+    per unit matrix X = E_rc."""
+    n, p = L.size, L.field.p
+    upper = np.triu_indices(n, 1)
+    columns = []
+    for r in range(n):
+        for c in range(n):
+            X = np.zeros((n, n), dtype=np.int64)
+            X[r, c] = 1
+            columns.append(
+                np.concatenate([((X @ mk + mk @ X.T) % p)[upper] for mk in L.coeff])
+            )
+    if not columns or not len(columns[0]):
+        return n * n
+    return n * n - exactlin.rank(ScalarMatrix(L.field, np.array(columns).T))
+
+
+@pytest.mark.parametrize("modulus", [7, 31991])
+def test_stabilizer_matches_column_reference(modulus):
+    field = PrimeField(modulus)
+    for size in (0, 1, 2, 4, 6):
+        for nvars in (1, 3):
+            L = LinearSkewMatrix.random(field, nvars, size, FieldRng("stref", modulus, size, nvars))
+            assert stabilizer_lie_dim(L) == stabilizer_dim_by_columns(L), (size, nvars)
+        zero = LinearSkewMatrix(field, 2, np.zeros((2, size, size), dtype=np.int64))
+        assert stabilizer_lie_dim(zero) == stabilizer_dim_by_columns(zero) == size * size
+
+
 def test_stabilizer_small_sizes_recorded():
     # empirical record for 2d = 4, 6 (d = 2, 3); no generic claim is asserted
     dims = {}

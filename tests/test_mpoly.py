@@ -102,6 +102,21 @@ def test_evaluate_many_matches_pointwise():
         assert vals[i] == f.evaluate(pts[i])
 
 
+def test_evaluate_many_matches_pointwise_at_largest_prime():
+    # at p = 2^31 - 1 the product of the Vandermonde matrix with the
+    # coefficient vector is split into 16-bit halves
+    p = 2**31 - 1
+    field = PrimeField(p)
+    rng = FieldRng("evaluate-many", p)
+    pts = rng.below_many(p, 60).reshape(20, 3)
+    forms = [HomogeneousForm.random(field, 3, d, rng.fork(d)) for d in (0, 1, 2, 5, 12)]
+    forms += [HomogeneousForm.zero(field, 3, 0), HomogeneousForm.zero(field, 3, 4)]
+    for f in forms:
+        vals = f.evaluate_many(pts)
+        assert vals.dtype == np.int64
+        assert vals.tolist() == [f.evaluate(pt) for pt in pts.tolist()], f.degree
+
+
 def multiplication_matrix_by_dict(g, from_basis, to_basis):
     """The per-(monomial, term) loop that `multiplication_matrix` replaced."""
     p = g.field.p

@@ -23,6 +23,7 @@ from detpf.mpoly import (
 )
 from detpf.polymat import (
     SKEW,
+    SYMMETRIC,
     GradedMatrix,
     InterpolationFailure,
     LinearSkewMatrix,
@@ -348,6 +349,41 @@ def test_congruence_transform():
         assert determinant_expansion(transformed) == determinant_expansion(Ms).scale(
             det_a * det_a % P
         )
+
+
+@pytest.mark.parametrize("modulus", [7, 31991, 2**31 - 1])
+@pytest.mark.parametrize("col_twist, symmetry", [(-1, SKEW), (-1, SYMMETRIC), (-2, SYMMETRIC)])
+def test_congruence_transform_matches_pointwise(modulus, col_twist, symmetry):
+    """(A M tA)(x) = A M(x) tA with Python-int products, at three points."""
+    field = PrimeField(modulus)
+    rng = FieldRng("congruence", modulus, col_twist, symmetry)
+    for n in (2, 4):
+        shape = ResolutionShape((0,) * n, (col_twist,) * n, symmetry)
+        M = random_graded_matrix(field, 3, shape, rng.fork("M", n))
+        while True:
+            a = [[rng.below(modulus) for _ in range(n)] for _ in range(n)]
+            if numeric_det(ScalarMatrix(field, a)):
+                break
+        transformed = congruence_transform(M, ScalarMatrix(field, a))
+        for _ in range(3):
+            x = [rng.below(modulus) for _ in range(3)]
+            m = M.evaluate(x).a.tolist()
+            want = [
+                [
+                    sum(a[i][s] * m[s][t] * a[j][t] for s in range(n) for t in range(n)) % modulus
+                    for j in range(n)
+                ]
+                for i in range(n)
+            ]
+            assert transformed.evaluate(x).a.tolist() == want, (n, x)
+    singular = [[1] * n for _ in range(n)]
+    with pytest.raises(Singular):
+        congruence_transform(M, ScalarMatrix(field, singular))
+
+
+def test_graded_evaluate_without_rows():
+    M = GradedMatrix(F, 3, (), (0,), [])
+    assert M.evaluate((1, 2, 3)).shape == (0, 1)
 
 
 def test_is_minimal():
