@@ -162,13 +162,15 @@ def random_point_set(
 
 
 def graded_piece_matrix(M: GradedMatrix, j: int) -> ScalarMatrix:
-    """Coefficient matrix of the degree-j piece of the map +S(e) -> +S(d)."""
+    """Coefficient matrix of the degree-j piece of the map +S(e) -> +S(d),
+    as float64 residues (`exactlin`'s float64 contract): `exactlin.rank`
+    factors it in place, so ranking the piece overwrites it."""
     field, nvars = M.field, M.nvars
     row_bases = [monomial_basis(nvars, j + d) for d in M.row_twists]
     col_bases = [monomial_basis(nvars, j + e) for e in M.col_twists]
     row_dims = [len(b) for b in row_bases]
     col_dims = [len(b) for b in col_bases]
-    out = np.zeros((sum(row_dims), sum(col_dims)), dtype=np.int64)
+    out = np.zeros((sum(row_dims), sum(col_dims)), dtype=np.float64)
     r0 = 0
     for i, rb in enumerate(row_bases):
         c0 = 0
@@ -266,7 +268,7 @@ def smoothness_certificate(
     have no common projective zero; with p not dividing d, Euler's relation
     then makes the hypersurface smooth.  Failure is never reported as
     singular without an explicit witness point; above the configured work
-    limit the verdict is unknown.
+    limit the verdict is unknown, and no partial derivative is taken.
     """
     d = F.degree
     field = F.field
@@ -282,9 +284,9 @@ def smoothness_certificate(
         )
     J = F.nvars * (d - 2) + 1
     full = monomial_count(F.nvars, J)
-    partials = [F.partial_derivative(j) for j in range(F.nvars)]
     if J > max_certificate_degree:
         return SmoothnessCertificate("unknown", J, None, full)
+    partials = [F.partial_derivative(j) for j in range(F.nvars)]
     achieved = ideal_piece_dim(partials, J)
     if achieved == full:
         return SmoothnessCertificate("smooth", J, achieved, full)

@@ -1,9 +1,11 @@
 """Homogeneous multivariate polynomials over GF(p).
 
-Forms are sparse exponent maps with a canonical graded-lex monomial order:
-constructions produce very sparse forms, interpolation produces dense ones,
-and both fit the same representation.  Coefficients are plain int residues;
-the ambient field travels with the form.
+A form of degree d in n variables is one int64 vector of residues over the
+C(d+n-1, n-1) monomials of degree d, in a canonical graded-lex order, so
+the arrays of interpolation and evaluation are its own storage and ring
+arithmetic is vector arithmetic.  A sparse form pays for its whole basis:
+the Fermat form of degree 100 in 4 variables holds 176,851 entries for 4
+terms.  The ambient field travels with the form.
 
 This module owns the grammar of the three text formats: forms here, graded
 matrices in `polymat` and point sets in `graded`.  Each file opens with a
@@ -95,16 +97,19 @@ def monomial_basis(nvars: int, degree: int) -> MonomialBasis:
 
 
 class HomogeneousForm:
-    """Immutable homogeneous form; zero coefficients are never stored."""
+    """Immutable homogeneous form: one read-only int64 vector of residues over
+    `monomial_basis(nvars, degree)`.  A sparse form of high degree costs its
+    whole basis; `coeffs` is the dict of its nonzero terms, built on demand."""
 
-    __slots__ = ("field", "nvars", "degree", "coeffs")
+    __slots__ = ("field", "nvars", "degree", "vector")
 
     def __init__(self, field: PrimeField, nvars: int, degree: int, coeffs: dict):
         if nvars < 1:
             raise ValueError("nvars must be at least 1")
         if degree < 0:
             raise ValueError("degree must be non-negative")
-        clean: dict[tuple[int, ...], int] = {}
+        basis = monomial_basis(nvars, degree)
+        vec = np.zeros(len(basis), dtype=np.int64)
         for exp, c in coeffs.items():
             exp = tuple(int(e) for e in exp)
             if len(exp) != nvars:
@@ -113,13 +118,23 @@ class HomogeneousForm:
                 )
             if any(e < 0 for e in exp) or sum(exp) != degree:
                 raise DegreeMismatch(f"exponent {exp} does not have degree {degree}")
-            c = int(c) % field.p
-            if c:
-                clean[exp] = c
+            vec[basis.index(exp)] = int(c) % field.p
+        self._hold(field, nvars, degree, vec)
+
+    def _hold(self, field: PrimeField, nvars: int, degree: int, vector: np.ndarray) -> None:
+        vector.flags.writeable = False
         self.field = field
         self.nvars = nvars
         self.degree = degree
-        self.coeffs = clean
+        self.vector = vector
+
+    @classmethod
+    def _of(cls, field: PrimeField, nvars: int, degree: int, vector: np.ndarray):
+        """The form of a fresh int64 vector of residues over its basis, held
+        without a copy or a check."""
+        form = cls.__new__(cls)
+        form._hold(field, nvars, degree, vector)
+        return form
 
     # ---- constructors -------------------------------------------------
 
@@ -150,8 +165,9 @@ class HomogeneousForm:
         cls, field: PrimeField, nvars: int, degree: int, rng: FieldRng
     ) -> "HomogeneousForm":
         basis = monomial_basis(nvars, degree)
-        coeffs = {e: rng.below(field.p) for e in basis.exponents}
-        return cls(field, nvars, degree, coeffs)
+        return cls.from_coefficient_vector(
+            field, basis, [rng.below(field.p) for _ in basis.exponents]
+        )
 
     @classmethod
     def from_coefficient_vector(
@@ -160,13 +176,21 @@ class HomogeneousForm:
         vec = np.asarray(vector, dtype=np.int64)
         if vec.shape != (len(basis),):
             raise BasisMismatch(f"vector length {vec.shape} != basis size {len(basis)}")
-        coeffs = {e: int(v) for e, v in zip(basis.exponents, vec) if v % field.p}
-        return cls(field, basis.nvars, basis.degree, coeffs)
+        return cls._of(field, basis.nvars, basis.degree, vec % field.p)
 
     # ---- ring structure ------------------------------------------------
 
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], int]:
+        return dict(self.terms())
+
+    def terms(self) -> list[tuple[tuple[int, ...], int]]:
+        """The nonzero (exponent, coefficient) pairs, in basis order."""
+        exponents = monomial_basis(self.nvars, self.degree).exponents
+        return [(e, c) for e, c in zip(exponents, self.vector.tolist()) if c]
+
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not np.count_nonzero(self.vector)
 
     def _check_compatible(self, other: "HomogeneousForm", same_degree: bool) -> None:
         if not isinstance(other, HomogeneousForm):
@@ -178,48 +202,37 @@ class HomogeneousForm:
         if same_degree and other.degree != self.degree:
             raise DegreeMismatch(f"degree {self.degree} vs {other.degree}")
 
+    def _like(self, vector: np.ndarray) -> "HomogeneousForm":
+        return HomogeneousForm._of(self.field, self.nvars, self.degree, vector)
+
     def __add__(self, other: "HomogeneousForm") -> "HomogeneousForm":
         self._check_compatible(other, same_degree=True)
-        coeffs = dict(self.coeffs)
-        p = self.field.p
-        for e, c in other.coeffs.items():
-            v = (coeffs.get(e, 0) + c) % p
-            if v:
-                coeffs[e] = v
-            else:
-                coeffs.pop(e, None)
-        return HomogeneousForm(self.field, self.nvars, self.degree, coeffs)
+        return self._like((self.vector + other.vector) % self.field.p)
 
     def __neg__(self) -> "HomogeneousForm":
-        p = self.field.p
-        return HomogeneousForm(
-            self.field, self.nvars, self.degree, {e: p - c for e, c in self.coeffs.items()}
-        )
+        return self._like(-self.vector % self.field.p)
 
     def __sub__(self, other: "HomogeneousForm") -> "HomogeneousForm":
-        return self + (-other)
+        self._check_compatible(other, same_degree=True)
+        return self._like((self.vector - other.vector) % self.field.p)
 
     def scale(self, scalar: int) -> "HomogeneousForm":
-        s = scalar % self.field.p
-        return HomogeneousForm(
-            self.field, self.nvars, self.degree, {e: c * s for e, c in self.coeffs.items()}
-        )
+        p = self.field.p
+        return self._like(self.vector * (scalar % p) % p)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
         self._check_compatible(other, same_degree=False)
         p = self.field.p
-        out: dict[tuple[int, ...], int] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = (out.get(e, 0) + c1 * c2) % p
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return HomogeneousForm(self.field, self.nvars, self.degree + other.degree, out)
+        degree = self.degree + other.degree
+        out = np.zeros(monomial_count(self.nvars, degree), dtype=np.int64)
+        # each term of self shifts other's basis to distinct rows; every
+        # product of two residues is reduced before it is added
+        for e, c in self.terms():
+            rows = _shifted_rows(self.nvars, other.degree, e)
+            out[rows] = (out[rows] + c * other.vector % p) % p
+        return HomogeneousForm._of(self.field, self.nvars, degree, out)
 
     __rmul__ = __mul__
 
@@ -229,24 +242,20 @@ class HomogeneousForm:
             and other.field == self.field
             and other.nvars == self.nvars
             and other.degree == self.degree
-            and other.coeffs == self.coeffs
+            and np.array_equal(other.vector, self.vector)
         )
 
     def __hash__(self):
-        return hash((self.field.p, self.nvars, self.degree, frozenset(self.coeffs.items())))
+        return hash((self.field.p, self.nvars, self.degree, frozenset(self.terms())))
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "0"
         parts = []
-        basis = monomial_basis(self.nvars, self.degree)
-        for e in basis.exponents:
-            if e not in self.coeffs:
-                continue
+        for e, c in self.terms():
             mono = "*".join(
                 f"X{j}" if k == 1 else f"X{j}^{k}" for j, k in enumerate(e) if k
             )
-            c = self.coeffs[e]
             parts.append(f"{c}*{mono}" if mono else str(c))
         return " + ".join(parts)
 
@@ -259,7 +268,7 @@ class HomogeneousForm:
         pt = [int(x) % p for x in point]
         powers = [_power_row(x, self.degree, p) for x in pt]
         total = 0
-        for e, c in self.coeffs.items():
+        for e, c in self.terms():
             v = c
             for j, k in enumerate(e):
                 if k:
@@ -271,7 +280,7 @@ class HomogeneousForm:
         """Vectorized evaluation at an (n, nvars) array of points."""
         p = self.field.p
         basis = monomial_basis(self.nvars, self.degree)
-        vec = self.coefficient_vector(basis)[:, None]
+        vec = self.vector[:, None]
         return _matmul(vandermonde(points, basis, p), vec, p)[:, 0].astype(np.int64)
 
     def substitute(self, images: Sequence["HomogeneousForm"]) -> "HomogeneousForm":
@@ -299,7 +308,7 @@ class HomogeneousForm:
                     power_cache[(j, k)] = img_power(j, k - 1) * images[j]
             return power_cache[(j, k)]
 
-        for e, c in self.coeffs.items():
+        for e, c in self.terms():
             term = HomogeneousForm.constant(self.field, out_nvars, c)
             for j, k in enumerate(e):
                 if k:
@@ -310,19 +319,14 @@ class HomogeneousForm:
     def partial_derivative(self, index: int) -> "HomogeneousForm":
         if self.degree == 0:
             raise DegreeMismatch("derivative of a constant form has negative degree")
-        p = self.field.p
-        out: dict[tuple[int, ...], int] = {}
-        for e, c in self.coeffs.items():
-            k = e[index]
-            if k == 0:
-                continue
-            e2 = tuple(v - 1 if j == index else v for j, v in enumerate(e))
-            v = (out.get(e2, 0) + c * k) % p
-            if v:
-                out[e2] = v
-            else:
-                out.pop(e2, None)
-        return HomogeneousForm(self.field, self.nvars, self.degree - 1, out)
+        unit = [0] * self.nvars
+        unit[index] = 1
+        # the degree-(d-1) monomial m is the derivative of m * X_index, with
+        # the factor m[index] + 1
+        rows = _shifted_rows(self.nvars, self.degree - 1, tuple(unit))
+        factor = monomial_basis(self.nvars, self.degree - 1).exponent_array()[:, index] + 1
+        vec = self.vector[rows] * factor % self.field.p
+        return HomogeneousForm._of(self.field, self.nvars, self.degree - 1, vec)
 
     # ---- coordinates -----------------------------------------------------
 
@@ -332,19 +336,13 @@ class HomogeneousForm:
                 f"basis ({basis.nvars}, {basis.degree}) vs form "
                 f"({self.nvars}, {self.degree})"
             )
-        vec = np.zeros(len(basis), dtype=np.int64)
-        for e, c in self.coeffs.items():
-            vec[basis.index(e)] = c
-        return vec
+        return self.vector.copy()
 
     # ---- text format ------------------------------------------------------
 
     def to_text(self) -> str:
         lines = [f"form nvars={self.nvars} degree={self.degree} p={self.field.p}"]
-        basis = monomial_basis(self.nvars, self.degree)
-        for e in basis.exponents:
-            if e in self.coeffs:
-                lines.append(f"{self.coeffs[e]}  " + " ".join(str(k) for k in e))
+        lines += term_lines(self)
         return "\n".join(lines) + "\n"
 
 
@@ -395,6 +393,11 @@ def read_term(line_no: int, line: str, nvars: int, degree: int) -> tuple[tuple, 
     if any(e < 0 for e in exponent) or sum(exponent) != degree:
         raise ParseError(line_no, f"exponent {exponent} does not have degree {degree}")
     return exponent, coeff
+
+
+def term_lines(f: HomogeneousForm) -> list[str]:
+    """The term lines `coeff e_0 ... e_{n-1}` of a form, in basis order."""
+    return [f"{c}  " + " ".join(str(k) for k in e) for e, c in f.terms()]
 
 
 def parse_form(text: str, field: PrimeField | None = None) -> HomogeneousForm:
@@ -450,12 +453,11 @@ def multiplication_matrix(
         raise BasisMismatch(
             f"target degree {to_basis.degree} != {from_basis.degree} + {g.degree}"
         )
-    p = g.field.p
     out = np.zeros((len(to_basis), len(from_basis)), dtype=np.int64)
     columns = np.arange(len(from_basis))
     # distinct exponents of g send each column to distinct rows: no sums
-    for e, c in g.coeffs.items():
-        out[_shifted_rows(g.nvars, from_basis.degree, e), columns] = c % p
+    for e, c in g.terms():
+        out[_shifted_rows(g.nvars, from_basis.degree, e), columns] = c
     return out
 
 

@@ -40,6 +40,7 @@ from .mpoly import (
     monomial_basis,
     read_header,
     read_term,
+    term_lines,
 )
 # not called here; kept because perfbench/spans.py patches this binding
 from .mpoly import sample_points  # noqa: F401
@@ -122,12 +123,13 @@ class GradedMatrix:
                 f"{self.symmetry} tag needs col twists of the form t - row twists"
             )
         n = len(self.row_twists)
+        p = self.field.p
         for i in range(n):
             if skew and not self.entries[i][i].is_zero():
                 raise InputError(f"skew matrix has nonzero diagonal at {i}")
             for j in range(i + 1, n):
-                mirror = -self.entries[j][i] if skew else self.entries[j][i]
-                if self.entries[i][j].coeffs != mirror.coeffs:
+                mirror = self.entries[j][i].vector
+                if not np.array_equal(self.entries[i][j].vector, -mirror % p if skew else mirror):
                     raise InputError(f"{self.symmetry} mirror fails at ({i},{j})")
 
     # ---- basic views ----------------------------------------------------
@@ -189,10 +191,7 @@ class GradedMatrix:
         out = np.zeros((points.shape[0], len(flat)), dtype=np.int64)
         for degree, slots in by_degree.items():
             basis = monomial_basis(self.nvars, degree)
-            coeffs = np.zeros((len(basis), len(slots)), dtype=np.int64)
-            for col, slot in enumerate(slots):
-                for e, c in flat[slot].coeffs.items():
-                    coeffs[basis.index(e), col] = c
+            coeffs = np.stack([flat[slot].vector for slot in slots], axis=1)
             out[:, slots] = exactlin._matmul(mpoly.vandermonde(points, basis, p), coeffs, p)
         return out.reshape(points.shape[0], self.nrows, self.ncols)
 
@@ -206,15 +205,9 @@ class GradedMatrix:
         ]
         for i in range(self.nrows):
             for j in range(self.ncols):
-                f = self.entries[i][j]
-                terms = [
-                    (e, f.coeffs[e])
-                    for e in monomial_basis(self.nvars, f.degree).exponents
-                    if e in f.coeffs
-                ]
+                terms = term_lines(self.entries[i][j])
                 lines.append(f"entry {i} {j} nterms={len(terms)}")
-                for e, c in terms:
-                    lines.append(f"{c}  " + " ".join(str(k) for k in e))
+                lines += terms
         return "\n".join(lines) + "\n"
 
     def content_hash(self) -> str:
@@ -384,7 +377,6 @@ class LinearSkewMatrix:
         if M.symmetry != SKEW:
             raise ValueError("expected a skew matrix")
         n = M.nrows
-        basis = monomial_basis(M.nvars, 1)
         coeff = np.zeros((M.nvars, n, n), dtype=np.int64)
         for i, row in enumerate(M.entries):
             for j, f in enumerate(row):
@@ -392,7 +384,7 @@ class LinearSkewMatrix:
                     continue
                 if f.degree != 1:
                     raise ValueError(f"entry ({i},{j}) is not linear")
-                coeff[:, i, j] = f.coefficient_vector(basis)
+                coeff[:, i, j] = f.vector
         return cls(M.field, M.nvars, coeff)
 
 
@@ -701,8 +693,8 @@ def verify_representation(
     if G.is_zero() or G.nvars != F.nvars or G.degree != F.degree:
         return VerificationResult(False, None)
     p = F.field.p
-    exp0, c0 = next(iter(G.coeffs.items()))
-    f0 = F.coeffs.get(exp0)
+    first = np.flatnonzero(G.vector)[0]
+    c0, f0 = int(G.vector[first]), int(F.vector[first])
     if not f0:
         return VerificationResult(False, None)
     lam = c0 * F.field.inv(f0) % p

@@ -234,6 +234,20 @@ def test_smoothness_work_limit_gives_unknown():
     assert cert.certificate_degree == 3 * 7 + 1
 
 
+def test_smoothness_work_limit_comes_before_the_partials(monkeypatch):
+    # over the limit no partial is taken: a derivative of a degree-60 form
+    # would cost the whole degree-59 basis
+    f = fermat_target(F, 3, 60)
+    want = smoothness_certificate(f)
+
+    def refuse(self, index):
+        raise AssertionError("partial derivative taken above the work limit")
+
+    monkeypatch.setattr(HomogeneousForm, "partial_derivative", refuse)
+    assert smoothness_certificate(f) == want
+    assert (want.verdict, want.certificate_degree, want.achieved_dim) == ("unknown", 233, None)
+
+
 def test_smoothness_monotonicity_spot_check():
     f = fermat_target(F, 2, 4)
     partials = [f.partial_derivative(j) for j in range(3)]
@@ -470,6 +484,20 @@ def _ideal_piece_dim_by_blocks(gens, nvars, j):
     if not blocks:
         return 0
     return exactlin.rank(ScalarMatrix(gens[0].field, np.hstack(blocks)))
+
+
+def test_graded_piece_matrix_is_float64_multiplication_blocks():
+    rng = FieldRng("piece-dtype")
+    gens = [HomogeneousForm.random(F, 3, d, rng.fork(d)) for d in (1, 2, 2, 3)]
+    row = GradedMatrix(F, 3, (0,), [-g.degree for g in gens], [gens])
+    for j in range(5):
+        piece = graded_piece_matrix(row, j).a
+        blocks = [
+            multiplication_matrix(g, monomial_basis(3, j - g.degree), monomial_basis(3, j))
+            for g in gens
+        ]
+        assert piece.dtype == np.float64
+        assert np.array_equal(piece, np.hstack(blocks))
 
 
 def _sparse_form(field, nvars, degree, rng):

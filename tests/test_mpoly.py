@@ -150,6 +150,113 @@ def test_multiplication_matrix_matches_dict_loop(modulus, nvars):
         multiplication_matrix(dense, monomial_basis(nvars, 1), monomial_basis(nvars, 1))
 
 
+def _dict_sum(a, b, p):
+    out = dict(a)
+    for e, c in b.items():
+        v = (out.get(e, 0) + c) % p
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def _dict_scale(a, s, p):
+    return {e: c * s % p for e, c in a.items() if c * s % p}
+
+
+def _dict_product(a, b, p):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = _dict_sum(out, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2 % p}, p)
+    return out
+
+
+def _dict_derivative(a, index, p):
+    out = {}
+    for e, c in a.items():
+        if e[index]:
+            lowered = tuple(k - (j == index) for j, k in enumerate(e))
+            out = _dict_sum(out, {lowered: c * e[index] % p}, p)
+    return out
+
+
+def _dict_substitute(a, images, p):
+    """Each term c X^e expanded as c times the product of image powers."""
+    out = {}
+    for e, c in a.items():
+        term = {(0,) * images[0].nvars: c}
+        for j, k in enumerate(e):
+            for _ in range(k):
+                term = _dict_product(term, images[j].coeffs, p)
+        out = _dict_sum(out, term, p)
+    return out
+
+
+def _operands(field, nvars, degree, rng):
+    """A dense random form, the same form with every other term dropped, and zero."""
+    dense = HomogeneousForm.random(field, nvars, degree, rng)
+    sparse = HomogeneousForm(field, nvars, degree, dict(list(dense.coeffs.items())[::2]))
+    return dense, sparse, HomogeneousForm.zero(field, nvars, degree)
+
+
+@pytest.mark.parametrize("modulus", [7, 31991, 2**31 - 1])
+@pytest.mark.parametrize("nvars", [1, 2, 3, 4])
+def test_arithmetic_matches_dict_loops(modulus, nvars):
+    # at 2^31 - 1 a product of two residues is near 2^62, so a sum of two
+    # unreduced products would overflow int64
+    field = PrimeField(modulus)
+    p = modulus
+    rng = FieldRng("arith", modulus, nvars)
+    for degree in range(5):
+        fs = _operands(field, nvars, degree, rng.fork("f", degree))
+        for f in fs:
+            s = rng.fork("s", degree).below(p)
+            assert f.scale(s).coeffs == _dict_scale(f.coeffs, s, p)
+            assert (-f).coeffs == _dict_scale(f.coeffs, p - 1, p)
+            for g in _operands(field, nvars, degree, rng.fork("g", degree)):
+                assert (f + g).coeffs == _dict_sum(f.coeffs, g.coeffs, p)
+                assert (f - g).coeffs == _dict_sum(f.coeffs, _dict_scale(g.coeffs, p - 1, p), p)
+            for g_degree in range(5):
+                for g in _operands(field, nvars, g_degree, rng.fork("h", degree, g_degree)):
+                    got = f * g
+                    assert got.degree == degree + g_degree
+                    assert got.coeffs == _dict_product(f.coeffs, g.coeffs, p)
+            for index in range(nvars) if degree else ():
+                got = f.partial_derivative(index)
+                assert got.degree == degree - 1
+                assert got.coeffs == _dict_derivative(f.coeffs, index, p)
+            for m in range(3) if degree <= 3 else ():
+                images = [
+                    _operands(field, 2, m, rng.fork("i", degree, m, j))[j % 2]
+                    for j in range(nvars)
+                ]
+                got = f.substitute(images)
+                assert got.degree == m * degree
+                assert got.coeffs == _dict_substitute(f.coeffs, images, p)
+
+
+def test_form_vector_is_private_and_hash_follows_equality():
+    basis = monomial_basis(3, 2)
+    given = np.arange(len(basis), dtype=np.int64)
+    f = HomogeneousForm.from_coefficient_vector(F, basis, given)
+    given[:] = 7
+    assert f.coefficient_vector(basis).tolist() == list(range(len(basis)))
+    with pytest.raises(ValueError):
+        f.vector[0] = 1
+    copy = f.coefficient_vector(basis)
+    copy[:] = 0
+    terms = f.coeffs
+    terms.clear()
+    assert f.coefficient_vector(basis).tolist() == list(range(len(basis)))
+    same = HomogeneousForm(F, 3, 2, dict(zip(basis.exponents, range(len(basis)))))
+    also = (f + f).scale((P + 1) // 2)
+    assert f == same == also
+    assert hash(f) == hash(same) == hash(also)
+    assert len({f, same, also, f + f}) == 2
+
+
 def test_substitute():
     x0x1 = HomogeneousForm.monomial(F, (1, 1, 0))
     squares = [HomogeneousForm.variable(F, 3, j, 2) for j in range(3)]
