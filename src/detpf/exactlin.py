@@ -38,9 +38,10 @@ After the left half of a span, the right half's part of its pivot rows
 becomes U12 = L11^-1 A12, and L21 U12 is subtracted from the rows below in
 one float64 product, left unreduced (`_update_right`).  An entry is reduced
 mod p only when it enters a leaf or a product.  A span hands L^-1 of its
-pivot rows to its parent, which needs it for U12; `rank` asks its root for
-none, so a matrix of one leaf is one rank-1 pass.  With n = min(rows, cols),
-no elimination has more than n pivots, so
+pivot rows to its parent, which needs it for U12; `pivot_columns` asks its
+root for none, so a matrix of one leaf is one rank-1 pass.  A span that
+starts below the last row has no pivot and returns at once.  With
+n = min(rows, cols), no elimination has more than n pivots, so
 
 * every product sums at most n terms, each a product of two residues;
 * an entry takes at most one such term per pivot before it is reduced,
@@ -51,11 +52,11 @@ n*(p-1)**2 + 2p < 2**53: up to 8.8 million pivots at p = 31991, 32 at
 p = 16777213.  Above that delayed bound the same recursion subtracts
 `_matmul`'s reduced products, so an entry takes less than p per level,
 and `_leaf` reduces its int64 copy after every step, since a few products
-of two residues overflow int64 near p = 2**31.  `rank` reads the pivot
-count off the factorization and writes no echelon form;
-`_forward_eliminate` writes it from the same factorization, with zeros
-where L was stored.  `_back_substitute` clears above the pivots by halves
-of rows, its products delayed or reduced under the same bound.
+of two residues overflow int64 near p = 2**31.  `pivot_columns` reads the
+pivots off the factorization and writes no echelon form, and `rank` counts
+them; `_forward_eliminate` writes it from the same factorization, with
+zeros where L was stored.  `_back_substitute` clears above the pivots by
+halves of rows, its products delayed or reduced under the same bound.
 
 Stacks of small matrices go through one batched loop, `_eliminate_stack`,
 with the same delayed reduction: the pivot column and pivot row are reduced
@@ -69,6 +70,13 @@ some column is singular, has determinant 0 and leaves the others untouched.
 the pfaffians of a stack of skew matrices.  Callers that need det or pf of
 M(x) at many points (interpolation, maximal minors) make one call per batch
 of points.
+
+The batched kernels -- `_eliminate_stack`, `_pfaffian_array`, the 2 x 2
+bases of `_schur_inverse` and `mpoly`'s Newton tables -- take the inverses
+of many residues at once through `_inverse_residues`.  For p < 2**16 that
+is a gather from a uint16 table of every inverse mod p, at most 128 KB,
+built on first use by the Fermat ladder x**(p-2) and cached per prime; no
+table is built at import.  For 2**16 <= p < 2**31 it is the ladder itself.
 
 `invert_skew_many` inverts a stack of skew matrices by block recursion
 through the Schur complement (`_schur_inverse`, after Strassen, Numer.
@@ -115,6 +123,8 @@ LEAF = 8  # widest column span the recursive elimination factors by rank-1 steps
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 INT64_LIMIT = 1 << 63
 SPLIT = 1 << 16  # `_matmul` writes b = b_hi*SPLIT + b_lo above its one-product bound
+TABLE_PRIME_LIMIT = 1 << 16  # below it `_inverse_residues` reads a uint16 table
+TABLE_CHUNK = 1 << 12  # residues per Fermat ladder while a table is built
 
 
 class InputError(ValueError):
@@ -462,6 +472,8 @@ def _factor(f, p, row, c0, c1, inverse, delayed):
     [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]].  `delayed` says whether
     the delayed bound holds for the whole factorization (module docstring).
     """
+    if row == f.shape[0]:
+        return [], 1, np.zeros((0, 0)) if inverse else None
     if c1 - c0 <= LEAF:
         return _leaf(f, p, row, c0, c1, inverse, delayed)
     cm = (c0 + c1) // 2
@@ -531,16 +543,23 @@ def _back_substitute(m: np.ndarray, p: int, pivots: list[int]) -> None:
     m[:r] = u
 
 
-def rank(A: ScalarMatrix) -> int:
-    """Rank over GF(p): the pivot count of the recursive elimination, which
-    writes no echelon form.
+def pivot_columns(A: ScalarMatrix) -> list[int]:
+    """Pivot columns of the recursive elimination, which writes no echelon
+    form: the first columns of A, in order, that are independent of the
+    columns before them.
 
     The elimination runs on a copy of an int64 matrix, but on a float64
     matrix itself: its entries are overwritten by the factorization.
     """
     p = A.field.p
     f = A.a.astype(np.float64, copy=False)
-    return len(_factor(f, p, 0, 0, A.cols, False, _float_is_delayed(p, min(A.shape)))[0])
+    return _factor(f, p, 0, 0, A.cols, False, _float_is_delayed(p, min(A.shape)))[0]
+
+
+def rank(A: ScalarMatrix) -> int:
+    """Rank over GF(p): the number of `pivot_columns`, which factor a
+    float64 matrix in place."""
+    return len(pivot_columns(A))
 
 
 def kernel_basis(A: ScalarMatrix) -> list[np.ndarray]:
@@ -579,8 +598,9 @@ def _swap_rows(a: np.ndarray, members: np.ndarray, i: int, r: np.ndarray) -> Non
     a[members, r[members]] = rows
 
 
-def _inverse_residues(x: np.ndarray, p: int) -> np.ndarray:
-    """x**(p-2) mod p elementwise: the inverse of each nonzero residue, 0 for 0."""
+def _fermat_inverses(x: np.ndarray, p: int) -> np.ndarray:
+    """x**(p-2) mod p elementwise, by a square-and-multiply ladder: the
+    inverse of each nonzero residue, 0 for 0."""
     out = np.ones_like(x)
     base = x.copy()
     e = p - 2
@@ -590,6 +610,34 @@ def _inverse_residues(x: np.ndarray, p: int) -> np.ndarray:
         base = base * base % p
         e >>= 1
     return out
+
+
+_INVERSE_TABLES: dict[int, np.ndarray] = {}
+
+
+def _inverse_table(p: int) -> np.ndarray:
+    """The uint16 inverses of 0..p-1 mod p for p < TABLE_PRIME_LIMIT, entry 0
+    holding 0: built by the Fermat ladder in chunks on first use and cached
+    per prime.  A table enters the cache only once complete, so two threads
+    can at worst both build it."""
+    table = _INVERSE_TABLES.get(p)
+    if table is None:
+        table = np.empty(p, dtype=np.uint16)
+        for start in range(0, p, TABLE_CHUNK):
+            residues = np.arange(start, min(start + TABLE_CHUNK, p), dtype=np.int64)
+            table[start : start + len(residues)] = _fermat_inverses(residues, p)
+        _INVERSE_TABLES[p] = table
+    return table
+
+
+def _inverse_residues(x: np.ndarray, p: int) -> np.ndarray:
+    """The inverse of each residue of the integer array x, 0 for 0, with x's
+    dtype.  Every entry of x must lie in [0, p).  For p < TABLE_PRIME_LIMIT
+    it is a gather from the per-prime table (`_inverse_table`), else the
+    Fermat ladder x**(p-2) mod p (`_fermat_inverses`)."""
+    if p < TABLE_PRIME_LIMIT:
+        return _inverse_table(p)[x].astype(x.dtype)
+    return _fermat_inverses(x, p)
 
 
 def _stack_is_delayed(p: int, n: int) -> bool:

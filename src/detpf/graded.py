@@ -30,6 +30,9 @@ and `mpoly.interpolate_many` turns the values into the minors by
 triangular Newton solves, with no elimination of a Vandermonde matrix.
 `mpoly.determines` says which primes are too small for the minors and
 for the determinant, which `polymat.determinant` then expands if M is small.
+`form_in_ideal_piece` then answers with one elimination: the determinant
+is the last column of the piece, and it is a member iff that column is no
+pivot (`exactlin.pivot_columns`).
 """
 
 from __future__ import annotations
@@ -383,6 +386,14 @@ def det_in_minor_ideal(M: GradedMatrix, seed: int = 0) -> bool:
 
 
 def form_in_ideal_piece(gens: Sequence[HomogeneousForm], F: HomogeneousForm) -> bool:
-    """Membership of F in the degree-(deg F) piece of the ideal (gens): adding
-    F to the generators leaves that piece's dimension unchanged."""
-    return ideal_piece_dim([*gens, F], F.degree) == ideal_piece_dim(gens, F.degree)
+    """Membership of F in the degree-(deg F) piece of the ideal (gens), by one
+    elimination of the degree-(deg F) piece of the one-row matrix
+    [g_1 ... g_k F]: F adds exactly its last column, and F is a member iff
+    that column is no pivot, that is, depends on the generators' columns.
+    Zero generators are dropped, and F = 0 is a member."""
+    if F.is_zero():
+        return True
+    row = [g for g in gens if not g.is_zero()] + [F]
+    M = GradedMatrix(F.field, F.nvars, (0,), [-g.degree for g in row], [row])
+    piece = graded_piece_matrix(M, F.degree)
+    return piece.cols - 1 not in exactlin.pivot_columns(piece)

@@ -64,7 +64,7 @@ class SizeMismatch(InputError):
 class GradedMatrix:
     """Matrix of homogeneous forms with row/column twists and a symmetry tag."""
 
-    __slots__ = ("field", "nvars", "row_twists", "col_twists", "entries", "symmetry")
+    __slots__ = ("field", "nvars", "row_twists", "col_twists", "entries", "symmetry", "_stacks")
 
     def __init__(
         self,
@@ -82,6 +82,7 @@ class GradedMatrix:
         if len(entries) != len(rows):
             raise SizeMismatch(f"{len(entries)} entry rows for {len(rows)} twists")
         grid: list[tuple[HomogeneousForm, ...]] = []
+        by_degree: dict[int, list[tuple[int, HomogeneousForm]]] = {}
         for i, row in enumerate(entries):
             if len(row) != len(cols):
                 raise SizeMismatch(f"row {i} has {len(row)} entries for {len(cols)} twists")
@@ -103,6 +104,7 @@ class GradedMatrix:
                         raise InputError(
                             f"entry ({i},{j}) has degree {entry.degree}, twists give {deg}"
                         )
+                    by_degree.setdefault(deg, []).append((i * len(cols) + j, entry))
                 out_row.append(entry)
             grid.append(tuple(out_row))
         self.field = field
@@ -111,6 +113,16 @@ class GradedMatrix:
         self.col_twists = cols
         self.entries = tuple(grid)
         self.symmetry = symmetry
+        # per degree: (basis, flat slots, basis x slots coefficients) of the
+        # nonzero entries, for `evaluate_batch`
+        self._stacks = tuple(
+            (
+                monomial_basis(nvars, deg),
+                [slot for slot, _ in group],
+                np.stack([f.vector for _, f in group], axis=1),
+            )
+            for deg, group in by_degree.items()
+        )
         if symmetry in (SYMMETRIC, SKEW):
             self._check_pairing(skew=(symmetry == SKEW))
 
@@ -180,18 +192,12 @@ class GradedMatrix:
         """(npoints, nrows, ncols) array of entry values.
 
         The nonzero entries of each degree share one Vandermonde matrix of
-        the points, multiplied by their stacked coefficient vectors.
+        the points, multiplied by their coefficient vectors, which the
+        constructor stacks once.
         """
         p = self.field.p
-        flat = [f for row in self.entries for f in row]
-        by_degree: dict[int, list[int]] = {}
-        for slot, f in enumerate(flat):
-            if not f.is_zero():
-                by_degree.setdefault(f.degree, []).append(slot)
-        out = np.zeros((points.shape[0], len(flat)), dtype=np.int64)
-        for degree, slots in by_degree.items():
-            basis = monomial_basis(self.nvars, degree)
-            coeffs = np.stack([flat[slot].vector for slot in slots], axis=1)
+        out = np.zeros((points.shape[0], self.nrows * self.ncols), dtype=np.int64)
+        for basis, slots, coeffs in self._stacks:
             out[:, slots] = exactlin._matmul(mpoly.vandermonde(points, basis, p), coeffs, p)
         return out.reshape(points.shape[0], self.nrows, self.ncols)
 

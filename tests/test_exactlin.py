@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1211,3 +1215,69 @@ def test_stacked_det_kinds_and_edge_shapes():
     assert exactlin._det_array(np.zeros((0, 3, 3), dtype=np.int64), p).shape == (0,)
     assert exactlin._det_array(np.zeros((4, 0, 0), dtype=np.int64), p).tolist() == [1] * 4
     assert exactlin._det_array(np.zeros((0, 0), dtype=np.int64), p) == 1
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 31991, 65521])
+def test_inverse_table_matches_the_fermat_ladder_on_every_residue(p):
+    residues = np.arange(p, dtype=np.int64)
+    got = exactlin._inverse_residues(residues, p)
+    assert got.dtype == np.int64
+    assert got.tobytes() == exactlin._fermat_inverses(residues, p).tobytes()
+    assert got[0] == 0 and np.all(got[1:] * residues[1:] % p == 1)
+    table = exactlin._INVERSE_TABLES[p]
+    assert table.dtype == np.uint16 and table.shape == (p,)
+    # a stack of residues keeps its shape and dtype
+    stack = residues[::-1].reshape(1, -1).astype(np.int32)
+    inverses = exactlin._inverse_residues(stack, p)
+    assert inverses.dtype == np.int32 and inverses.shape == stack.shape
+    assert np.array_equal(inverses[0], got[::-1])
+
+
+@pytest.mark.parametrize("p", [65537, 16777213, 2**31 - 1])
+def test_primes_above_the_table_limit_run_the_ladder(monkeypatch, p):
+    def no_table(q):
+        raise AssertionError(f"table built at p = {q}")
+
+    monkeypatch.setattr(exactlin, "_inverse_table", no_table)
+    x = np.array([0, 1, 2, p - 1, p // 2, 12345 % p], dtype=np.int64)
+    got = exactlin._inverse_residues(x, p)
+    assert got.tolist() == [0] + [pow(int(v), -1, p) for v in x[1:]]
+    assert p not in exactlin._INVERSE_TABLES
+
+
+def test_importing_detpf_builds_no_inverse_table():
+    code = "import detpf, detpf.exactlin as e; print(len(e._INVERSE_TABLES))"
+    env = {**os.environ, "PYTHONPATH": str(Path(exactlin.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
+
+
+@settings(max_examples=150, deadline=None)
+@given(structured_matrices())
+@example(EXAMPLES[2])
+@example(EXAMPLES[4])
+def test_pivot_columns_are_the_pivots_of_forward_eliminate(case):
+    p, ncols, a = case
+    pivots, _ = exactlin._forward_eliminate(a.copy(), p, ncols)
+    assert exactlin.pivot_columns(ScalarMatrix(PrimeField(p), a[:, :ncols])) == pivots
+    f = a[:, :ncols].astype(np.float64)
+    assert exactlin.pivot_columns(ScalarMatrix(PrimeField(p), f)) == pivots
+
+
+def test_elimination_runs_no_leaf_below_the_last_row(monkeypatch):
+    leaf = exactlin._leaf
+    rows_seen = []
+
+    def recording_leaf(f, p, row, *args):
+        rows_seen.append((row, f.shape[0]))
+        return leaf(f, p, row, *args)
+
+    monkeypatch.setattr(exactlin, "_leaf", recording_leaf)
+    p = 31991
+    a = np.random.default_rng(6).integers(0, p, (16, 130), dtype=np.int64)
+    assert rank(ScalarMatrix(PrimeField(p), a)) == 16
+    assert rows_seen and all(row < nrows for row, nrows in rows_seen)
+    # the rows run out after two leaves of the 17 the columns would take
+    assert len(rows_seen) == 2

@@ -509,7 +509,7 @@ def _sparse_form(field, nvars, degree, rng):
     return HomogeneousForm(field, nvars, degree, terms)
 
 
-@pytest.mark.parametrize("p", [7, 31991])
+@pytest.mark.parametrize("p", [7, 31991, 2**31 - 1])
 def test_ideal_pieces_match_the_block_reference(p):
     field = PrimeField(p)
     rng = FieldRng("ideal-ref", p)
@@ -531,3 +531,38 @@ def test_ideal_pieces_match_the_block_reference(p):
             assert form_in_ideal_piece(gens, F) == member, (case, j)
             member_seen.add(member)
     assert member_seen == {True, False}
+
+
+@pytest.mark.parametrize("p", [7, 31991, 2**31 - 1])
+def test_membership_with_zero_generators_and_zero_forms(p):
+    field = PrimeField(p)
+    rng = FieldRng("ideal-zero", p)
+    for nvars in (2, 3):
+        zeros = [HomogeneousForm.zero(field, nvars, d) for d in (0, 1, 2)]
+        x0 = HomogeneousForm(field, nvars, 1, {(1,) + (0,) * (nvars - 1): 1})
+        for j in range(4):
+            F = HomogeneousForm.random(field, nvars, j, rng.fork(nvars, j))
+            zero = HomogeneousForm.zero(field, nvars, j)
+            # only zero generators: the ideal is 0, so only F = 0 is a member
+            assert not form_in_ideal_piece(zeros, F)
+            assert not form_in_ideal_piece([], F)
+            assert form_in_ideal_piece(zeros, zero) and form_in_ideal_piece([], zero)
+            # zero generators beside a real one change nothing
+            want = _ideal_piece_dim_by_blocks([x0], nvars, j)
+            member = _ideal_piece_dim_by_blocks([x0, F], nvars, j) == want
+            assert form_in_ideal_piece([*zeros, x0, zeros[1]], F) == member
+            assert form_in_ideal_piece([x0], F) == member
+            cofactor = HomogeneousForm.random(field, nvars, j, rng.fork("cofactor", nvars, j))
+            assert form_in_ideal_piece([zeros[0], x0], x0 * cofactor)
+
+
+def test_membership_builds_one_piece(monkeypatch):
+    built = []
+    piece_matrix = graded.graded_piece_matrix
+    monkeypatch.setattr(
+        graded, "graded_piece_matrix", lambda M, j: built.append(j) or piece_matrix(M, j)
+    )
+    x0, x1 = (HomogeneousForm(F, 3, 1, {e: 1}) for e in ((1, 0, 0), (0, 1, 0)))
+    assert form_in_ideal_piece([x0, x1], x0 * x1)
+    assert not form_in_ideal_piece([x0, x1], HomogeneousForm(F, 3, 2, {(0, 0, 2): 1}))
+    assert built == [2, 2]

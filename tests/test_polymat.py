@@ -544,6 +544,30 @@ def test_evaluate_batch_matches_pointwise(modulus, nvars):
     assert M.evaluate_batch(pts[:0]).shape == (0, 3, 4)
 
 
+def test_matrices_from_equal_entries_are_equal():
+    field = PrimeField(31991)
+    M = mixed_matrix(field, 3, 1)
+    copies = [
+        GradedMatrix(field, 3, M.row_twists, M.col_twists, M.entries),
+        # fresh forms, and None where M holds a zero form
+        GradedMatrix(
+            field,
+            3,
+            M.row_twists,
+            M.col_twists,
+            [
+                [None if f.is_zero() else HomogeneousForm(field, 3, f.degree, f.coeffs) for f in row]
+                for row in M.entries
+            ],
+        ),
+    ]
+    pts = sample_points(field, 3, 1, 0, 5)
+    for N in copies:
+        assert N == M and M == N
+        assert N.evaluate_batch(pts).tobytes() == M.evaluate_batch(pts).tobytes()
+    assert mixed_matrix(field, 3, 2) != M
+
+
 def column_deleted(M, j):
     keep = [c for c in range(M.ncols) if c != j]
     return GradedMatrix(
