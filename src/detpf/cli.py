@@ -15,28 +15,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__, constructions, dominance, graded, mpoly, polymat
 from .exactlin import DEFAULT_PRIME, InputError, PrimeField
 from .rng import FieldRng
-
-
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise InputError(f"environment variable {name}={raw!r} is not an integer") from exc
-
-
-def _field(args: argparse.Namespace) -> PrimeField:
-    """The field of `--prime`, else of `DETPF_PRIME`, else of the default prime."""
-    prime = args.prime if args.prime is not None else _env_int("DETPF_PRIME", DEFAULT_PRIME)
-    return PrimeField(prime)
 
 
 def _render_text(doc, indent: int = 0) -> str:
@@ -97,7 +80,7 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
     ok, cert = dominance.is_dominant(
         args.ambient,
         args.degree,
-        prime=_field(args).p,
+        prime=PrimeField(args.prime).p,
         seed=args.seed,
         retries=args.retries,
     )
@@ -114,15 +97,14 @@ def _cmd_dominance(args: argparse.Namespace) -> int:
 def _cmd_dominance_sweep(args: argparse.Namespace) -> int:
     if args.min_degree > args.max_degree:
         args.subparser.error(f"empty degree range {args.min_degree}..{args.max_degree}")
-    workers = args.workers if args.workers is not None else _env_int("DETPF_WORKERS", 1)
     certs = dominance.dominance_sweep(
         args.ambient,
         args.max_degree,
-        prime=_field(args).p,
+        prime=PrimeField(args.prime).p,
         seed=args.seed,
         retries=args.retries,
         min_degree=args.min_degree,
-        workers=workers,
+        workers=args.workers,
     )
     doc = [c.to_dict() for c in certs]
     csv_lines = [dominance.DominanceCertificate.csv_header()] + [c.csv_row() for c in certs]
@@ -133,7 +115,7 @@ def _cmd_dominance_sweep(args: argparse.Namespace) -> int:
 def _cmd_lower_bound(args: argparse.Namespace) -> int:
     threshold, trail = dominance.lower_bound_for_dominant_degree(
         args.ambient,
-        prime=_field(args).p,
+        prime=PrimeField(args.prime).p,
         seed=args.seed,
         retries=args.retries,
     )
@@ -156,7 +138,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
     for option in _INPUT_FILES.get(args.kind, ()):
         if getattr(args, option[2:].replace("-", "_")) is None:
             args.subparser.error(f"construct {args.kind} needs {option}")
-    field = _field(args)
+    field = PrimeField(args.prime)
     rng = FieldRng(args.seed, "construct", args.kind)
     if args.kind == "fermat":
         built = constructions.fermat_matrix(field, args.ambient, args.degree)
@@ -185,7 +167,7 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    field = _field(args)
+    field = PrimeField(args.prime)
     matrix = polymat.parse_graded_matrix(_read_file(args.matrix), field)
     form = mpoly.parse_form(_read_file(args.form), field)
     result = polymat.verify_representation(matrix, form, args.kind, seed=args.seed)
@@ -194,7 +176,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
-    field = _field(args)
+    field = PrimeField(args.prime)
     matrix = polymat.parse_graded_matrix(_read_file(args.matrix), field)
     table = {str(j): graded.coker_hilbert(matrix, j) for j in args.degrees}
     _emit(args, {"hilbert": table})
@@ -202,7 +184,7 @@ def _cmd_hilbert(args: argparse.Namespace) -> int:
 
 
 def _cmd_gorenstein(args: argparse.Namespace) -> int:
-    field = _field(args)
+    field = PrimeField(args.prime)
     points = graded.parse_point_set(_read_file(args.points), field)
     report = graded.gorenstein_check(points, work_limit=args.work_limit_degree)
     _emit(
@@ -220,7 +202,7 @@ def _cmd_gorenstein(args: argparse.Namespace) -> int:
 
 
 def _cmd_smooth(args: argparse.Namespace) -> int:
-    field = _field(args)
+    field = PrimeField(args.prime)
     form = mpoly.parse_form(_read_file(args.form), field)
     cert = graded.smoothness_certificate(
         form, max_certificate_degree=args.work_limit_degree
@@ -284,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     prime = _options()
-    prime.add_argument("--prime", type=int, default=None, help="field modulus (odd prime)")
+    prime.add_argument("--prime", type=int, default=DEFAULT_PRIME, help="field modulus (odd prime)")
     seeded = _options(prime)
     seeded.add_argument("--seed", type=int, default=0, help="root seed for all randomness")
     output = _options()
@@ -331,9 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--ambient", type=int, choices=range(2, 6), required=True)
     sub.add_argument("--max-degree", type=_int_at_least(2), required=True)
     sub.add_argument("--min-degree", type=_int_at_least(2), default=3)
-    sub.add_argument(
-        "--workers", type=int, default=None, help="worker pool size (default DETPF_WORKERS or 1)"
-    )
+    sub.add_argument("--workers", type=int, default=1, help="worker pool size")
     sub.set_defaults(handler=_cmd_dominance_sweep)
 
     sub = subs.add_parser(

@@ -417,16 +417,8 @@ def theta_shape_random(field: PrimeField, d: int, rng: FieldRng) -> GradedMatrix
     if d < 4:
         raise DegreeInconsistency(f"theta shape needs degree >= 4, got {d}")
     m = d - 2
-    row_twists = tuple([-1] * (m - 1) + [0])
-    col_twists = tuple([-2] * (m - 1) + [-3])
-    entries: list[list[HomogeneousForm | None]] = [[None] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            deg = row_twists[i] - col_twists[j]
-            f = HomogeneousForm.random(field, 3, deg, rng.fork("entry", i, j))
-            entries[i][j] = f
-            entries[j][i] = f
-    return GradedMatrix(field, 3, row_twists, col_twists, entries, SYMMETRIC)
+    shape = ResolutionShape((-1,) * (m - 1) + (0,), (-2,) * (m - 1) + (-3,), SYMMETRIC)
+    return random_graded_matrix(field, 3, shape, rng)
 
 
 # ---- random matrices with prescribed shapes ----------------------------------------

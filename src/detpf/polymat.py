@@ -24,7 +24,6 @@ Sign conventions, fixed once and frozen by the test suite:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import hashlib
@@ -397,6 +396,41 @@ class LinearSkewMatrix:
 # ---- symbolic expansion oracles ----------------------------------------------
 
 
+def _expand(
+    M: GradedMatrix, state: tuple[int, ...], pairing: bool, memo: dict
+) -> HomogeneousForm:
+    """The expansion of M over the indices `state` still to expand, memoized
+    in `memo` on the state.
+
+    Determinant (`pairing` False): the state holds the columns left, and row
+    n - len(state) is expanded along them.  Pfaffian: the state holds the
+    rows and columns left, and its first index pairs with each of the
+    others.  The term that deletes the t-th index of what is left has sign
+    (-1)^t, and a state's degree comes from the twists; a state of negative
+    degree is the zero form of degree 0.
+    """
+    if not state:
+        return HomogeneousForm.constant(M.field, M.nvars, 1)
+    if state in memo:
+        return memo[state]
+    if pairing:
+        i, rest = state[0], state[1:]
+        degree = sum(M.row_twists[k] - M.col_twists[k] for k in state) // 2
+    else:
+        i, rest = M.nrows - len(state), state
+        degree = sum(M.row_twists[i:]) - sum(M.col_twists[k] for k in state)
+    acc = HomogeneousForm.zero(M.field, M.nvars, max(degree, 0))
+    for t, j in enumerate(rest):
+        entry = M.entries[i][j]
+        if entry.is_zero():
+            continue
+        sub = _expand(M, rest[:t] + rest[t + 1 :], pairing, memo)
+        if not sub.is_zero():
+            acc = acc - entry * sub if t % 2 else acc + entry * sub
+    memo[state] = acc
+    return acc
+
+
 def determinant_expansion(M: GradedMatrix) -> HomogeneousForm:
     """Cofactor expansion along rows, memoized on column subsets.
 
@@ -405,73 +439,13 @@ def determinant_expansion(M: GradedMatrix) -> HomogeneousForm:
     """
     if not M.is_square():
         raise SizeMismatch("determinant of a non-square matrix")
-    n = M.nrows
-    field, nvars = M.field, M.nvars
-
-    @lru_cache(maxsize=None)
-    def minor(row: int, cols: tuple[int, ...]) -> HomogeneousForm:
-        degree = sum(M.row_twists[row:]) - sum(M.col_twists[c] for c in cols)
-        if not cols:
-            return HomogeneousForm.constant(field, nvars, 1)
-        acc = HomogeneousForm.zero(field, nvars, max(degree, 0))
-        for t, c in enumerate(cols):
-            entry = M.entries[row][c]
-            if entry.is_zero():
-                continue
-            sub = minor(row + 1, cols[:t] + cols[t + 1 :])
-            if sub.is_zero():
-                continue
-            term = entry * sub
-            if t % 2:
-                term = -term
-            acc = acc + term if not acc.is_zero() else term
-        if acc.is_zero() and degree >= 0:
-            acc = HomogeneousForm.zero(field, nvars, degree)
-        return acc
-
-    result = minor(0, tuple(range(n))) if n else HomogeneousForm.constant(field, nvars, 1)
-    minor.cache_clear()
-    return result
+    return _expand(M, tuple(range(M.nrows)), False, {})
 
 
 def pfaffian_expansion(M: GradedMatrix) -> HomogeneousForm:
     """First-row pfaffian expansion, memoized on index subsets."""
     _require_skew(M)
-    n = M.nrows
-    field, nvars = M.field, M.nvars
-    half = M.determinant_degree // 2
-
-    @lru_cache(maxsize=None)
-    def pf(indices: tuple[int, ...]) -> HomogeneousForm:
-        degree = (
-            sum(M.row_twists[i] for i in indices)
-            - sum(M.col_twists[i] for i in indices)
-        ) // 2
-        if not indices:
-            return HomogeneousForm.constant(field, nvars, 1)
-        i0 = indices[0]
-        rest = indices[1:]
-        acc = HomogeneousForm.zero(field, nvars, max(degree, 0))
-        for t, j in enumerate(rest):
-            entry = M.entries[i0][j]
-            if entry.is_zero():
-                continue
-            sub = pf(rest[:t] + rest[t + 1 :])
-            if sub.is_zero():
-                continue
-            term = entry * sub
-            if t % 2:
-                term = -term
-            acc = acc + term if not acc.is_zero() else term
-        if acc.is_zero() and degree >= 0:
-            acc = HomogeneousForm.zero(field, nvars, degree)
-        return acc
-
-    result = pf(tuple(range(n))) if n else HomogeneousForm.constant(field, nvars, 1)
-    pf.cache_clear()
-    if result.is_zero():
-        result = HomogeneousForm.zero(field, nvars, max(half, 0))
-    return result
+    return _expand(M, tuple(range(M.nrows)), True, {})
 
 
 def _require_skew(M: GradedMatrix) -> None:
@@ -569,23 +543,15 @@ def _interpolate_forms(
 
 
 def submaximal_pfaffians_by_deletion(M: GradedMatrix) -> dict[tuple[int, int], HomogeneousForm]:
-    """Oracle route: delete rows/columns i, j and expand.  Small sizes only."""
+    """Oracle route: delete rows/columns i, j and expand; the C(n, 2)
+    expansions share one memo.  Small sizes only."""
     _require_skew(M)
-    n = M.nrows
-    out = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            keep = [k for k in range(n) if k not in (i, j)]
-            sub = GradedMatrix(
-                M.field,
-                M.nvars,
-                tuple(M.row_twists[k] for k in keep),
-                tuple(M.col_twists[k] for k in keep),
-                tuple(tuple(M.entries[a][b] for b in keep) for a in keep),
-                SKEW,
-            )
-            out[(i, j)] = pfaffian_expansion(sub)
-    return out
+    n, memo = M.nrows, {}
+    return {
+        (i, j): _expand(M, tuple(k for k in range(n) if k not in (i, j)), True, memo)
+        for i in range(n)
+        for j in range(i + 1, n)
+    }
 
 
 def submaximal_pfaffians(

@@ -363,13 +363,6 @@ def test_files_the_constructors_reject_exit_2(tmp_path, capsys, command, flag, t
     assert needle in err
 
 
-def test_env_prime_override(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("DETPF_PRIME", "101")
-    code, out, _ = run(capsys, "dominance", "--ambient", "2", "--degree", "3", "--seed", "1")
-    assert code == 0
-    assert json.loads(out)["prime"] == 101
-
-
 def test_text_format_renders_json_dict(capsys):
     code, out, _ = run(
         capsys, "formulas", "--ambient", "3", "--degree", "4", "--format", "text"
@@ -461,14 +454,6 @@ def test_an_option_the_subcommand_does_not_read_exits_2(capsys, command, option)
     err = capsys.readouterr().err
     assert err.startswith(f"usage: detpf {command} ")
     assert f"unrecognized arguments: {option}" in err
-
-
-def test_workers_come_from_the_environment_only_for_the_sweep(capsys, monkeypatch):
-    monkeypatch.setenv("DETPF_WORKERS", "many")
-    code, out, _ = run(capsys, "dominance", "--ambient", "5", "--degree", "3")
-    assert code == 0 and json.loads(out)["codim"] == 1
-    code, _, err = run(capsys, "dominance-sweep", "--ambient", "2", "--max-degree", "3")
-    assert code == 2 and "DETPF_WORKERS" in err
 
 
 @pytest.mark.parametrize(

@@ -47,6 +47,7 @@ from detpf.constructions import (
     random_graded_matrix,
 )
 from detpf.rng import FieldRng, derive_seed
+from test_exactlin import reference_det, reference_pf
 
 F = PrimeField(DEFAULT_PRIME)
 P = DEFAULT_PRIME
@@ -299,6 +300,71 @@ def test_submaximal_drops_singular_points_at_small_prime(size):
         assert not singular[-1]
         total_dropped += holes + sum(singular)
     assert total_dropped > 0
+
+
+def deletion_by_submatrices(M):
+    """The per-pair route: build the matrix without rows and columns i, j
+    and expand its pfaffian on its own."""
+    n = M.nrows
+    out = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            keep = [k for k in range(n) if k not in (i, j)]
+            sub = GradedMatrix(
+                M.field,
+                M.nvars,
+                [M.row_twists[k] for k in keep],
+                [M.col_twists[k] for k in keep],
+                [[M.entries[a][b] for b in keep] for a in keep],
+                SKEW,
+            )
+            out[(i, j)] = pfaffian_expansion(sub)
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 7, 31991])
+@pytest.mark.parametrize(
+    "rows, cols, zeros",
+    [
+        ((0,) * 4, (-1,) * 4, {(0, 1)}),
+        # the pairs of negative degree ({2, 3} with {4, 5}, and 4 with 5) are zero
+        ((1, 1, 0, 0, -1, -1), (-1, -1, 0, 0, 1, 1), {(0, 2), (2, 3)}),
+        ((1, 1, 1, 0, 0, 0, 0, 0), (-2, -2, -2, -1, -1, -1, -1, -1), {(0, 1), (3, 7), (5, 6)}),
+    ],
+    ids=["n4", "n6", "n8"],
+)
+def test_deletion_oracle_matches_the_per_pair_route(p, rows, cols, zeros):
+    shape = ResolutionShape(rows, cols, SKEW, frozenset(zeros))
+    M = random_graded_matrix(PrimeField(p), 3, shape, FieldRng("deletion", p, len(rows)))
+    assert all(M[i, j].is_zero() for i, j in zeros)
+    assert submaximal_pfaffians_by_deletion(M) == deletion_by_submatrices(M)
+
+
+@pytest.mark.parametrize("p", [3, 7, 31991])
+def test_expansions_match_the_scalar_references_at_points(p):
+    field = PrimeField(p)
+    points = np.random.default_rng(p).integers(0, p, (8, 3)).tolist()
+    squares = [linear_square_shape(n) for n in (1, 3, 5)] + [
+        ResolutionShape((2, 1, 1, 0, 0), (0, 0, -1, -1, 1)),
+        ResolutionShape((0,) * 3, (1,) * 3),
+    ]
+    for k, shape in enumerate(squares):
+        M = random_graded_matrix(field, 3, shape, FieldRng("square", p, k))
+        det = determinant_expansion(M)
+        for x in points:
+            assert det.evaluate(x) == reference_det(M.evaluate(x).a.tolist(), p)
+    skews = [linear_skew_shape(n) for n in (2, 4, 6, 8)] + [
+        ResolutionShape((1, 1, 0, 0, -1, -1), (-1, -1, 0, 0, 1, 1), SKEW),
+        ResolutionShape((0,) * 4, (-2,) * 4, SKEW),
+        # every entry and the pfaffian have negative degree
+        ResolutionShape((0,) * 10, (1,) * 10, SKEW),
+    ]
+    for k, shape in enumerate(skews):
+        M = random_graded_matrix(field, 3, shape, FieldRng("skew", p, k))
+        pf = pfaffian_expansion(M)
+        for x in points:
+            assert pf.evaluate(x) == reference_pf(M.evaluate(x).a.tolist(), p)
+    assert pf == HomogeneousForm.zero(field, 3, 0) and pf.degree == 0
 
 
 def test_submaximal_laplace_recombination():
