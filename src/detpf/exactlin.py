@@ -59,17 +59,25 @@ zeros where L was stored.  `_back_substitute` clears above the pivots by
 halves of rows, its products delayed or reduced under the same bound.
 
 Stacks of small matrices go through one batched loop, `_eliminate_stack`,
-with the same delayed reduction: the pivot column and pivot row are reduced
-at each step, the other rows only when n*(p-1)**2 + p reaches 2**63.
-`_gauss_jordan_many` runs it as Gauss-Jordan on the (count, n, 2n) stack
-[M | I]; `_det_array` runs it clearing below the pivots only, and reads
-each member's determinant off its pivots.  A member without a pivot in
-some column is singular, has determinant 0 and leaves the others untouched.
+on a float64 copy with the member axis last: a (count, n, n) stack is held
+as an (n, width, count) array, so each step is a few ufuncs over contiguous
+runs of members rather than a loop over them.  An entry is reduced only
+when it is read, the pivot column when its step comes and the pivot row
+when it is chosen; every other row takes one rank-1 update per step,
+which is left unreduced while n*(p-1)**2 + 2p < 2**53, the delayed bound
+`_float_is_delayed` of the recursive elimination.  Above that bound the
+update's products go through `_mul_mod`, the elementwise form of
+`_matmul`'s 16-bit split, so one route serves every p < 2**31.
+`_gauss_jordan_many` runs it as Gauss-Jordan on the stack [M | I];
+`_det_array` runs it clearing below the pivots only, and multiplies each
+member's pivots and swap sign by halving (`_product_mod`).  A member without
+a pivot in some column is singular, has determinant 0 and leaves the
+others untouched.
 
 `_pfaffian_array`, a congruence elimination with two pivots per step, takes
-the pfaffians of a stack of skew matrices.  Callers that need det or pf of
-M(x) at many points (interpolation, maximal minors) make one call per batch
-of points.
+the pfaffians of a stack of skew matrices in the same layout, under the
+same bound and split.  Callers that need det or pf of M(x) at many points
+(interpolation, maximal minors) make one call per batch of points.
 
 The batched kernels -- `_eliminate_stack`, `_pfaffian_array`, the 2 x 2
 bases of `_schur_inverse` and `mpoly`'s Newton tables -- take the inverses
@@ -77,6 +85,9 @@ of many residues at once through `_inverse_residues`.  For p < 2**16 that
 is a gather from a uint16 table of every inverse mod p, at most 128 KB,
 built on first use by the Fermat ladder x**(p-2) and cached per prime; no
 table is built at import.  For 2**16 <= p < 2**31 it is the ladder itself.
+Beside it, `_log_tables` caches the discrete-log and antilog tables of the
+same primes, two more uint16 arrays, on which `mpoly.vandermonde` takes
+powers; they too are built on first use.
 
 `invert_skew_many` inverts a stack of skew matrices by block recursion
 through the Schur complement (`_schur_inverse`, after Strassen, Numer.
@@ -121,7 +132,6 @@ MAX_MODULUS = 1 << 31
 LEAF = 8  # widest column span the recursive elimination factors by rank-1 steps
 
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
-INT64_LIMIT = 1 << 63
 SPLIT = 1 << 16  # `_matmul` writes b = b_hi*SPLIT + b_lo above its one-product bound
 TABLE_PRIME_LIMIT = 1 << 16  # below it `_inverse_residues` reads a uint16 table
 TABLE_CHUNK = 1 << 12  # residues per Fermat ladder while a table is built
@@ -340,6 +350,25 @@ def _matmul(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = None)
             total = _reduce_float(total + a[..., s : s + step] @ part[..., s : s + step, :], p)
         sums.append(total)
     return _reduce_float(sums[0] * SPLIT + sums[1], p, out=out)
+
+
+def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
+    """a * b mod p, broadcast, for float64 arrays of integers of magnitude
+    below p; written to `out` when it is given.
+
+    One float64 product, reduced in place, while (p-1)**2 + p < 2**53;
+    above that the split b = b_hi*SPLIT + b_lo of `_matmul`: a b_hi stays
+    below 2**46 and is reduced, and (a b_hi mod p)*SPLIT + a b_lo, both
+    terms below 2**47, is reduced once more.
+    """
+    if _max_terms(p, FLOAT_EXACT, p):
+        c = a * b
+        return _reduce_float(c, p, out=c if out is None else out)
+    hi = np.floor(b / SPLIT)
+    c = _reduce_float(a * hi, p)
+    c *= SPLIT
+    c += a * (b - hi * SPLIT)
+    return _reduce_float(c, p, out=c if out is None else out)
 
 
 def _reduce_float(c: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
@@ -591,11 +620,24 @@ def invert(A: ScalarMatrix) -> ScalarMatrix:
         raise Singular(str(exc)) from exc
 
 
-def _swap_rows(a: np.ndarray, members: np.ndarray, i: int, r: np.ndarray) -> None:
-    """In each listed member of the stack `a`, exchange row i with row r[member]."""
-    rows = a[members, i]
-    a[members, i] = a[members, r[members]]
-    a[members, r[members]] = rows
+def _swap_rows(m: np.ndarray, members: np.ndarray, i: int, rows: np.ndarray, start: int) -> None:
+    """In each listed member of the member-last stack m, exchange row i with
+    the row of `rows` at the member's position, from column `start` on."""
+    top = m[i, start:, members]
+    m[i, start:, members] = m[rows, start:, members]
+    m[rows, start:, members] = top
+
+
+def _pivot_rows(m: np.ndarray, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(members, rows) of the member-last stack m whose entry (i, j) is 0
+    but not every entry below it: the first row below i with a nonzero
+    entry in column j, where column j holds residues from row i down."""
+    zero = np.flatnonzero(m[i, j] == 0)
+    if not zero.size:
+        return zero, zero
+    rows = i + (m[i:, j, zero] != 0).argmax(axis=0)
+    found = rows != i
+    return zero[found], rows[found]
 
 
 def _fermat_inverses(x: np.ndarray, p: int) -> np.ndarray:
@@ -630,72 +672,124 @@ def _inverse_table(p: int) -> np.ndarray:
     return table
 
 
+_LOG_TABLES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+
+
+def _primitive_root(p: int) -> int:
+    """The least generator of the multiplicative group mod the prime p."""
+    factors, rest, q = [], p - 1, 2
+    while q * q <= rest:
+        if rest % q == 0:
+            factors.append(q)
+            while rest % q == 0:
+                rest //= q
+        q += 1
+    if rest > 1:
+        factors.append(rest)
+    g = 2
+    while any(pow(g, (p - 1) // q, p) == 1 for q in factors):
+        g += 1
+    return g
+
+
+def _log_tables(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(log, antilog), two uint16 tables for p < TABLE_PRIME_LIMIT: with g
+    the least primitive root, antilog[k] = g**k mod p for k < p - 1 and
+    antilog[p - 1] = 0, and log[x] = k where g**k = x, for x != 0; log[0]
+    is 0 and never meaningful.  Built on first use by doubling runs of
+    powers and cached per prime, like `_inverse_table`."""
+    tables = _LOG_TABLES.get(p)
+    if tables is None:
+        g = _primitive_root(p)
+        antilog = np.zeros(p, dtype=np.int64)
+        antilog[0] = 1
+        filled = 1
+        while filled < p - 1:
+            run = min(filled, p - 1 - filled)
+            antilog[filled : filled + run] = antilog[:run] * pow(g, filled, p) % p
+            filled += run
+        log = np.zeros(p, dtype=np.uint16)
+        log[antilog[: p - 1]] = np.arange(p - 1)
+        tables = log, antilog.astype(np.uint16)
+        _LOG_TABLES[p] = tables
+    return tables
+
+
 def _inverse_residues(x: np.ndarray, p: int) -> np.ndarray:
-    """The inverse of each residue of the integer array x, 0 for 0, with x's
-    dtype.  Every entry of x must lie in [0, p).  For p < TABLE_PRIME_LIMIT
-    it is a gather from the per-prime table (`_inverse_table`), else the
-    Fermat ladder x**(p-2) mod p (`_fermat_inverses`)."""
+    """The inverse of each residue of the int64 or float64 array x, 0 for 0,
+    with x's dtype.  Every entry of x must be an integer in [0, p).  For
+    p < TABLE_PRIME_LIMIT it is a gather from the per-prime table
+    (`_inverse_table`), else the int64 Fermat ladder x**(p-2) mod p
+    (`_fermat_inverses`)."""
     if p < TABLE_PRIME_LIMIT:
-        return _inverse_table(p)[x].astype(x.dtype)
-    return _fermat_inverses(x, p)
-
-
-def _stack_is_delayed(p: int, n: int) -> bool:
-    """`_eliminate_stack` may leave n-column stacks unreduced between steps:
-    n*(p-1)**2 + p < 2**63."""
-    return n <= _max_terms(p, INT64_LIMIT, p)
+        return _inverse_table(p)[x.astype(np.intp, copy=False)].astype(x.dtype)
+    return _fermat_inverses(x.astype(np.int64, copy=False), p).astype(x.dtype, copy=False)
 
 
 def _eliminate_stack(m: np.ndarray, p: int, n: int, jordan: bool) -> np.ndarray:
-    """Eliminate the first n columns of every member of a (count, n, width)
-    stack in place; return the determinant of each member's leading n x n block.
+    """Eliminate the first n columns of every member of an (n, width, count)
+    float64 stack of residues in place, the member axis last; return the
+    determinant of each member's leading n x n block, as float64 residues.
 
     Each member pivots on the first nonzero entry of the column in row
     order, a swap negating its determinant, and the pivot row is scaled to
     1.  Rows below the pivot are cleared, and with `jordan` the rows above
     it too.  A member with no pivot in some column is singular: its
-    determinant is 0 and its rows are left meaningless.  At each step only
-    the pivot column and the pivot row are reduced; every other row takes
-    an unreduced += (-f mod p) * pivot_row update.  An entry takes at most
-    n such updates, so this is exact while n*(p-1)**2 + p < 2**63; when
-    that fails (p close to 2**31) the stack is reduced after every step.
+    determinant is 0 and its rows are left meaningless.  Every step is a
+    few ufuncs over the whole stack.  An entry is reduced only when it is
+    read: the pivot column when its step comes and the pivot row when it is
+    chosen.  Every other row takes the rank-1 update -= c * pivot row, c its
+    reduced entry in the pivot column.  An entry takes at most n of them,
+    so they are left unreduced while n*(p-1)**2 + 2p < 2**53
+    (`_float_is_delayed`); above that bound each product is reduced by
+    `_mul_mod`, so an entry moves by less than p per step.  The pivots and
+    the sign of each member's swaps are multiplied at the end
+    (`_product_mod`).
     """
-    det = np.ones(m.shape[0], dtype=np.int64)
-    delayed = _stack_is_delayed(p, n)
+    # the pivots, then +-1 for the parity of each member's swaps
+    factors = np.ones((n + 1, m.shape[2]))
+    delayed = _float_is_delayed(p, n)
     for col in range(n):
-        column = m[:, :, col]
-        np.remainder(column, p, out=column)
+        column = m[0 if jordan else col :, col]
+        _reduce_float(column, p, out=column)
         # a member without a pivot keeps row `col`; its zero pivot zeroes det
-        r = col + (column[:, col:] != 0).argmax(axis=1)
-        swap = np.nonzero(r != col)[0]
+        swap, rows = _pivot_rows(m, col, col)
         if swap.size:
-            _swap_rows(m, swap, col, r)
-            det[swap] = p - det[swap]
-        pivot = m[:, col, col:]
-        np.remainder(pivot, p, out=pivot)
-        det = det * pivot[:, 0] % p
-        pivot *= _inverse_residues(pivot[:, 0], p)[:, None]
-        np.remainder(pivot, p, out=pivot)
-        first = 0 if jordan else col + 1
-        f = (-m[:, first:, col]) % p
+            _swap_rows(m, swap, col, rows, col)
+            factors[n, swap] = p - factors[n, swap]
+        pivot = factors[col]
+        pivot[:] = m[col, col]
+        row = m[col, col + 1 :]
+        _reduce_float(row, p, out=row)
+        _mul_mod(row, _inverse_residues(pivot, p), p, out=row)
         if jordan:
-            f[:, col] = 0
-        rest = m[:, first:, col + 1 :]
-        rest += f[:, :, None] * pivot[:, None, 1:]
-        if not delayed:
-            np.remainder(rest, p, out=rest)
-    return det
+            m[col, col] = 0  # so the pivot row takes no update
+        first = 0 if jordan else col + 1
+        c = m[first:, col, None]
+        rest = m[first:, col + 1 :]
+        rest -= c * row if delayed else _mul_mod(c, row, p)
+    return _product_mod(factors, p)
+
+
+def _product_mod(factors: np.ndarray, p: int) -> np.ndarray:
+    """The product mod p of the float64 residues `factors` along their first
+    axis, by halving: log2(len) `_mul_mod` calls rather than one per row."""
+    while len(factors) > 1:
+        half = len(factors) // 2
+        head = _mul_mod(factors[:half], factors[half : 2 * half], p)
+        factors = np.concatenate([head, factors[2 * half :]])
+    return factors[0]
 
 
 def _gauss_jordan_many(a: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """(inverses, invertible) of a (count, n, n) stack of residues by one
     batched Gauss-Jordan on [M | I]; singular members come back as zeros."""
     count, n, _ = a.shape
-    m = np.zeros((count, n, 2 * n), dtype=np.int64)
-    m[:, :, :n] = a
-    m[:, :, n:] = np.eye(n, dtype=np.int64)
+    m = np.zeros((n, 2 * n, count))
+    m[:, :n] = a.transpose(1, 2, 0)
+    m[:, n:] = np.eye(n)[:, :, None]
     invertible = _eliminate_stack(m, p, n, jordan=True) != 0
-    inverses = m[:, :, n:] % p
+    inverses = _reduce_float(m[:, n:], p).transpose(2, 0, 1).astype(np.int64)
     inverses[~invertible] = 0
     return inverses, invertible
 
@@ -831,16 +925,26 @@ def determinant(A: ScalarMatrix) -> int:
     return _det_array(A.a, A.field.p)
 
 
+def _member_last(a, p: int) -> tuple[np.ndarray, bool]:
+    """(stack, single): the (n, n) array or (count, n, n) stack a, read as
+    integers, reduced mod p into a float64 (n, n, count) stack with the
+    member axis last; single says a was one matrix."""
+    a = np.asarray(a, dtype=np.int64)
+    single = a.ndim == 2
+    if single:
+        a = a[None]
+    if a.size and (a.min() < 0 or a.max() >= p):
+        a = np.mod(a, p)
+    return a.transpose(1, 2, 0).astype(np.float64, order="C"), single
+
+
 def _det_array(a, p: int):
     """Determinant of an (n, n) array as an int, or of every member of a
     (count, n, n) stack as a (count,) int64 array, by one batched
     elimination that clears below the pivots (`_eliminate_stack`)."""
-    a = np.mod(np.asarray(a, dtype=np.int64), p)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
-    det = _eliminate_stack(a, p, a.shape[1], jordan=False)
-    return int(det[0]) if single else det
+    m, single = _member_last(a, p)
+    det = _eliminate_stack(m, p, m.shape[0], jordan=False)
+    return int(det[0]) if single else det.astype(np.int64)
 
 
 def pfaffian_skew(A: ScalarMatrix) -> int:
@@ -861,34 +965,41 @@ def pfaffian_skew(A: ScalarMatrix) -> int:
 
 def _pfaffian_array(a, p: int):
     """Pfaffian of an (n, n) skew array as an int, or of every member of a
-    (count, n, n) stack as a (count,) int64 array, by one batched elimination.
+    (count, n, n) stack as a (count,) int64 array, by one batched elimination
+    on a float64 stack with the member axis last.
 
     Step k swaps into row and column k+1 the first row below k with a
     nonzero entry in column k (a swap negates pf), multiplies pf by
     a[k, k+1], and clears columns k, k+1 of the lower rows by a congruence
     E A tE, which changes only the trailing block.  A member without such a
-    row has pfaffian 0.  Entries are reduced mod p after every step.
+    row has pfaffian 0.  An entry is reduced only when it is read: column k
+    before the search, and rows k, k+1 and column k+1 after the swap.  The
+    trailing block takes two rank-1 updates per step, at most n - 2 in all,
+    left unreduced while n*(p-1)**2 + 2p < 2**53 and reduced by `_mul_mod`
+    above that, as in `_eliminate_stack`.
     """
-    a = np.mod(np.asarray(a, dtype=np.int64), p)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
-    count, n = a.shape[:2]
-    pf = np.ones(count, dtype=np.int64)
+    m, single = _member_last(a, p)
+    n, count = m.shape[0], m.shape[2]
+    # a[k, k+1] of each step, then +-1 for the parity of each member's swaps
+    factors = np.ones((n // 2 + 1, count))
+    delayed = _float_is_delayed(p, n)
     for k in range(0, n - 1, 2):
-        nonzero = a[:, k + 1 :, k] != 0
+        column = m[k + 1 :, k]
+        _reduce_float(column, p, out=column)
         # a member without a pivot keeps row k+1, so a[k, k+1] = -a[k+1, k] = 0 zeroes pf
-        r = k + 1 + nonzero.argmax(axis=1)
-        swap = np.nonzero(r != k + 1)[0]
+        swap, rows = _pivot_rows(m, k + 1, k)
         if swap.size:
-            _swap_rows(a, swap, k + 1, r)
-            _swap_rows(a.transpose(0, 2, 1), swap, k + 1, r)  # and the columns
-            pf[swap] = p - pf[swap]
-        pf = pf * a[:, k, k + 1] % p
+            _swap_rows(m, swap, k + 1, rows, k)
+            _swap_rows(m.transpose(1, 0, 2), swap, k + 1, rows, k)  # and the columns
+            factors[-1, swap] = p - factors[-1, swap]
+        for read in (m[k, k + 1 :], m[k + 1, k + 2 :], m[k + 2 :, k + 1]):
+            _reduce_float(read, p, out=read)
+        factors[k // 2] = m[k, k + 1]
         if k + 2 < n:
-            f = a[:, k + 2 :, k] * _inverse_residues(a[:, k + 1, k], p)[:, None] % p
-            g = a[:, k + 2 :, k + 1] * _inverse_residues(a[:, k, k + 1], p)[:, None] % p
-            trailing = a[:, k + 2 :, k + 2 :]
-            trailing[...] = (trailing - f[:, :, None] * a[:, k + 1, None, k + 2 :]) % p
-            trailing[...] = (trailing - g[:, :, None] * a[:, k, None, k + 2 :]) % p
-    return int(pf[0]) if single else pf
+            f = _mul_mod(m[k + 2 :, k], _inverse_residues(m[k + 1, k], p), p)[:, None]
+            g = _mul_mod(m[k + 2 :, k + 1], _inverse_residues(m[k, k + 1], p), p)[:, None]
+            trailing = m[k + 2 :, k + 2 :]
+            for factor, row in ((f, m[k + 1, k + 2 :]), (g, m[k, k + 2 :])):
+                trailing -= factor * row if delayed else _mul_mod(factor, row, p)
+    pf = _product_mod(factors, p)
+    return int(pf[0]) if single else pf.astype(np.int64)

@@ -22,7 +22,16 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .exactlin import Inconsistent, InputError, PrimeField, _inverse_residues, _matmul
+from .exactlin import (
+    TABLE_PRIME_LIMIT,
+    Inconsistent,
+    InputError,
+    PrimeField,
+    _inverse_residues,
+    _log_tables,
+    _matmul,
+    _reduce_float,
+)
 from .rng import FieldRng, below_table
 
 
@@ -71,7 +80,7 @@ def _exponent_tuples(nvars: int, degree: int):
 class MonomialBasis:
     """Canonical ordered basis of the degree-d monomials (graded-lex, X0 first)."""
 
-    __slots__ = ("nvars", "degree", "exponents", "_index")
+    __slots__ = ("nvars", "degree", "exponents", "_index", "_array")
 
     def __init__(self, nvars: int, degree: int):
         self.nvars = nvars
@@ -80,6 +89,7 @@ class MonomialBasis:
             tuple(_exponent_tuples(nvars, degree)) if degree >= 0 else ()
         )
         self._index = {e: i for i, e in enumerate(self.exponents)}
+        self._array = None
 
     def __len__(self) -> int:
         return len(self.exponents)
@@ -88,7 +98,13 @@ class MonomialBasis:
         return self._index[exponent]
 
     def exponent_array(self) -> np.ndarray:
-        return np.array(self.exponents, dtype=np.int64).reshape(len(self), self.nvars)
+        """The exponents as one read-only (len, nvars) int64 array, built on
+        first use and shared by every caller."""
+        if self._array is None:
+            array = np.array(self.exponents, dtype=np.int64).reshape(len(self), self.nvars)
+            array.flags.writeable = False
+            self._array = array
+        return self._array
 
 
 @lru_cache(maxsize=None)
@@ -262,19 +278,13 @@ class HomogeneousForm:
     # ---- evaluation and substitution ------------------------------------
 
     def evaluate(self, point: Sequence[int]) -> int:
+        """The form at one point: its coefficient vector against the basis
+        monomials there, which come from the point's own power rows."""
         if len(point) != self.nvars:
             raise VariableCountMismatch(f"point has {len(point)} coordinates")
         p = self.field.p
-        pt = [int(x) % p for x in point]
-        powers = [_power_row(x, self.degree, p) for x in pt]
-        total = 0
-        for e, c in self.terms():
-            v = c
-            for j, k in enumerate(e):
-                if k:
-                    v = v * powers[j][k] % p
-            total = (total + v) % p
-        return total
+        values = _monomial_values(point, monomial_basis(self.nvars, self.degree), p)
+        return int(_matmul(values[None], self.vector[:, None], p)[0, 0])
 
     def evaluate_many(self, points: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at an (n, nvars) array of points."""
@@ -351,6 +361,17 @@ def _power_row(x: int, degree: int, p: int) -> list[int]:
     for k in range(1, degree + 1):
         row[k] = row[k - 1] * x % p
     return row
+
+
+def _monomial_values(point: Sequence[int], basis: MonomialBasis, p: int) -> np.ndarray:
+    """The basis monomials at one point, as int64 residues: each coordinate's
+    `_power_row` gathered along its exponents, multiplied together."""
+    values = np.ones(len(basis), dtype=np.int64)
+    exponents = basis.exponent_array()
+    for j, x in enumerate(point):
+        row = np.array(_power_row(int(x) % p, basis.degree, p), dtype=np.int64)
+        values = values * row[exponents[:, j]] % p
+    return values
 
 
 # ---- text formats -------------------------------------------------------------
@@ -488,17 +509,40 @@ def sample_points(
 
 
 def vandermonde(points: np.ndarray, basis: MonomialBasis, p: int) -> np.ndarray:
-    """Monomial evaluation matrix: rows are points, columns follow the basis."""
+    """Monomial evaluation matrix as int64 residues: rows are points,
+    columns follow the basis.
+
+    For p < TABLE_PRIME_LIMIT, x**e = g**(e log x) for the primitive root g
+    of `exactlin._log_tables`: one float64 product of the coordinates' logs
+    with the exponents, reduced mod p - 1, and one gather from the antilog
+    table.  An exponent enters the product mod p - 1 once the degree reaches
+    p - 1 (Fermat), so every sum is below nvars*(p-1)**2 and exact.  A
+    monomial with a positive exponent on a zero coordinate is then set to
+    0.  Above the limit it is the power loop `_power_vandermonde`.
+    """
     points = np.asarray(points, dtype=np.int64) % p
-    npts = points.shape[0]
-    E = basis.exponent_array()
-    V = np.ones((npts, len(basis)), dtype=np.int64)
-    maxdeg = basis.degree
-    for j in range(basis.nvars):
-        pw = np.ones((npts, maxdeg + 1), dtype=np.int64)
-        for k in range(1, maxdeg + 1):
+    exponents = basis.exponent_array()
+    if p >= TABLE_PRIME_LIMIT:
+        return _power_vandermonde(points, exponents, basis.degree, p)
+    log, antilog = _log_tables(p)
+    reduced = exponents % (p - 1) if basis.degree >= p - 1 else exponents
+    sums = log[points].astype(np.float64) @ reduced.T.astype(np.float64)
+    values = antilog[_reduce_float(sums, p - 1, out=sums).astype(np.intp)].astype(np.int64)
+    zero = points == 0
+    if zero.any():
+        values[zero @ (exponents > 0).T] = 0
+    return values
+
+
+def _power_vandermonde(points: np.ndarray, exponents: np.ndarray, degree: int, p: int) -> np.ndarray:
+    """`vandermonde` of the residues `points` by repeated multiplication: the
+    powers 0..degree of each coordinate, gathered along its exponents."""
+    V = np.ones((points.shape[0], len(exponents)), dtype=np.int64)
+    for j in range(points.shape[1]):
+        pw = np.ones((points.shape[0], degree + 1), dtype=np.int64)
+        for k in range(1, degree + 1):
             pw[:, k] = pw[:, k - 1] * points[:, j] % p
-        V = V * pw[:, E[:, j]] % p
+        V = V * pw[:, exponents[:, j]] % p
     return V
 
 

@@ -35,6 +35,7 @@ from .exactlin import InputError, PrimeField, ScalarMatrix, Singular
 from .mpoly import (
     HomogeneousForm,
     ParseError,
+    VariableCountMismatch,
     interpolate_many,
     monomial_basis,
     read_header,
@@ -182,10 +183,23 @@ class GradedMatrix:
         )
 
     def evaluate(self, point: Sequence[int]) -> ScalarMatrix:
-        vals = [[f.evaluate(point) for f in row] for row in self.entries]
-        return ScalarMatrix(
-            self.field, np.array(vals, dtype=np.int64).reshape(self.nrows, self.ncols)
-        )
+        """M at one point: for each entry degree, one product of the basis
+        monomials there, from the point's own power rows, with the entries'
+        coefficient vectors.  It shares nothing with `evaluate_batch`, which
+        the tests check against it."""
+        if len(point) != self.nvars:
+            raise VariableCountMismatch(f"point has {len(point)} coordinates")
+        p = self.field.p
+        flat = [f for row in self.entries for f in row]
+        by_degree: dict[int, list[int]] = {}
+        for slot, f in enumerate(flat):
+            by_degree.setdefault(f.degree, []).append(slot)
+        out = np.zeros(len(flat), dtype=np.int64)
+        for degree, slots in by_degree.items():
+            values = mpoly._monomial_values(point, monomial_basis(self.nvars, degree), p)
+            vectors = np.stack([flat[slot].vector for slot in slots], axis=1)
+            out[slots] = exactlin._matmul(values[None], vectors, p)[0]
+        return ScalarMatrix(self.field, out.reshape(self.nrows, self.ncols))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
         """(npoints, nrows, ncols) array of entry values.

@@ -492,15 +492,6 @@ def test_split_product_with_worst_case_entries(monkeypatch, p, extra):
 # ---- batched inverse ------------------------------------------------------------
 
 
-def _delayed_boundary(n: int) -> tuple[int, int]:
-    """The primes either side of n*(p-1)**2 + p < 2**63, the bound under
-    which `_eliminate_stack` leaves an n-column stack unreduced."""
-    m = isqrt((exactlin.INT64_LIMIT - 1) // n) + 2
-    while n * (m - 1) ** 2 + m >= exactlin.INT64_LIMIT:
-        m -= 1
-    return _primes_around(m)
-
-
 def _schur_boundary(n: int) -> tuple[int, int]:
     """The primes either side of k*(p-1)**2 + 2p < 2**53, k = max(h, n - h),
     the bound under which the Schur recursion on n x n adds B^T X and Z X^T
@@ -516,9 +507,10 @@ def _schur_boundary(n: int) -> tuple[int, int]:
 # ---- batched Gauss-Jordan on general stacks ----------------------------------
 
 INVERT_SIZES = (1, 2, 4, 5, 6, 30, 32, 33)
-# 2**31 - 1 reduces every step for every n > 1; the other large prime sits
-# on the delayed-reduction bound for n = 33
-INVERT_PRIMES = (3, 7, 31991, 16777213, _delayed_boundary(33)[0], 2**31 - 1)
+# 2**31 - 1 reduces every product for every n; 16777213 leaves n = 32 delayed
+# and reduces n = 33, and the prime below it sits on the delayed bound for
+# n = 33
+INVERT_PRIMES = (3, 7, 31991, 16777213, _float_boundary(33)[0], 2**31 - 1)
 INVERT_KINDS = ("random", "swap", "dependent", "zero", "lead2", "leadh", "skew")
 
 
@@ -837,22 +829,20 @@ def test_float64_matrix_is_held_as_residues_and_factored_in_place():
 
 @pytest.mark.parametrize("n", (2, 5, 6, 30, 32, 33))
 def test_bound_predicates_switch_at_the_documented_primes(n):
-    lo, hi = _delayed_boundary(n)
-    assert exactlin._stack_is_delayed(lo, n) and not exactlin._stack_is_delayed(hi, n)
     lo, hi = _float_boundary(n)
     assert exactlin._float_is_delayed(lo, n) and not exactlin._float_is_delayed(hi, n)
 
 
 def delayed_worst_case(n, p):
-    """M = L U with L unit lower triangular of ones and U unit upper
-    triangular with -1 above the diagonal.
+    """M = L U with L unit lower triangular with -1 below the diagonal and U
+    unit upper triangular with -1 above it.
 
-    Each elimination step pivots on 1 in place, every row below takes the
-    multiplier f = p - 1 and the pivot row holds p - 1 right of the pivot,
-    so every unreduced update adds exactly (p-1)**2: the last row takes
-    n - 1 of them, the most `_eliminate_stack` lets any entry take.
+    Each elimination step pivots on 1 in place, every row below holds p - 1
+    in the pivot column and the pivot row holds p - 1 right of the pivot,
+    so every unreduced update subtracts exactly (p-1)**2: the last row
+    takes n - 1 of them, the most `_eliminate_stack` lets any entry take.
     """
-    lower = np.tril(np.ones((n, n), dtype=object))
+    lower = 2 * np.eye(n, dtype=object) - np.tril(np.ones((n, n), dtype=object))
     upper = np.triu(np.full((n, n), -1, dtype=object), 1) + np.eye(n, dtype=object)
     return lower, upper, (lower.dot(upper) % p).astype(np.int64)
 
@@ -861,8 +851,8 @@ def delayed_worst_case(n, p):
 @pytest.mark.parametrize("side", (0, 1))
 def test_delayed_reduction_bound_with_worst_case_entries(n, side):
     # on the bound's last prime the stack stays unreduced; on the next
-    # prime it is reduced after every step
-    p = _delayed_boundary(n)[side]
+    # prime every update's products are reduced
+    p = _float_boundary(n)[side]
     lower, upper, a = delayed_worst_case(n, p)
     echelon, reduced, pivots, sign = reference_eliminate(a.tolist(), p, n)
     # the elimination the family is built for: no swap, U as the echelon form
@@ -1215,6 +1205,197 @@ def test_stacked_det_kinds_and_edge_shapes():
     assert exactlin._det_array(np.zeros((0, 3, 3), dtype=np.int64), p).shape == (0,)
     assert exactlin._det_array(np.zeros((4, 0, 0), dtype=np.int64), p).tolist() == [1] * 4
     assert exactlin._det_array(np.zeros((0, 0), dtype=np.int64), p) == 1
+
+
+# ---- member-last float64 kernels against the int64 loops they replaced ---------
+
+# both sides of the inverse and log tables' limit, the delayed bound of n = 33
+# (16777213), and the largest prime, where every product is split
+STACK_PRIMES = (3, 5, 7, 31991, 65521, 65537, 16777213, 2**31 - 1)
+STACK_KINDS = ("random", "swap", "dependent", "zero", "random", "skew")
+
+
+def int64_swap_rows(a, members, i, r):
+    rows = a[members, i]
+    a[members, i] = a[members, r[members]]
+    a[members, r[members]] = rows
+
+
+def int64_eliminate_stack(m, p, n, jordan):
+    """The member-first int64 elimination of a (count, n, width) stack, with
+    its rank-1 updates unreduced while n*(p-1)**2 + p < 2**63."""
+    det = np.ones(m.shape[0], dtype=np.int64)
+    delayed = n <= (2**63 - 1 - p) // ((p - 1) * (p - 1))
+    for col in range(n):
+        column = m[:, :, col]
+        np.remainder(column, p, out=column)
+        r = col + (column[:, col:] != 0).argmax(axis=1)
+        swap = np.nonzero(r != col)[0]
+        if swap.size:
+            int64_swap_rows(m, swap, col, r)
+            det[swap] = p - det[swap]
+        pivot = m[:, col, col:]
+        np.remainder(pivot, p, out=pivot)
+        det = det * pivot[:, 0] % p
+        pivot *= exactlin._fermat_inverses(pivot[:, 0], p)[:, None]
+        np.remainder(pivot, p, out=pivot)
+        first = 0 if jordan else col + 1
+        f = (-m[:, first:, col]) % p
+        if jordan:
+            f[:, col] = 0
+        rest = m[:, first:, col + 1 :]
+        rest += f[:, :, None] * pivot[:, None, 1:]
+        if not delayed:
+            np.remainder(rest, p, out=rest)
+    return det
+
+
+def int64_det_array(a, p):
+    a = np.mod(np.asarray(a, dtype=np.int64), p)
+    return int64_eliminate_stack(a, p, a.shape[1], jordan=False)
+
+
+def int64_gauss_jordan_many(a, p):
+    count, n, _ = a.shape
+    m = np.zeros((count, n, 2 * n), dtype=np.int64)
+    m[:, :, :n] = a
+    m[:, :, n:] = np.eye(n, dtype=np.int64)
+    invertible = int64_eliminate_stack(m, p, n, jordan=True) != 0
+    inverses = m[:, :, n:] % p
+    inverses[~invertible] = 0
+    return inverses, invertible
+
+
+def int64_pfaffian_array(a, p):
+    """The member-first int64 congruence elimination, reduced every step."""
+    a = np.mod(np.asarray(a, dtype=np.int64), p)
+    count, n = a.shape[:2]
+    pf = np.ones(count, dtype=np.int64)
+    for k in range(0, n - 1, 2):
+        nonzero = a[:, k + 1 :, k] != 0
+        r = k + 1 + nonzero.argmax(axis=1)
+        swap = np.nonzero(r != k + 1)[0]
+        if swap.size:
+            int64_swap_rows(a, swap, k + 1, r)
+            int64_swap_rows(a.transpose(0, 2, 1), swap, k + 1, r)
+            pf[swap] = p - pf[swap]
+        pf = pf * a[:, k, k + 1] % p
+        if k + 2 < n:
+            f = a[:, k + 2 :, k] * exactlin._fermat_inverses(a[:, k + 1, k], p)[:, None] % p
+            g = a[:, k + 2 :, k + 1] * exactlin._fermat_inverses(a[:, k, k + 1], p)[:, None] % p
+            trailing = a[:, k + 2 :, k + 2 :]
+            trailing[...] = (trailing - f[:, :, None] * a[:, k + 1, None, k + 2 :]) % p
+            trailing[...] = (trailing - g[:, :, None] * a[:, k, None, k + 2 :]) % p
+    return pf
+
+
+def assert_stack_kernels_match_int64_loops(stack, p):
+    """det, Gauss-Jordan and the pfaffian of the skew matrices that the
+    stack's strict upper triangles define, byte for byte."""
+    dets = exactlin._det_array(stack, p)
+    assert dets.dtype == np.int64
+    assert dets.tobytes() == int64_det_array(stack, p).tobytes()
+    inverses, invertible = exactlin._gauss_jordan_many(stack, p)
+    want, want_ok = int64_gauss_jordan_many(stack, p)
+    assert inverses.dtype == np.int64
+    assert inverses.tobytes() == want.tobytes()
+    assert invertible.tolist() == want_ok.tolist() == (dets != 0).tolist()
+    skew = exactlin._skew_from_upper(stack, p)
+    pf = exactlin._pfaffian_array(skew, p)
+    assert pf.dtype == np.int64
+    assert pf.tobytes() == int64_pfaffian_array(skew, p).tobytes()
+
+
+@pytest.mark.parametrize("p", STACK_PRIMES)
+def test_stack_kernels_match_the_int64_loops(p):
+    # every n from 1 to 33 at counts 0, 1 and 2, with forced swaps and
+    # singular and zero members; 16777213 crosses the delayed bound at n = 33
+    assert exactlin._float_is_delayed(16777213, 32)
+    assert not exactlin._float_is_delayed(16777213, 33)
+    for n in range(1, 34):
+        for count in (0, 1, 2):
+            kinds = [STACK_KINDS[(n + count + t) % len(STACK_KINDS)] for t in range(count)]
+            assert_stack_kernels_match_int64_loops(stacked(p, n, kinds, n * 3 + count), p)
+
+
+@pytest.mark.parametrize(
+    "p, n", [(31991, 14), (31991, 33), (16777213, 33), (2**31 - 1, 14)]
+)
+def test_stack_kernels_match_the_int64_loops_on_680_members(p, n):
+    kinds = [STACK_KINDS[t % len(STACK_KINDS)] for t in range(680)]
+    assert_stack_kernels_match_int64_loops(stacked(p, n, kinds, n), p)
+
+
+def test_stack_kernels_take_a_single_matrix_and_any_integers():
+    p = 31991
+    a = stacked(p, 9, ["swap"], 4)[0]
+    assert exactlin._det_array(a, p) == int(int64_det_array(a[None], p)[0])
+    skew = exactlin._skew_from_upper(a[None], p)
+    assert exactlin._pfaffian_array(skew[0], p) == int(int64_pfaffian_array(skew, p)[0])
+    # entries outside [0, p) and float64 residues are read as integers mod p
+    stack = stacked(p, 9, ["random", "swap"], 5)
+    for shifted in (stack - 3 * p, stack + 2**40 * p, stack.astype(np.float64)):
+        assert exactlin._det_array(shifted, p).tolist() == int64_det_array(stack, p).tolist()
+    # a member-last copy in float64; the caller's array is not written
+    held = stack.copy()
+    exactlin._det_array(held, p)
+    exactlin._pfaffian_array(exactlin._skew_from_upper(held, p), p)
+    assert held.tobytes() == stack.tobytes()
+
+
+def test_swaps_move_the_rows_of_the_listed_members_only():
+    m = np.arange(4 * 3 * 5, dtype=np.float64).reshape(4, 3, 5)
+    want = m.copy()
+    members, rows = np.array([1, 4]), np.array([3, 2])
+    exactlin._swap_rows(m, members, 0, rows, 1)
+    for t, r in zip(members, rows):
+        want[[0, r], 1:, t] = want[[r, 0], 1:, t]
+    assert m.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("side", ("small", "below", "above", "largest"))
+def test_mul_mod_matches_integers_on_both_sides_of_the_one_product_bound(side):
+    # below the bound one product of two residues, plus p, stays under
+    # 2**53; from the first prime above it `_mul_mod` splits
+    above = _one_product_boundary()
+    below = _primes_around(above - 1)[0]
+    p = {"small": 3, "below": below, "above": above, "largest": 2**31 - 1}[side]
+    assert bool(exactlin._max_terms(p, exactlin.FLOAT_EXACT, p)) == (p <= below)
+    rng = np.random.default_rng(p)
+    a = rng.integers(0, p, (5, 1, 7))
+    b = rng.integers(0, p, (4, 7))
+    a[0, 0, :2] = p - 1
+    b[0, :] = p - 1
+    b[1, :] = ((p - 1) >> 16 << 16) - 1 if p > 2**16 else p - 1
+    want = (a.astype(object) * b.astype(object)) % p
+    got = exactlin._mul_mod(a.astype(np.float64), b.astype(np.float64), p)
+    assert got.dtype == np.float64 and got.tolist() == want.tolist()
+    out = np.empty(got.shape)
+    assert exactlin._mul_mod(a.astype(np.float64), b.astype(np.float64), p, out=out) is out
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 31991, 65521])
+def test_log_tables_invert_each_other_on_every_residue(p):
+    log, antilog = exactlin._log_tables(p)
+    assert log.dtype == antilog.dtype == np.uint16
+    assert log.shape == antilog.shape == (p,)
+    g = int(antilog[1])
+    assert g == exactlin._primitive_root(p)
+    assert sorted(antilog[: p - 1].tolist()) == list(range(1, p))  # g generates
+    assert antilog[p - 1] == 0
+    assert antilog[: p - 1].tolist() == [pow(g, k, p) for k in range(p - 1)]
+    residues = np.arange(1, p)
+    assert np.array_equal(antilog[log[residues]], residues)
+    assert exactlin._LOG_TABLES[p] is exactlin._log_tables(p)
+
+
+def test_importing_detpf_builds_no_log_table():
+    code = "import detpf, detpf.mpoly, detpf.exactlin as e; print(len(e._LOG_TABLES))"
+    env = {**os.environ, "PYTHONPATH": str(Path(exactlin.__file__).parents[1])}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 31991, 65521])

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from detpf.mpoly import (
     InterpolationFailure,
     NonUniformImageDegrees,
     ParseError,
+    VariableCountMismatch,
     check_degenerate,
     interpolate_homogeneous,
     interpolate_many,
@@ -115,6 +117,112 @@ def test_evaluate_many_matches_pointwise_at_largest_prime():
         vals = f.evaluate_many(pts)
         assert vals.dtype == np.int64
         assert vals.tolist() == [f.evaluate(pt) for pt in pts.tolist()], f.degree
+
+
+def term_walk(form, point):
+    """The form at a point by a walk over its terms, each a product of the
+    coordinates' `_power_row` entries: the reference for `evaluate`."""
+    p = form.field.p
+    pt = [int(x) % p for x in point]
+    powers = [mpoly._power_row(x, form.degree, p) for x in pt]
+    total = 0
+    for e, c in form.terms():
+        v = c
+        for j, k in enumerate(e):
+            if k:
+                v = v * powers[j][k] % p
+        total = (total + v) % p
+    return total
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the interpolation path was read")
+
+
+@pytest.mark.parametrize("modulus", [3, 31991, 65537, 2**31 - 1])
+@pytest.mark.parametrize("nvars", [1, 2, 4])
+def test_evaluate_matches_the_term_walk(monkeypatch, modulus, nvars):
+    # evaluate shares nothing with the batched path it is the reference for
+    monkeypatch.setattr(mpoly, "vandermonde", refuse)
+    monkeypatch.setattr(mpoly, "_log_tables", refuse)
+    field = PrimeField(modulus)
+    rng = FieldRng("term-walk", modulus, nvars)
+    for d in (0, 1, 2, 5, 9):
+        dense = HomogeneousForm.random(field, nvars, d, rng.fork(d))
+        sparse = HomogeneousForm.monomial(field, [d] + [0] * (nvars - 1), modulus - 1)
+        points = [[rng.below(modulus) for _ in range(nvars)] for _ in range(3)]
+        points += [[0] * nvars, [modulus - 1] * nvars, [-1 - j for j in range(nvars)]]
+        points += [[modulus + 2] * nvars, [0] + [1] * (nvars - 1)]
+        for f in (dense, sparse, HomogeneousForm.zero(field, nvars, d)):
+            for pt in points:
+                assert f.evaluate(pt) == term_walk(f, pt), (d, pt)
+    assert isinstance(dense.evaluate(points[0]), int)
+    for wrong in ([1] * (nvars + 1), [1] * (nvars - 1)):
+        with pytest.raises(VariableCountMismatch):
+            dense.evaluate(wrong)
+
+
+def test_exponent_array_is_one_read_only_array_per_basis():
+    basis = monomial_basis(4, 6)
+    exps = basis.exponent_array()
+    assert exps is basis.exponent_array()
+    assert exps.dtype == np.int64 and exps.shape == (len(basis), 4)
+    assert [tuple(e) for e in exps.tolist()] == list(basis.exponents)
+    with pytest.raises(ValueError):
+        exps[0, 0] = 1
+    assert mpoly.MonomialBasis(2, -1).exponent_array().shape == (0, 2)
+
+
+VANDERMONDE_SHAPES = [(1, 0), (1, 5), (2, 0), (2, 3), (3, 7), (4, 6)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 31991, 65521, 65537, 16777213])
+def test_vandermonde_matches_the_power_route(p):
+    # the log tables below TABLE_PRIME_LIMIT = 2**16, the power loop above;
+    # over tiny fields the degree passes p - 1 and the exponents wrap
+    shapes = VANDERMONDE_SHAPES
+    if p < 100:
+        shapes = shapes + [(1, p - 1), (1, p), (1, 2 * p + 1), (2, p - 1), (3, p + 1)]
+    rng = np.random.default_rng(p)
+    for nvars, degree in shapes:
+        basis = monomial_basis(nvars, degree)
+        pts = rng.integers(-p, 2 * p, (12, nvars))
+        pts[0] = 0
+        pts[1, 0] = 0
+        pts[2, -1] = 0
+        pts[3] = p
+        want = mpoly._power_vandermonde(pts % p, basis.exponent_array(), degree, p)
+        got = mpoly.vandermonde(pts, basis, p)
+        assert got.dtype == np.int64 and got.shape == (12, len(basis))
+        assert got.tobytes() == want.tobytes(), (nvars, degree)
+        assert mpoly.vandermonde(pts[:0], basis, p).shape == (0, len(basis))
+    # x**0 is 1 and 0**e is 0 for e > 0
+    basis = monomial_basis(2, 2)
+    assert mpoly.vandermonde([[0, 0], [0, 2]], basis, p).tolist() == [
+        [0, 0, 0],
+        [0, 0, 4 % p],
+    ]
+    assert mpoly.vandermonde([[0, 0]], monomial_basis(2, 0), p).tolist() == [[1]]
+
+
+def test_vandermonde_of_one_variable_takes_any_degree():
+    # x**D = x**(D mod (p - 1)) for x != 0: the exponents enter the product
+    # reduced, which would otherwise leave float64's exact range
+    p = 31991
+    D = 10**15 + 7
+    pts = np.array([[0], [1], [2], [p - 1], [12345]])
+    want = [[pow(int(x), D, p)] for x in pts[:, 0]]
+    assert mpoly.vandermonde(pts, monomial_basis(1, D), p).tolist() == want
+
+
+@pytest.mark.parametrize("p", [65521, 65537])
+def test_vandermonde_routes_switch_at_the_table_limit(monkeypatch, p):
+    below = p < mpoly.TABLE_PRIME_LIMIT
+    monkeypatch.setattr(mpoly, "_power_vandermonde" if below else "_log_tables", refuse)
+    basis = monomial_basis(3, 4)
+    pts = np.array([[1, 2, 3], [0, p - 1, 5], [7, 0, 0]])
+    want = [[term_walk(HomogeneousForm.monomial(PrimeField(p), e), pt) for e in basis.exponents] for pt in pts]
+    assert mpoly.vandermonde(pts, basis, p).tolist() == want
 
 
 def multiplication_matrix_by_dict(g, from_basis, to_basis):

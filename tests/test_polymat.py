@@ -4,7 +4,7 @@ from math import isqrt
 import numpy as np
 import pytest
 
-from detpf import exactlin, polymat
+from detpf import exactlin, mpoly, polymat
 from detpf.exactlin import (
     DEFAULT_PRIME,
     OddSize,
@@ -17,6 +17,7 @@ from detpf.exactlin import determinant as numeric_det
 from detpf.mpoly import (
     DegeneratePencil,
     HomogeneousForm,
+    VariableCountMismatch,
     monomial_count,
     principal_lattice,
     sample_points,
@@ -48,6 +49,7 @@ from detpf.constructions import (
 )
 from detpf.rng import FieldRng, derive_seed
 from test_exactlin import reference_det, reference_pf
+from test_mpoly import refuse, term_walk
 
 F = PrimeField(DEFAULT_PRIME)
 P = DEFAULT_PRIME
@@ -608,6 +610,30 @@ def test_evaluate_batch_matches_pointwise(modulus, nvars):
     zero = GradedMatrix(field, nvars, (0, 0), (-1, -1), [[None, None], [None, None]])
     assert not zero.evaluate_batch(pts).any()
     assert M.evaluate_batch(pts[:0]).shape == (0, 3, 4)
+
+
+@pytest.mark.parametrize("modulus", [7, 31991, 2**31 - 1])
+@pytest.mark.parametrize("nvars", [1, 2, 4])
+def test_evaluate_matches_the_entrywise_term_walk(monkeypatch, modulus, nvars):
+    # evaluate reads no coefficient stack, Vandermonde matrix or log table,
+    # so it stays the independent reference of evaluate_batch
+    monkeypatch.setattr(mpoly, "vandermonde", refuse)
+    monkeypatch.setattr(mpoly, "_log_tables", refuse)
+    field = PrimeField(modulus)
+    for seed in range(3):
+        M = mixed_matrix(field, nvars, seed)
+        M._stacks = None
+        rng = FieldRng("graded-evaluate", seed)
+        points = [[rng.below(modulus) for _ in range(nvars)] for _ in range(3)]
+        points += [[0] * nvars, [-1] * nvars, [modulus + 3] * nvars]
+        for pt in points:
+            got = M.evaluate(pt)
+            assert got.a.dtype == np.int64 and got.shape == (3, 4)
+            assert got.a.tolist() == [[term_walk(f, pt) for f in row] for row in M.entries]
+        with pytest.raises(VariableCountMismatch):
+            M.evaluate([1] * (nvars + 1))
+    with pytest.raises(VariableCountMismatch):
+        GradedMatrix(field, 3, (), (0,), []).evaluate((1, 2))
 
 
 def test_matrices_from_equal_entries_are_equal():
