@@ -55,7 +55,8 @@ and `_leaf` reduces its int64 copy after every step, since a few products
 of two residues overflow int64 near p = 2**31.  `pivot_columns` reads the
 pivots off the factorization and writes no echelon form, and `rank` counts
 them; `_forward_eliminate` writes it from the same factorization, with
-zeros where L was stored.  `_back_substitute` clears above the pivots by
+zeros where L was stored; `determinant` of one matrix asks the root for
+L^-1, whose diagonal holds the inverses of the pivots.  `_back_substitute` clears above the pivots by
 halves of rows, its products delayed or reduced under the same bound.
 
 Stacks of small matrices go through one batched loop, `_eliminate_stack`,
@@ -69,10 +70,12 @@ which is left unreduced while n*(p-1)**2 + 2p < 2**53, the delayed bound
 update's products go through `_mul_mod`, the elementwise form of
 `_matmul`'s 16-bit split, so one route serves every p < 2**31.
 `_gauss_jordan_many` runs it as Gauss-Jordan on the stack [M | I];
-`_det_array` runs it clearing below the pivots only, and multiplies each
-member's pivots and swap sign by halving (`_product_mod`).  A member without
-a pivot in some column is singular, has determinant 0 and leaves the
-others untouched.
+`_det_array`, for stacks only, runs it clearing below the pivots, and
+multiplies each member's pivots and swap sign by halving (`_product_mod`).
+A member without a pivot in some column is singular, has determinant 0
+and leaves the others untouched.  A float64 stack, such as the M(x) that
+`polymat`'s `evaluate_batch` methods return, enters in one transposed
+copy (`_member_last`), with no cast and no scan.
 
 `_pfaffian_array`, a congruence elimination with two pivots per step, takes
 the pfaffians of a stack of skew matrices in the same layout, under the
@@ -918,33 +921,43 @@ def solve_many(A: ScalarMatrix, B: ScalarMatrix) -> ScalarMatrix:
 
 
 def determinant(A: ScalarMatrix) -> int:
-    """Determinant by elimination that scales each pivot row to 1 and
-    multiplies the pivots, negated once per row swap (`_eliminate_stack`)."""
+    """Determinant of one square matrix from one recursive LU (`_factor`)
+    of a float64 copy: 0 when some column has no pivot, else the swap sign
+    times the product of the pivots.  The factorization scales each pivot
+    row to 1 and keeps no pivot, but the diagonal of L^-1 of the pivot rows,
+    which `_factor` returns when asked, holds the pivots' inverses.  Stacks
+    of matrices go through `_det_array` instead."""
     if A.rows != A.cols:
         raise ValueError("determinant of a non-square matrix")
-    return _det_array(A.a, A.field.p)
+    p, n = A.field.p, A.rows
+    f = A.a.astype(np.float64)  # a copy, which the factorization overwrites
+    pivots, sign, x = _factor(f, p, 0, 0, n, True, _float_is_delayed(p, n))
+    if len(pivots) < n:
+        return 0
+    inverse = 1
+    for v in np.diagonal(x).tolist():
+        inverse = inverse * int(v) % p
+    det = pow(inverse, -1, p)
+    return det if sign == 1 else p - det
 
 
-def _member_last(a, p: int) -> tuple[np.ndarray, bool]:
-    """(stack, single): the (n, n) array or (count, n, n) stack a, read as
-    integers, reduced mod p into a float64 (n, n, count) stack with the
-    member axis last; single says a was one matrix."""
-    a = np.asarray(a, dtype=np.int64)
-    single = a.ndim == 2
-    if single:
-        a = a[None]
-    if a.size and (a.min() < 0 or a.max() >= p):
-        a = np.mod(a, p)
-    return a.transpose(1, 2, 0).astype(np.float64, order="C"), single
+def _member_last(a, p: int) -> np.ndarray:
+    """The (count, n, n) stack a as a float64 (n, n, count) stack with the
+    member axis last, in one transposed copy.  A float64 stack holds
+    residues already (module docstring) and is copied as it is; any other
+    stack is read as integers and reduced mod p first."""
+    a = np.asarray(a)
+    if a.dtype != np.float64:
+        a = np.mod(a.astype(np.int64, copy=False), p)
+    return np.ascontiguousarray(a.transpose(1, 2, 0), dtype=np.float64)
 
 
-def _det_array(a, p: int):
-    """Determinant of an (n, n) array as an int, or of every member of a
-    (count, n, n) stack as a (count,) int64 array, by one batched
-    elimination that clears below the pivots (`_eliminate_stack`)."""
-    m, single = _member_last(a, p)
-    det = _eliminate_stack(m, p, m.shape[0], jordan=False)
-    return int(det[0]) if single else det.astype(np.int64)
+def _det_array(a, p: int) -> np.ndarray:
+    """Determinants of every member of a (count, n, n) stack as a (count,)
+    int64 array, by one batched elimination that clears below the pivots
+    (`_eliminate_stack`)."""
+    m = _member_last(a, p)
+    return _eliminate_stack(m, p, m.shape[0], jordan=False).astype(np.int64)
 
 
 def pfaffian_skew(A: ScalarMatrix) -> int:
@@ -978,7 +991,9 @@ def _pfaffian_array(a, p: int):
     left unreduced while n*(p-1)**2 + 2p < 2**53 and reduced by `_mul_mod`
     above that, as in `_eliminate_stack`.
     """
-    m, single = _member_last(a, p)
+    a = np.asarray(a)
+    single = a.ndim == 2
+    m = _member_last(a[None] if single else a, p)
     n, count = m.shape[0], m.shape[2]
     # a[k, k+1] of each step, then +-1 for the parity of each member's swaps
     factors = np.ones((n // 2 + 1, count))

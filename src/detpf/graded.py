@@ -5,9 +5,10 @@ stabilizer dimension, arithmetically-Gorenstein point-set checks and
 minors-ideal membership are rank computations on coefficient matrices of
 graded pieces; no Groebner machinery anywhere.
 
-The pieces are built by scatter: multiplying the degree-j monomials by a
-monomial X^e sends them to a fixed set of rows, cached per (nvars, j, e),
-and each term of a form writes its coefficient into those rows at once.
+The pieces are built by scatter: multiplying the degree-j monomials by the
+monomials of degree e sends them to a table of rows, cached per
+(nvars, j, e), and a form's nonzero coefficients are written through it in
+one assignment (`mpoly.multiplication_matrix`).
 
 Hilbert functions of cokernels take a rank only when they must.  Let
 M: +S(e_c) -> +S(d_r) have no more columns than rows.  A point x with
@@ -20,7 +21,8 @@ coker M -> 0 gives h(j) = sum_r dim S_{j+d_r} - sum_c dim S_{j+e_c}
 witness among a few points of a fixed stream; with more columns than rows,
 or when no drawn point is a witness (det M = 0, or a small prime where a
 nonzero minor vanishes on all of GF(p)^n), it takes the rank of the
-degree-j piece.  Both routes give the exact value.
+degree-j piece.  Both routes give the exact value.  The search depends on
+M alone, so each matrix makes it once, however many degrees are asked.
 
 `det_in_minor_ideal` gets all d maximal minors of the rows below the first
 from one interpolation (`polymat.maximal_minors`): the black box takes the
@@ -205,11 +207,17 @@ WITNESS_POINTS = 4
 def _has_injectivity_witness(M: GradedMatrix) -> bool:
     """Is M(x) of full column rank at one of the first WITNESS_POINTS points
     of a fixed stream?  True proves M injective over S; False proves nothing.
-    With more columns than rows no point qualifies, since rank M(x) <= nrows.
-    M is evaluated at all the points in one batch and the members are ranked
-    in stream order, up to the first of full column rank."""
-    if M.ncols == 0:
-        return True
+    With more columns than rows no point qualifies, since rank M(x) <= nrows,
+    and none is evaluated.  Otherwise M is evaluated at all the points in
+    one batch and the members are ranked in stream order, up to the first
+    of full column rank.  The answer depends on M alone, so it is found once
+    per matrix and kept in M's `_witness` slot for every later degree."""
+    if M._witness is None:
+        M._witness = M.ncols == 0 or (M.ncols <= M.nrows and _find_witness(M))
+    return M._witness
+
+
+def _find_witness(M: GradedMatrix) -> bool:
     rng = FieldRng(0, "graded.coker_hilbert witness")
     points = [[rng.below(M.field.p) for _ in range(M.nvars)] for _ in range(WITNESS_POINTS)]
     values = M.evaluate_batch(np.array(points, dtype=np.int64))
@@ -223,7 +231,9 @@ def coker_hilbert(M: GradedMatrix, j: int) -> int:
     A point x with rank M(x) = ncols makes some maximal minor of M a nonzero
     polynomial, so M is injective over the domain S, every graded piece has
     full column rank, and that rank is the source dim sum_c dim S_{j+e_c}:
-    no piece is built.  Without such a witness the piece's rank is taken."""
+    no piece is built.  Without such a witness the piece's rank is taken.
+    The witness is searched for once per matrix, however many degrees are
+    asked (`_has_injectivity_witness`)."""
     target = sum(monomial_count(M.nvars, j + d) for d in M.row_twists)
     if _has_injectivity_witness(M):
         return target - sum(monomial_count(M.nvars, j + e) for e in M.col_twists)
@@ -243,6 +253,11 @@ class SmoothnessCertificate:
 
 
 WITNESS_SPAN = 2
+
+# The most entries, rows x columns, of a Jacobian piece the certificate
+# ranks: 256 MiB as float64.  In four variables it admits the degree-8
+# piece (3276 x 5320) and refuses the degree-9 one (4960 x 8096).
+MAX_JACOBIAN_ENTRIES = 1 << 25
 
 
 def _witness_candidates(field: PrimeField, nvars: int):
@@ -270,8 +285,11 @@ def smoothness_certificate(
     above the Koszul socle bound J = nvars (d - 2) + 1, proves the partials
     have no common projective zero; with p not dividing d, Euler's relation
     then makes the hypersurface smooth.  Failure is never reported as
-    singular without an explicit witness point; above the configured work
-    limit the verdict is unknown, and no partial derivative is taken.
+    singular without an explicit witness point.  The verdict is unknown,
+    and no partial derivative is taken, when J exceeds the configured work
+    limit or when the piece of all nvars partials, dim S_J rows by
+    nvars * dim S_{J-d+1} columns, has more than MAX_JACOBIAN_ENTRIES
+    entries.
     """
     d = F.degree
     field = F.field
@@ -287,7 +305,8 @@ def smoothness_certificate(
         )
     J = F.nvars * (d - 2) + 1
     full = monomial_count(F.nvars, J)
-    if J > max_certificate_degree:
+    columns = F.nvars * monomial_count(F.nvars, J - d + 1)
+    if J > max_certificate_degree or full * columns > MAX_JACOBIAN_ENTRIES:
         return SmoothnessCertificate("unknown", J, None, full)
     partials = [F.partial_derivative(j) for j in range(F.nvars)]
     achieved = ideal_piece_dim(partials, J)

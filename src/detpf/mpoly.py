@@ -467,7 +467,9 @@ def parse_forms(text: str, field: PrimeField | None = None) -> list[HomogeneousF
 def multiplication_matrix(
     g: HomogeneousForm, from_basis: MonomialBasis, to_basis: MonomialBasis
 ) -> np.ndarray:
-    """Coefficient matrix of multiplication by g : S_j -> S_{j + deg g}."""
+    """Coefficient matrix of multiplication by g : S_j -> S_{j + deg g}, as
+    int64 residues: g's nonzero coefficients scattered in one assignment
+    through the row table of `_product_rows`."""
     if from_basis.nvars != g.nvars or to_basis.nvars != g.nvars:
         raise BasisMismatch("variable count mismatch")
     if to_basis.degree != from_basis.degree + g.degree:
@@ -475,11 +477,22 @@ def multiplication_matrix(
             f"target degree {to_basis.degree} != {from_basis.degree} + {g.degree}"
         )
     out = np.zeros((len(to_basis), len(from_basis)), dtype=np.int64)
-    columns = np.arange(len(from_basis))
+    terms = np.flatnonzero(g.vector)
+    rows = _product_rows(g.nvars, from_basis.degree, g.degree)[terms]
     # distinct exponents of g send each column to distinct rows: no sums
-    for e, c in g.terms():
-        out[_shifted_rows(g.nvars, from_basis.degree, e), columns] = c
+    out[rows, np.arange(len(from_basis))] = g.vector[terms, None]
     return out
+
+
+@lru_cache(maxsize=128)
+def _product_rows(nvars: int, degree: int, factor_degree: int) -> np.ndarray:
+    """Index of X^e * m in its basis, at row e of the degree-`factor_degree`
+    monomials and column m of the degree-`degree` ones: the `_shifted_rows`
+    of each e, stacked.  It depends on the degrees alone."""
+    exponents = monomial_basis(nvars, factor_degree).exponents
+    table = np.stack([_shifted_rows(nvars, degree, e) for e in exponents])
+    table.flags.writeable = False  # shared through the cache
+    return table
 
 
 @lru_cache(maxsize=4096)
@@ -773,6 +786,16 @@ def determines(nvars: int, degree: int, p: int) -> bool:
     return nvars == 1 or degree <= p
 
 
+def _untried(batch: np.ndarray, tried: set) -> np.ndarray:
+    """The points of `batch` not in `tried`, in order; they join `tried`."""
+    new = []
+    for i, x in enumerate(map(tuple, batch.tolist())):
+        if x not in tried:
+            tried.add(x)
+            new.append(i)
+    return batch[new]
+
+
 def interpolate_many(
     values_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     nvars: int,
@@ -784,8 +807,13 @@ def interpolate_many(
 ) -> list[HomogeneousForm]:
     """Recover homogeneous forms from a batched black box, one per output.
 
-    `values_fn` is the black box of `sample_usable`.  It is called once on
-    the N = C(D+n-1, n-1) points of `principal_lattice`, then on stream points.
+    `values_fn` is the black box of `sample_usable`.  Its first call takes
+    the N = C(D+n-1, n-1) points of `principal_lattice` together with the
+    first ceil(0.1 N) points of the stream, so that an interpolation whose
+    lattice points are all usable calls it once.  With k holes (below) a
+    second call takes the stream's next k points; the two calls' stream
+    points are the first batch of `sample_usable`, and it draws more only
+    to top them up.
 
     The lattice (Chung & Yao, SIAM J. Numer. Anal. 14(4), 1977; Sauer & Xu,
     Math. Comp. 64, 1995).  Split the degree-D monomials by their first
@@ -811,8 +839,9 @@ def interpolate_many(
     `Inconsistent`.  With no holes this is the consistency check alone.
     While the rank is short the stream points double, up to 4 N; the
     stream's points are distinct, so over a tiny field it may run out first.
-    `check_degenerate` counts holes and dropped stream points together, and
-    `stats` gets both in `points_used` and `points_degenerate`.
+    `check_degenerate` counts holes and dropped stream points together,
+    after the first batch and after each top-up batch, and `stats` gets
+    both in `points_used` and `points_degenerate`.
 
     A degree `determines` refuses raises `InterpolationFailure` before the
     black box is called, and so does a hole rank still short after 4 N
@@ -828,22 +857,41 @@ def interpolate_many(
         )
     basis = monomial_basis(nvars, degree)
     ncols = len(basis)
-    points, nodes = principal_lattice(field, nvars, degree, seed)
-    values, usable = _evaluate(values_fn, points, n_outputs, p)
-    holes = np.flatnonzero(~usable)
+    lattice, nodes = principal_lattice(field, nvars, degree, seed)
+    head = -(-ncols // 10)
+    tried: set = set()
+    stream = _untried(sample_points(field, nvars, seed, 0, head), tried)
+    values, usable = _evaluate(values_fn, np.vstack([lattice, stream]), n_outputs, p)
+    holes = np.flatnonzero(~usable[:ncols])
     k = len(holes)
+    target = head + k
+    stream_values, stream_usable = values[ncols:], usable[ncols:]
+    # the next k stream points complete the first batch of `sample_usable`
+    rest = _untried(sample_points(field, nvars, seed, head, k), tried) if k else stream[:0]
+    if len(rest):
+        more, more_usable = _evaluate(values_fn, rest, n_outputs, p)
+        stream = np.vstack([stream, rest])
+        stream_values = np.vstack([stream_values, more])
+        stream_usable = np.concatenate([stream_usable, more_usable])
+    if not stream_usable.all():
+        stream, stream_values = stream[stream_usable], stream_values[stream_usable]
+    used, dropped = ncols + len(tried), k + len(tried) - len(stream)
+    if stats is not None:
+        stats.update(points_used=used, points_degenerate=dropped)
+    check_degenerate(used, dropped, p)
+    values = values[:ncols]
     values[holes] = 0
     unit = np.zeros((ncols, k), dtype=np.int64)
     unit[holes, np.arange(k)] = 1
     # the known values' forms, then the holes' Lagrange forms
     solved = _solve_lattice(np.hstack([values, unit]), basis, nodes, p)
-    kept = None
-    target = -(-ncols // 10) + k
+    kept = (stream, stream_values, target)
     cap = max(target, 4 * ncols)
     while True:
-        kept = sample_usable(
-            values_fn, field, nvars, seed, target, n_outputs, kept, stats, (ncols, k)
-        )
+        if len(kept[0]) < target:
+            kept = sample_usable(
+                values_fn, field, nvars, seed, target, n_outputs, kept, stats, (ncols, k)
+            )
         at = _matmul(vandermonde(kept[0], basis, p), solved, p)
         m = np.hstack([at[:, n_outputs:], (kept[1] - at[:, :n_outputs]) % p])
         pivots, _ = _forward_eliminate(m, p, k)
@@ -861,10 +909,10 @@ def interpolate_many(
             ]
         exhausted = len(kept[0]) < target
         if exhausted or target >= cap:
-            tried = f"all {p**nvars}" if exhausted else target
+            drawn = f"all {p**nvars}" if exhausted else target
             raise InterpolationFailure(
                 f"evaluation matrix stuck at rank {len(pivots)} < {k} "
-                f"after {tried} points over GF({p}); try a larger prime"
+                f"after {drawn} points over GF({p}); try a larger prime"
             )
         target = min(cap, target * 2)
 

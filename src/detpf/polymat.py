@@ -64,7 +64,9 @@ class SizeMismatch(InputError):
 class GradedMatrix:
     """Matrix of homogeneous forms with row/column twists and a symmetry tag."""
 
-    __slots__ = ("field", "nvars", "row_twists", "col_twists", "entries", "symmetry", "_stacks")
+    __slots__ = (
+        "field", "nvars", "row_twists", "col_twists", "entries", "symmetry", "_stacks", "_witness"
+    )
 
     def __init__(
         self,
@@ -113,16 +115,19 @@ class GradedMatrix:
         self.col_twists = cols
         self.entries = tuple(grid)
         self.symmetry = symmetry
-        # per degree: (basis, flat slots, basis x slots coefficients) of the
-        # nonzero entries, for `evaluate_batch`
+        # per degree: (basis, flat slots, basis x slots float64 coefficients)
+        # of the nonzero entries, for `evaluate_batch`
         self._stacks = tuple(
             (
                 monomial_basis(nvars, deg),
                 [slot for slot, _ in group],
-                np.stack([f.vector for _, f in group], axis=1),
+                np.stack([f.vector for _, f in group], axis=1, dtype=np.float64),
             )
             for deg, group in by_degree.items()
         )
+        # whether a point shows M injective, filled by the first
+        # `graded.coker_hilbert` that asks; `__eq__` ignores it, as `_stacks`
+        self._witness = None
         if symmetry in (SYMMETRIC, SKEW):
             self._check_pairing(skew=(symmetry == SKEW))
 
@@ -202,17 +207,24 @@ class GradedMatrix:
         return ScalarMatrix(self.field, out.reshape(self.nrows, self.ncols))
 
     def evaluate_batch(self, points: np.ndarray) -> np.ndarray:
-        """(npoints, nrows, ncols) array of entry values.
+        """(npoints, nrows, ncols) stack of M(x) as float64 residues
+        (`exactlin`'s float64 contract), as `LinearSkewMatrix.evaluate_batch`
+        gives.
 
         The nonzero entries of each degree share one Vandermonde matrix of
         the points, multiplied by their coefficient vectors, which the
-        constructor stacks once.
+        constructor stacks once.  When one degree fills every slot, that
+        product's own output is the stack, with no copy.
         """
         p = self.field.p
-        out = np.zeros((points.shape[0], self.nrows * self.ncols), dtype=np.int64)
+        shape = (points.shape[0], self.nrows, self.ncols)
+        if len(self._stacks) == 1 and len(self._stacks[0][1]) == self.nrows * self.ncols:
+            basis, _, coeffs = self._stacks[0]
+            return exactlin._matmul(mpoly.vandermonde(points, basis, p), coeffs, p).reshape(shape)
+        out = np.zeros((points.shape[0], self.nrows * self.ncols))
         for basis, slots, coeffs in self._stacks:
             out[:, slots] = exactlin._matmul(mpoly.vandermonde(points, basis, p), coeffs, p)
-        return out.reshape(points.shape[0], self.nrows, self.ncols)
+        return out.reshape(shape)
 
     # ---- text format ------------------------------------------------------
 

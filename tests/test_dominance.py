@@ -411,7 +411,7 @@ def pencil_with_m1(L, B, g):
 def random_invertible(size, prime, rng):
     while True:
         g = rng.below_many(prime, size * size).reshape(size, size)
-        if exactlin._det_array(g, prime):
+        if exactlin.determinant(ScalarMatrix(PrimeField(prime), g)):
             return g
 
 
@@ -454,7 +454,7 @@ def test_certificate_records_the_route():
     # the Schur recursion runs at every prime, so the count is an integer
     assert pfaffian_codim(3, 6, prime=2**31 - 1, seed=3).to_dict()["inverse_fallbacks"] == 0
     # M_0 is singular here: the full matrix is kept
-    assert exactlin._det_array(sampled_matrix(3, 3, 7, 3).coeff[0], 7) == 0
+    assert exactlin.determinant(ScalarMatrix(PrimeField(7), sampled_matrix(3, 3, 7, 3).coeff[0])) == 0
     assert pfaffian_codim(3, 3, prime=7, seed=3).columns == 4 * comb(6, 2)
     # 3 divides the degree, and both cuts run
     assert pfaffian_codim(2, 3, prime=3, seed=0).columns == both_cuts(2, 3)

@@ -1055,7 +1055,7 @@ def sparse_skew(p, n, zero_share, seed):
 def test_det_matches_cofactor_expansion(p, n, zero_share, seed):
     a = sparse_square(p, n, zero_share, seed)
     want = reference_det(a.tolist(), p)
-    assert exactlin._det_array(a, p) == want
+    assert int(exactlin._det_array(a[None], p)[0]) == want
     if n:
         assert determinant(ScalarMatrix(PrimeField(p), a)) == want
 
@@ -1131,7 +1131,7 @@ def test_stacked_pfaffian_matches_expansion(p, case):
 def test_pfaffian_squares_to_determinant_at_every_prime(p, n, zero_share, seed):
     a = sparse_skew(p, n, zero_share, seed)
     pf = exactlin._pfaffian_array(a, p)
-    assert pf * pf % p == exactlin._det_array(a, p)
+    assert pf * pf % p == determinant(ScalarMatrix(PrimeField(p), a))
 
 
 # ---- stacked determinant against a plain-int elimination ---------------------
@@ -1183,8 +1183,8 @@ def test_stacked_det_matches_reference(case):
     for t, a in enumerate(stack):
         want = reference_det_by_elimination(a.tolist(), p)
         assert int(got[t]) == want
-        # the single-matrix form returns the same value as an int
-        single = exactlin._det_array(a, p)
+        # the LU determinant of one matrix returns the same value as an int
+        single = determinant(ScalarMatrix(PrimeField(p), a))
         assert type(single) is int and single == want
         if n <= 5:
             assert want == reference_det(a.tolist(), p)
@@ -1204,7 +1204,7 @@ def test_stacked_det_kinds_and_edge_shapes():
     assert np.array_equal(exactlin._det_array(swapped, p), (-dets) % p)
     assert exactlin._det_array(np.zeros((0, 3, 3), dtype=np.int64), p).shape == (0,)
     assert exactlin._det_array(np.zeros((4, 0, 0), dtype=np.int64), p).tolist() == [1] * 4
-    assert exactlin._det_array(np.zeros((0, 0), dtype=np.int64), p) == 1
+    assert determinant(ScalarMatrix(PrimeField(p), np.zeros((0, 0), dtype=np.int64))) == 1
 
 
 # ---- member-last float64 kernels against the int64 loops they replaced ---------
@@ -1295,6 +1295,9 @@ def assert_stack_kernels_match_int64_loops(stack, p):
     dets = exactlin._det_array(stack, p)
     assert dets.dtype == np.int64
     assert dets.tobytes() == int64_det_array(stack, p).tobytes()
+    # the LU determinant of each member on its own
+    field = PrimeField(p)
+    assert [determinant(ScalarMatrix(field, a)) for a in stack] == dets.tolist()
     inverses, invertible = exactlin._gauss_jordan_many(stack, p)
     want, want_ok = int64_gauss_jordan_many(stack, p)
     assert inverses.dtype == np.int64
@@ -1329,7 +1332,7 @@ def test_stack_kernels_match_the_int64_loops_on_680_members(p, n):
 def test_stack_kernels_take_a_single_matrix_and_any_integers():
     p = 31991
     a = stacked(p, 9, ["swap"], 4)[0]
-    assert exactlin._det_array(a, p) == int(int64_det_array(a[None], p)[0])
+    assert determinant(ScalarMatrix(PrimeField(p), a)) == int(int64_det_array(a[None], p)[0])
     skew = exactlin._skew_from_upper(a[None], p)
     assert exactlin._pfaffian_array(skew[0], p) == int(int64_pfaffian_array(skew, p)[0])
     # entries outside [0, p) and float64 residues are read as integers mod p

@@ -187,6 +187,49 @@ def test_the_batched_witness_answers_as_the_entry_by_entry_one(monkeypatch):
     assert found_late and missed
 
 
+def _counting_evaluations(monkeypatch):
+    """Patch `GradedMatrix.evaluate_batch` to record each call's point count."""
+    calls = []
+    evaluate_batch = GradedMatrix.evaluate_batch
+    monkeypatch.setattr(
+        GradedMatrix,
+        "evaluate_batch",
+        lambda self, x: calls.append(len(x)) or evaluate_batch(self, x),
+    )
+    return calls
+
+
+def test_the_witness_is_found_once_per_matrix(monkeypatch):
+    # one matrix asked for 9 degrees, as `detpf hilbert` asks: the witness
+    # points are evaluated in one batch, once
+    M = random_graded_matrix(F, 4, linear_square_shape(4), FieldRng("once"))
+    fresh = GradedMatrix(F, 4, M.row_twists, M.col_twists, M.entries)
+    calls = _counting_evaluations(monkeypatch)
+    assert [coker_hilbert(M, j) for j in range(9)] == [4 * (j + 2) * (j + 1) // 2 for j in range(9)]
+    assert calls == [graded.WITNESS_POINTS]
+    # the kept witness is no part of the matrix's value
+    assert M._witness is True and fresh._witness is None
+    assert M == fresh and fresh == M
+    # no point shows a matrix with a repeated row injective: the failed
+    # search is kept too, and every degree takes the rank of its piece
+    rows = list(M.entries[:3]) + [M.entries[0]]
+    singular = GradedMatrix(F, 4, M.row_twists, M.col_twists, rows)
+    copy = GradedMatrix(F, 4, M.row_twists, M.col_twists, rows)
+    calls.clear()
+    pieces = _count_pieces(monkeypatch)
+    got = [coker_hilbert(singular, j) for j in range(9)]
+    assert calls == [graded.WITNESS_POINTS] and pieces == list(range(9))
+    assert singular._witness is False and singular == copy
+    assert got == [coker_hilbert(copy, j) for j in range(9)]
+
+
+def test_a_wide_matrix_is_never_evaluated_for_a_witness(monkeypatch):
+    M = random_graded_matrix(F, 3, ResolutionShape((0, 0), (-1, -1, -1)), FieldRng("wide"))
+    calls = _counting_evaluations(monkeypatch)
+    assert [coker_hilbert(M, j) for j in range(6)] == [2, 3, 3, 3, 3, 3]
+    assert calls == [] and M._witness is False
+
+
 def test_coker_hilbert_of_a_matrix_without_rows():
     # S(0) -> 0: no witness point can exist, and the cokernel is 0
     M = GradedMatrix(F, 3, (), (0,), [])
@@ -246,6 +289,38 @@ def test_smoothness_work_limit_comes_before_the_partials(monkeypatch):
     monkeypatch.setattr(HomogeneousForm, "partial_derivative", refuse)
     assert smoothness_certificate(f) == want
     assert (want.verdict, want.certificate_degree, want.achieved_dim) == ("unknown", 233, None)
+
+
+def _refuse_partials(monkeypatch):
+    def refuse(self, index):
+        raise AssertionError("partial derivative taken above the size bound")
+
+    monkeypatch.setattr(HomogeneousForm, "partial_derivative", refuse)
+
+
+def test_smoothness_size_bound_on_either_side(monkeypatch):
+    # the Fermat cubic curve: J = 4, and the piece of its 3 partials is
+    # dim S_4 = 15 rows by 3 dim S_2 = 18 columns
+    f = fermat_target(F, 2, 3)
+    monkeypatch.setattr(graded, "MAX_JACOBIAN_ENTRIES", 15 * 18)
+    assert smoothness_certificate(f) == graded.SmoothnessCertificate("smooth", 4, 15, 15)
+    monkeypatch.setattr(graded, "MAX_JACOBIAN_ENTRIES", 15 * 18 - 1)
+    _refuse_partials(monkeypatch)
+    assert smoothness_certificate(f) == graded.SmoothnessCertificate("unknown", 4, None, 15)
+
+
+def test_smoothness_size_bound_admits_octic_surfaces_only(monkeypatch):
+    # in P3 the degree-8 piece (J = 25) is under the bound and the degree-9
+    # one (J = 29) over it; every test and CI input is far below
+    assert monomial_count(4, 25) * 4 * monomial_count(4, 18) == 3276 * 5320
+    assert 3276 * 5320 <= graded.MAX_JACOBIAN_ENTRIES < 4960 * 8096
+    assert monomial_count(4, 29) * 4 * monomial_count(4, 21) == 4960 * 8096
+    _refuse_partials(monkeypatch)
+    for d in (9, 10, 11):
+        cert = smoothness_certificate(fermat_target(F, 3, d))
+        assert (cert.verdict, cert.certificate_degree, cert.achieved_dim) == (
+            "unknown", 4 * (d - 2) + 1, None
+        )
 
 
 def test_smoothness_monotonicity_spot_check():

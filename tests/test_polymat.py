@@ -604,9 +604,16 @@ def test_evaluate_batch_matches_pointwise(modulus, nvars):
         pts[0] = 0
         pts[1] += modulus  # unreduced coordinates are taken mod p
         batch = M.evaluate_batch(pts)
-        assert batch.dtype == np.int64 and batch.shape == (9, 3, 4)
+        # float64 residues, equal entry for entry to the int64 ones of evaluate
+        assert batch.dtype == np.float64 and batch.shape == (9, 3, 4)
         for t in range(9):
-            assert batch[t].tobytes() == M.evaluate(pts[t]).a.tobytes()
+            assert batch[t].tolist() == M.evaluate(pts[t]).a.tolist()
+        # one degree in every slot: the product's own output is the stack
+        linear = random_graded_matrix(field, nvars, linear_square_shape(3), FieldRng("fill", seed))
+        batch = linear.evaluate_batch(pts)
+        assert batch.dtype == np.float64 and batch.shape == (9, 3, 3)
+        for t in range(9):
+            assert batch[t].tolist() == linear.evaluate(pts[t]).a.tolist()
     zero = GradedMatrix(field, nvars, (0, 0), (-1, -1), [[None, None], [None, None]])
     assert not zero.evaluate_batch(pts).any()
     assert M.evaluate_batch(pts[:0]).shape == (0, 3, 4)
