@@ -7,21 +7,34 @@ pfaffian of M with rows and columns i, j deleted.  That span is the image of
 the tangent map of the pfaffian map at M (Beauville, "Determinantal
 hypersurfaces", Michigan Math. J. 48, 2000, section 7).
 
-The rank is read off by evaluation, without computing any P_ij.  Sample
-N = C(d+r, r) points x at which M(x) is invertible, invert the N skew
-matrices in chunks of points (`exactlin.invert_skew_many`), and give each
-point the row x (x) triu(M(x)^-1) of length (r+1) C(2d, 2).  The rank of this
-N-row matrix E is the certificate's rank.  Since
-(M^-1)_ij = (-1)^(i+j) P_ij(x) / pf(M(x)) for i < j, the matrix factors as
+The rank is read off along lines, without computing any P_ij.  A line
+x(t) = a + t b has a = (a', 0, 1), b = (b', 1, 0); put A = M(a), B = M(b),
+K = A^-1 B and nu_j = (-1)^j m_(d-j) for the monic Krylov relation
+sum_(i<=d) m_i K^i w = 0 of column 0 of A^-1 (and of column 1 where column
+0 falls short).  Q_0 = A^-1, Q_j = nu_j A^-1 - K Q_(j-1) give
+Y(t) = sum_(j<d) t^j Q_j with (A + tB) Y(t) = nu(t) I exactly when
+K Q_(d-1) = nu_d A^-1; a line is kept only when A is invertible and that
+closure holds.  Then Y(t) = c(t) P(t), with c = nu / pf(A + tB) and P(t)
+the matrix of the (-1)^(i+j) P_ij(x(t)), as (M^-1)_ij = (-1)^(i+j) P_ij /
+pf(M) for i < j, so every linear relation among the X_k P_ij holds among
+the line's d + 1 rows of G: the coefficients of t^j in x(t) (x) triu(Y(t)),
+whose x_(r-1) = t and x_r = 1 blocks are triu(Q_(j-1)) and triu(Q_j).
+When K = J (+) J with J cyclic (Thompson, below), c = 1/pf(A) and
 
-    E = D V C S,
+    G = D' R C S,
 
-with D the invertible diagonal of the 1/pf(M(x)), V the N x C(d+r, r)
-degree-d Vandermonde matrix of the points, C the transposed span matrix
-(column (k, i, j) holds the coefficients of X_k P_ij) and S the diagonal of
-the signs (-1)^(i+j).  Hence rank E <= rank C for any points, with equality
-when V is invertible.  `span_rank_by_interpolation` computes rank C itself,
-by interpolating every P_ij; tests hold the two routes against each other.
+with D' the invertible diagonal of the 1/pf(A), R the restriction of S_d
+to the lines (the coefficients in t of f(a + t b)), C the transposed span
+matrix (column (k, i, j) holds the coefficients of X_k P_ij) and S the
+diagonal of the signs (-1)^(i+j).  So rank G <= rank C for any lines, with
+equality once they impose independent conditions on S_d, as general lines
+in P^r, r >= 3, do (Hartshorne & Hirschowitz, LNM 961, 1982).  There
+ceil(N / (d+1)) + 1 lines are taken, N = C(d+r, r): one fewer lost a rank
+for 4 of the first 200 seeds at (3, 10), which a count-obstructed
+certificate, with its one attempt, would report.  Plane curves take d + 1,
+as a degree-d form vanishing on d + 1 lines is 0.
+`span_rank_by_interpolation` computes rank C by interpolating every P_ij;
+tests hold the two routes against each other.
 
 cd = 0 at a single sample is rigorous: rank is lower-semicontinuous in the
 matrix coefficients, so the generic rank is at least the sampled rank, and
@@ -32,9 +45,9 @@ from the unconditional dimension count moduli < linear system.
 From characteristic p to characteristic 0: lift the sampled matrix to
 integer entries in [0, p).  The coefficient matrix C of the forms X_k P_ij
 then has integer entries, and its reduction mod p is the span matrix over
-GF(p), whose rank bounds rank E from above.  A minor that is nonzero mod p
+GF(p), whose rank bounds rank G from above.  A minor that is nonzero mod p
 is a nonzero integer, so the rank over Q is at least the rank over GF(p):
-full rank of E mod p gives full rank of the differential at an integer
+full rank of G mod p gives full rank of the differential at an integer
 point in characteristic 0, and cd = 0 holds over C.  The converse fails,
 since a rank can drop mod p.
 
@@ -42,10 +55,10 @@ Invariant for shortcuts: any change to the route from sample to rank (a
 faster kernel, a different way to build the span, a random compression)
 may only lower a rank, never raise it.  A lowered rank can only turn cd = 0
 into cd > 0, which proves nothing; a raised rank could certify a map that is
-not dominant.  Evaluation is such a shortcut: points on which V drops
-rank can only lower rank E.
+not dominant.  The lines are such a shortcut: lines on which R drops
+rank can only lower rank G.
 
-The x_0 cut is another.  Of the C(2d, 2) columns of E that carry x_0 it
+The x_0 cut is another.  Of the C(2d, 2) columns of G that carry x_0 it
 keeps only the one at the first pair a < b in triu order with
 (M_0^-1)_ab != 0.  Deleting columns can only lower a rank, so the invariant
 holds whatever is kept; when M_0 is invertible the rank is unchanged for
@@ -61,8 +74,8 @@ M(x) in the direction N, so that dpf(E_ij - E_ji) = +-P_ij:
 * N_0 = E_ab - E_ba has tr(N_0 M_0^-1) = -2 (M_0^-1)_ab != 0, so N_0 is
   off H, and x_0 dpf(N_0) = +-x_0 P_ab is the kept column.
 
-So span{x_k P_ij} = span{x_k P_ij : k >= 1} + <x_0 P_ab>, and the cut E has
-the rank of E.
+So span{x_k P_ij} = span{x_k P_ij : k >= 1} + <x_0 P_ab>, and the cut G has
+the rank of G.
 
 The x_1 cut takes the same identity one block further.  Let
 K = M_0^-1 M_1 and A_j = K^j M_0^-1 for j < d; each A_j is skew.  When the
@@ -85,16 +98,16 @@ that carry x_1 only its d pivot columns Q are kept:
   W_1 (+) span{e_Q}.
 
 So each x_1 column off Q is a combination of the x_1 columns at Q and of
-the blocks k >= 2, which stay whole, and the cut E still has the rank of
-E.  When the rank of the A_j is below d -- the minimal polynomial of K has
+the blocks k >= 2, which stay whole, and the cut G still has the rank of
+G.  When the rank of the A_j is below d -- the minimal polynomial of K has
 degree below d, as for M_1 = c M_0 -- the x_1 block is kept whole; when
 M_0 is singular every block is.  `_kept_columns` finds both cuts once per
 certificate, with one inverse of M_0 and one d-row elimination, and a
-certificate's `columns` field, the width of E, says which ran: 1 + d +
-(r-1) C(2d, 2) when both did.  At d = 15 on P^3 E goes from 1740 columns
+certificate's `columns` field, the width of G, says which ran: 1 + d +
+(r-1) C(2d, 2) when both did.  At d = 15 on P^3 G goes from 1740 columns
 to 1306 with the x_0 cut and to 886 with both.  This is the GL(2d)
 quotient behind the moduli count (n+1) d (2d-1) - 4 d^2 of section 7,
-applied to the columns of E rather than to the dimension.
+applied to the columns of G rather than to the dimension.
 """
 
 from __future__ import annotations
@@ -106,9 +119,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__, exactlin, graded
-from .exactlin import PrimeField, ScalarMatrix
 from .constructions import random_linear_skew
-from .mpoly import monomial_count, sample_usable
+from .exactlin import PrimeField, ScalarMatrix, _matmul, _max_terms, _mul_mod, _reduce_float
+from .mpoly import _untried, check_degenerate, monomial_count, sample_points
 from .polymat import LinearSkewMatrix, submaximal_pfaffians
 from .rng import FieldRng, derive_seed
 
@@ -223,64 +236,116 @@ class DominanceCertificate:
         return "r,d,prime,seed,cd,rank,target,verdict,elapsed_ms"
 
 
-CHUNK = 128
-
-
 def _span_rank(
     L: LinearSkewMatrix, d: int, seed: int, stats: dict | None = None
 ) -> tuple[int, int, int]:
-    """(rank of the evaluation matrix, target dim, sample points drawn).
-
-    Rows are x (x) triu(M(x)^-1) at the first N = C(d+r, r) points of the
-    stream where M(x) is invertible; singular points are dropped and
-    replaced by `mpoly.sample_usable`.  Of each x_k block only the columns
-    `_kept_columns` returns are kept (module docstring).  E is the only
-    N-row array: the black box allocates E's rows for its points and fills
-    them CHUNK points at a time, evaluating M at the chunk, inverting that
-    stack and writing each block as the product of a point coordinate with
-    the kept inverse entries, one `exactlin._matmul` of inner dimension 1
-    into E.  When every point of the first batch is usable,
-    `sample_usable` returns those rows without a copy, and `exactlin.rank`
-    factors E itself.  CHUNK = 128 keeps the stack of M(x) and its
-    inverses small beside E, while each chunk still pays the Schur
-    recursion's per-level overhead only once per 128 members; chunks of 32
-    and 64 were slower per certificate.  All of it stays float64 residues.
-    `stats`, when given, gets `columns` (the width of E) and
-    `inverse_fallbacks` (see `exactlin.invert_skew_many`).
-    """
-    field = L.field
-    target = monomial_count(L.nvars, d)
-    upper = np.triu_indices(L.size, 1)
-    blocks = [(upper[0][cols], upper[1][cols]) for cols in _kept_columns(L)]
-    width = sum(len(i) for i, _ in blocks)
-    inverse_stats = {"fallbacks": 0}
-
-    def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        rows = np.empty((len(points), width))
-        invertible = np.empty(len(points), dtype=bool)
-        for s in range(0, len(points), CHUNK):
-            x = points[s : s + CHUNK]
-            inverses, invertible[s : s + CHUNK] = exactlin.invert_skew_many(
-                L.evaluate_batch(x), field.p, inverse_stats
-            )
-            at = 0
-            for k, (i, j) in enumerate(blocks):
-                out = rows[s : s + CHUNK, None, at : at + len(i)]
-                block = inverses[:, None, i, j]
-                exactlin._matmul(x[:, k, None, None], block, field.p, out=out)
-                at += len(i)
-        return rows, invertible
-
-    # the point stream submaximal_pfaffians draws from for the same seed
-    stream = derive_seed(seed, "subpf")
-    _, rows, drawn = sample_usable(values_fn, field, L.nvars, stream, target, width)
+    """(rank of G, target dim, lines drawn), with G's stacks freed before
+    its rank.  `stats` gets `columns`, G's width, and `inverse_fallbacks`,
+    the base points a rerun through Gauss-Jordan."""
+    route: dict = {}
+    G = _line_matrix(L, d, seed, route)
     if stats is not None:
-        stats.update(columns=width, inverse_fallbacks=inverse_stats["fallbacks"])
-    return exactlin.rank(ScalarMatrix(field, rows)), target, drawn
+        stats.update(columns=G.shape[1], inverse_fallbacks=route["fallbacks"])
+    return exactlin.rank(ScalarMatrix(L.field, G)), monomial_count(L.nvars, d), route["drawn"]
+
+
+def _line_matrix(L: LinearSkewMatrix, d: int, seed: int, route: dict) -> np.ndarray:
+    """G from the first usable lines of the stream, a line being the a', b'
+    of one draw, sampled as `mpoly.sample_usable` samples points (repeats
+    skipped, unusable lines replaced, `check_degenerate` counting lines).
+    `route` gets `drawn` and `fallbacks`."""
+    p, r = L.field.p, L.nvars - 1
+    target = monomial_count(L.nvars, d)
+    needed = d + 1 if r == 2 else -(-target // (d + 1)) + 1
+    blocks = _kept_columns(L)
+    tried: set = set()
+    drawn = kept = 0
+    parts = []
+    route["fallbacks"] = 0
+    while kept < needed and len(tried) < p ** (2 * r - 2):
+        batch = sample_points(L.field, 2 * r - 2, seed, drawn, needed - kept)
+        drawn += len(batch)
+        batch = _untried(batch, tried)
+        if len(batch):
+            rows, usable = _line_rows(L, d, batch, blocks, route)
+            parts.append(rows[:, usable] if not usable.all() else rows)
+            kept += parts[-1].shape[1]
+            check_degenerate(len(tried), len(tried) - kept, p, "lines")
+    route["drawn"] = drawn
+    G = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return G.reshape(-1, G.shape[2])
+
+
+def _line_rows(L: LinearSkewMatrix, d: int, lines: np.ndarray, blocks: list, route: dict):
+    """(rows, usable): the d + 1 rows of each line at the kept columns, and
+    whether A is invertible and the recurrence closes (module docstring).
+    Rows j = 0 and j = d, each with a zero block, come last, which spares
+    G's elimination row swaps."""
+    p, r, n = L.field.p, L.nvars - 1, L.size
+    count = len(lines)
+    ends = np.zeros((2, count, L.nvars), dtype=np.int64)
+    ends[0, :, : r - 1], ends[0, :, r] = lines[:, : r - 1], 1
+    ends[1, :, : r - 1], ends[1, :, r - 1] = lines[:, r - 1 :], 1
+    A, B = L.evaluate_batch(ends.reshape(2 * count, -1)).reshape(2, count, n, n)
+    inverse, invertible = exactlin.invert_skew_many(A, p, route)
+    K = _matmul(inverse, B, p)
+    x, solved = _krylov_relation(K, inverse[:, :, :1], d, p)
+    if not solved.all():  # column 0 alone is not cyclic: add column 1
+        x[:, ~solved] = _krylov_relation(K[~solved], inverse[~solved, :, :2], d, p)[0]
+    # K^d w = sum_i x_i K^i w, so nu_j = (-1)^(j+1) x_(d-j), held at nu[j - 1]
+    nu = np.where(np.arange(1, d + 1)[:, None] % 2, x[::-1], (p - x[::-1]) % p)
+    upper = np.triu_indices(n, 1)
+    flat = upper[0] * n + upper[1]
+    index = [np.arange(len(flat))[cols] for cols in blocks]
+    lead = np.concatenate(index[: r - 1])  # the columns of x_0..x_(r-2)
+    edge = [len(lead), len(lead) + len(index[r - 1])]
+    rows = np.empty((d + 1, count, edge[1] + len(index[r])))
+    at = [d - 1, *range(d - 1), d]  # the row of each j
+    S = np.zeros((d + 2, count, len(lead)))  # S[j + 1] = triu(Q_j) at `lead`
+    tri = np.empty((count, len(flat)))
+    work = np.empty((2, *inverse.shape))
+    delayed = _max_terms(p, exactlin.FLOAT_EXACT, p) > n
+    Q = inverse
+    for j in range(d):
+        np.take(Q.reshape(count, -1), flat, axis=1, out=tri, mode="clip")
+        rows[at[j], :, edge[1] :] = tri[:, blocks[r]]
+        rows[at[j + 1], :, edge[0] : edge[1]] = tri[:, blocks[r - 1]]
+        np.take(tri, lead, axis=1, out=S[j + 1], mode="clip")
+        c = nu[j][:, None, None]
+        if delayed:  # K Q_j, then nu_(j+1) A^-1 - K Q_j
+            product, step = work[j % 2], work[1 - j % 2]
+            np.matmul(K, Q, out=product)
+            np.multiply(c, inverse, out=step)
+            step -= product
+            Q = _reduce_float(step, p, out=product)
+        else:
+            Q = _reduce_float(_mul_mod(c, inverse, p) - _matmul(K, Q, p), p)
+    rows[at[0], :, edge[0] : edge[1]] = 0
+    rows[at[d], :, edge[1] :] = 0
+    # the x_0..x_(r-2) blocks: a_k triu(Q_j) + b_k triu(Q_(j-1))
+    j = np.argsort(at)
+    k = np.repeat(np.arange(r - 1), [len(i) for i in index[: r - 1]])
+    a, b = lines[:, k].astype(np.float64), lines[:, k + r - 1].astype(np.float64)
+    both = _mul_mod(a, S[j + 1], p) + _mul_mod(b, S[j], p)
+    _reduce_float(both, p, out=rows[:, :, : edge[0]])
+    return rows, invertible & ~Q.any(axis=(1, 2))
+
+
+def _krylov_relation(K: np.ndarray, w: np.ndarray, d: int, p: int):
+    """(x, solved): K^d w = sum_(i<d) x_i K^i w, by one Gauss-Jordan of
+    [w, ..., K^d w] pivoting per member, solved where that has rank d."""
+    count, n, columns = w.shape
+    krylov = np.empty((n * columns, d + 1, count))
+    for i in range(d + 1):
+        krylov[:, i] = w.transpose(1, 2, 0).reshape(-1, count)
+        if i < d:
+            w = _matmul(K, w, p)
+    solved = exactlin._eliminate_stack(krylov, p, d, jordan=True) != 0
+    return _reduce_float(krylov[:d, d], p), solved
 
 
 def _kept_columns(L: LinearSkewMatrix) -> list[np.ndarray | slice]:
-    """The columns E keeps of each x_k block, as triu indices (module
+    """The columns G keeps of each x_k block, as triu indices (module
     docstring).  With M_0 invertible: in the x_0 block the first pair a < b
     with (M_0^-1)_ab != 0, and in the x_1 block the d pivot columns of the
     matrix whose rows are triu(K^j M_0^-1), j < d, K = M_0^-1 M_1, when it

@@ -7,8 +7,8 @@ hold residues already, each an integer in [0, p), and is never reduced or
 cast on the way in: `ScalarMatrix` keeps it without a copy, `rank` factors
 it in place, and `invert_skew_many` returns float64 inverses for it.
 `_matmul` returns float64 residues, so a certificate's stacks and its
-matrix E are never cast between the product that evaluates M(x)
-(`polymat.LinearSkewMatrix.evaluate_batch`) and the factorization of E.
+matrix G are never cast between the product that evaluates M(x)
+(`polymat.LinearSkewMatrix.evaluate_batch`) and the factorization of G.
 Any other input is read as integers and reduced mod p.
 
 Every product is `_matmul`, exact for every p < 2**31.  With inner
@@ -92,29 +92,13 @@ Beside it, `_log_tables` caches the discrete-log and antilog tables of the
 same primes, two more uint16 arrays, on which `mpoly.vandermonde` takes
 powers; they too are built on first use.
 
-`invert_skew_many` inverts a stack of skew matrices by block recursion
-through the Schur complement (`_schur_inverse`, after Strassen, Numer.
-Math. 13, 1969; Bunch, Math. Comp. 38, 1982, for the skew case).  Split
-each member as M = [[A, B], [-B^T, D]] with A of even size h near n/2 and
-put X = A^-1 B.  Three identities halve the off-diagonal work:
-
-* -B^T A^-1 = X^T, because A^-1 is skew;
-* S = D + B^T X is skew, so it is inverted by the same recursion;
-* with Z = X S^-1, -S^-1 X^T = Z^T;
-
-so M^-1 = [[A^-1 + Z X^T, -Z], [Z^T, S^-1]] takes four stacked float64
-products per level (A^-1 B, B^T X, X S^-1, Z X^T), each reduced mod p.  The
-recursion ends at 2 x 2 blocks [[0, b], [-b, 0]], whose inverse is
-[[0, -1/b], [1/b, 0]].  It reads only the strict upper triangle of each
-member, so the contract is the inverse of the skew matrix that triangle
-defines, and no skewness check is made.  A skew matrix of odd size is
-singular, so an odd n returns every member singular at once.  B^T X and
-Z X^T are added to D and A^-1 before they are reduced while
-k*(p-1)**2 + 2p < 2**53 for k = max(h, n - h), up to p of about 2.3e7 at
-n = 32, and reduced by `_matmul` first above that.  The members with
-b = 0 or a singular Schur complement at some level are rerun through
-Gauss-Jordan, which takes them as triu - triu^T; the inverse is unique,
-so both routes give the same residues.
+`invert_skew_many` inverts a stack of skew matrices, each given by its
+strict upper triangle, by block recursion through the Schur complement
+(`_schur_inverse`, after Strassen, Numer. Math. 13, 1969; Bunch, Math.
+Comp. 38, 1982, for the skew case): four stacked float64 products per
+level down to closed-form 2 x 2 blocks.  The members it fails are rerun
+through Gauss-Jordan; the inverse is unique, so both routes give the same
+residues.
 
 Pivoting always selects the first nonzero entry in row order -- GF(p) has no
 magnitude -- and swaps whole rows.  The rule depends only on residues, and
@@ -376,13 +360,15 @@ def _mul_mod(a: np.ndarray, b: np.ndarray, p: int, out: np.ndarray | None = None
 
 def _reduce_float(c: np.ndarray, p: int, out: np.ndarray | None = None) -> np.ndarray:
     """c mod p for a float64 array of integers with |c| + p < 2**53, written
-    to `out` when it is given.
+    to `out` when it is given; an `out` apart from c holds the quotient
+    too, so nothing is allocated.
 
     fl(c/p) lies within |c|*2**-53/p < 1/p of c/p, and c/p is an integer or
     at least 1/p away from one, so floor(fl(c/p)) is the true quotient q;
     q*p and c - q*p are then exact.
     """
-    q = c / p
+    apart = out is not None and out is not c and not np.may_share_memory(c, out)
+    q = np.divide(c, p, out=out) if apart else c / p
     np.floor(q, out=q)
     q *= p
     return np.subtract(c, q, out=q if out is None else out)
@@ -592,25 +578,6 @@ def rank(A: ScalarMatrix) -> int:
     """Rank over GF(p): the number of `pivot_columns`, which factor a
     float64 matrix in place."""
     return len(pivot_columns(A))
-
-
-def kernel_basis(A: ScalarMatrix) -> list[np.ndarray]:
-    """Basis of the right null space {v : A v = 0}, ordered by free column."""
-    p = A.field.p
-    m = A.a.astype(np.int64)
-    pivots, _ = _forward_eliminate(m, p, A.cols)
-    _back_substitute(m, p, pivots)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(A.cols):
-        if free in pivot_set:
-            continue
-        v = np.zeros(A.cols, dtype=np.int64)
-        v[free] = 1
-        for row, col in enumerate(pivots):
-            v[col] = (-int(m[row, free])) % p
-        basis.append(v)
-    return basis
 
 
 def invert(A: ScalarMatrix) -> ScalarMatrix:

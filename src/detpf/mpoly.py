@@ -286,13 +286,6 @@ class HomogeneousForm:
         values = _monomial_values(point, monomial_basis(self.nvars, self.degree), p)
         return int(_matmul(values[None], self.vector[:, None], p)[0, 0])
 
-    def evaluate_many(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized evaluation at an (n, nvars) array of points."""
-        p = self.field.p
-        basis = monomial_basis(self.nvars, self.degree)
-        vec = self.vector[:, None]
-        return _matmul(vandermonde(points, basis, p), vec, p)[:, 0].astype(np.int64)
-
     def substitute(self, images: Sequence["HomogeneousForm"]) -> "HomogeneousForm":
         if len(images) != self.nvars:
             raise VariableCountMismatch(
@@ -559,11 +552,12 @@ def _power_vandermonde(points: np.ndarray, exponents: np.ndarray, degree: int, p
     return V
 
 
-def check_degenerate(drawn: int, dropped: int, p: int) -> None:
-    """Raise DegeneratePencil if over half of 16 or more drawn points were dropped."""
+def check_degenerate(drawn: int, dropped: int, p: int, kind: str = "points") -> None:
+    """Raise DegeneratePencil if over half of 16 or more drawn points (or
+    the `kind` of sample named) were dropped."""
     if drawn >= 16 and 2 * dropped > drawn:
         raise DegeneratePencil(
-            f"unusable at {dropped} of {drawn} sample points over GF({p}); "
+            f"unusable at {dropped} of {drawn} sample {kind} over GF({p}); "
             "try a larger prime"
         )
 
@@ -713,13 +707,12 @@ _CUBE_ENTRIES = 1 << 20  # bound on a zero-padded cube of `_solve_block`
 
 def _along_axes(cube: np.ndarray, table: np.ndarray, m: int, p: int) -> np.ndarray:
     """Apply the D x D `table` along each of the first m axes of a flattened
-    (D^m, width) cube."""
+    (D^m, width) cube: m times, a product along the leading axis, which
+    then moves behind the other m - 1 in one reshape and transpose."""
     D, width = len(table), cube.shape[1]
-    x = cube.reshape((D,) * m + (width,))
-    for axis in range(m):
-        x = np.moveaxis(x, axis, 0)
-        shape = x.shape
-        x = np.moveaxis(_matmul(table, x.reshape(D, -1), p).reshape(shape), 0, axis)
+    x = cube
+    for _ in range(m):
+        x = _matmul(table, x.reshape(D, -1), p).reshape(D, -1, width).transpose(1, 0, 2)
     return x.reshape(D**m, width)
 
 
@@ -915,20 +908,3 @@ def interpolate_many(
                 f"after {drawn} points over GF({p}); try a larger prime"
             )
         target = min(cap, target * 2)
-
-
-def interpolate_homogeneous(
-    black_box: Callable[[Sequence[int]], int],
-    nvars: int,
-    degree: int,
-    field: PrimeField,
-    seed: int,
-) -> HomogeneousForm:
-    """Recover the unique degree-d form whose evaluations the black box returns."""
-
-    def values_fn(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        values = [[int(black_box(tuple(int(x) for x in pt)))] for pt in points]
-        return np.array(values, dtype=np.int64), np.ones(len(points), dtype=bool)
-
-    (form,) = interpolate_many(values_fn, nvars, degree, field, seed, 1)
-    return form

@@ -317,8 +317,8 @@ def parse_graded_matrix(text: str, field: PrimeField | None = None) -> GradedMat
 class LinearSkewMatrix:
     """Skew matrix of linear forms, stored as coefficient matrices M_k.
 
-    M(x) = sum_k x_k M_k with each M_k skew-symmetric over GF(p).  Lossless
-    to and from the GradedMatrix view (twists 0 / -1).
+    M(x) = sum_k x_k M_k with each M_k skew-symmetric over GF(p); `to_graded`
+    is its GradedMatrix view (twists 0 / -1).
     """
 
     __slots__ = ("field", "nvars", "size", "coeff")
@@ -402,21 +402,6 @@ class LinearSkewMatrix:
                 lines.append(f"entry {i} {j} nterms={len(terms)}")
                 lines += terms
         return hashlib.sha256(("\n".join(lines) + "\n").encode("utf-8")).hexdigest()
-
-    @classmethod
-    def from_graded(cls, M: GradedMatrix) -> "LinearSkewMatrix":
-        if M.symmetry != SKEW:
-            raise ValueError("expected a skew matrix")
-        n = M.nrows
-        coeff = np.zeros((M.nvars, n, n), dtype=np.int64)
-        for i, row in enumerate(M.entries):
-            for j, f in enumerate(row):
-                if f.is_zero():
-                    continue
-                if f.degree != 1:
-                    raise ValueError(f"entry ({i},{j}) is not linear")
-                coeff[:, i, j] = f.vector
-        return cls(M.field, M.nvars, coeff)
 
 
 # ---- symbolic expansion oracles ----------------------------------------------

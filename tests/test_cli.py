@@ -605,9 +605,9 @@ REFUSED = {
     "det-degree-above-p": [
         "verify", "--prime", "5", "--kind", "det", "--matrix", "linear8.gm", "--form", "x8.form"
     ],
-    # over GF(3) most points make the pencil singular
+    # over GF(3) most lines make the pencil singular
     "pencil-singular-over-gf3": [
-        "dominance", "--ambient", "2", "--degree", "3", "--prime", "3", "--seed", "14"
+        "dominance", "--ambient", "3", "--degree", "3", "--prime", "3", "--seed", "21"
     ],
     "empty-hilbert-range": ["hilbert", "--matrix", "f5.gm", "--degrees", "3..1"],
 }
@@ -654,4 +654,4 @@ def test_a_prime_too_small_for_the_sample_is_named(refused_inputs, capsys):
     assert "over GF(5); interpolating a degree-8 form needs p >= 8, try a larger prime" in err
     code, _, err = run(capsys, *REFUSED["pencil-singular-over-gf3"])
     assert code == 2
-    assert err == "error: unusable at 10 of 17 sample points over GF(3); try a larger prime\n"
+    assert err == "error: unusable at 10 of 16 sample lines over GF(3); try a larger prime\n"

@@ -3,7 +3,6 @@ import pytest
 from detpf.exactlin import DEFAULT_PRIME, PrimeField
 from detpf.mpoly import HomogeneousForm
 from detpf.polymat import (
-    LinearSkewMatrix,
     determinant,
     determinant_expansion,
     is_minimal,
@@ -30,6 +29,7 @@ from detpf.constructions import (
     theta_shape_random,
 )
 from detpf.rng import FieldRng
+from reference import skew_from_graded
 
 F = PrimeField(DEFAULT_PRIME)
 P = DEFAULT_PRIME
@@ -200,7 +200,7 @@ def test_theta_shape():
 def test_random_graded_matrix_shapes():
     sk = random_graded_matrix(F, 4, linear_skew_shape(6), FieldRng("sh", 1))
     assert sk.symmetry == "skew"
-    L = LinearSkewMatrix.from_graded(sk)
+    L = skew_from_graded(sk)
     assert not L.coeff[:, range(6), range(6)].any()
     sh = prop_35_shape(5, 2)
     assert sh.row_twists == (-1, 0, 0) and sh.col_twists == (-2, -2, -2)

@@ -32,6 +32,7 @@ from detpf.mpoly import (
     monomial_basis,
     monomial_count,
     sample_points,
+    vandermonde,
 )
 from detpf.polymat import LinearSkewMatrix, submaximal_pfaffians
 from detpf.rng import FieldRng, derive_seed
@@ -230,6 +231,21 @@ def both_cuts(r, d):
     return 1 + d + (r - 1) * comb(2 * d, 2)
 
 
+def line_count(r, d):
+    """The lines a certificate takes: ceil(N / (d+1)) + 1 for r >= 3, d + 1
+    for plane curves."""
+    return d + 1 if r == 2 else -(-comb(d + r, r) // (d + 1)) + 1
+
+
+def line_ends(lines, r):
+    """The points a = (a', 0, 1) and b = (b', 1, 0) of each drawn line."""
+    a = np.zeros((len(lines), r + 1), dtype=np.int64)
+    b = np.zeros_like(a)
+    a[:, : r - 1], a[:, r] = lines[:, : r - 1], 1
+    b[:, : r - 1], b[:, r - 1] = lines[:, r - 1 :], 1
+    return a, b
+
+
 def cut_matrix(monkeypatch, L, d, seed, kept):
     """(rank, E) of E built from the blocks' columns `kept`.  `exactlin.rank`
     factors a float64 E in place, so the spy keeps a copy of it."""
@@ -262,7 +278,7 @@ def test_evaluation_rank_matches_interpolated_span(monkeypatch, r, d, prime):
     rank, target, drawn = _span_rank(L, d, stream, route)
     span, span_target, _ = span_rank_by_interpolation(L, d, stream)
     assert target == span_target == comb(d + r, r)
-    assert drawn == target  # no singular point at these primes and seeds
+    assert drawn == line_count(r, d)  # no unusable line at these primes and seeds
     assert route["columns"] == both_cuts(r, d)
     assert rank == x0_cut_rank(monkeypatch, L, d, stream) == full_rank(monkeypatch, L, d, stream)
     assert rank == span
@@ -270,39 +286,69 @@ def test_evaluation_rank_matches_interpolated_span(monkeypatch, r, d, prime):
     assert (cert.rank_achieved, cert.codim) == (rank, target - span)
 
 
-@pytest.mark.parametrize("prime", [3, 7, 31991, 16777213, 94906249, 2**31 - 1])
-def test_evaluation_matrix_matches_the_int64_construction(monkeypatch, prime):
-    # E, as residues, is points x triu(invert(M(x))) built in int64, though
-    # the certificate keeps it in float64 at every prime; from 16777213 on
-    # E has more pivots than the delayed bound allows, so the recursion
-    # ranks it with reduced products, and above 94906249 even one product
-    # of two residues is past 2**53, so `_matmul` splits E's products
-    r, d, seed = (2, 3, 0) if prime == 3 else (3, 5, 1)
-    sampled, ranked = [], []
-    usable, rank = dominance.sample_usable, exactlin.rank
+def spied_lines(monkeypatch, run):
+    """(run(), the lines kept from every batch `_line_matrix` evaluated, in
+    G's order, a copy of G), read by spies on `_line_rows` and
+    `exactlin.rank`."""
+    kept, ranked = [], []
+    line_rows, rank = dominance._line_rows, exactlin.rank
+
+    def spy(L, d, lines, blocks, route):
+        rows, usable = line_rows(L, d, lines, blocks, route)
+        kept.append(lines[usable])
+        return rows, usable
+
     with monkeypatch.context() as patch:
-        patch.setattr(
-            dominance, "sample_usable", lambda *a: sampled.append(usable(*a)) or sampled[-1]
-        )
+        patch.setattr(dominance, "_line_rows", spy)
         patch.setattr(
             exactlin, "rank", lambda A: ranked.append(ScalarMatrix(A.field, A.a.copy())) or rank(A)
         )
-        cert = pfaffian_codim(r, d, prime=prime, seed=seed)
-    ((points, _, _),), (E,) = sampled, ranked
-    L = sampled_matrix(r, d, prime, seed)
-    upper = np.triu_indices(L.size, 1)
-    kept = dominance._kept_columns(L)
-    rows = []
-    for x in points:
-        entries = exactlin.invert(L.evaluate(x)).a[upper]
-        rows.append(np.concatenate([x[k] * entries[cols] % prime for k, cols in enumerate(kept)]))
-    built = ScalarMatrix(L.field, rows)
-    assert E.a.dtype == np.float64
-    assert E.a.tolist() == built.a.tolist()
-    assert cert.rank_achieved == exactlin.rank(built) == exactlin.rank(E)
-    assert cert.columns == E.cols
-    if prime >= 16777213:
-        assert not exactlin._float_is_delayed(prime, min(E.shape))
+        result = run()
+    return result, kept, ranked[-1]
+
+
+@pytest.mark.parametrize("prime", [3, 7, 31991, 16777213, 94906249, 2**31 - 1])
+def test_evaluation_matrix_matches_the_int64_construction(monkeypatch, prime):
+    # each line's d + 1 rows of G are the coefficients of a polynomial in t
+    # whose value at t is x(t) (x) triu(pf(M(x(t))) / pf(A) * M(x(t))^-1),
+    # built in int64 from `invert` and `pfaffian_skew` at a few t where
+    # M(x(t)) is invertible.  From 16777213 on G has more pivots than the
+    # delayed bound allows, and above 94906249 even one product of two
+    # residues is past 2**53, so `_matmul` and `_mul_mod` split the products
+    cases = [(2, 3, 0)] if prime == 3 else [(2, 4, 1), (3, 5, 1), (4, 3, 2)]
+    for r, d, seed in cases:
+        certify = lambda: pfaffian_codim(r, d, prime=prime, seed=seed)
+        cert, kept, G = spied_lines(monkeypatch, certify)
+        lines = np.concatenate(kept)
+        L = sampled_matrix(r, d, prime, seed)
+        upper = np.triu_indices(L.size, 1)
+        kept = dominance._kept_columns(L)
+        # rows j = 1..d-1 of every line, then j = 0 and j = d
+        rows = G.a.reshape(d + 1, len(lines), -1)[[d - 1, *range(d - 1), d]]
+        checked = 0
+        for (a, b), coeffs in zip(zip(*line_ends(lines, r)), rows.transpose(1, 0, 2)):
+            scale = pow(exactlin.pfaffian_skew(L.evaluate(a)), -1, prime)
+            for t in range(min(prime, 4)):
+                x = (a + t * b) % prime
+                M = L.evaluate(x)
+                pf = exactlin.pfaffian_skew(M)
+                if not pf:
+                    continue
+                Y = exactlin.invert(M).a * (pf * scale % prime) % prime
+                entries = Y[upper]
+                built = np.concatenate([x[k] * entries[cols] % prime for k, cols in enumerate(kept)])
+                value = np.zeros(G.cols, dtype=np.int64)
+                for row in coeffs[::-1].astype(np.int64):
+                    value = (value * t + row) % prime
+                assert value.tolist() == built.tolist()
+                checked += 1
+        assert checked >= 2 * len(lines)
+        assert G.a.dtype == np.float64
+        assert cert.rank_achieved == exactlin.rank(G)
+        assert cert.columns == G.cols
+        assert cert.sample_points_used >= len(lines) == G.rows // (d + 1)
+        if prime >= 16777213 and d == 5:
+            assert not exactlin._float_is_delayed(prime, min(G.shape))
 
 
 def with_m0(L, m0):
@@ -331,7 +377,7 @@ def test_singular_m0_keeps_the_full_matrix(monkeypatch, r, d, prime):
     assert all(cut_ranks(monkeypatch, M, d, 1, t)[0] < rank for t in range(comb(2 * d, 2)))
 
 
-FULL_RANK_P_DIVIDING_D = {(2, 3, 3): 7, (2, 6, 3): 11, (2, 5, 5): 15, (3, 5, 5): 47}
+FULL_RANK_P_DIVIDING_D = {(2, 3, 3): 10, (2, 6, 3): 28, (2, 5, 5): 21, (3, 5, 5): 53}
 
 
 @pytest.mark.parametrize(
@@ -339,7 +385,10 @@ FULL_RANK_P_DIVIDING_D = {(2, 3, 3): 7, (2, 6, 3): 11, (2, 5, 5): 15, (3, 5, 5):
 )
 def test_p_dividing_d_keeps_the_full_matrix(monkeypatch, r, d, prime, seed):
     # the cuts need M_0 invertible and nothing of d: the one kept x_0
-    # column gives the full matrix's rank, and deleting it loses a rank
+    # column gives the full matrix's rank, and where the lines give the
+    # whole target, deleting it loses a rank.  At (3, 5) over GF(5) the
+    # lines impose only 53 of the 56 conditions, and the x_0 column is
+    # among what they lose
     L = sampled_matrix(r, d, prime, seed)
     stream = derive_seed(seed, "interp", r, d, 1)
     route = {}
@@ -348,7 +397,8 @@ def test_p_dividing_d_keeps_the_full_matrix(monkeypatch, r, d, prime, seed):
     assert rank == x0_cut_rank(monkeypatch, L, d, stream) == full_rank(monkeypatch, L, d, stream)
     assert rank == FULL_RANK_P_DIVIDING_D[r, d, prime]
     kept = dominance._kept_columns(L)[0][0]
-    assert cut_ranks(monkeypatch, L, d, stream, kept) == (rank, rank - 1)
+    lost = rank - 1 if rank == target else rank
+    assert cut_ranks(monkeypatch, L, d, stream, kept) == (rank, lost)
     if d - 1 < prime:  # the P_ij interpolate
         assert rank <= span_rank_by_interpolation(L, d, stream)[0] == target
 
@@ -463,38 +513,33 @@ def test_certificate_records_the_route():
     assert DominanceCertificate.csv_header().count(",") == len(cert.csv_row().split(",")) - 1
 
 
-def chunked_route(monkeypatch, L, d, stream, chunk):
-    """(rank, target, drawn), the route and E, with CHUNK set to `chunk`."""
-    route, ranked = {}, []
-    rank = exactlin.rank
-    with monkeypatch.context() as patch:
-        patch.setattr(dominance, "CHUNK", chunk)
-        patch.setattr(exactlin, "rank", lambda A: ranked.append(A.a.copy()) or rank(A))
-        result = _span_rank(L, d, stream, route)
-    return result, route, ranked[0]
-
-
 @pytest.mark.parametrize("r, d, prime, seed", [(3, 6, 31991, 0), (3, 10, 11, 1)])
-def test_chunks_of_points_build_the_whole_stack_matrix(monkeypatch, r, d, prime, seed):
-    # CHUNK >= N inverts the whole stack in one batch, as before chunking;
-    # at p = 11 singular members and Gauss-Jordan reruns fall in several
-    # chunks, and the dropped points are replaced by a refill batch
+def test_refills_build_the_whole_line_matrix(monkeypatch, r, d, prime, seed):
+    # G is the rows of the kept lines of every batch, as one batch of those
+    # lines would give them; at p = 11 some lines are unusable or drawn
+    # twice, members of the stack of A rerun through Gauss-Jordan, and a
+    # refill batch replaces the lines dropped
     L = sampled_matrix(r, d, prime, seed)
     stream = derive_seed(seed, "interp", r, d, 1)
-    whole = chunked_route(monkeypatch, L, d, stream, 10**6)
-    for chunk in (1, 5, dominance.CHUNK):
-        result, route, E = chunked_route(monkeypatch, L, d, stream, chunk)
-        assert (result, route) == whole[:2]
-        assert E.tobytes() == whole[2].tobytes()
+    route = {}
+    result, kept, G = spied_lines(monkeypatch, lambda: _span_rank(L, d, stream, route))
+    rank, target, drawn = result
+    lines = np.concatenate(kept)
+    rows, usable = dominance._line_rows(L, d, lines, dominance._kept_columns(L), {})
+    assert usable.all() and len(lines) == line_count(r, d)
+    assert rows.reshape(G.shape).tobytes() == G.a.tobytes()
     if prime == 11:
-        (rank, target, drawn), route, _ = whole
-        assert (rank, target, drawn) == (260, 286, 314)
-        assert route == {"columns": 391, "inverse_fallbacks": 188}
+        assert len(kept) > 1
+        assert rank <= span_rank_by_interpolation(L, d, stream)[0] == target
+        assert (rank, target, drawn) == (263, 286, 31)
+        assert route == {"columns": 391, "inverse_fallbacks": 24}
+    else:
+        assert len(kept) == 1 and drawn == len(lines)
 
 
 def test_the_certificate_peaks_below_twice_the_evaluation_matrix():
-    # E, N x columns float64, is the only N-row array: neither the whole
-    # stack of M(x) nor its inverses are held beside it
+    # G, float64 with d + 1 rows more than N here, is the only large array:
+    # the pencils' stacks are freed before its rank is taken
     tracemalloc.start()
     try:
         cert = pfaffian_codim(3, 16, seed=2)
@@ -530,37 +575,112 @@ def test_interpolated_span_matches_a_scatter_of_the_forms(prime):
 
 
 def test_evaluation_rank_never_exceeds_span_at_a_small_prime():
-    # at p = 7 singular points and rank-deficient point sets are common, so
-    # this grid sees both the top-up and a rank that drops below the span
-    topped_up = dropped = 0
-    for seed in range(4):
-        for r, d in ((2, 3), (3, 3), (5, 3)):
-            L = sampled_matrix(r, d, 7, seed)
-            rank, target, drawn = _span_rank(L, d, seed)
-            span, _, _ = span_rank_by_interpolation(L, d, seed)
-            assert rank <= span <= target
-            assert drawn >= target
-            topped_up += drawn > target
-            dropped += rank < span
-    assert topped_up and dropped
+    # at p = 5, 7 and 11 unusable lines are common, and lines over a small
+    # field often impose dependent conditions on the forms, so at every
+    # prime this grid sees both the top-up and a rank below the span
+    for prime in (5, 7, 11):
+        topped_up = dropped = 0
+        for seed in range(4):
+            for r, d in ((2, 3), (3, 3), (5, 3), (3, 4), (4, 3)):
+                L = sampled_matrix(r, d, prime, seed)
+                rank, target, drawn = _span_rank(L, d, seed)
+                span, _, _ = span_rank_by_interpolation(L, d, seed)
+                assert rank <= span <= target
+                assert drawn >= line_count(r, d)
+                topped_up += drawn > line_count(r, d)
+                dropped += rank < span
+        assert topped_up and dropped
 
 
-def test_span_rank_stops_at_the_nth_invertible_point_of_the_stream():
-    # replay the stream: the sampler draws exactly up to the N-th distinct
-    # point where M(x) is invertible, however the singular and repeated
-    # points fall into its batches
+def test_span_rank_stops_at_the_last_usable_line_of_the_stream():
+    # replay the line stream: the sampler draws exactly up to the last line
+    # it needs among the distinct usable lines, however the unusable and
+    # repeated lines fall into its batches
     field = PrimeField(7)
     for seed in range(4):
         for r, d in ((2, 3), (3, 3), (5, 3)):
             L = sampled_matrix(r, d, 7, seed)
-            _, target, drawn = _span_rank(L, d, seed)
-            stream = sample_points(field, r + 1, derive_seed(seed, "subpf"), 0, 4 * target)
+            _, _, drawn = _span_rank(L, d, seed)
+            stream = sample_points(field, 2 * (r - 1), seed, 0, 8 * line_count(r, d))
             first = np.zeros(len(stream), dtype=bool)
             first[np.unique(stream, axis=0, return_index=True)[1]] = True
-            usable = first & (exactlin._det_array(L.evaluate_batch(stream), 7) != 0)
-            invertible = np.cumsum(usable)
-            assert invertible[-1] >= target
-            assert drawn == int(np.argmax(invertible == target)) + 1
+            _, usable = dominance._line_rows(L, d, stream, dominance._kept_columns(L), {})
+            kept = np.cumsum(first & usable)
+            assert kept[-1] >= line_count(r, d)
+            assert drawn == int(np.argmax(kept == line_count(r, d))) + 1
+
+
+def test_the_lines_of_the_stream_impose_independent_conditions():
+    # the degree-10 forms on P^3 restrict injectively to the lines of every
+    # seed's stream: the values at d + 1 points of each line have rank N.
+    # One line fewer, which still gives N rows, loses a rank for some seeds
+    r, d, p = 3, 10, 31991
+    field, basis = PrimeField(p), monomial_basis(r + 1, d)
+    t = np.arange(d + 1)[None, :, None]
+
+    def restriction_rank(seed, count):
+        lines = sample_points(field, 2 * (r - 1), derive_seed(seed, "interp", r, d, 1), 0, count)
+        a, b = line_ends(lines, r)
+        points = (a[:, None] + t * b[:, None]).reshape(-1, r + 1)
+        return exactlin.rank(ScalarMatrix(field, vandermonde(points, basis, p)))
+
+    count, N = line_count(r, d), comb(d + r, r)
+    assert (count - 1) * (d + 1) >= N
+    assert all(restriction_rank(seed, count) == N for seed in range(200))
+    assert any(restriction_rank(seed, count - 1) < N for seed in range(200))
+
+
+@pytest.mark.parametrize("j", range(1, 5))
+def test_a_corrupted_nu_fails_the_closure_and_the_line_is_replaced(monkeypatch, j):
+    # nu_j = (-1)^(j+1) x_(d-j) is read off column d of the Krylov
+    # elimination; one wrong nu_j on line 0 fails the closure check, and the
+    # certificate replaces the line from the stream with the same rank
+    r, d, prime, seed = 3, 4, 31991, 0
+    L = sampled_matrix(r, d, prime, seed)
+    stream = derive_seed(seed, "interp", r, d, 1)
+    rank, target, drawn = _span_rank(L, d, stream)
+    eliminate, calls = exactlin._eliminate_stack, []
+
+    def corrupt(m, p, n, jordan):
+        out = eliminate(m, p, n, jordan)
+        if m.shape[1] == d + 1 and not calls:  # the first batch's Krylov relation
+            m[d - j, d, 0] = (m[d - j, d, 0] + 1) % p
+            calls.append(m.shape[2])
+        return out
+
+    lines = sample_points(L.field, 2 * (r - 1), stream, 0, line_count(r, d))
+    blocks = dominance._kept_columns(L)
+    with monkeypatch.context() as patch:
+        patch.setattr(exactlin, "_eliminate_stack", corrupt)
+        _, usable = dominance._line_rows(L, d, lines, blocks, {})
+        assert usable.tolist() == [False] + [True] * (len(lines) - 1)
+        calls.clear()
+        assert _span_rank(L, d, stream) == (rank, target, drawn + 1)
+
+
+def test_lines_where_column_0_falls_short_take_column_1(monkeypatch):
+    # over GF(5) the Krylov space of column 0 of A^-1 falls short of d on
+    # some lines with A invertible; columns 0 and 1 together give nu there,
+    # and those lines are usable
+    relation, first = dominance._krylov_relation, []
+
+    def spy(K, w, d, p):
+        x, solved = relation(K, w, d, p)
+        if w.shape[2] == 1:
+            first.append(solved)
+        return x, solved
+
+    rescued = 0
+    with monkeypatch.context() as patch:
+        patch.setattr(dominance, "_krylov_relation", spy)
+        for seed in range(3):
+            for r, d in ((3, 3), (3, 4)):
+                L = sampled_matrix(r, d, 5, seed)
+                lines = sample_points(L.field, 2 * (r - 1), seed, 0, 40)
+                first.clear()
+                _, usable = dominance._line_rows(L, d, lines, dominance._kept_columns(L), {})
+                rescued += int((~first[0] & usable).sum())
+    assert rescued >= 3
 
 
 def test_degenerate_pencil_raises_on_the_evaluation_route():
@@ -574,8 +694,9 @@ def test_degenerate_pencil_raises_on_the_evaluation_route():
 
 
 def test_sample_points_used_counts_points_drawn():
+    # the points are lines: ceil(35 / 5) + 1 of them at (3, 4)
     cert = pfaffian_codim(3, 4, seed=1)
-    assert cert.sample_points_used == comb(4 + 3, 3)
+    assert cert.sample_points_used == line_count(3, 4) == 8
     assert cert.codim == 0
 
 

