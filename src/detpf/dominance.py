@@ -286,9 +286,9 @@ def _line_rows(L: LinearSkewMatrix, d: int, lines: np.ndarray, blocks: list, rou
     ends = np.zeros((2, count, L.nvars), dtype=np.int64)
     ends[0, :, : r - 1], ends[0, :, r] = lines[:, : r - 1], 1
     ends[1, :, : r - 1], ends[1, :, r - 1] = lines[:, r - 1 :], 1
-    A, B = L.evaluate_batch(ends.reshape(2 * count, -1)).reshape(2, count, n, n)
-    inverse, invertible = exactlin.invert_skew_many(A, p, route)
-    K = _matmul(inverse, B, p)
+    pencil = L.evaluate_batch(ends.reshape(2 * count, -1)).reshape(2, count, n, n)
+    inverse, invertible = exactlin.invert_skew_many(pencil[0], p, route)
+    K = _matmul(inverse, pencil[1], p)
     x, solved = _krylov_relation(K, inverse[:, :, :1], d, p)
     if not solved.all():  # column 0 alone is not cyclic: add column 1
         x[:, ~solved] = _krylov_relation(K[~solved], inverse[~solved, :, :2], d, p)[0]
@@ -303,7 +303,7 @@ def _line_rows(L: LinearSkewMatrix, d: int, lines: np.ndarray, blocks: list, rou
     at = [d - 1, *range(d - 1), d]  # the row of each j
     S = np.zeros((d + 2, count, len(lead)))  # S[j + 1] = triu(Q_j) at `lead`
     tri = np.empty((count, len(flat)))
-    work = np.empty((2, *inverse.shape))
+    work = pencil  # A and B are read no more: their buffers take the products
     delayed = _max_terms(p, exactlin.FLOAT_EXACT, p) > n
     Q = inverse
     for j in range(d):

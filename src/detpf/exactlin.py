@@ -37,27 +37,41 @@ splits the columns in halves down to leaves of at most LEAF columns, which
 After the left half of a span, the right half's part of its pivot rows
 becomes U12 = L11^-1 A12, and L21 U12 is subtracted from the rows below in
 one float64 product, left unreduced (`_update_right`).  An entry is reduced
-mod p only when it enters a leaf or a product.  A span hands L^-1 of its
-pivot rows to its parent, which needs it for U12; `pivot_columns` asks its
-root for none, so a matrix of one leaf is one rank-1 pass.  A span that
-starts below the last row has no pivot and returns at once.  With
-n = min(rows, cols), no elimination has more than n pivots, so
+mod p only when it enters a leaf or a product.  A span hands its parent a
+solve for L of its pivot rows, which the parent needs for U12: a span of
+at most BLOCK columns hands L^-1 itself, and a wider one the solves of its
+halves, with L21 left where the factorization stored it (`_Split`).
+`_solve` forms U12 by the recursive triangular solve of Toledo and of
+FFLAS-FFPACK: the top rows by the left half's solve, then L21 times them
+subtracted from the rows below in one product, those rows reduced, and
+the right half's solve on them.  So no L^-1 is wider than BLOCK, and
+beside the matrix it factors in place the elimination holds little more
+than its products' outputs; a solve that recursed down to the leaves
+would make more, smaller products, which is slower.  `pivot_columns` asks
+its root for no solve, so a matrix of one leaf is one rank-1 pass.  A
+span that starts below the last row has no pivot and returns at once.
+With n = min(rows, cols), no elimination has more than n pivots, so
 
 * every product sums at most n terms, each a product of two residues;
 * an entry takes at most one such term per pivot before it is reduced,
   so it stays below n*(p-1)**2 + p in magnitude;
+* in `_solve`, a row below the top rows takes one such term per pivot of
+  the top rows onto a residue, so it stays below n*(p-1)**2 + p before it
+  is reduced too;
 
-and both are exact in float64, with the room `_reduce_float` needs, while
+and all are exact in float64, with the room `_reduce_float` needs, while
 n*(p-1)**2 + 2p < 2**53: up to 8.8 million pivots at p = 31991, 32 at
-p = 16777213.  Above that delayed bound the same recursion subtracts
-`_matmul`'s reduced products, so an entry takes less than p per level,
-and `_leaf` reduces its int64 copy after every step, since a few products
-of two residues overflow int64 near p = 2**31.  `pivot_columns` reads the
-pivots off the factorization and writes no echelon form, and `rank` counts
-them; `_forward_eliminate` writes it from the same factorization, with
-zeros where L was stored; `determinant` of one matrix asks the root for
-L^-1, whose diagonal holds the inverses of the pivots.  `_back_substitute` clears above the pivots by
-halves of rows, its products delayed or reduced under the same bound.
+p = 16777213.  Above that delayed bound the same recursion and solve
+subtract `_matmul`'s reduced products, so an entry takes less than p per
+level, and `_leaf` reduces its int64 copy after every step, since a few
+products of two residues overflow int64 near p = 2**31.  `pivot_columns`
+reads the pivots off the factorization and writes no echelon form, and
+`rank` counts them; `_forward_eliminate` writes it from the same
+factorization, with zeros where L was stored, and brings its right-hand
+sides up to date by the root's solve; `determinant` of one matrix reads
+the pivots' inverses off the diagonals of the L^-1 blocks of the root's
+solve.  `_back_substitute` clears above the pivots by halves of rows, its
+products delayed or reduced under the same bound.
 
 Stacks of small matrices go through one batched loop, `_eliminate_stack`,
 on a float64 copy with the member axis last: a (count, n, n) stack is held
@@ -110,6 +124,8 @@ from (prime, seed).
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 DEFAULT_PRIME = 31991
@@ -117,6 +133,7 @@ DEFAULT_PRIME = 31991
 MAX_MODULUS = 1 << 31
 
 LEAF = 8  # widest column span the recursive elimination factors by rank-1 steps
+BLOCK = 64  # widest column span that hands its parent an assembled L^-1
 
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 SPLIT = 1 << 16  # `_matmul` writes b = b_hi*SPLIT + b_lo above its one-product bound
@@ -467,15 +484,43 @@ def _columns(pivots: list[int]) -> slice | list[int]:
     return pivots
 
 
-def _update_right(f, p, row, pivots, x, c0, c1, delayed) -> None:
-    """Turn the pivot rows' part of the columns [c0, c1) into U = L^-1 A and
-    subtract L U from the rows below them, in one float64 product, left
-    unreduced when `delayed`.  `pivots` are the pivot columns found from
-    `row` down and x is L^-1 of their rows."""
+class _Split(NamedTuple):
+    """The solve a span wider than BLOCK hands its parent: those of its two
+    halves, the number k1 of pivots the left half found, and the index in f
+    of L21, the left half's multipliers in the right half's pivot rows."""
+
+    left: "np.ndarray | _Split"
+    right: "np.ndarray | _Split"
+    k1: int
+    lower: tuple
+
+
+def _solve(f, p, solve, u, delayed) -> None:
+    """Overwrite u, the pivot rows' part of some columns of f as residues,
+    with L^-1 u, for the lower triangle L of those rows that `solve` stands
+    for.  An array is L^-1 itself, one product.  A `_Split` [[L11, 0],
+    [L21, L22]] solves the top rows by its left half, subtracts L21 times
+    them from the rows below, left unreduced when `delayed`, reduces those
+    rows and solves them by its right half."""
+    if isinstance(solve, np.ndarray):
+        _matmul(solve, u, p, out=u)
+        return
+    top, rest = u[: solve.k1], u[solve.k1 :]
+    _solve(f, p, solve.left, top, delayed)
+    rest -= _product(f[solve.lower], top, p, delayed)
+    _reduce_float(rest, p, out=rest)
+    _solve(f, p, solve.right, rest, delayed)
+
+
+def _update_right(f, p, row, pivots, solve, c0, c1, delayed) -> None:
+    """Turn the pivot rows' part of the columns [c0, c1) into U = L^-1 A by
+    `_solve` and subtract L U from the rows below them, in one float64
+    product, left unreduced when `delayed`.  `pivots` are the pivot columns
+    found from `row` down and `solve` stands for L of their rows."""
     top = row + len(pivots)
     u = f[row:top, c0:c1]
     _reduce_float(u, p, out=u)
-    _matmul(x, u, p, out=u)
+    _solve(f, p, solve, u, delayed)
     f[top:, c0:c1] -= _product(f[top:, _columns(pivots)], u, p, delayed)
 
 
@@ -485,10 +530,12 @@ def _factor(f, p, row, c0, c1, inverse, delayed):
 
     Spans of at most LEAF columns go to `_leaf`.  A wider span is split in
     halves: the left half is factored, `_update_right` brings the right
-    half up to date, and the right half is factored.  Storage and return
-    value are `_leaf`'s; L^-1 of the pivot rows, when asked for, is
-    [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]].  `delayed` says whether
-    the delayed bound holds for the whole factorization (module docstring).
+    half up to date, and the right half is factored.  Storage is `_leaf`'s;
+    returns (pivot_columns, sign, solve), where `solve`, when asked for,
+    stands for L of the pivot rows (`_solve`): for a span of at most BLOCK
+    columns L^-1, [[L11^-1, 0], [-L22^-1 L21 L11^-1, L22^-1]], and for a
+    wider one a `_Split` of its halves' solves.  `delayed` says whether the
+    delayed bound holds for the whole factorization (module docstring).
     """
     if row == f.shape[0]:
         return [], 1, np.zeros((0, 0)) if inverse else None
@@ -506,10 +553,13 @@ def _factor(f, p, row, c0, c1, inverse, delayed):
     if not (left and right):
         return pivots, sign, x22 if right else x11
     k1, k2 = len(left), len(right)
+    lower = (slice(top, top + k2), _columns(left))
+    if c1 - c0 > BLOCK:
+        return pivots, sign, _Split(x11, x22, k1, lower)
     x = np.zeros((k1 + k2, k1 + k2))
     x[:k1, :k1] = x11
     x[k1:, k1:] = x22
-    y = _matmul(f[top : top + k2, _columns(left)], x11, p)
+    y = _matmul(f[lower], x11, p)
     _matmul(-x22, y, p, out=x[k1:, :k1])
     return pivots, sign, x
 
@@ -526,10 +576,10 @@ def _forward_eliminate(m: np.ndarray, p: int, ncols: int):
     delayed = _float_is_delayed(p, min(nrows, ncols))
     f = m.astype(np.float64)
     rhs = width > ncols
-    pivots, sign, x = _factor(f, p, 0, 0, ncols, rhs, delayed)
+    pivots, sign, solve = _factor(f, p, 0, 0, ncols, rhs, delayed)
     r = len(pivots)
     if rhs and r:
-        _update_right(f, p, 0, pivots, x, ncols, width, delayed)
+        _update_right(f, p, 0, pivots, solve, ncols, width, delayed)
     rest = f[r:, ncols:]
     _reduce_float(rest, p, out=rest)
     f[:, pivots] = np.triu(f[:, pivots])  # L was stored below the pivots
@@ -891,21 +941,30 @@ def determinant(A: ScalarMatrix) -> int:
     """Determinant of one square matrix from one recursive LU (`_factor`)
     of a float64 copy: 0 when some column has no pivot, else the swap sign
     times the product of the pivots.  The factorization scales each pivot
-    row to 1 and keeps no pivot, but the diagonal of L^-1 of the pivot rows,
-    which `_factor` returns when asked, holds the pivots' inverses.  Stacks
-    of matrices go through `_det_array` instead."""
+    row to 1 and keeps no pivot, but the solve of the pivot rows, which
+    `_factor` returns when asked, is made of L^-1 blocks of at most BLOCK
+    pivots whose diagonals hold the pivots' inverses (`_pivot_inverses`).
+    Stacks of matrices go through `_det_array` instead."""
     if A.rows != A.cols:
         raise ValueError("determinant of a non-square matrix")
     p, n = A.field.p, A.rows
     f = A.a.astype(np.float64)  # a copy, which the factorization overwrites
-    pivots, sign, x = _factor(f, p, 0, 0, n, True, _float_is_delayed(p, n))
+    pivots, sign, solve = _factor(f, p, 0, 0, n, True, _float_is_delayed(p, n))
     if len(pivots) < n:
         return 0
     inverse = 1
-    for v in np.diagonal(x).tolist():
+    for v in _pivot_inverses(solve):
         inverse = inverse * int(v) % p
     det = pow(inverse, -1, p)
     return det if sign == 1 else p - det
+
+
+def _pivot_inverses(solve) -> list[float]:
+    """The inverses of the pivots, in order: the diagonals of the L^-1
+    blocks that a solve of `_factor` is made of."""
+    if isinstance(solve, np.ndarray):
+        return np.diagonal(solve).tolist()
+    return _pivot_inverses(solve.left) + _pivot_inverses(solve.right)
 
 
 def _member_last(a, p: int) -> np.ndarray:

@@ -549,6 +549,18 @@ def test_the_certificate_peaks_below_twice_the_evaluation_matrix():
     assert peak < 2 * cert.target_dim * cert.columns * 8
 
 
+def test_the_certificate_peaks_below_1_45_times_the_evaluation_matrix():
+    # beside G the rank holds no L^-1 wider than a block, and the pencils'
+    # buffers take the line recurrence's products, so little is left over
+    tracemalloc.start()
+    try:
+        cert = pfaffian_codim(3, 16, seed=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.45 * cert.target_dim * cert.columns * 8
+
+
 def scatter_span_rank(L, d, seed):
     """rank{X_k P_ij} from each X_k P_ij's coefficients scattered into the
     degree-d basis, independently of `graded.ideal_piece_dim`."""

@@ -221,8 +221,11 @@ def _primes_around(m: int) -> tuple[int, int]:
     return lo, hi
 
 
-# within one leaf, one leaf, one leaf and a column, and three to five levels
-WIDTHS = (1, 7, exactlin.LEAF, exactlin.LEAF + 1, 33, 67, 130)
+# within one leaf, one leaf, one leaf and a column, and three to five
+# levels, with spans on both sides of BLOCK: up to it a span hands its parent
+# L^-1, above it a solve
+BLOCK = exactlin.BLOCK
+WIDTHS = (1, 7, exactlin.LEAF, exactlin.LEAF + 1, 33, BLOCK + 1, 67, 130, 2 * BLOCK + 3)
 # the largest prime at which 32 pivots may stay unreduced: matrices up to 32
 # wide delay their products there, wider ones take them reduced
 FLOAT_PRIME = _float_boundary(32)[0]
@@ -311,6 +314,10 @@ EXAMPLES = (
     structured(3, WIDE, 40, 2, 40, 2 * exactlin.LEAF, 0.0, 3),  # first two leaves without pivot
     structured(2**31 - 1, WIDE, WIDE, 3, WIDE, 0, 0.0, 4),  # split, reduced products
     structured(31991, 130, 40, 2, 40, 0, 0.0, 5),  # rows run out halfway
+    # above BLOCK, solves of solves: split products, and a rank-deficient
+    # matrix at p = 3 whose zero rows and columns force row swaps
+    structured(2**31 - 1, 2 * BLOCK + 3, 2 * BLOCK + 7, 2, 2 * BLOCK + 3, 0, 0.0, 6),
+    structured(3, 2 * BLOCK + 3, 2 * BLOCK + 3, 1, BLOCK + 9, 1, 0.3, 7),
 )
 
 
@@ -321,6 +328,8 @@ EXAMPLES = (
 @example(EXAMPLES[2])
 @example(EXAMPLES[3])
 @example(EXAMPLES[4])
+@example(EXAMPLES[5])
+@example(EXAMPLES[6])
 def test_kernel_matches_reference_byte_for_byte(case):
     p, ncols, a = case
     echelon, reduced, ref_pivots, ref_sign = reference_eliminate(a.tolist(), p, ncols)
@@ -337,6 +346,8 @@ def test_kernel_matches_reference_byte_for_byte(case):
 @given(structured_matrices())
 @example(EXAMPLES[2])
 @example(EXAMPLES[4])
+@example(EXAMPLES[5])
+@example(EXAMPLES[6])
 def test_rank_is_the_pivot_count_of_forward_eliminate(case):
     p, ncols, a = case
     A = ScalarMatrix(PrimeField(p), a[:, :ncols])
@@ -351,6 +362,7 @@ def test_rank_is_the_pivot_count_of_forward_eliminate(case):
 @example(EXAMPLES[1])
 @example(EXAMPLES[2])
 @example(EXAMPLES[4])
+@example(EXAMPLES[6])
 def test_public_api_matches_reference(case):
     p, ncols, a = case
     field = PrimeField(p)
@@ -427,6 +439,26 @@ def test_path_choice_depends_on_width_and_prime(monkeypatch, p, n, route):
         assert set(calls["_leaf"]) == set(calls["_update_right"]) == {delayed}
     inv = invert(A)
     assert _matmul_reference(a, inv.a, p) == np.eye(n, dtype=np.int64).tolist()
+
+
+@pytest.mark.parametrize("n", (29, BLOCK, BLOCK + 1, 2 * BLOCK + 3, 4 * BLOCK + 9))
+def test_no_inverse_is_wider_than_the_block(monkeypatch, n):
+    # spans up to BLOCK hand their parent L^-1; wider spans hand a solve, so
+    # the elimination never assembles an L^-1 of more than BLOCK pivots
+    seen = []
+    solve = exactlin._solve
+
+    def recording(f, p, s, u, delayed):
+        seen.append(s.shape[0] if isinstance(s, np.ndarray) else None)
+        return solve(f, p, s, u, delayed)
+
+    monkeypatch.setattr(exactlin, "_solve", recording)
+    p = 31991
+    m = np.random.default_rng(n).integers(0, p, (n, n + 2), dtype=np.int64)
+    assert exactlin._forward_eliminate(m, p, n)[0] == list(range(n))
+    widths = [w for w in seen if w is not None]
+    assert max(widths) <= BLOCK
+    assert (None in seen) == (n > BLOCK)
 
 
 @pytest.mark.parametrize("p", PRIMES + (67108859,))
@@ -953,7 +985,7 @@ def float_worst_case(n, p):
     return upper, (lower.dot(upper) % p).astype(np.int64)
 
 
-@pytest.mark.parametrize("n", (exactlin.LEAF + 1, 33, 130))
+@pytest.mark.parametrize("n", (exactlin.LEAF + 1, 33, 130, 2 * BLOCK + 5))
 @pytest.mark.parametrize("side", (0, 1))
 def test_float_bound_with_worst_case_entries(monkeypatch, n, side):
     # on the bound's last prime the last leaf takes entries from which every
@@ -1188,6 +1220,29 @@ def test_stacked_det_matches_reference(case):
         assert type(single) is int and single == want
         if n <= 5:
             assert want == reference_det(a.tolist(), p)
+
+
+@pytest.mark.parametrize("p", DET_PRIMES)
+def test_determinant_above_the_block_width(monkeypatch, p):
+    # above BLOCK the pivots' inverses come off the diagonals of the L^-1
+    # blocks of a solve, not of one L^-1: an invertible matrix, a singular
+    # one and one whose column 0 forces a row swap
+    kinds = ["random", "dependent", "swap"]
+    # seeds at which the random and swap members are invertible at every
+    # prime, so that their pivots are read
+    for n, seed in ((2 * BLOCK + 3, 22), (7, 14)):
+        stack = stacked(p, n, kinds, seed)
+        dets = exactlin._det_array(stack, p).tolist()
+        assert dets[0] and dets[1] == 0 and dets[2]
+        for a, det in zip(stack, dets):
+            assert determinant(ScalarMatrix(PrimeField(p), a)) == det
+            if n > BLOCK:
+                assert det == reference_det_by_elimination(a.tolist(), p)
+            else:  # blocks small enough for the cofactor expansion
+                assert det == reference_det(a.tolist(), p)
+        # the 7 x 7 matrices go through solves of 1-column leaves
+        monkeypatch.setattr(exactlin, "LEAF", 1)
+        monkeypatch.setattr(exactlin, "BLOCK", 2)
 
 
 def test_stacked_det_kinds_and_edge_shapes():
@@ -1442,6 +1497,8 @@ def test_importing_detpf_builds_no_inverse_table():
 @given(structured_matrices())
 @example(EXAMPLES[2])
 @example(EXAMPLES[4])
+@example(EXAMPLES[5])
+@example(EXAMPLES[6])
 def test_pivot_columns_are_the_pivots_of_forward_eliminate(case):
     p, ncols, a = case
     pivots, _ = exactlin._forward_eliminate(a.copy(), p, ncols)
