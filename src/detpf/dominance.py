@@ -121,7 +121,7 @@ import numpy as np
 from . import __version__, exactlin, graded
 from .constructions import random_linear_skew
 from .exactlin import PrimeField, ScalarMatrix, _matmul, _max_terms, _mul_mod, _reduce_float
-from .mpoly import _untried, check_degenerate, monomial_count, sample_points
+from .mpoly import SampleStream, monomial_count
 from .polymat import LinearSkewMatrix, submaximal_pfaffians
 from .rng import FieldRng, derive_seed
 
@@ -250,28 +250,20 @@ def _span_rank(
 
 
 def _line_matrix(L: LinearSkewMatrix, d: int, seed: int, route: dict) -> np.ndarray:
-    """G from the first usable lines of the stream, a line being the a', b'
-    of one draw, sampled as `mpoly.sample_usable` samples points (repeats
-    skipped, unusable lines replaced, `check_degenerate` counting lines).
-    `route` gets `drawn` and `fallbacks`."""
-    p, r = L.field.p, L.nvars - 1
+    """G from the first usable lines of a `mpoly.SampleStream`, a line
+    being the a', b' of one draw.  `route` gets `drawn` and `fallbacks`."""
+    r = L.nvars - 1
     target = monomial_count(L.nvars, d)
     needed = d + 1 if r == 2 else -(-target // (d + 1)) + 1
     blocks = _kept_columns(L)
-    tried: set = set()
-    drawn = kept = 0
+    stream = SampleStream(L.field, 2 * r - 2, seed, "lines")
     parts = []
     route["fallbacks"] = 0
-    while kept < needed and len(tried) < p ** (2 * r - 2):
-        batch = sample_points(L.field, 2 * r - 2, seed, drawn, needed - kept)
-        drawn += len(batch)
-        batch = _untried(batch, tried)
-        if len(batch):
-            rows, usable = _line_rows(L, d, batch, blocks, route)
-            parts.append(rows[:, usable] if not usable.all() else rows)
-            kept += parts[-1].shape[1]
-            check_degenerate(len(tried), len(tried) - kept, p, "lines")
-    route["drawn"] = drawn
+    for batch in stream.batches(needed):
+        rows, usable = _line_rows(L, d, batch, blocks, route)
+        parts.append(rows[:, usable] if not usable.all() else rows)
+        stream.keep(parts[-1].shape[1])
+    route["drawn"] = stream.drawn
     G = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     return G.reshape(-1, G.shape[2])
 
@@ -363,7 +355,7 @@ def _kept_columns(L: LinearSkewMatrix) -> list[np.ndarray | slice]:
         powers.append(exactlin._matmul(K, powers[-1], p))
     krylov = np.stack([a[upper] for a in powers])
     kept[0] = np.flatnonzero(krylov[0])[:1]
-    pivots, _ = exactlin._forward_eliminate(krylov, p, krylov.shape[1])
+    pivots = exactlin.pivot_columns(ScalarMatrix(L.field, krylov))
     if len(pivots) == len(krylov):
         kept[1] = np.array(pivots)
     return kept

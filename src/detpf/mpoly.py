@@ -581,62 +581,62 @@ def _evaluate(
     return vals, usable
 
 
-def sample_usable(
-    values_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    field: PrimeField,
-    nvars: int,
-    seed: int,
-    target: int,
-    n_outputs: int,
-    kept: tuple[np.ndarray, np.ndarray, int] | None = None,
-    stats: dict | None = None,
-    seen: tuple[int, int] = (0, 0),
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """The first `target` usable points of the stream, their values, and
-    the number of stream points drawn; `kept`, an earlier result, is extended.
+class SampleStream:
+    """Distinct draws from the per-index stream of `sample_points`, under
+    one rule: a draw tried before is skipped, a draw the black box cannot
+    use is replaced, the stream stops once all p^nvars points have been
+    tried, and `check_degenerate` refuses a black box that drops too many.
 
-    `values_fn(points)` returns `(values, usable)`: an (npoints, n_outputs)
-    array of exact values and a bool mask of the points it could evaluate.
-    Each batch draws the next points of the stream, as many as are still
-    missing, so nothing is drawn past the `target`-th usable point.  A
-    point the stream has drawn before is skipped, and once all p^nvars
-    points have been tried the stream stops, with fewer than `target`
-    points when the field is too small.  `check_degenerate` stops a black
-    box that drops too many of the points tried, counting the `seen`
-    (evaluated, unusable) points the caller tried before the stream;
-    `stats`, when given, gets the same totals as `points_used` and
-    `points_degenerate`.  When nothing is kept yet and every point of a
-    batch is usable, the batch's points and the black box's own values
-    array are kept as they are, without a copy; a batch with unusable
-    points, or one that extends earlier points, is stacked onto them.
+    The caller evaluates each batch inline and reports its usable count:
+    `for batch in stream.batches(target): ...; stream.keep(usable)`.
+    `drawn` is the stream's cursor, repeats included, and `kept` the usable
+    draws.  `keep` counts `seen`, the (evaluated, unusable) points the
+    caller tried before the stream, with the draws, names the samples
+    `kind` in its error, and writes the totals into `stats`, when given,
+    as `points_used` and `points_degenerate`.
     """
-    p = field.p
-    if kept is None:
-        kept = (np.empty((0, nvars), np.int64), np.empty((0, n_outputs), np.int64), 0)
-    points, values, drawn = kept
-    tried = set(map(tuple, sample_points(field, nvars, seed, 0, drawn).tolist()))
-    while len(points) < target and len(tried) < p**nvars:
-        batch = sample_points(field, nvars, seed, drawn, target - len(points))
-        drawn += len(batch)
+
+    def __init__(
+        self,
+        field: PrimeField,
+        nvars: int,
+        seed: int,
+        kind: str = "points",
+        stats: dict | None = None,
+    ):
+        self.field, self.nvars, self.seed, self.kind, self.stats = field, nvars, seed, kind, stats
+        self.seen = (0, 0)
+        self.tried: set = set()
+        self.drawn = self.kept = 0
+
+    def draw(self, count: int) -> np.ndarray:
+        """The stream's next `count` draws that were not tried before, in
+        order; they are tried now."""
+        batch = sample_points(self.field, self.nvars, self.seed, self.drawn, count)
+        self.drawn += count
         new = []
         for i, x in enumerate(map(tuple, batch.tolist())):
-            if x not in tried:
-                tried.add(x)
+            if x not in self.tried:
+                self.tried.add(x)
                 new.append(i)
-        if not new:
-            continue
-        fresh = batch[new]
-        vals, usable = _evaluate(values_fn, fresh, n_outputs, p)
-        if len(points) == 0 and usable.all():
-            points, values = fresh, vals
-        else:
-            points = np.vstack([points, fresh[usable]])
-            values = np.vstack([values, vals[usable]])
-        used, dropped = seen[0] + len(tried), seen[1] + len(tried) - len(points)
-        if stats is not None:
-            stats.update(points_used=used, points_degenerate=dropped)
-        check_degenerate(used, dropped, p)
-    return points, values, drawn
+        return batch[new]
+
+    def batches(self, target: int):
+        """Fresh batches, each as many draws as are still missing, until
+        `target` are kept or every point has been tried."""
+        while self.kept < target and len(self.tried) < self.field.p**self.nvars:
+            batch = self.draw(target - self.kept)
+            if len(batch):
+                yield batch
+
+    def keep(self, usable: int) -> None:
+        """Count `usable` more draws as kept, then apply `check_degenerate`."""
+        self.kept += usable
+        used = self.seen[0] + len(self.tried)
+        dropped = self.seen[1] + len(self.tried) - self.kept
+        if self.stats is not None:
+            self.stats.update(points_used=used, points_degenerate=dropped)
+        check_degenerate(used, dropped, self.field.p, self.kind)
 
 
 def _lattice_nodes(field: PrimeField, count: int, seed: int) -> np.ndarray:
@@ -779,16 +779,6 @@ def determines(nvars: int, degree: int, p: int) -> bool:
     return nvars == 1 or degree <= p
 
 
-def _untried(batch: np.ndarray, tried: set) -> np.ndarray:
-    """The points of `batch` not in `tried`, in order; they join `tried`."""
-    new = []
-    for i, x in enumerate(map(tuple, batch.tolist())):
-        if x not in tried:
-            tried.add(x)
-            new.append(i)
-    return batch[new]
-
-
 def interpolate_many(
     values_fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     nvars: int,
@@ -800,13 +790,13 @@ def interpolate_many(
 ) -> list[HomogeneousForm]:
     """Recover homogeneous forms from a batched black box, one per output.
 
-    `values_fn` is the black box of `sample_usable`.  Its first call takes
-    the N = C(D+n-1, n-1) points of `principal_lattice` together with the
-    first ceil(0.1 N) points of the stream, so that an interpolation whose
-    lattice points are all usable calls it once.  With k holes (below) a
-    second call takes the stream's next k points; the two calls' stream
-    points are the first batch of `sample_usable`, and it draws more only
-    to top them up.
+    `values_fn(points)` returns `(values, usable)`: an (npoints, n_outputs)
+    array of exact values and a bool mask of the points it could evaluate.
+    Its first call takes the N = C(D+n-1, n-1) points of `principal_lattice`
+    together with the first ceil(0.1 N) draws of a `SampleStream`, so that
+    an interpolation whose lattice points are all usable calls it once.
+    With k holes (below) a second call takes the stream's next k draws, and
+    later calls take the stream's top-up batches.
 
     The lattice (Chung & Yao, SIAM J. Numer. Anal. 14(4), 1977; Sauer & Xu,
     Math. Comp. 64, 1995).  Split the degree-D monomials by their first
@@ -852,41 +842,40 @@ def interpolate_many(
     ncols = len(basis)
     lattice, nodes = principal_lattice(field, nvars, degree, seed)
     head = -(-ncols // 10)
-    tried: set = set()
-    stream = _untried(sample_points(field, nvars, seed, 0, head), tried)
-    values, usable = _evaluate(values_fn, np.vstack([lattice, stream]), n_outputs, p)
+    stream = SampleStream(field, nvars, seed, stats=stats)
+    points = stream.draw(head)
+    values, usable = _evaluate(values_fn, np.vstack([lattice, points]), n_outputs, p)
     holes = np.flatnonzero(~usable[:ncols])
     k = len(holes)
+    stream.seen = (ncols, k)
     target = head + k
-    stream_values, stream_usable = values[ncols:], usable[ncols:]
-    # the next k stream points complete the first batch of `sample_usable`
-    rest = _untried(sample_points(field, nvars, seed, head, k), tried) if k else stream[:0]
+    point_values, point_usable = values[ncols:], usable[ncols:]
+    # the next k draws complete the first batch
+    rest = stream.draw(k) if k else points[:0]
     if len(rest):
         more, more_usable = _evaluate(values_fn, rest, n_outputs, p)
-        stream = np.vstack([stream, rest])
-        stream_values = np.vstack([stream_values, more])
-        stream_usable = np.concatenate([stream_usable, more_usable])
-    if not stream_usable.all():
-        stream, stream_values = stream[stream_usable], stream_values[stream_usable]
-    used, dropped = ncols + len(tried), k + len(tried) - len(stream)
-    if stats is not None:
-        stats.update(points_used=used, points_degenerate=dropped)
-    check_degenerate(used, dropped, p)
+        points = np.vstack([points, rest])
+        point_values = np.vstack([point_values, more])
+        point_usable = np.concatenate([point_usable, more_usable])
+    if not point_usable.all():
+        points, point_values = points[point_usable], point_values[point_usable]
+    stream.keep(len(points))
     values = values[:ncols]
     values[holes] = 0
     unit = np.zeros((ncols, k), dtype=np.int64)
     unit[holes, np.arange(k)] = 1
     # the known values' forms, then the holes' Lagrange forms
     solved = _solve_lattice(np.hstack([values, unit]), basis, nodes, p)
-    kept = (stream, stream_values, target)
     cap = max(target, 4 * ncols)
     while True:
-        if len(kept[0]) < target:
-            kept = sample_usable(
-                values_fn, field, nvars, seed, target, n_outputs, kept, stats, (ncols, k)
-            )
-        at = _matmul(vandermonde(kept[0], basis, p), solved, p)
-        m = np.hstack([at[:, n_outputs:], (kept[1] - at[:, :n_outputs]) % p])
+        for batch in stream.batches(target):
+            more, more_usable = _evaluate(values_fn, batch, n_outputs, p)
+            fresh = batch[more_usable]
+            points = np.vstack([points, fresh])
+            point_values = np.vstack([point_values, more[more_usable]])
+            stream.keep(len(fresh))
+        at = _matmul(vandermonde(points, basis, p), solved, p)
+        m = np.hstack([at[:, n_outputs:], (point_values - at[:, :n_outputs]) % p])
         pivots, _ = _forward_eliminate(m, p, k)
         if len(pivots) == k:
             if m[k:, k:].any():
@@ -900,7 +889,7 @@ def interpolate_many(
                 HomogeneousForm.from_coefficient_vector(field, basis, column)
                 for column in coeffs.T
             ]
-        exhausted = len(kept[0]) < target
+        exhausted = stream.kept < target
         if exhausted or target >= cap:
             drawn = f"all {p**nvars}" if exhausted else target
             raise InterpolationFailure(

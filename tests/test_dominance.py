@@ -705,6 +705,31 @@ def test_degenerate_pencil_raises_on_the_evaluation_route():
         _span_rank(L, 4, 0)
 
 
+def test_the_line_stream_stops_after_every_line_is_tried(monkeypatch):
+    # a plane curve over GF(3) draws its lines from GF(3)^2: the stream
+    # tries all 9 of them, fewer than the d + 1 = 10 it asks for, and stops
+    tried = []
+    line_rows = dominance._line_rows
+
+    def spy(L, d, lines, blocks, route):
+        tried.extend(map(tuple, lines.tolist()))
+        return line_rows(L, d, lines, blocks, route)
+
+    monkeypatch.setattr(dominance, "_line_rows", spy)
+    cert = pfaffian_codim(2, 9, prime=3, seed=0)
+    assert sorted(tried) == [(a, b) for a in range(3) for b in range(3)]
+    assert (cert.rank_achieved, cert.codim, cert.sample_points_used, cert.columns) == (
+        45, 10, 26, 163
+    )
+    assert cert.verdict == "NotDominantEvidence"
+
+
+def test_the_line_stream_refuses_a_pencil_unusable_at_most_lines():
+    message = r"^unusable at 12 of 17 sample lines over GF\(3\); try a larger prime$"
+    with pytest.raises(DegeneratePencil, match=message):
+        pfaffian_codim(3, 5, prime=3, seed=5)
+
+
 def test_sample_points_used_counts_points_drawn():
     # the points are lines: ceil(35 / 5) + 1 of them at (3, 4)
     cert = pfaffian_codim(3, 4, seed=1)

@@ -449,6 +449,35 @@ def test_interpolation_drops_unusable_points(modulus):
     assert stats == {"points_used": 21 + len(stream), "points_degenerate": 6 + dropped}
 
 
+@pytest.mark.parametrize("modulus", [3, 7])
+def test_interpolation_draws_no_stream_point_twice(monkeypatch, modulus):
+    # the hole case above: the first batch and its top-ups read the stream
+    # from where the last draw stopped, and never from its start again
+    f = HomogeneousForm.random(F, 3, 5, FieldRng(12))
+    calls, streams = [], []
+    draw, stream_class = mpoly.sample_points, mpoly.SampleStream
+
+    def spy(field, nvars, seed, start, count):
+        calls.append((start, count))
+        return draw(field, nvars, seed, start, count)
+
+    def recorded(*args, **kwargs):
+        streams.append(stream_class(*args, **kwargs))
+        return streams[-1]
+
+    def values_fn(points):
+        usable = points[:, 0] % modulus != 0
+        return np.where(usable, evaluate_many(f, points), P - 1)[:, None], usable
+
+    monkeypatch.setattr(mpoly, "sample_points", spy)
+    monkeypatch.setattr(mpoly, "SampleStream", recorded)
+    assert interpolate_many(values_fn, 3, 5, F, 13, 1) == [f]
+    starts, counts = zip(*calls)
+    assert len(calls) > 2  # a top-up ran
+    assert list(starts) == list(itertools.accumulate(counts, initial=0))[:-1]
+    assert sum(counts) == streams[0].drawn
+
+
 def test_interpolation_stops_when_most_points_are_unusable():
     def values_fn(points):
         nothing = np.zeros(len(points), dtype=bool)
@@ -541,39 +570,19 @@ def test_stream_points_are_distinct_over_a_tiny_field():
     assert len(set(stream)) == len(stream)
 
 
-def test_sample_usable_stops_after_every_point_is_tried():
+def test_sample_stream_stops_after_every_point_is_tried():
     # asked for 20 points of GF(3)^2, the stream skips its repeats and stops
     # at the 9 points there are, in the order it first drew them
     F3 = PrimeField(3)
-
-    def everything(points):
-        return np.zeros((len(points), 1), dtype=np.int64), np.ones(len(points), dtype=bool)
-
-    points, _, drawn = mpoly.sample_usable(everything, F3, 2, 5, 20, 1)
-    stream = [tuple(x) for x in sample_points(F3, 2, 5, 0, drawn).tolist()]
-    assert drawn > 9
-    assert [tuple(x) for x in points.tolist()] == list(dict.fromkeys(stream))
-    assert len(points) == 9
-
-
-def test_sample_usable_keeps_a_first_batch_without_a_copy():
-    # every point usable: the values are the black box's own array; one
-    # unusable point and they are a stacked copy of the usable rows
-    returned = []
-
-    def values_fn(points):
-        returned.append(np.ones((len(points), 3)))
-        return returned[-1], points[:, 0] != skip
-
-    skip = -1
-    points, values, drawn = mpoly.sample_usable(values_fn, F, 3, 4, 10, 3)
-    assert (len(points), drawn) == (10, 10)
-    assert values is returned[0]
-    skip = int(points[0, 0])
-    returned.clear()
-    _, values, _ = mpoly.sample_usable(values_fn, F, 3, 4, 10, 3)
-    assert len(returned) == 2
-    assert not any(np.shares_memory(values, v) for v in returned)
+    stream = mpoly.SampleStream(F3, 2, 5)
+    points = []
+    for batch in stream.batches(20):
+        points += [tuple(x) for x in batch.tolist()]
+        stream.keep(len(batch))
+    drawn = [tuple(x) for x in sample_points(F3, 2, 5, 0, stream.drawn).tolist()]
+    assert stream.drawn > 9
+    assert points == list(dict.fromkeys(drawn))
+    assert len(points) == stream.kept == 9
 
 
 def _dense_interpolation(values_fn, nvars, degree, field, n_outputs):
