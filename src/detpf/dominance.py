@@ -251,36 +251,61 @@ def _span_rank(
 
 def _line_matrix(L: LinearSkewMatrix, d: int, seed: int, route: dict) -> np.ndarray:
     """G from the first usable lines of a `mpoly.SampleStream`, a line
-    being the a', b' of one draw.  `route` gets `drawn` and `fallbacks`."""
+    being the a', b' of one draw.  G is allocated once, for every line the
+    certificate needs, when the first batch has done its pencil work; each
+    batch writes its rows after the lines kept so far, and its usable lines
+    are moved down over its unusable ones in place.  `route` gets `drawn`
+    and `fallbacks`."""
     r = L.nvars - 1
     target = monomial_count(L.nvars, d)
     needed = d + 1 if r == 2 else -(-target // (d + 1)) + 1
     blocks = _kept_columns(L)
     stream = SampleStream(L.field, 2 * r - 2, seed, "lines")
-    parts = []
+    G = None
     route["fallbacks"] = 0
+
+    def free_lines(count: int, width: int) -> np.ndarray:
+        nonlocal G
+        if G is None:
+            G = np.empty((d + 1, needed, width))
+        return G[:, stream.kept : stream.kept + count]
+
     for batch in stream.batches(needed):
-        rows, usable = _line_rows(L, d, batch, blocks, route)
-        parts.append(rows[:, usable] if not usable.all() else rows)
-        stream.keep(parts[-1].shape[1])
+        rows, usable = _line_rows(L, d, batch, blocks, route, free_lines)
+        kept = np.flatnonzero(usable)
+        for i, line in enumerate(kept.tolist()):
+            if i != line:
+                rows[:, i] = rows[:, line]
+        stream.keep(len(kept))
     route["drawn"] = stream.drawn
-    G = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    G = G[:, : stream.kept]  # copied below only when the stream ran out of lines
     return G.reshape(-1, G.shape[2])
 
 
-def _line_rows(L: LinearSkewMatrix, d: int, lines: np.ndarray, blocks: list, route: dict):
+def _line_rows(
+    L: LinearSkewMatrix, d: int, lines: np.ndarray, blocks: list, route: dict, out=None
+):
     """(rows, usable): the d + 1 rows of each line at the kept columns, and
     whether A is invertible and the recurrence closes (module docstring).
     Rows j = 0 and j = d, each with a zero block, come last, which spares
-    G's elimination row swaps."""
+    G's elimination row swaps.  `rows` is a (d + 1, len(lines), width)
+    array, `out(len(lines), width)` when `out` is given, else a new one.
+
+    It is taken last.  M(a) is freed once inverted, K = A^-1 B is written
+    over M(b), and the recurrence runs on one part of the lines at a time,
+    in two buffers taken before `rows` in the room the pencil work left:
+    the fewest equal parts whose buffers hold at most `exactlin.SLAB`
+    entries (`exactlin._slabs`), two halves at (3, 15) and (3, 16).  So
+    beside `rows` sit only A^-1, K and those buffers, and they are freed
+    before the x_0..x_(r-2) blocks are written."""
     p, r, n = L.field.p, L.nvars - 1, L.size
     count = len(lines)
     ends = np.zeros((2, count, L.nvars), dtype=np.int64)
     ends[0, :, : r - 1], ends[0, :, r] = lines[:, : r - 1], 1
     ends[1, :, : r - 1], ends[1, :, r - 1] = lines[:, r - 1 :], 1
-    pencil = L.evaluate_batch(ends.reshape(2 * count, -1)).reshape(2, count, n, n)
-    inverse, invertible = exactlin.invert_skew_many(pencil[0], p, route)
-    K = _matmul(inverse, pencil[1], p)
+    inverse, invertible = exactlin.invert_skew_many(L.evaluate_batch(ends[0]), p, route)
+    K = L.evaluate_batch(ends[1])  # M(b), which K = A^-1 M(b) overwrites
+    _matmul(inverse, K, p, out=K)
     x, solved = _krylov_relation(K, inverse[:, :, :1], d, p)
     if not solved.all():  # column 0 alone is not cyclic: add column 1
         x[:, ~solved] = _krylov_relation(K[~solved], inverse[~solved, :, :2], d, p)[0]
@@ -291,27 +316,35 @@ def _line_rows(L: LinearSkewMatrix, d: int, lines: np.ndarray, blocks: list, rou
     index = [np.arange(len(flat))[cols] for cols in blocks]
     lead = np.concatenate(index[: r - 1])  # the columns of x_0..x_(r-2)
     edge = [len(lead), len(lead) + len(index[r - 1])]
-    rows = np.empty((d + 1, count, edge[1] + len(index[r])))
     at = [d - 1, *range(d - 1), d]  # the row of each j
+    parts = exactlin._slabs((count, 2 * n * n))  # two buffers of a part hold at most SLAB
+    longest = len(inverse[parts[0]])
+    work = np.empty((2, longest, n, n))
+    tri = np.empty((longest, len(flat)))
     S = np.zeros((d + 2, count, len(lead)))  # S[j + 1] = triu(Q_j) at `lead`
-    tri = np.empty((count, len(flat)))
-    work = pencil  # A and B are read no more: their buffers take the products
+    closes = np.empty(count, dtype=bool)
+    width = edge[1] + len(index[r])
+    rows = np.empty((d + 1, count, width)) if out is None else out(count, width)
     delayed = _max_terms(p, exactlin.FLOAT_EXACT, p) > n
-    Q = inverse
-    for j in range(d):
-        np.take(Q.reshape(count, -1), flat, axis=1, out=tri, mode="clip")
-        rows[at[j], :, edge[1] :] = tri[:, blocks[r]]
-        rows[at[j + 1], :, edge[0] : edge[1]] = tri[:, blocks[r - 1]]
-        np.take(tri, lead, axis=1, out=S[j + 1], mode="clip")
-        c = nu[j][:, None, None]
-        if delayed:  # K Q_j, then nu_(j+1) A^-1 - K Q_j
-            product, step = work[j % 2], work[1 - j % 2]
-            np.matmul(K, Q, out=product)
-            np.multiply(c, inverse, out=step)
-            step -= product
-            Q = _reduce_float(step, p, out=product)
-        else:
-            Q = _reduce_float(_mul_mod(c, inverse, p) - _matmul(K, Q, p), p)
+    for part in parts:
+        Q = inverse[part]
+        m = len(Q)
+        t = tri[:m]
+        for j in range(d):
+            np.take(Q.reshape(m, -1), flat, axis=1, out=t, mode="clip")
+            rows[at[j], part, edge[1] :] = t[:, blocks[r]]
+            rows[at[j + 1], part, edge[0] : edge[1]] = t[:, blocks[r - 1]]
+            np.take(t, lead, axis=1, out=S[j + 1, part], mode="clip")
+            c = nu[j, part, None, None]
+            if delayed:  # K Q_j into one buffer, then nu_(j+1) A^-1 - K Q_j in the other
+                np.matmul(K[part], Q, out=work[j % 2, :m])
+                np.multiply(c, inverse[part], out=work[1 - j % 2, :m])
+                work[1 - j % 2, :m] -= work[j % 2, :m]
+                Q = _reduce_float(work[1 - j % 2, :m], p, out=work[j % 2, :m])
+            else:
+                Q = _reduce_float(_mul_mod(c, inverse[part], p) - _matmul(K[part], Q, p), p)
+        closes[part] = ~Q.any(axis=(1, 2))
+    del inverse, K, work, tri, t, Q
     rows[at[0], :, edge[0] : edge[1]] = 0
     rows[at[d], :, edge[1] :] = 0
     # the x_0..x_(r-2) blocks: a_k triu(Q_j) + b_k triu(Q_(j-1))
@@ -320,7 +353,7 @@ def _line_rows(L: LinearSkewMatrix, d: int, lines: np.ndarray, blocks: list, rou
     a, b = lines[:, k].astype(np.float64), lines[:, k + r - 1].astype(np.float64)
     both = _mul_mod(a, S[j + 1], p) + _mul_mod(b, S[j], p)
     _reduce_float(both, p, out=rows[:, :, : edge[0]])
-    return rows, invertible & ~Q.any(axis=(1, 2))
+    return rows, invertible & closes
 
 
 def _krylov_relation(K: np.ndarray, w: np.ndarray, d: int, p: int):

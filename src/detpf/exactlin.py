@@ -44,12 +44,19 @@ halves, with L21 left where the factorization stored it (`_Split`).
 `_solve` forms U12 by the recursive triangular solve of Toledo and of
 FFLAS-FFPACK: the top rows by the left half's solve, then L21 times them
 subtracted from the rows below in one product, those rows reduced, and
-the right half's solve on them.  So no L^-1 is wider than BLOCK, and
-beside the matrix it factors in place the elimination holds little more
-than its products' outputs; a solve that recursed down to the leaves
-would make more, smaller products, which is slower.  `pivot_columns` asks
-its root for no solve, so a matrix of one leaf is one rank-1 pass.  A
-span that starts below the last row has no pivot and returns at once.
+the right half's solve on them.  So no L^-1 is wider than BLOCK, and a
+solve that recursed down to the leaves would make more, smaller products,
+which is slower.  Beside the matrix it factors in place, the elimination
+holds no temporary of more than SLAB entries: an in-place reduction
+(`_reduce_slabs`), whose quotient is as large as what it reduces, and the
+products of `_update_right`, `_solve` and `_clear_halves` are taken in row
+slabs when their temporary would pass SLAB (`_slabs`; the L^-1 product of
+`_solve` in column slabs, as each of its rows reads every row of U), and
+in one piece otherwise.  A slab's product sums the same terms, for the
+entries it writes, as the whole product, so every sum below is the one it
+was, and so are its bound and its bytes.  `pivot_columns` asks its root for no solve,
+so a matrix of one leaf is one rank-1 pass.  A span that starts below the
+last row has no pivot and returns at once.
 With n = min(rows, cols), no elimination has more than n pivots, so
 
 * every product sums at most n terms, each a product of two residues;
@@ -134,6 +141,7 @@ MAX_MODULUS = 1 << 31
 
 LEAF = 8  # widest column span the recursive elimination factors by rank-1 steps
 BLOCK = 64  # widest column span that hands its parent an assembled L^-1
+SLAB = 1 << 16  # most entries an elimination temporary takes in one piece; larger ones go in slabs
 
 FLOAT_EXACT = 1 << 53  # float64 holds every integer below this exactly
 SPLIT = 1 << 16  # `_matmul` writes b = b_hi*SPLIT + b_lo above its one-product bound
@@ -391,6 +399,30 @@ def _reduce_float(c: np.ndarray, p: int, out: np.ndarray | None = None) -> np.nd
     return np.subtract(c, q, out=q if out is None else out)
 
 
+_WHOLE = (slice(None),)
+
+
+def _slabs(shape: tuple[int, int]) -> tuple[slice, ...]:
+    """The row slabs in which a temporary of this shape is taken: all its
+    rows at once when it has at most SLAB entries, else the fewest runs of
+    equal length, give or take a row, that hold at most SLAB entries each
+    (one row each when a row alone holds more)."""
+    rows, width = shape
+    if rows * width <= SLAB:
+        return _WHOLE
+    count = -(-rows // max(1, SLAB // width))
+    step = -(-rows // count)
+    return tuple(slice(s, s + step) for s in range(0, rows, step))
+
+
+def _reduce_slabs(c: np.ndarray, p: int) -> None:
+    """c mod p in place for a 2-d float64 array, one row slab (`_slabs`) at
+    a time, so that the quotient `_reduce_float` holds is at most a slab."""
+    for s in _slabs(c.shape):
+        slab = c[s]
+        _reduce_float(slab, p, out=slab)
+
+
 def _product(a: np.ndarray, b: np.ndarray, p: int, delayed: bool) -> np.ndarray:
     """a @ b of residues: unreduced when `delayed`, where the caller's bound
     keeps the sum it enters exact, else reduced by `_matmul`."""
@@ -498,30 +530,39 @@ class _Split(NamedTuple):
 def _solve(f, p, solve, u, delayed) -> None:
     """Overwrite u, the pivot rows' part of some columns of f as residues,
     with L^-1 u, for the lower triangle L of those rows that `solve` stands
-    for.  An array is L^-1 itself, one product.  A `_Split` [[L11, 0],
-    [L21, L22]] solves the top rows by its left half, subtracts L21 times
-    them from the rows below, left unreduced when `delayed`, reduces those
-    rows and solves them by its right half."""
+    for.  An array is L^-1 itself, one product per column slab.  A
+    `_Split` [[L11, 0], [L21, L22]] solves the top rows by its left half,
+    subtracts L21 times them from the rows below, one product per row slab
+    left unreduced when `delayed`, reduces those rows and solves them by
+    its right half."""
     if isinstance(solve, np.ndarray):
-        _matmul(solve, u, p, out=u)
+        for s in _slabs(u.T.shape):  # column slabs: each row of L^-1 u reads all of u
+            _matmul(solve, u[:, s], p, out=u[:, s])
         return
     top, rest = u[: solve.k1], u[solve.k1 :]
     _solve(f, p, solve.left, top, delayed)
-    rest -= _product(f[solve.lower], top, p, delayed)
-    _reduce_float(rest, p, out=rest)
+    rows, cols = solve.lower
+    below = f[rows]
+    for s in _slabs(rest.shape):
+        rest[s] -= _product(below[s, cols], top, p, delayed)
+    _reduce_slabs(rest, p)
     _solve(f, p, solve.right, rest, delayed)
 
 
 def _update_right(f, p, row, pivots, solve, c0, c1, delayed) -> None:
     """Turn the pivot rows' part of the columns [c0, c1) into U = L^-1 A by
-    `_solve` and subtract L U from the rows below them, in one float64
-    product, left unreduced when `delayed`.  `pivots` are the pivot columns
-    found from `row` down and `solve` stands for L of their rows."""
+    `_solve` and subtract L U from the rows below them, one float64
+    product per row slab (`_slabs`), left unreduced when `delayed`.
+    `pivots` are the pivot columns found from `row` down and `solve`
+    stands for L of their rows."""
     top = row + len(pivots)
     u = f[row:top, c0:c1]
-    _reduce_float(u, p, out=u)
+    _reduce_slabs(u, p)
     _solve(f, p, solve, u, delayed)
-    f[top:, c0:c1] -= _product(f[top:, _columns(pivots)], u, p, delayed)
+    below, cols = f[top:], _columns(pivots)
+    rest = below[:, c0:c1]
+    for s in _slabs(rest.shape):
+        rest[s] -= _product(below[s, cols], u, p, delayed)
 
 
 def _factor(f, p, row, c0, c1, inverse, delayed):
@@ -580,8 +621,7 @@ def _forward_eliminate(m: np.ndarray, p: int, ncols: int):
     r = len(pivots)
     if rhs and r:
         _update_right(f, p, 0, pivots, solve, ncols, width, delayed)
-    rest = f[r:, ncols:]
-    _reduce_float(rest, p, out=rest)
+    _reduce_slabs(f[r:, ncols:], p)
     f[:, pivots] = np.triu(f[:, pivots])  # L was stored below the pivots
     m[...] = f
     return pivots, sign
@@ -592,14 +632,16 @@ def _clear_halves(
 ) -> None:
     """Clear the entries above the pivots among the float64 rows [b0, b1)
     of an echelon form: the lower half first, then its pivot columns from
-    the upper half in one product, then the upper half."""
+    the upper half, one product per row slab, then the upper half."""
     if b1 - b0 < 2:
         return
     h = (b0 + b1) // 2
     _clear_halves(u, p, pivots, h, b1, delayed)
-    top = u[b0:h, pivots[h] :]
-    top -= _product(u[b0:h, pivots[h:b1]], u[h:b1, pivots[h] :], p, delayed)
-    _reduce_float(top, p, out=top)
+    above, cols = u[b0:h], pivots[h:b1]
+    top = above[:, pivots[h] :]
+    for s in _slabs(top.shape):
+        top[s] -= _product(above[s, cols], u[h:b1, pivots[h] :], p, delayed)
+    _reduce_slabs(top, p)
     _clear_halves(u, p, pivots, b0, h, delayed)
 
 

@@ -293,8 +293,8 @@ def spied_lines(monkeypatch, run):
     kept, ranked = [], []
     line_rows, rank = dominance._line_rows, exactlin.rank
 
-    def spy(L, d, lines, blocks, route):
-        rows, usable = line_rows(L, d, lines, blocks, route)
+    def spy(L, d, lines, blocks, route, out=None):
+        rows, usable = line_rows(L, d, lines, blocks, route, out)
         kept.append(lines[usable])
         return rows, usable
 
@@ -525,9 +525,18 @@ def test_refills_build_the_whole_line_matrix(monkeypatch, r, d, prime, seed):
     result, kept, G = spied_lines(monkeypatch, lambda: _span_rank(L, d, stream, route))
     rank, target, drawn = result
     lines = np.concatenate(kept)
-    rows, usable = dominance._line_rows(L, d, lines, dominance._kept_columns(L), {})
+    blocks = dominance._kept_columns(L)
+    rows, usable = dominance._line_rows(L, d, lines, blocks, {})
     assert usable.all() and len(lines) == line_count(r, d)
     assert rows.reshape(G.shape).tobytes() == G.a.tobytes()
+    # rows written into a caller's array land there, and nowhere else
+    room = np.full((d + 1, len(lines) + 2, G.cols), -1.0)
+    written, _ = dominance._line_rows(
+        L, d, lines, blocks, {}, lambda count, width: room[:, 1 : 1 + count, :width]
+    )
+    assert np.shares_memory(written, room)
+    assert room[:, 1:-1].tobytes() == rows.tobytes()
+    assert (room[:, [0, -1]] == -1).all()
     if prime == 11:
         assert len(kept) > 1
         assert rank <= span_rank_by_interpolation(L, d, stream)[0] == target
@@ -550,8 +559,8 @@ def test_the_certificate_peaks_below_twice_the_evaluation_matrix():
 
 
 def test_the_certificate_peaks_below_1_45_times_the_evaluation_matrix():
-    # beside G the rank holds no L^-1 wider than a block, and the pencils'
-    # buffers take the line recurrence's products, so little is left over
+    # beside G the rank holds no L^-1 wider than a block, and the line
+    # recurrence only A^-1, K and its two buffers, so little is left over
     tracemalloc.start()
     try:
         cert = pfaffian_codim(3, 16, seed=2)
@@ -559,6 +568,34 @@ def test_the_certificate_peaks_below_1_45_times_the_evaluation_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 1.45 * cert.target_dim * cert.columns * 8
+
+
+def certificate_peak(r, d, prime, seed):
+    """(certificate, its tracemalloc peak in bytes)."""
+    tracemalloc.start()
+    try:
+        cert = pfaffian_codim(r, d, prime=prime, seed=seed)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return cert, peak
+
+
+def test_the_certificate_peaks_below_1_35_times_the_evaluation_matrix():
+    # beside G the rank holds no temporary of more than exactlin.SLAB
+    # entries, and the line recurrence only A^-1, K and buffers for half
+    # the lines, taken before G
+    cert, peak = certificate_peak(3, 16, 31991, 2)
+    assert peak < 1.35 * cert.target_dim * cert.columns * 8
+
+
+def test_a_certificate_with_unusable_lines_holds_g_once():
+    # at p = 11 ten of the 68 lines drawn are unusable and two refill
+    # batches replace them; their rows are overwritten in place, so G is
+    # allocated once and never copied
+    cert, peak = certificate_peak(3, 16, 11, 1)
+    assert (cert.sample_points_used, cert.inverse_fallbacks, cert.rank_achieved) == (68, 56, 843)
+    assert peak < 1.5 * cert.target_dim * cert.columns * 8
 
 
 def scatter_span_rank(L, d, seed):
@@ -711,9 +748,9 @@ def test_the_line_stream_stops_after_every_line_is_tried(monkeypatch):
     tried = []
     line_rows = dominance._line_rows
 
-    def spy(L, d, lines, blocks, route):
+    def spy(L, d, lines, blocks, route, out=None):
         tried.extend(map(tuple, lines.tolist()))
-        return line_rows(L, d, lines, blocks, route)
+        return line_rows(L, d, lines, blocks, route, out)
 
     monkeypatch.setattr(dominance, "_line_rows", spy)
     cert = pfaffian_codim(2, 9, prime=3, seed=0)

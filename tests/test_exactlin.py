@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from math import isqrt
 from pathlib import Path
 
@@ -307,6 +308,25 @@ def structured_matrices(draw):
 
 
 WIDE = 67
+
+
+def slabbed(p, seed):
+    """(p, ncols, matrix): 6 x 66000 of full row rank whose first four rows
+    start at column 16498 and whose last two are combinations of them plus
+    entries in the right half only.  Its pivots fall two each side of the
+    middle of the root's left half and two at the start of the right half,
+    so U12 (4 x 33000), L21 U12 (2 x 33000), the L^-1 products of leaves
+    and the rows a _Split solve reduces (2 x 33000) all pass exactlin.SLAB
+    = 2**16 entries, while the columns the elimination scans without a
+    pivot stay few."""
+    ncols = 66000
+    rng = np.random.default_rng(seed)
+    a = np.zeros((6, ncols), dtype=object)
+    a[:4, ncols // 4 - 2 :] = rng.integers(0, p, (4, ncols - ncols // 4 + 2))
+    a[4:] = rng.integers(0, p, (2, 4)).astype(object).dot(a[:4])
+    a[4:, ncols // 2 :] += rng.integers(0, p, (2, ncols - ncols // 2))
+    return p, ncols, (a % p).astype(np.int64)
+
 # cases a small example budget might miss: each spans four recursion levels
 EXAMPLES = (
     structured(31991, WIDE, WIDE + 12, 3, WIDE, 0, 0.0, 1),  # tall, full column rank
@@ -318,6 +338,8 @@ EXAMPLES = (
     # matrix at p = 3 whose zero rows and columns force row swaps
     structured(2**31 - 1, 2 * BLOCK + 3, 2 * BLOCK + 7, 2, 2 * BLOCK + 3, 0, 0.0, 6),
     structured(3, 2 * BLOCK + 3, 2 * BLOCK + 3, 1, BLOCK + 9, 1, 0.3, 7),
+    # above SLAB, at each kind of prime (`slabbed`)
+    *(slabbed(p, seed) for p, seed in ((3, 8), (31991, 9), (2**31 - 1, 10))),
 )
 
 
@@ -330,6 +352,9 @@ EXAMPLES = (
 @example(EXAMPLES[4])
 @example(EXAMPLES[5])
 @example(EXAMPLES[6])
+@example(EXAMPLES[7])
+@example(EXAMPLES[8])
+@example(EXAMPLES[9])
 def test_kernel_matches_reference_byte_for_byte(case):
     p, ncols, a = case
     echelon, reduced, ref_pivots, ref_sign = reference_eliminate(a.tolist(), p, ncols)
@@ -348,6 +373,9 @@ def test_kernel_matches_reference_byte_for_byte(case):
 @example(EXAMPLES[4])
 @example(EXAMPLES[5])
 @example(EXAMPLES[6])
+@example(EXAMPLES[7])
+@example(EXAMPLES[8])
+@example(EXAMPLES[9])
 def test_rank_is_the_pivot_count_of_forward_eliminate(case):
     p, ncols, a = case
     A = ScalarMatrix(PrimeField(p), a[:, :ncols])
@@ -1499,6 +1527,9 @@ def test_importing_detpf_builds_no_inverse_table():
 @example(EXAMPLES[4])
 @example(EXAMPLES[5])
 @example(EXAMPLES[6])
+@example(EXAMPLES[7])
+@example(EXAMPLES[8])
+@example(EXAMPLES[9])
 def test_pivot_columns_are_the_pivots_of_forward_eliminate(case):
     p, ncols, a = case
     pivots, _ = exactlin._forward_eliminate(a.copy(), p, ncols)
@@ -1522,3 +1553,112 @@ def test_elimination_runs_no_leaf_below_the_last_row(monkeypatch):
     assert rows_seen and all(row < nrows for row, nrows in rows_seen)
     # the rows run out after two leaves of the 17 the columns would take
     assert len(rows_seen) == 2
+
+
+def slab_spy(monkeypatch):
+    """A list that gets (caller, shape) of every `exactlin._slabs` call that
+    cuts its temporary in more than one slab."""
+    cut, slabs = [], exactlin._slabs
+
+    def spy(shape):
+        out = slabs(shape)
+        if len(out) > 1:
+            cut.append((sys._getframe(1).f_code.co_name, shape))
+        return out
+
+    monkeypatch.setattr(exactlin, "_slabs", spy)
+    return cut
+
+
+def test_the_slab_examples_take_every_temporary_in_slabs(monkeypatch):
+    # the EXAMPLES above SLAB reach each slabbed site: U12's reduction, the
+    # L^-1 product and the _Split rows of `_solve`, L21 U12, and the
+    # products and reductions of the back substitution
+    cut = slab_spy(monkeypatch)
+    for p, ncols, a in EXAMPLES[7:10]:
+        cut.clear()
+        m = a.copy()
+        pivots, _ = exactlin._forward_eliminate(m, p, ncols)
+        assert len(pivots) == 6 and pivots[1] < ncols // 4 <= pivots[2] < ncols // 2 <= pivots[4]
+        exactlin._back_substitute(m, p, pivots)
+        sites = {name for name, _ in cut}
+        assert sites == {"_reduce_slabs", "_solve", "_update_right", "_clear_halves"}
+        # a leaf's L^-1 product in column slabs, and a _Split's rows in row slabs
+        assert {("_solve", (ncols // 2, 2)), ("_solve", (2, ncols // 2))} <= set(cut)
+
+
+def pivoted_lu(p, n, kind, seed):
+    """An n x n matrix P L U whose Gaussian elimination takes two row
+    operations a row: U upper triangular with a nonzero diagonal (one zero
+    at n // 2 when `kind` is "singular") and L unit lower triangular with
+    two entries below the diagonal in each row, at random columns.  With
+    `kind` "swap" row 1 has none and rows 0 and 1 are exchanged, so column
+    0 takes a row swap."""
+    rng = np.random.default_rng(seed)
+    U = np.triu(rng.integers(0, p, (n, n), dtype=np.int64))
+    U[np.arange(n), np.arange(n)] = rng.integers(1, p, n)
+    if kind == "singular":
+        U[n // 2, n // 2] = 0
+    m = U.copy()
+    for i in range(2 if kind == "swap" else 1, n):
+        for j in rng.choice(i, size=min(2, i), replace=False):
+            m[i] = (m[i] + int(rng.integers(1, p)) * U[j] % p) % p
+    if kind == "swap":
+        m[[0, 1]] = m[[1, 0]]
+    return m
+
+
+@pytest.mark.parametrize("p", DET_PRIMES)
+def test_determinant_above_the_slab_size(monkeypatch, p):
+    # a square matrix takes slabs from 513 columns up, where a dense Python
+    # elimination is too slow for this suite; a P L U whose L has two
+    # entries a row takes two row operations a row, and its L21 U12 and
+    # U12 are dense all the same
+    cut = slab_spy(monkeypatch)
+    n = 730  # the rows of the root's _Split solve pass SLAB too
+    for kind, seed in (("random", 1), ("swap", 2), ("singular", 3)):
+        cut.clear()
+        a = pivoted_lu(p, n, kind, seed)
+        want = reference_det_by_elimination(a.tolist(), p)
+        assert (want == 0) == (kind == "singular")
+        assert determinant(ScalarMatrix(PrimeField(p), a)) == want
+        assert {"_reduce_slabs", "_solve", "_update_right"} <= {name for name, _ in cut}
+
+
+@pytest.mark.parametrize("p", (31991, 2**31 - 1))
+def test_an_in_place_reduction_holds_one_slab(p):
+    # a tall array of 2**18 + 24 entries, each below 2**52 in magnitude:
+    # `_reduce_slabs` holds one slab's quotient at a time, and its residues
+    # are those of the one-shot reduction
+    rng = np.random.default_rng(p)
+    c = rng.integers(-(2**52), 2**52, (2**15 + 3, 8)).astype(np.float64)
+    want = exactlin._reduce_float(c.copy(), p)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        exactlin._reduce_slabs(c, p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(exactlin._slabs(c.shape)) == 5
+    assert peak - before <= exactlin.SLAB * 8 + 4096
+    assert c.tobytes() == want.tobytes()
+    assert want.min() >= 0 and want.max() < p
+
+
+def test_no_graded_toolkit_call_is_slabbed(monkeypatch):
+    # every product and reduction of a graded-toolkit round is below SLAB,
+    # so it runs in one piece as before; a surface certificate is not
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    cut = slab_spy(monkeypatch)
+    for op in workloads.build_ops("graded-toolkit", seed=7):
+        workloads.check(op, workloads.execute(op))
+    assert cut == []
+    from detpf.dominance import pfaffian_codim
+
+    pfaffian_codim(3, 16, seed=7)
+    assert {"_reduce_slabs", "_solve", "_update_right"} <= {name for name, _ in cut}
